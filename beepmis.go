@@ -92,6 +92,8 @@ func NewFaultVerifier(g *Graph) *FaultVerifier { return fault.NewVerifier(g) }
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
 // GNP returns an Erdős–Rényi random graph G(n, p) generated from seed.
+// A p ≤ 0 or NaN gives n isolated vertices, a p ≥ 1 the complete graph
+// K_n, and a negative n the graph with no vertices.
 func GNP(n int, p float64, seed uint64) *Graph { return graph.GNP(n, p, rng.New(seed)) }
 
 // Grid returns the rows×cols rectangular grid graph.

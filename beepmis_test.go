@@ -2,6 +2,7 @@ package beepmis
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,9 @@ func TestSolveLubyReportsBits(t *testing.T) {
 func TestGraphConstructors(t *testing.T) {
 	if g := GNP(10, 0, 1); g.N() != 10 || g.M() != 0 {
 		t.Fatal("GNP")
+	}
+	if g := GNP(50, math.NaN(), 1); g.N() != 50 || g.M() != 0 {
+		t.Fatalf("GNP(50, NaN) = %v, want 50 isolated vertices", g)
 	}
 	if g := Grid(3, 3); g.N() != 9 {
 		t.Fatal("Grid")

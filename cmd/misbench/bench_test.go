@@ -222,8 +222,10 @@ func TestBenchRejectsBadWorkload(t *testing.T) {
 	if err := run([]string{"-bench", "-benchn", "0"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-benchn 0 accepted")
 	}
-	if err := run([]string{"-bench", "-benchp", "1.5"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-benchp 1.5 accepted")
+	for _, p := range []string{"NaN", "-0.1", "1.5", "Inf", "-Inf"} {
+		if err := run([]string{"-bench", "-benchp", p}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-benchp") {
+			t.Errorf("-benchp %s: err = %v, want a -benchp usage error", p, err)
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ func buildBenchWorkload(spec, file string, n int, p float64, seed uint64) (*benc
 		if n <= 0 {
 			return nil, fmt.Errorf("bench needs positive -benchn (got %d)", n)
 		}
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("bench edge probability %v outside [0,1]", p)
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("-benchp %v is not an edge probability in [0, 1]", p)
 		}
 		start := time.Now()
 		g := graph.GNP(n, p, rng.New(seed))

@@ -44,6 +44,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*p >= 0 && *p <= 1) {
+		return fmt.Errorf("-p %v is not an edge probability in [0, 1]", *p)
+	}
 
 	src := rng.New(*seed)
 	var (

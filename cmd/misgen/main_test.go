@@ -84,3 +84,18 @@ func TestGenerateErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBadEdgeProbability: a -p that is NaN, infinite or outside
+// [0, 1] is a usage error, not a silently empty or garbage graph.
+func TestRejectsBadEdgeProbability(t *testing.T) {
+	for _, p := range []string{"NaN", "-0.1", "1.5", "Inf", "-Inf"} {
+		var out bytes.Buffer
+		err := run([]string{"-type", "gnp", "-n", "20", "-p", p}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-p") {
+			t.Errorf("-p %s: err = %v, want a -p usage error", p, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-p %s: wrote output %q", p, out.String())
+		}
+	}
+}

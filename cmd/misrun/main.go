@@ -76,6 +76,9 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*p >= 0 && *p <= 1) {
+		return fmt.Errorf("-p %v is not an edge probability in [0, 1]", *p)
+	}
 	var metrics *obs.EngineMetrics
 	if *metricsOn {
 		metrics = &obs.EngineMetrics{}

@@ -147,8 +147,15 @@ type AdjacencyMatrix struct {
 // builds once and caches.
 func NewAdjacencyMatrix(g *Graph) *AdjacencyMatrix {
 	n := g.N()
+	return newAdjacencyMatrix(g, make([]uint64, n*bitsetWords(n)))
+}
+
+// newAdjacencyMatrix builds g's matrix into rows, which must be zeroed
+// and hold exactly MatrixBytes(g.N())/8 words.
+func newAdjacencyMatrix(g *Graph, rows []uint64) *AdjacencyMatrix {
+	n := g.N()
 	words := bitsetWords(n)
-	m := &AdjacencyMatrix{n: n, words: words, rows: make([]uint64, n*words)}
+	m := &AdjacencyMatrix{n: n, words: words, rows: rows}
 	for v := 0; v < n; v++ {
 		row := m.rows[v*words : (v+1)*words]
 		for _, w := range g.Neighbors(v) {
@@ -299,8 +306,15 @@ func (m *AdjacencyMatrix) HasEdge(u, v int) bool {
 
 // Matrix returns g's packed adjacency-matrix representation, building it
 // on first use and caching it for the graph's lifetime. Safe for
-// concurrent callers, like all Graph readers.
+// concurrent callers, like all Graph readers. A graph built into a
+// Scratch builds its matrix into the scratch's storage.
 func (g *Graph) Matrix() *AdjacencyMatrix {
-	g.matOnce.Do(func() { g.mat = NewAdjacencyMatrix(g) })
+	g.matOnce.Do(func() {
+		if g.scratch != nil {
+			g.mat = newAdjacencyMatrix(g, g.scratch.matrixRows(g.N()))
+		} else {
+			g.mat = NewAdjacencyMatrix(g)
+		}
+	})
 	return g.mat
 }

@@ -335,7 +335,12 @@ func (c *CSR) Validate() error {
 // storage. The view is immutable like any built Graph; c must not be
 // mutated afterwards (CSRs never are).
 func FromCSR(c *CSR) *Graph {
-	adj := make([][]int32, c.n)
+	return fromCSR(c, make([][]int32, c.n))
+}
+
+// fromCSR is FromCSR with the adjacency headers' storage supplied; adj
+// must have length c.N().
+func fromCSR(c *CSR, adj [][]int32) *Graph {
 	for v := 0; v < c.n; v++ {
 		adj[v] = c.cols[c.offsets[v]:c.offsets[v+1]:c.offsets[v+1]]
 	}

@@ -8,46 +8,6 @@ import (
 	"beepmis/internal/rng"
 )
 
-// GNP returns an Erdős–Rényi random graph G(n, p): each of the n(n-1)/2
-// possible edges is present independently with probability p. This is the
-// workload of Figures 3 and 5 of the paper (with p = 1/2).
-func GNP(n int, p float64, src *rng.Source) *Graph {
-	b := NewBuilder(n)
-	switch {
-	case p <= 0:
-		return b.Build()
-	case p >= 1:
-		return Complete(n)
-	}
-	if p >= 0.1 {
-		// Dense regime: test every pair directly.
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if src.Bernoulli(p) {
-					_ = b.AddEdge(u, v) // endpoints are in range by construction
-				}
-			}
-		}
-		return b.Build()
-	}
-	// Sparse regime: geometric skipping (Batagelj–Brandes) generates each
-	// present edge in O(1) expected time instead of scanning all pairs.
-	lq := math.Log(1 - p)
-	u, v := 1, -1
-	for u < n {
-		r := src.Float64()
-		v += 1 + int(math.Log(1-r)/lq)
-		for v >= u && u < n {
-			v -= u
-			u++
-		}
-		if u < n {
-			_ = b.AddEdge(u, v)
-		}
-	}
-	return b.Build()
-}
-
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
 	b := NewBuilder(n)

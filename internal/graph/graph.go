@@ -32,6 +32,10 @@ type Graph struct {
 	// sparse simulation engine, with the same once-guarded discipline.
 	csrOnce sync.Once
 	csr     *CSR
+
+	// scratch, when set, is the Scratch the graph was built into; its
+	// Matrix() is then built into the scratch's words.
+	scratch *Scratch
 }
 
 // ErrVertexRange indicates a vertex index outside [0, N).

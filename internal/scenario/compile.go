@@ -38,6 +38,9 @@ type familyInfo struct {
 	// shared and happen first).
 	validate func(g GraphSpec, n int, p float64) error
 	build    func(g GraphSpec, n int, p float64, src *rng.Source) (*graph.Graph, error)
+	// buildInto, when set, builds the same per-trial instance as build
+	// into storage the trial worker reuses across a unit's trials.
+	buildInto func(s *graph.Scratch, n int, p float64, src *rng.Source) *graph.Graph
 }
 
 func nSquaredEdges(g GraphSpec, n int, p float64) float64 {
@@ -66,6 +69,7 @@ var families = map[string]familyInfo{
 		build: func(_ GraphSpec, n int, p float64, src *rng.Source) (*graph.Graph, error) {
 			return graph.GNP(n, p, src), nil
 		},
+		buildInto: (*graph.Scratch).GNP,
 	},
 	"complete": {
 		usesN: true,

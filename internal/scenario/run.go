@@ -290,16 +290,40 @@ func runUnit(ctx context.Context, u *Unit, engine sim.Engine, master *rng.Source
 		pinned = g
 	}
 
+	// Per-trial instances of a family with buildInto are built into one
+	// graph.Scratch per concurrent trial, so a unit's trials reuse one
+	// set of arrays per trial worker instead of churning large objects
+	// through the heap. The channel holds every scratch (at most one per
+	// pool worker), so a trial never waits for one; they die with the
+	// unit.
+	var scratches chan *graph.Scratch
+	if pinned == nil && u.info.buildInto != nil {
+		k := min(poolWorkers, trials)
+		scratches = make(chan *graph.Scratch, k)
+		for range k {
+			scratches <- new(graph.Scratch)
+		}
+	}
+
 	err := experiment.ForTrials(poolWorkers, trials, func(trial int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		g := pinned
 		if g == nil {
-			var err error
-			g, err = u.info.build(u.graph, u.N, u.P, master.Stream(trialKey(u.Index, trial, slotGraph)))
-			if err != nil {
-				return fmt.Errorf("scenario: build graph (trial %d): %w", trial, err)
+			graphSrc := master.Stream(trialKey(u.Index, trial, slotGraph))
+			if scratches != nil {
+				// The graph lives in s until s's next build, so s goes
+				// back only once this trial is done with g.
+				s := <-scratches
+				defer func() { scratches <- s }()
+				g = u.info.buildInto(s, u.N, u.P, graphSrc)
+			} else {
+				var err error
+				g, err = u.info.build(u.graph, u.N, u.P, graphSrc)
+				if err != nil {
+					return fmt.Errorf("scenario: build graph (trial %d): %w", trial, err)
+				}
 			}
 		}
 		opts := simOpts
