@@ -50,8 +50,8 @@ type FeedbackConfig = mis.FeedbackConfig
 // channel noise (Loss, Spurious), adversarial wake-up schedules, and
 // transient outages with resume-or-reset recovery. The zero value is
 // the perfect world. Every fault feature is engine-agnostic — noisy
-// runs execute on all four simulator engines with bit-identical
-// results.
+// runs execute on both simulator engines, at any shard count, with
+// bit-identical results.
 type FaultSpec = fault.Spec
 
 // FaultWake declares a wake-up schedule inside a FaultSpec: kind
@@ -121,33 +121,34 @@ func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, 
 // Verify checks that set is a maximal independent set of g.
 func Verify(g *Graph, set []bool) error { return graph.VerifyMIS(g, set) }
 
-// Engine selects the simulation engine used for the beeping algorithms.
-// All engines produce bit-identical Results for a given seed; they
-// differ only in speed (see DESIGN.md for the selection heuristic).
+// Engine selects the adjacency representation the simulator's round
+// loop runs over for the beeping algorithms. All engines produce
+// bit-identical Results for a given seed; they differ only in speed
+// and memory (see DESIGN.md for the selection heuristic).
 type Engine = sim.Engine
 
 const (
-	// EngineAuto picks the bitset engine on graphs dense enough for
-	// word-parallel delivery to win, the scalar engine otherwise. This
-	// is the default.
+	// EngineAuto picks EngineColumnar when the packed adjacency matrix
+	// fits the memory budget and the graph is dense enough for
+	// word-parallel delivery to win, EngineSparse otherwise. This is
+	// the default.
 	EngineAuto = sim.EngineAuto
-	// EngineScalar walks adjacency lists edge-by-edge.
+	// EngineScalar is the legacy name of an engine that walked
+	// adjacency lists edge by edge; it now runs EngineSparse.
 	EngineScalar = sim.EngineScalar
-	// EngineBitset delivers beeps via packed adjacency-row bitsets, 64
-	// listeners per word operation (O(n²/8) bytes of memory).
+	// EngineBitset is the legacy name of an engine that ORed packed
+	// adjacency rows under a per-node loop; it now runs EngineColumnar.
 	EngineBitset = sim.EngineBitset
-	// EngineColumnar runs the whole round loop on packed words: a bulk
-	// algorithm kernel draws beeps from struct-of-arrays state, node
-	// masks are bitsets end-to-end, and propagation is sharded across
-	// cores (see WithShards). The fastest engine for every algorithm
-	// that has a kernel; EngineAuto picks it whenever it applies.
+	// EngineColumnar runs the round loop over the dense packed
+	// adjacency matrix: 64 listeners per word operation, O(n²/8) bytes
+	// of memory, propagation sharded across cores (see WithShards).
+	// The fastest engine on dense graphs.
 	EngineColumnar = sim.EngineColumnar
-	// EngineSparse runs the columnar round loop over the O(n + m) CSR
-	// representation instead of the dense matrix, walking only the
-	// adjacency rows of current emitters (sharded by destination range,
-	// see WithShards). Memory scales with edges rather than n², which
-	// is how million-node graphs run; EngineAuto picks it whenever the
-	// matrix would blow the memory budget but the edge array fits.
+	// EngineSparse runs the round loop over the O(n + m) CSR
+	// representation instead, walking only the adjacency rows of
+	// current emitters (sharded by destination range, see WithShards).
+	// Memory scales with edges rather than n², which is how sparse and
+	// million-node graphs run.
 	EngineSparse = sim.EngineSparse
 )
 
@@ -283,18 +284,18 @@ func WithEngine(e Engine) Option {
 // beep propagation out to; 0 (the default) uses all cores and 1 keeps
 // propagation serial. Results are bit-identical for every value — shard
 // workers own disjoint destination word ranges — so this is purely a
-// performance knob. Combining a non-zero value with
-// WithConcurrentEngine is an error, as is pinning an engine that does
-// not shard propagation.
+// performance knob, and every simulator engine honours it. Combining a
+// non-zero value with WithConcurrentEngine is an error.
 func WithShards(shards int) Option {
 	return func(o *solveOptions) { o.shards = shards }
 }
 
 // WithMemoryBudget caps the bytes the auto engine selection will spend
-// on an adjacency representation (the dense matrix, or the CSR edge
-// array of EngineSparse); 0 (the default) means sim.DefaultMemoryBudget,
-// 2 GiB. Purely a selection knob: results are bit-identical whichever
-// engine the budget admits. Explicit WithEngine pins ignore it.
+// on the dense matrix of EngineColumnar (the CSR of EngineSparse is
+// taken when the matrix does not fit); 0 (the default) means
+// sim.DefaultMemoryBudget, 2 GiB. Purely a selection knob: results are
+// bit-identical whichever engine the budget admits. Explicit WithEngine
+// pins ignore it.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *solveOptions) { o.memoryBudget = bytes }
 }
@@ -374,9 +375,6 @@ func Solve(g *Graph, algo Algorithm, opts ...Option) (*Result, error) {
 				return nil, err
 			}
 			return &Result{InMIS: rr.InMIS, Rounds: rr.Rounds, TotalBeeps: rr.TotalBeeps}, nil
-		}
-		if o.shards != 0 && o.engine != EngineAuto && o.engine != EngineColumnar && o.engine != EngineSparse {
-			return nil, fmt.Errorf("beepmis: WithShards(%d) conflicts with WithEngine(%v) (only the columnar and sparse engines shard propagation)", o.shards, o.engine)
 		}
 		simOpts := sim.Options{
 			MaxRounds:    o.maxRounds,

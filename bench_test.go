@@ -177,12 +177,10 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 	}
 }
 
-// Engine scaling — the scalar adjacency-walk engine against the
-// word-parallel bitset engine and the columnar kernel engine on large
-// dense graphs, where one OR delivers a beep to 64 listeners at once.
-// All engines produce bit-identical results (see TestEngineEquivalence);
-// these benchmarks quantify the wall-clock gaps at n ≥ 10⁵, far beyond
-// the paper's n ≤ 1000 evaluation sizes. Graphs are generated once per
+// Engine scaling — the columnar engine on large dense graphs, where one
+// OR delivers a beep to 64 listeners at once, serial and sharded.
+// These benchmarks measure the round loop at n ≥ 10⁵, far beyond the
+// paper's n ≤ 1000 evaluation sizes. Graphs are generated once per
 // process and the packed adjacency matrix is built outside the timer,
 // so the measurement isolates the simulation loop.
 var (
@@ -193,7 +191,8 @@ var (
 )
 
 // gnp100kGraph is G(10⁵, 0.05): 2.5·10⁸ edges, average degree 5000 —
-// the "millions of beeps per round" regime the scalar engine crawls in.
+// the "millions of beeps per round" regime an edge-by-edge walk crawls
+// in.
 func gnp100kGraph() *graph.Graph {
 	gnp100kOnce.Do(func() { gnp100k = graph.GNP(100000, 0.05, rng.New(10)) })
 	return gnp100k
@@ -212,13 +211,8 @@ func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := sim.Options{Engine: engine, Shards: shards}
-	if engine != sim.EngineScalar {
-		g.Matrix() // build (and cache) the packed rows outside the timer
-	}
-	if engine == sim.EngineColumnar {
-		opts.Bulk = bulk
-	}
+	opts := sim.Options{Engine: engine, Bulk: bulk, Shards: shards}
+	g.Matrix() // build (and cache) the packed rows outside the timer
 	var rounds float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,31 +225,14 @@ func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int) {
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
 }
 
-func BenchmarkEngineScalarGNP100k(b *testing.B) {
-	benchEngine(b, gnp100kGraph(), sim.EngineScalar, 0)
-}
-
-func BenchmarkEngineBitsetGNP100k(b *testing.B) {
-	benchEngine(b, gnp100kGraph(), sim.EngineBitset, 0)
-}
-
-// The columnar engine at one shard isolates the kernel-fusion and
-// bitset-round-loop win over EngineBitset; the sharded variant adds
-// multi-core propagation on top.
+// The columnar engine at one shard measures the round loop itself; the
+// sharded variant adds multi-core propagation on top.
 func BenchmarkEngineColumnarGNP100k(b *testing.B) {
 	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 1)
 }
 
 func BenchmarkEngineColumnarShardedGNP100k(b *testing.B) {
 	benchEngine(b, gnp100kGraph(), sim.EngineColumnar, 0)
-}
-
-func BenchmarkEngineScalarGNP20kDense(b *testing.B) {
-	benchEngine(b, gnp20kDenseGraph(), sim.EngineScalar, 0)
-}
-
-func BenchmarkEngineBitsetGNP20kDense(b *testing.B) {
-	benchEngine(b, gnp20kDenseGraph(), sim.EngineBitset, 0)
 }
 
 func BenchmarkEngineColumnarGNP20kDense(b *testing.B) {

@@ -22,9 +22,8 @@ import (
 // gomaxprocs / timestamp fields identify the toolchain, the core budget
 // and the moment of the measurement, so trajectory files collected on
 // different machines (or months apart) stay comparable. AutoEngine is
-// the engine the auto heuristic resolves to on this workload — the
-// field that makes a silent fallback (auto quietly running the scalar
-// walk on a graph too big for its budget) observable in the records.
+// the engine the auto heuristic resolves to on this workload, so the
+// heuristic's choice is observable in the records.
 type benchRecord struct {
 	Engine     string  `json:"engine"`
 	AutoEngine string  `json:"auto_engine"`
@@ -74,12 +73,11 @@ type benchRecord struct {
 // collectEngineBench times whole simulation runs of the feedback
 // algorithm on G(n, p) per engine and returns one record per
 // measurement. With engine == EngineAuto every *applicable* engine is
-// measured — the dense matrix pair only when the matrix fits the
-// memory budget, so a million-node bench compares exactly the engines
-// that could really run it (the sharded ones at the requested shard
-// bound); a pin measures just that engine. Results of all engines are
-// seed-identical — the benchmark varies only the wall clock, which is
-// the point.
+// measured — the columnar engine only when its matrix fits the memory
+// budget, so a million-node bench measures exactly the engine that
+// could really run it — at the requested shard bound; a pin measures
+// just the engine it runs. Results of all engines are seed-identical —
+// the benchmark varies only the wall clock, which is the point.
 func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, engine sim.Engine, shards int, memBudget int64, faults *fault.Spec) ([]benchRecord, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("bench needs positive -benchruns (got %d)", runs)
@@ -102,13 +100,14 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		budget = sim.DefaultMemoryBudget
 	}
 	matrixFits := graph.MatrixBytes(n) <= budget
-	engines := []sim.Engine{sim.EngineScalar}
+	var engines []sim.Engine
 	if matrixFits {
-		engines = append(engines, sim.EngineBitset, sim.EngineColumnar)
+		engines = append(engines, sim.EngineColumnar)
 	}
 	engines = append(engines, sim.EngineSparse)
 	if engine != sim.EngineAuto {
-		if (engine == sim.EngineBitset || engine == sim.EngineColumnar) && !matrixFits {
+		engine = engine.Canonical()
+		if engine == sim.EngineColumnar && !matrixFits {
 			// Stderr, not the record stream: with -json, stdout carries the
 			// machine-readable records and must stay parseable.
 			fmt.Fprintf(os.Stderr, "misbench: warning: engine %v needs %d bytes of adjacency matrix (budget %d); proceeding because it was pinned\n",
@@ -116,24 +115,22 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		}
 		engines = []sim.Engine{engine}
 	}
-	autoEngine := sim.ResolveEngine(g, sim.Options{Bulk: bulk, MemoryBudget: memBudget}).String()
+	autoEngine := sim.ResolveEngine(g, sim.Options{MemoryBudget: memBudget}).String()
 	// Build (and cache) each measured engine's adjacency representation
-	// outside the timer: the packed matrix rows for the dense pair, the
-	// CSR arrays for the sparse engine.
+	// outside the timer: the packed matrix rows for the columnar engine,
+	// the CSR arrays for the sparse one.
 	for _, e := range engines {
-		switch e {
-		case sim.EngineBitset, sim.EngineColumnar:
+		if e == sim.EngineColumnar {
 			g.Matrix()
-		case sim.EngineSparse:
+		} else {
 			g.CSR()
 		}
 	}
 	// Records carry the shard count that actually applied: the resolved
 	// bound (-shards 0 means one shard per core — sim.EffectiveShards is
-	// the single source of truth) for the engines that shard, 1 for the
-	// inherently serial ones — so trajectory records compare like for
-	// like, and the regression gate's (engine, n, p, shards, faults) key
-	// never aliases two different configurations.
+	// the single source of truth) — so trajectory records compare like
+	// for like, and the regression gate's (engine, n, p, shards, faults)
+	// key never aliases two different configurations.
 	effectiveShards := sim.EffectiveShards(shards)
 	records := make([]benchRecord, 0, len(engines))
 	for _, e := range engines {
@@ -143,12 +140,7 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		// recording path never allocates or touches rng — results and
 		// steady-state allocation behaviour are identical with it on.
 		metrics := &obs.EngineMetrics{}
-		opts := sim.Options{Engine: e, Shards: shards, MemoryBudget: memBudget, Faults: faults, Metrics: metrics}
-		recShards := 1
-		if e == sim.EngineColumnar || e == sim.EngineSparse {
-			recShards = effectiveShards
-			opts.Bulk = bulk
-		}
+		opts := sim.Options{Engine: e, Bulk: bulk, Shards: shards, MemoryBudget: memBudget, Faults: faults, Metrics: metrics}
 		var rounds, beeps float64
 		start := time.Now()
 		for run := 0; run < runs; run++ {
@@ -183,7 +175,7 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		records = append(records, benchRecord{
 			Engine:      e.String(),
 			AutoEngine:  autoEngine,
-			Shards:      recShards,
+			Shards:      effectiveShards,
 			N:           n,
 			P:           p,
 			Graph:       wl.label,

@@ -29,8 +29,8 @@ func TestBenchJSONOutput(t *testing.T) {
 		}
 		records = append(records, rec)
 	}
-	if len(records) != 4 {
-		t.Fatalf("got %d records, want one per engine (4):\n%v", len(records), records)
+	if len(records) != 2 {
+		t.Fatalf("got %d records, want one per engine (2):\n%v", len(records), records)
 	}
 	engines := map[string]benchRecord{}
 	for _, rec := range records {
@@ -60,33 +60,27 @@ func TestBenchJSONOutput(t *testing.T) {
 			t.Fatalf("timestamp %q not near now", rec.Timestamp)
 		}
 	}
-	for _, name := range []string{"scalar", "bitset", "columnar", "sparse"} {
+	for _, name := range []string{"columnar", "sparse"} {
 		if _, ok := engines[name]; !ok {
 			t.Fatalf("no record for engine %q", name)
 		}
 	}
-	// Shard stamps reflect what applied: serial engines record 1 and
-	// the sharded engines resolve the 0 default to a concrete bound.
-	if engines["scalar"].Shards != 1 || engines["bitset"].Shards != 1 {
-		t.Fatalf("serial engines should record shards=1: %+v", engines)
-	}
+	// Shard stamps reflect what applied: the engines resolve the 0
+	// default to a concrete bound.
 	if engines["columnar"].Shards < 1 || engines["sparse"].Shards < 1 {
-		t.Fatalf("sharded engines have unresolved shard bounds: %+v", engines)
+		t.Fatalf("engines have unresolved shard bounds: %+v", engines)
 	}
 	// Seed-identity across engines shows through the benchmark too.
-	if engines["scalar"].Rounds != engines["columnar"].Rounds ||
-		engines["scalar"].Beeps != engines["columnar"].Beeps ||
-		engines["scalar"].Rounds != engines["sparse"].Rounds ||
-		engines["scalar"].Beeps != engines["sparse"].Beeps {
+	if engines["columnar"].Rounds != engines["sparse"].Rounds ||
+		engines["columnar"].Beeps != engines["sparse"].Beeps {
 		t.Fatalf("engines disagree on rounds/beeps: %+v", engines)
 	}
 }
 
-// TestBenchAutoFallbackObservable is the bugfix regression: when the
-// memory budget rules the dense matrix out, the bench enumerates only
-// the engines that could really run the workload, and every record's
-// auto_engine field says the auto heuristic now lands on the sparse
-// engine — not on a silent scalar walk.
+// TestBenchAutoFallbackObservable: when the memory budget rules the
+// dense matrix out, the bench enumerates only the engine that could
+// really run the workload, and every record's auto_engine field says
+// the auto heuristic lands on the sparse engine.
 func TestBenchAutoFallbackObservable(t *testing.T) {
 	var out bytes.Buffer
 	args := []string{"-bench", "-json", "-benchn", "20000", "-benchp", "0.001", "-benchruns", "1",
@@ -106,8 +100,8 @@ func TestBenchAutoFallbackObservable(t *testing.T) {
 			t.Fatalf("auto_engine %q, want sparse (budget excludes the matrix): %+v", rec.AutoEngine, rec)
 		}
 	}
-	if len(engines) != 2 || engines[0] != "scalar" || engines[1] != "sparse" {
-		t.Fatalf("engines measured %v, want exactly [scalar sparse]", engines)
+	if len(engines) != 1 || engines[0] != "sparse" {
+		t.Fatalf("engines measured %v, want exactly [sparse]", engines)
 	}
 }
 
@@ -120,7 +114,7 @@ func TestBenchTextOutput(t *testing.T) {
 	if !strings.Contains(text, "columnar") || !strings.Contains(text, "shards=2") {
 		t.Fatalf("text output missing engine/shards: %q", text)
 	}
-	if strings.Contains(text, "scalar") {
+	if strings.Contains(text, "sparse") {
 		t.Fatalf("engine pin leaked other engines: %q", text)
 	}
 }
@@ -149,25 +143,28 @@ func TestBenchHonorsOutFile(t *testing.T) {
 	}
 }
 
-// TestShardsConflictsWithEnginePin mirrors the library surface: only
-// the columnar and sparse engines shard propagation, so any other pin
-// plus -shards is rejected rather than silently ignored.
-func TestShardsConflictsWithEnginePin(t *testing.T) {
-	for _, engine := range []string{"scalar", "bitset"} {
-		if err := run([]string{"-exp", "fig5", "-trials", "1", "-maxn", "25", "-engine", engine, "-shards", "4"}, &bytes.Buffer{}); err == nil {
-			t.Fatalf("-shards with -engine %s accepted", engine)
-		}
-	}
-	for _, engine := range []string{"auto", "columnar", "sparse"} {
-		if err := run([]string{"-exp", "fig5", "-trials", "1", "-maxn", "25", "-engine", engine, "-shards", "4"}, &bytes.Buffer{}); err != nil {
+// TestShardsWithEveryEnginePin mirrors the library surface: every
+// engine shards propagation, so -shards composes with every -engine
+// spelling — the legacy scalar and bitset pins, once refused, included
+// — and never changes a byte of output.
+func TestShardsWithEveryEnginePin(t *testing.T) {
+	var want string
+	for _, engine := range []string{"auto", "columnar", "sparse", "scalar", "bitset"} {
+		var out bytes.Buffer
+		if err := run([]string{"-exp", "fig5", "-trials", "1", "-maxn", "25", "-engine", engine, "-shards", "4"}, &out); err != nil {
 			t.Fatalf("-shards with -engine %s: %v", engine, err)
+		}
+		if want == "" {
+			want = out.String()
+		} else if out.String() != want {
+			t.Fatalf("-engine %s -shards 4 changed the output", engine)
 		}
 	}
 }
 
 // TestBenchFaultsFlag covers misbench -faults: noisy records carry the
-// normalised spec, run on every engine (unlike the legacy per-edge
-// -beep-loss model), and stay seed-identical across engines.
+// normalised spec, run on every engine, and stay seed-identical across
+// engines.
 func TestBenchFaultsFlag(t *testing.T) {
 	var out bytes.Buffer
 	args := append([]string{}, append(benchArgs, "-json", "-faults", `{"loss":0.05,"spurious":0.01}`)...)
@@ -186,15 +183,15 @@ func TestBenchFaultsFlag(t *testing.T) {
 		}
 		engines[rec.Engine] = rec
 	}
-	// All four engines run the noisy workload — the fault layer is
+	// Both engines run the noisy workload — the fault layer is
 	// engine-agnostic — and agree bit-for-bit.
-	for _, name := range []string{"scalar", "bitset", "columnar", "sparse"} {
+	for _, name := range []string{"columnar", "sparse"} {
 		rec, ok := engines[name]
 		if !ok {
 			t.Fatalf("no noisy record for engine %q", name)
 		}
-		if rec.Rounds != engines["scalar"].Rounds || rec.Beeps != engines["scalar"].Beeps {
-			t.Fatalf("engine %s disagrees under faults: %+v vs %+v", name, rec, engines["scalar"])
+		if rec.Rounds != engines["columnar"].Rounds || rec.Beeps != engines["columnar"].Beeps {
+			t.Fatalf("engine %s disagrees under faults: %+v vs %+v", name, rec, engines["columnar"])
 		}
 	}
 	// The flag is validated: malformed and out-of-range specs fail.

@@ -247,9 +247,8 @@ func TestBenchCompareBadBaseline(t *testing.T) {
 }
 
 // TestBenchRecordEffectiveShards pins how records stamp the shard
-// count: -shards 0 resolves to GOMAXPROCS for the engines that shard
-// (so "-shards 0" and "-shards GOMAXPROCS" key identically in the
-// regression gate), while the inherently serial engines always stamp 1.
+// count: -shards 0 resolves to GOMAXPROCS on every engine (so "-shards
+// 0" and "-shards GOMAXPROCS" key identically in the regression gate).
 func TestBenchRecordEffectiveShards(t *testing.T) {
 	old := goruntime.GOMAXPROCS(3)
 	defer goruntime.GOMAXPROCS(old)
@@ -261,16 +260,12 @@ func TestBenchRecordEffectiveShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 4 {
-		t.Fatalf("got %d records, want 4", len(records))
+	if len(records) != 2 {
+		t.Fatalf("got %d records, want 2", len(records))
 	}
 	for _, r := range records {
-		want := 1
-		if r.Engine == "columnar" || r.Engine == "sparse" {
-			want = 3
-		}
-		if r.Shards != want {
-			t.Fatalf("%s record stamps shards=%d under GOMAXPROCS=3 with -shards 0, want %d", r.Engine, r.Shards, want)
+		if r.Shards != 3 {
+			t.Fatalf("%s record stamps shards=%d under GOMAXPROCS=3 with -shards 0, want 3", r.Engine, r.Shards)
 		}
 		if r.GoMaxProcs != 3 {
 			t.Fatalf("%s record stamps gomaxprocs=%d, want 3", r.Engine, r.GoMaxProcs)

@@ -12,7 +12,7 @@
 //	misbench -exp fig3 -shards 8            # bound columnar/sparse propagation goroutines
 //	misbench -bench -json                   # machine-readable engine benchmark
 //	misbench -bench -json -benchn 1000000 -benchp 0.00001 -benchruns 1
-//	                                        # million-node: scalar vs sparse only
+//	                                        # million-node: sparse only (the matrix exceeds -membudget)
 //	misbench -bench -json -faults '{"loss":0.05,"spurious":0.01}'
 //	                                        # noisy-channel overhead vs the clean baseline
 //	misbench -bench -cpuprofile cpu.pprof -memprofile heap.pprof -mutexprofile mutex.pprof
@@ -73,9 +73,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		compare   = fs.String("compare", "", "compare against a baseline JSON file: experiment results (written with -format json), or with -bench a BENCH_*.json record trajectory; drift/regression beyond -tolerance fails")
 		tol       = fs.Float64("tolerance", 0.2, "relative drift tolerance for -compare (with -bench: allowed ns_per_round slowdown per record)")
-		engine    = fs.String("engine", "auto", "simulation engine: auto, scalar, bitset, columnar, or sparse (results are seed-identical)")
+		engine    = fs.String("engine", "auto", "simulation engine: auto, columnar, or sparse; the legacy scalar and bitset run sparse and columnar (results are seed-identical)")
 		workers   = fs.Int("workers", 0, "trial worker pool size (0 = all cores; results are identical for any value)")
-		shards    = fs.Int("shards", 0, "columnar/sparse-engine propagation goroutines (0 = all cores, 1 = serial; results are identical for any value)")
+		shards    = fs.Int("shards", 0, "propagation goroutines per run (0 = all cores, 1 = serial; results are identical for any value)")
 		memBudget = fs.Int64("membudget", 0, "auto-engine adjacency memory budget in bytes (0 = 2 GiB default; engine choice only, never results)")
 		bench     = fs.Bool("bench", false, "run the per-engine wall-clock benchmark instead of an experiment")
 		benchN    = fs.Int("benchn", 20000, "bench graph size n for G(n,p)")
@@ -111,12 +111,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		if err != nil {
 			return err
 		}
-	}
-	if *shards != 0 && eng != sim.EngineAuto && eng != sim.EngineColumnar && eng != sim.EngineSparse {
-		// Mirror beepmis.WithShards: only the columnar and sparse
-		// engines shard propagation, so any other pin makes -shards a
-		// typo.
-		return fmt.Errorf("-shards %d conflicts with -engine %v (only the columnar and sparse engines shard propagation)", *shards, eng)
 	}
 	if *memBudget < 0 {
 		return fmt.Errorf("-membudget %d negative (0 = default)", *memBudget)

@@ -64,7 +64,7 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 		algo      = fs.String("algo", "feedback", "algorithm (see -algos)")
 		algos     = fs.Bool("algos", false, "list algorithms and exit")
 		seed      = fs.Uint64("seed", 1, "random seed (graph generation and run)")
-		engine    = fs.String("engine", "sim", "execution engine: sim (auto-selected simulator), concurrent, or a simulator engine pin (scalar, bitset, columnar, sparse)")
+		engine    = fs.String("engine", "sim", "execution engine: sim (auto-selected simulator), concurrent, or a simulator engine pin (columnar, sparse; the legacy scalar and bitset run sparse and columnar)")
 		shards    = fs.Int("shards", 0, "worker shards for the columnar/sparse round phases (0 = GOMAXPROCS; output is identical for any value)")
 		showSet   = fs.Bool("show-set", false, "print the selected vertex set")
 		maxRounds = fs.Int("max-rounds", 0, "cap on synchronous rounds (0 = default)")
@@ -141,10 +141,10 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 	case "concurrent":
 		opts = append(opts, beepmis.WithConcurrentEngine())
 	default:
-		// A simulator engine pin: scalar, bitset, columnar, or sparse.
+		// A simulator engine pin: columnar or sparse, or a legacy name.
 		pin, err := sim.ParseEngine(*engine)
 		if err != nil {
-			return fmt.Errorf("unknown engine %q (want sim, concurrent, or a simulator engine: scalar, bitset, columnar, sparse)", *engine)
+			return fmt.Errorf("unknown engine %q (want sim, concurrent, or a simulator engine: columnar, sparse, scalar, bitset)", *engine)
 		}
 		opts = append(opts, beepmis.WithEngine(pin))
 	}

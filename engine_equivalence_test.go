@@ -3,10 +3,12 @@ package beepmis
 import "testing"
 
 // TestEngineEquivalence asserts the public seed-equivalence contract:
-// for every beeping algorithm, graph family, seed, and shard count, all
-// engines — scalar, bitset, and columnar — produce identical Results.
-// The families mirror the repository's generator catalogue; sizes
-// straddle 64-bit word boundaries so packing bugs cannot hide.
+// for every beeping algorithm, graph family, seed, and shard count, the
+// columnar and sparse simulator engines produce the Results of the
+// goroutine-per-node runtime (WithConcurrentEngine), an independent
+// implementation of the same time step. The families mirror the
+// repository's generator catalogue; sizes straddle 64-bit word
+// boundaries so packing bugs cannot hide.
 func TestEngineEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -21,14 +23,12 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 	algos := []Algorithm{AlgorithmFeedback, AlgorithmGlobalSweep, AlgorithmAfekOriginal}
 	seeds := []uint64{0, 1, 42, 1 << 33}
-	// Every engine the simulator offers, the sharded ones (columnar and
-	// sparse) at shard counts bracketing serial, odd, and all-cores
-	// sharding.
+	// Both simulator engines at shard counts bracketing serial, odd, and
+	// all-cores sharding.
 	variants := []struct {
 		name string
 		opts []Option
 	}{
-		{"bitset", []Option{WithEngine(EngineBitset)}},
 		{"columnar-1", []Option{WithEngine(EngineColumnar), WithShards(1)}},
 		{"columnar-3", []Option{WithEngine(EngineColumnar), WithShards(3)}},
 		{"columnar-all", []Option{WithEngine(EngineColumnar)}},
@@ -41,11 +41,11 @@ func TestEngineEquivalence(t *testing.T) {
 		for _, algo := range algos {
 			for _, seed := range seeds {
 				t.Run(fam.name+"/"+string(algo), func(t *testing.T) {
-					scalar, err := Solve(fam.g, algo, WithSeed(seed), WithEngine(EngineScalar))
+					oracle, err := Solve(fam.g, algo, WithSeed(seed), WithConcurrentEngine())
 					if err != nil {
-						t.Fatalf("scalar: %v", err)
+						t.Fatalf("concurrent: %v", err)
 					}
-					if err := Verify(fam.g, scalar.InMIS); err != nil {
+					if err := Verify(fam.g, oracle.InMIS); err != nil {
 						t.Fatalf("seed %d: invalid MIS: %v", seed, err)
 					}
 					for _, variant := range variants {
@@ -53,14 +53,14 @@ func TestEngineEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", variant.name, err)
 						}
-						if scalar.Rounds != res.Rounds {
-							t.Fatalf("seed %d %s: Rounds %d vs %d", seed, variant.name, scalar.Rounds, res.Rounds)
+						if oracle.Rounds != res.Rounds {
+							t.Fatalf("seed %d %s: Rounds %d vs %d", seed, variant.name, oracle.Rounds, res.Rounds)
 						}
-						if scalar.TotalBeeps != res.TotalBeeps {
-							t.Fatalf("seed %d %s: TotalBeeps %d vs %d", seed, variant.name, scalar.TotalBeeps, res.TotalBeeps)
+						if oracle.TotalBeeps != res.TotalBeeps {
+							t.Fatalf("seed %d %s: TotalBeeps %d vs %d", seed, variant.name, oracle.TotalBeeps, res.TotalBeeps)
 						}
-						for v := range scalar.InMIS {
-							if scalar.InMIS[v] != res.InMIS[v] {
+						for v := range oracle.InMIS {
+							if oracle.InMIS[v] != res.InMIS[v] {
 								t.Fatalf("seed %d %s: InMIS differs at vertex %d", seed, variant.name, v)
 							}
 						}
@@ -74,9 +74,10 @@ func TestEngineEquivalence(t *testing.T) {
 // TestEngineEquivalenceUnderFaults extends the public seed-equivalence
 // contract to the fault layer: for every fault-spec combination —
 // channel noise, adversarial wake-up, transient outages with resets —
-// all four simulator engines at several shard counts produce identical
-// Results and RobustnessReports. This is the PR's acceptance matrix at
-// the API level; the per-engine trace-level matrix lives in
+// both simulator engines at several shard counts, and the legacy pins,
+// produce identical Results and RobustnessReports. (The goroutine
+// runtime has no fault layer; the serial columnar run is the baseline.)
+// The trace-level matrix against the per-node reference loop lives in
 // internal/sim.
 func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	g := GNP(170, 0.25, 6)
@@ -102,20 +103,20 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"bitset", []Option{WithEngine(EngineBitset)}},
-		{"columnar-1", []Option{WithEngine(EngineColumnar), WithShards(1)}},
 		{"columnar-3", []Option{WithEngine(EngineColumnar), WithShards(3)}},
 		{"sparse-1", []Option{WithEngine(EngineSparse), WithShards(1)}},
 		{"sparse-all", []Option{WithEngine(EngineSparse)}},
+		{"scalar", []Option{WithEngine(EngineScalar)}},
+		{"bitset", []Option{WithEngine(EngineBitset)}},
 	}
 	for _, fc := range specs {
 		for _, algo := range []Algorithm{AlgorithmFeedback, AlgorithmGlobalSweep} {
 			for _, seed := range []uint64{1, 99} {
-				scalar, err := Solve(g, algo, WithSeed(seed), WithEngine(EngineScalar), WithFaults(fc.spec))
+				base, err := Solve(g, algo, WithSeed(seed), WithEngine(EngineColumnar), WithShards(1), WithFaults(fc.spec))
 				if err != nil {
-					t.Fatalf("%s/%s scalar: %v", fc.name, algo, err)
+					t.Fatalf("%s/%s columnar-1: %v", fc.name, algo, err)
 				}
-				if scalar.Robustness == nil {
+				if base.Robustness == nil {
 					t.Fatalf("%s/%s: faulty run returned no RobustnessReport", fc.name, algo)
 				}
 				for _, variant := range variants {
@@ -123,25 +124,25 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s/%s: %v", fc.name, algo, variant.name, err)
 					}
-					if scalar.Rounds != res.Rounds || scalar.TotalBeeps != res.TotalBeeps {
+					if base.Rounds != res.Rounds || base.TotalBeeps != res.TotalBeeps {
 						t.Fatalf("%s/%s/%s seed %d: rounds %d vs %d, beeps %d vs %d",
-							fc.name, algo, variant.name, seed, scalar.Rounds, res.Rounds, scalar.TotalBeeps, res.TotalBeeps)
+							fc.name, algo, variant.name, seed, base.Rounds, res.Rounds, base.TotalBeeps, res.TotalBeeps)
 					}
-					for v := range scalar.InMIS {
-						if scalar.InMIS[v] != res.InMIS[v] {
+					for v := range base.InMIS {
+						if base.InMIS[v] != res.InMIS[v] {
 							t.Fatalf("%s/%s/%s seed %d: InMIS differs at vertex %d", fc.name, algo, variant.name, seed, v)
 						}
 					}
-					if scalar.Robustness.StableRound != res.Robustness.StableRound ||
-						scalar.Robustness.IndependenceViolations != res.Robustness.IndependenceViolations ||
-						len(scalar.Robustness.Uncovered) != len(res.Robustness.Uncovered) {
+					if base.Robustness.StableRound != res.Robustness.StableRound ||
+						base.Robustness.IndependenceViolations != res.Robustness.IndependenceViolations ||
+						len(base.Robustness.Uncovered) != len(res.Robustness.Uncovered) {
 						t.Fatalf("%s/%s/%s seed %d: robustness reports differ: %+v vs %+v",
-							fc.name, algo, variant.name, seed, scalar.Robustness, res.Robustness)
+							fc.name, algo, variant.name, seed, base.Robustness, res.Robustness)
 					}
-					for i, v := range scalar.Robustness.Uncovered {
+					for i, v := range base.Robustness.Uncovered {
 						if res.Robustness.Uncovered[i] != v {
 							t.Fatalf("%s/%s/%s seed %d: uncovered sets differ: %v vs %v",
-								fc.name, algo, variant.name, seed, scalar.Robustness.Uncovered, res.Robustness.Uncovered)
+								fc.name, algo, variant.name, seed, base.Robustness.Uncovered, res.Robustness.Uncovered)
 						}
 					}
 				}
@@ -150,25 +151,19 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardsConflicts pins the explicit rejections of WithShards
-// combinations that have no sharded propagation to configure.
+// TestShardsConflicts pins the explicit rejection of WithShards under
+// the goroutine runtime, which has no sharded propagation to configure,
+// and that shards compose with auto and with every simulator engine
+// pin — the legacy scalar pin included, which used to be refused.
 func TestShardsConflicts(t *testing.T) {
 	g := GNP(40, 0.3, 2)
 	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithConcurrentEngine()); err == nil {
 		t.Fatal("WithShards + WithConcurrentEngine was silently accepted")
 	}
-	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithEngine(EngineScalar)); err == nil {
-		t.Fatal("WithShards + WithEngine(EngineScalar) was silently accepted")
-	}
-	// Shards compose with the explicit sharded-engine pins and with auto.
-	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithEngine(EngineColumnar)); err != nil {
-		t.Fatalf("WithShards + WithEngine(EngineColumnar): %v", err)
-	}
-	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithEngine(EngineSparse)); err != nil {
-		t.Fatalf("WithShards + WithEngine(EngineSparse): %v", err)
-	}
-	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4)); err != nil {
-		t.Fatalf("WithShards alone: %v", err)
+	for _, e := range []Engine{EngineAuto, EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+		if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithEngine(e)); err != nil {
+			t.Fatalf("WithShards + WithEngine(%v): %v", e, err)
+		}
 	}
 }
 

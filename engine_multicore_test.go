@@ -11,7 +11,8 @@ import (
 // columnar and sparse engines' sharded phases (eligible draws, both
 // exchanges, observe) genuinely run concurrently, at shard counts
 // chosen to be awkward — serial, an odd count that never divides the
-// word space evenly, all cores, and 2× oversubscription. The graph is
+// word space evenly, all cores, and 2× oversubscription — against the
+// serial columnar run. The graph is
 // large enough that the engines' sharded draw path engages (it gates
 // on the active population), and the fault variants drag the wake-up,
 // outage, and channel-noise overlays through the same concurrency. CI
@@ -41,12 +42,12 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 			if fc.faults != nil {
 				base = append(base, WithFaults(*fc.faults))
 			}
-			scalar, err := Solve(g, AlgorithmFeedback, append([]Option{WithEngine(EngineScalar)}, base...)...)
+			serial, err := Solve(g, AlgorithmFeedback, append([]Option{WithEngine(EngineColumnar), WithShards(1)}, base...)...)
 			if err != nil {
-				t.Fatalf("scalar: %v", err)
+				t.Fatalf("columnar/shards=1: %v", err)
 			}
 			if fc.faults == nil {
-				if err := Verify(g, scalar.InMIS); err != nil {
+				if err := Verify(g, serial.InMIS); err != nil {
 					t.Fatalf("invalid MIS: %v", err)
 				}
 			}
@@ -58,12 +59,12 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if scalar.Rounds != res.Rounds || scalar.TotalBeeps != res.TotalBeeps {
+					if serial.Rounds != res.Rounds || serial.TotalBeeps != res.TotalBeeps {
 						t.Fatalf("%s: rounds %d vs %d, beeps %d vs %d",
-							name, scalar.Rounds, res.Rounds, scalar.TotalBeeps, res.TotalBeeps)
+							name, serial.Rounds, res.Rounds, serial.TotalBeeps, res.TotalBeeps)
 					}
-					for v := range scalar.InMIS {
-						if scalar.InMIS[v] != res.InMIS[v] {
+					for v := range serial.InMIS {
+						if serial.InMIS[v] != res.InMIS[v] {
 							t.Fatalf("%s: InMIS differs at vertex %d", name, v)
 						}
 					}

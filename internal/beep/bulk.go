@@ -37,7 +37,7 @@ type BulkAutomaton interface {
 	// heard contains v. Nodes outside observed must not be updated.
 	// (The engine owns the join rule, so an observed node never has a
 	// joining neighbour — the NeighborJoined field of the per-node
-	// Outcome is always false here, as in the per-node engines.)
+	// Outcome is always false here.)
 	ObserveAll(observed, beeped, heard graph.Bitset)
 }
 
@@ -81,10 +81,10 @@ type BulkProbabilityReporter interface {
 // BulkResetter is optionally implemented by bulk automata whose nodes
 // can be returned to their freshly-constructed state. The fault layer's
 // transient-crash schedules with reset semantics require it: a reset
-// recovery rebuilds the per-node automaton in the scalar engines, and
-// the columnar engines must mirror that by restoring the node's packed
-// state to exactly what the factory would have initialised — so a reset
-// node behaves bit-identically across engines from its first
+// recovery rebuilds the per-node automaton in the per-node adapter, and
+// a kernel must mirror that by restoring the node's packed state to
+// exactly what the factory would have initialised — so a reset node
+// behaves bit-identically with or without the kernel from its first
 // post-recovery draw.
 type BulkResetter interface {
 	// ResetNodes restores each listed node's state to its initial

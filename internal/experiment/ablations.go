@@ -42,12 +42,9 @@ func runAblateFactor(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt, censored, err := sweepPoint(cfg, master, fi, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
+		pt, err := sweepPoint(cfg, res, fmt.Sprintf("factor %v", factor), master, fi, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
 		if err != nil {
-			return nil, fmt.Errorf("factor %v: %w", factor, err)
-		}
-		if censored > 0 {
-			res.Notes = append(res.Notes, fmt.Sprintf("factor %v: %d/%d trials censored", factor, censored, trials))
+			return nil, err
 		}
 		pt.X = factor
 		series.Points = append(series.Points, pt)
@@ -92,9 +89,9 @@ func runAblateInit(cfg Config) (*Result, error) {
 		}
 		series := Series{Name: u.name}
 		for si, n := range ns {
-			pt, _, err := sweepPoint(cfg, master, ui*1000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", u.name, n), master, ui*1000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", u.name, n, err)
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)
@@ -112,10 +109,10 @@ func runAblateInit(cfg Config) (*Result, error) {
 	series := Series{Name: "p0 random per node"}
 	for si, n := range ns {
 		// Heterogeneous initials have no columnar kernel: nil bulk
-		// exercises the per-node fallback path.
-		pt, _, err := sweepPoint(cfg, master, 9000+si, trials, 0, hetero, nil, gnpHalf(n), roundsMetric)
+		// exercises the per-node adapter.
+		pt, err := sweepPoint(cfg, res, fmt.Sprintf("hetero n=%d", n), master, 9000+si, trials, 0, hetero, nil, gnpHalf(n), roundsMetric)
 		if err != nil {
-			return nil, fmt.Errorf("hetero n=%d: %w", n, err)
+			return nil, err
 		}
 		pt.X = float64(n)
 		series.Points = append(series.Points, pt)
@@ -126,11 +123,13 @@ func runAblateInit(cfg Config) (*Result, error) {
 }
 
 // runAblateLoss goes beyond the paper: beeps are dropped independently
-// per (beeper, listener) pair with the swept probability. Loss slows
-// convergence mildly but — more importantly — can break *independence*
-// (two mutually-deaf neighbours may both join), which the violation-rate
-// series quantifies. Join announcements stay reliable, so termination
-// and domination are unaffected.
+// per (beeper, listener) pair with the swept probability — drawn as one
+// uniform per (listener, round) against loss^k, the chance that all k
+// beeps a listener was sent are lost (sim.Options.BeepLoss), so it runs
+// on every engine. Loss slows convergence mildly but — more importantly
+// — can break *independence* (two mutually-deaf neighbours may both
+// join), which the violation-rate series quantifies. Join announcements
+// stay reliable, so termination and domination are unaffected.
 func runAblateLoss(cfg Config) (*Result, error) {
 	n := 300
 	if cfg.MaxN > 0 && cfg.MaxN < n {
@@ -150,32 +149,22 @@ func runAblateLoss(cfg Config) (*Result, error) {
 		XLabel: "loss probability",
 		YLabel: "time steps / violation %",
 	}
-	// The word-parallel engines refuse BeepLoss (loss draws happen per
-	// edge), so a bitset or columnar pin cannot be honored here; say so
-	// instead of silently substituting, and let EngineAuto fall back to
-	// the scalar exchange on every lossy point.
-	engine := cfg.Engine
-	if engine == sim.EngineBitset || engine == sim.EngineColumnar {
-		res.Notes = append(res.Notes, fmt.Sprintf("engine pin %q ignored: lossy exchanges require the scalar engine", engine))
-		engine = sim.EngineAuto
-	}
 	roundsSeries := Series{Name: "time steps"}
 	violSeries := Series{Name: "independence violations (%)"}
 	for li, loss := range losses {
 		rounds := make([]float64, trials)
 		violated := make([]bool, trials)
+		capped := make([]bool, trials)
 		err := ForTrials(cfg.EffectiveWorkers(), trials, func(trial int) error {
 			g := graph.GNP(n, 0.5, master.Stream(trialKey(li, trial, 1)))
 			opts := cfg.simOpts(bulk)
-			opts.Engine = engine
 			opts.BeepLoss = loss
 			r, err := sim.Run(g, factory, master.Stream(trialKey(li, trial, 2)), opts)
 			if err != nil {
-				if errors.Is(err, sim.ErrTooManyRounds) {
-					rounds[trial] = float64(r.Rounds)
-					return nil
+				if !errors.Is(err, sim.ErrTooManyRounds) {
+					return fmt.Errorf("loss %v: %w", loss, err)
 				}
-				return fmt.Errorf("loss %v: %w", loss, err)
+				capped[trial] = true
 			}
 			rounds[trial] = float64(r.Rounds)
 			violated[trial] = !graph.IsIndependent(g, r.InMIS)
@@ -184,6 +173,7 @@ func runAblateLoss(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.noteCensored(fmt.Sprintf("loss %v", loss), countTrue(capped), trials)
 		violations := countTrue(violated)
 		roundsSeries.Points = append(roundsSeries.Points, Point{
 			X: loss, Mean: stats.Mean(rounds), Std: stats.StdDev(rounds), Trials: trials,
@@ -199,10 +189,8 @@ func runAblateLoss(cfg Config) (*Result, error) {
 
 // runAblateNoise is the fault-layer counterpart of runAblateLoss: loss
 // is drawn per (listener, round) through internal/fault's noisy channel
-// rather than per edge, which every engine executes — so the sweep runs
-// word-parallel (columnar/sparse under EngineAuto) instead of being
-// pinned to the scalar walk. The workload is a bounded-degree G(n, 8/n)
-// — the wireless/biological regime the paper's robustness narrative is
+// rather than per edge. The workload is a bounded-degree G(n, 8/n) —
+// the wireless/biological regime the paper's robustness narrative is
 // about; per-listener noise erases a listener's whole aggregate signal,
 // so on dense graphs even tiny loss rates shatter independence (the
 // expected breach count scales like m·loss²), which is a property of
@@ -337,14 +325,11 @@ func runAblateFloor(cfg Config) (*Result, error) {
 		series := Series{Name: fl.name}
 		for si, n := range ns {
 			n := n
-			pt, censored, err := sweepPoint(cfg, master, fi*1000+si, trials, roundCap, factory, bulk,
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", fl.name, n), master, fi*1000+si, trials, roundCap, factory, bulk,
 				func(*rng.Source) *graph.Graph { return graph.CliqueFamily(n) },
 				roundsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", fl.name, n, err)
-			}
-			if censored > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s n=%d: %d/%d trials censored at %d rounds", fl.name, n, censored, trials, roundCap))
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)

@@ -78,16 +78,16 @@ func runLuby(cfg Config) (*Result, error) {
 	maxN := ns[len(ns)-1]
 	for si, n := range ns {
 		n := n
-		pt, _, err := sweepPoint(cfg, master, 9000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
+		pt, err := sweepPoint(cfg, res, fmt.Sprintf("feedback n=%d", n), master, 9000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
 		if err != nil {
-			return nil, fmt.Errorf("feedback n=%d: %w", n, err)
+			return nil, err
 		}
 		pt.X = float64(n)
 		series.Points = append(series.Points, pt)
 		if n == maxN {
 			// One extra pass for the bit accounting note: each beep is
 			// one bit on each incident channel.
-			beepsPt, _, err := sweepPoint(cfg, master, 9500+si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
+			beepsPt, err := sweepPoint(cfg, res, fmt.Sprintf("feedback beeps n=%d", n), master, 9500+si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
 			if err != nil {
 				return nil, err
 			}

@@ -38,8 +38,8 @@ type Config struct {
 	// trial order.
 	Workers int
 	// Engine selects the simulation engine for every trial (the zero
-	// value is sim.EngineAuto). Lossy-exchange experiments always use
-	// the scalar path regardless, since per-edge loss draws need it.
+	// value is sim.EngineAuto). Results are bit-identical for every
+	// engine.
 	Engine sim.Engine
 	// Shards bounds the columnar and sparse engines' propagation
 	// goroutines per trial; 0 means GOMAXPROCS, 1 keeps propagation
@@ -58,6 +58,10 @@ type Config struct {
 	// knobs above this one changes results; it exists so misbench can
 	// quantify noise overhead and robustness on any experiment.
 	Faults *fault.Spec
+
+	// roundCap, when > 0, caps every trial whose experiment sets no
+	// round cap of its own. Unexported: tests use it to force censoring.
+	roundCap int
 }
 
 // simOpts assembles the sim.Options shared by every trial of an
@@ -71,7 +75,7 @@ func (c Config) simOpts(bulk beep.BulkFactory) sim.Options {
 	if shards == 0 && c.EffectiveWorkers() > 1 {
 		shards = 1
 	}
-	return sim.Options{Engine: c.Engine, Bulk: bulk, Shards: shards, MemoryBudget: c.MemoryBudget, Faults: c.Faults}
+	return sim.Options{MaxRounds: c.roundCap, Engine: c.Engine, Bulk: bulk, Shards: shards, MemoryBudget: c.MemoryBudget, Faults: c.Faults}
 }
 
 // Point is one x position of a series.

@@ -244,14 +244,11 @@ func runFamilies(cfg Config) (*Result, error) {
 		series := Series{Name: fam.name}
 		for si, n := range ns {
 			n, fam := n, fam
-			pt, censored, err := sweepPoint(cfg, master, fi*1000+si, trials, 0, factory, bulk,
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", fam.name, n), master, fi*1000+si, trials, 0, factory, bulk,
 				func(src *rng.Source) *graph.Graph { return fam.gen(n, src) },
 				roundsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", fam.name, n, err)
-			}
-			if censored > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s n=%d: %d/%d censored", fam.name, n, censored, trials))
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)

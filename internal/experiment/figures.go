@@ -52,12 +52,9 @@ func runFig3(cfg Config) (*Result, error) {
 		}
 		series := Series{Name: algo.name}
 		for si, n := range ns {
-			pt, censored, err := sweepPoint(cfg, master, ai*1000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", algo.name, n), master, ai*1000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", algo.name, n, err)
-			}
-			if censored > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s n=%d: %d/%d trials censored at the round cap", algo.name, n, censored, trials))
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)
@@ -107,9 +104,9 @@ func runFig5(cfg Config) (*Result, error) {
 		}
 		series := Series{Name: algo.name}
 		for si, n := range ns {
-			pt, _, err := sweepPoint(cfg, master, ai*1000+si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", algo.name, n), master, ai*1000+si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", algo.name, n, err)
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)

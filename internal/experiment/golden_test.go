@@ -18,7 +18,7 @@ var goldenExperimentDigests = map[string]string{
 	"ablate-floor":  "b1372f8f857ed0fd08fe92160059f0642574e5eac2a07aa7c81580f258d74aff",
 	"ablate-init":   "e2a4700ca12c2521b9cfd6ded724bcf1c912e56d0fabd9b68c8ffe30abf59bfe",
 	"ablate-jitter": "6d2755e6b88197e9aa19c8cfc85a9b18610bfe552117001253045625d6ca73ba",
-	"ablate-loss":   "cac388ffdf431d3dc9b3ed0dc3c970566d3c47504601acc80944f7d237df2bb9",
+	"ablate-loss":   "852ebd111af871f2509acb5d63deede91bf71e12f60d547b562ef4205a11c413",
 	"ablate-noise":  "e95fa29f412c47bc7b54d78b3c580ace833622e64ef77c1e32d48a5b6ff7cd6f",
 	"bits":          "af08d33a609fcd501f0b379ab591976814e0e010107a66d8f0c02f9f6a2338ec",
 	"families":      "0b9f10eaa21f5c0998e3d74b466f9b79ea3e97a68669f6bc65eefe828d758e24",
@@ -32,7 +32,7 @@ var goldenExperimentDigests = map[string]string{
 
 // goldenAllExperimentsDigest is the SHA-256 of the whole misbench
 // output: the documents above joined by blank lines.
-const goldenAllExperimentsDigest = "a8fc456d7069b62acd9f7c9c0749ffbd4c838113e07179833fd8362e13fb74f5"
+const goldenAllExperimentsDigest = "d3b286988049c8ce4ec9ee1bb46e307550371d4c27c86e6b5bb969cbaa9bb1bd"
 
 func TestGoldenExperimentDigests(t *testing.T) {
 	var all bytes.Buffer

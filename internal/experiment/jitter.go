@@ -50,13 +50,10 @@ func runAblateJitter(cfg Config) (*Result, error) {
 		for si, n := range ns {
 			// Per-step random factors draw from the node stream inside
 			// Observe; there is no columnar kernel for that, so the nil
-			// bulk keeps the per-node engines.
-			pt, censored, err := sweepPoint(cfg, master, vi*1000+si, trials, 0, factory, nil, gnpHalf(n), roundsMetric)
+			// bulk runs the per-node automata through the adapter.
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", variant.name, n), master, vi*1000+si, trials, 0, factory, nil, gnpHalf(n), roundsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", variant.name, n, err)
-			}
-			if censored > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s n=%d: %d/%d censored", variant.name, n, censored, trials))
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)

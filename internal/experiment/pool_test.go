@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -76,34 +77,51 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestEngineInvariance pins experiment outputs across simulation
-// engines and shard counts: scalar, bitset, and columnar trials must
-// aggregate identically.
+// engines and trial pools: every registered experiment must print the
+// same JSON bytes under every engine spelling — the legacy scalar and
+// bitset pins included — at one and at three trial workers.
 func TestEngineInvariance(t *testing.T) {
-	base := Config{Seed: 5, Trials: 3, MaxN: 120}
-	var first *Result
-	for _, tc := range []struct {
-		name   string
-		engine sim.Engine
-		shards int
-	}{
-		{"scalar", sim.EngineScalar, 0},
-		{"bitset", sim.EngineBitset, 0},
-		{"columnar-serial", sim.EngineColumnar, 1},
-		{"columnar-sharded", sim.EngineColumnar, 3},
+	for _, id := range IDs() {
+		var want []byte
+		for _, engine := range []sim.Engine{sim.EngineAuto, sim.EngineColumnar, sim.EngineSparse, sim.EngineScalar, sim.EngineBitset} {
+			for _, workers := range []int{1, 3} {
+				res, err := Run(id, Config{Seed: 5, Trials: 3, MaxN: 120, Engine: engine, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s engine=%v workers=%d: %v", id, engine, workers, err)
+				}
+				var b bytes.Buffer
+				if err := res.WriteJSON(&b); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = b.Bytes()
+				} else if !bytes.Equal(b.Bytes(), want) {
+					t.Fatalf("%s: engine=%v workers=%d output differs from engine=auto workers=1", id, engine, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestCensoredTrialsAreNoted forces every trial past a tiny round cap
+// and checks the count reaches the notes through sweepPoint — for fig5,
+// whose beeps series once dropped it — and through ablate-loss's own
+// trial loop, which once recorded capped trials as data uncounted.
+func TestCensoredTrialsAreNoted(t *testing.T) {
+	for _, tc := range []struct{ id, note string }{
+		{"fig5", "feedback n=100: 2/2 trials censored at the round cap"},
+		{"ablate-loss", "loss 0.2: 2/2 trials censored at the round cap"},
 	} {
-		cfg := base
-		cfg.Engine = tc.engine
-		cfg.Shards = tc.shards
-		res, err := Run("fig3", cfg)
+		res, err := Run(tc.id, Config{Seed: 1, Trials: 2, MaxN: 100, roundCap: 2})
 		if err != nil {
-			t.Fatalf("engine %s: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if first == nil {
-			first = res
-			continue
+		found := false
+		for _, note := range res.Notes {
+			found = found || note == tc.note
 		}
-		if !reflect.DeepEqual(first, res) {
-			t.Fatalf("fig3 differs between scalar and %s engines", tc.name)
+		if !found {
+			t.Errorf("%s notes %q lack %q", tc.id, res.Notes, tc.note)
 		}
 	}
 }

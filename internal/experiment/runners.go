@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 
 	"beepmis/internal/beep"
 	"beepmis/internal/graph"
@@ -69,23 +70,29 @@ func trialKey(sizeIdx, trial, purpose int) uint64 {
 // bounded worker pool and aggregates metric over them. gen builds the
 // trial's graph; metric maps the simulation result to the measured
 // quantity; bulk is the factory's columnar kernel (nil when the
-// algorithm has none, falling back to per-node engines). A run that hits maxRounds is recorded at the cap (censored),
-// which the callers note. Each trial draws from rng streams keyed by its
-// index and writes into its own slot, so the aggregate is bit-identical
-// for any worker count.
+// algorithm has none, falling back to the per-node adapter). maxRounds
+// caps each run (0 means cfg's cap, else the simulator default); a run
+// that hits it is recorded at the cap, and noteCensored reports the
+// count into res under label, which also prefixes any error. Each
+// trial draws from rng streams keyed by its index and writes into its
+// own slot, so the aggregate is bit-identical for any worker count.
 func sweepPoint(
 	cfg Config,
+	res *Result,
+	label string,
 	master *rng.Source,
 	sizeIdx, trials, maxRounds int,
 	factory beep.Factory,
 	bulk beep.BulkFactory,
 	gen func(src *rng.Source) *graph.Graph,
 	metric func(res *sim.Result, g *graph.Graph) float64,
-) (Point, int, error) {
+) (Point, error) {
 	vals := make([]float64, trials)
 	capped := make([]bool, trials)
 	opts := cfg.simOpts(bulk)
-	opts.MaxRounds = maxRounds
+	if maxRounds > 0 {
+		opts.MaxRounds = maxRounds
+	}
 	err := ForTrials(cfg.EffectiveWorkers(), trials, func(trial int) error {
 		g := gen(master.Stream(trialKey(sizeIdx, trial, 1)))
 		res, err := sim.Run(g, factory, master.Stream(trialKey(sizeIdx, trial, 2)), opts)
@@ -99,12 +106,21 @@ func sweepPoint(
 		return nil
 	})
 	if err != nil {
-		return Point{}, 0, err
+		return Point{}, fmt.Errorf("%s: %w", label, err)
 	}
-	censored := countTrue(capped)
+	res.noteCensored(label, countTrue(capped), trials)
 	return Point{
 		Mean:   stats.Mean(vals),
 		Std:    stats.StdDev(vals),
 		Trials: trials,
-	}, censored, nil
+	}, nil
+}
+
+// noteCensored reports in r's notes how many of a point's trials hit
+// the round cap and were recorded at it. Every sweep point reports
+// through here, so a capped trial can never pass silently as data.
+func (r *Result) noteCensored(label string, censored, trials int) {
+	if censored > 0 {
+		r.Notes = append(r.Notes, fmt.Sprintf("%s: %d/%d trials censored at the round cap", label, censored, trials))
+	}
 }

@@ -46,14 +46,11 @@ func runThm1(cfg Config) (*Result, error) {
 		series := Series{Name: algo.name}
 		for si, n := range ns {
 			n := n
-			pt, censored, err := sweepPoint(cfg, master, ai*1000+si, trials, 0, factory, bulk,
+			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", algo.name, n), master, ai*1000+si, trials, 0, factory, bulk,
 				func(*rng.Source) *graph.Graph { return graph.CliqueFamily(n) },
 				roundsMetric)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", algo.name, n, err)
-			}
-			if censored > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s n=%d: %d/%d trials censored", algo.name, n, censored, trials))
+				return nil, err
 			}
 			pt.X = float64(n)
 			series.Points = append(series.Points, pt)
@@ -85,9 +82,9 @@ func runThm6(cfg Config) (*Result, error) {
 	gnpSizes := cfg.sizes(intRange(25, 200, 25))
 	gnpSeries := Series{Name: "gnp-half"}
 	for si, n := range gnpSizes {
-		pt, _, err := sweepPoint(cfg, master, si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
+		pt, err := sweepPoint(cfg, res, fmt.Sprintf("gnp n=%d", n), master, si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
 		if err != nil {
-			return nil, fmt.Errorf("gnp n=%d: %w", n, err)
+			return nil, err
 		}
 		pt.X = float64(n)
 		gnpSeries.Points = append(gnpSeries.Points, pt)
@@ -105,11 +102,11 @@ func runThm6(cfg Config) (*Result, error) {
 		if cfg.MaxN > 0 && k*k > cfg.MaxN {
 			continue
 		}
-		pt, _, err := sweepPoint(cfg, master, 1000+si, trials, 0, factory, bulk,
+		pt, err := sweepPoint(cfg, res, fmt.Sprintf("grid %dx%d", k, k), master, 1000+si, trials, 0, factory, bulk,
 			func(*rng.Source) *graph.Graph { return graph.Grid(k, k) },
 			beepsMetric)
 		if err != nil {
-			return nil, fmt.Errorf("grid %dx%d: %w", k, k, err)
+			return nil, err
 		}
 		pt.X = float64(k * k)
 		gridSeries.Points = append(gridSeries.Points, pt)

@@ -16,11 +16,11 @@
 //
 // Determinism is the package's load-bearing property. Every random
 // choice is drawn from a dedicated rng stream derived from the run's
-// master seed — channel noise from a per-(node, round) stream, uniform
-// wake-up from a single schedule stream read in node order before the
-// round loop starts. No draw depends on engine, shard count, or
-// traversal order, which is what lets the scalar, bitset, columnar, and
-// sparse engines stay bit-identical under any Spec (enforced by the
+// master seed — channel noise and beep loss from per-(node, round)
+// streams, uniform wake-up from a single schedule stream read in node
+// order before the round loop starts. No draw depends on engine, shard
+// count, or traversal order, which is what lets the columnar and sparse
+// engines stay bit-identical under any Spec (enforced by the
 // engine-equivalence matrices in internal/sim and the repository root).
 package fault
 
@@ -91,10 +91,10 @@ func (o Outage) end() int { return o.From + o.For }
 
 // Spec declares a run's fault model. The zero value (and a nil *Spec)
 // is the perfect world: lossless channels, synchronous start, no
-// outages. Unlike the legacy per-edge sim.Options.BeepLoss — which
-// draws one loss coin per (beeper, listener) edge in adjacency order
-// and therefore only the scalar engine can execute — every Spec field
-// is engine-agnostic, so noisy workloads run word-parallel and sparse.
+// outages. Every Spec field is engine-agnostic, so noisy workloads run
+// word-parallel and sparse. Per-edge beep loss is not a Spec field: it
+// is sim.Options.BeepLoss, drawn by BeepLoss, and composes with Loss
+// (beep loss first, then the channel).
 type Spec struct {
 	// Loss is the probability that a listener which would have heard at
 	// least one beep in the first exchange hears silence instead, drawn

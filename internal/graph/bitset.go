@@ -184,9 +184,17 @@ func (m *AdjacencyMatrix) Row(v int) Bitset {
 	return Bitset(m.rows[v*m.words : (v+1)*m.words])
 }
 
+// NeighborsIn returns how many of vertex v's neighbours are in set: a
+// popcount of v's row masked by set. set must have capacity n.
+//
+//misvet:noalloc
+func (m *AdjacencyMatrix) NeighborsIn(v int, set Bitset) int {
+	return m.Row(v).AndCount(set)
+}
+
 // OrRowInto ORs vertex v's neighbourhood row into dst, which must have
-// capacity n. This is the engine's inner loop: one call delivers v's
-// beep to all its neighbours, 64 of them per word operation.
+// capacity n: one call delivers v's beep to all its neighbours, 64 of
+// them per word operation.
 //
 //misvet:noalloc
 func (m *AdjacencyMatrix) OrRowInto(dst Bitset, v int) {

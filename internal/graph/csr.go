@@ -64,6 +64,20 @@ func (c *CSR) Degree(v int) int {
 	return int(c.offsets[v+1] - c.offsets[v])
 }
 
+// NeighborsIn returns how many of vertex v's neighbours are in set, by
+// one walk of v's row.
+//
+//misvet:noalloc
+func (c *CSR) NeighborsIn(v int, set Bitset) int {
+	k := 0
+	for _, t := range c.Row(v) {
+		if set[t>>6]&(1<<(uint(t)&63)) != 0 {
+			k++
+		}
+	}
+	return k
+}
+
 // HasEdge reports whether the edge {u, v} is present.
 func (c *CSR) HasEdge(u, v int) bool {
 	if u < 0 || u >= c.n || v < 0 || v >= c.n {

@@ -330,7 +330,7 @@ func (c *CSR) Validate() error {
 // column storage (zero copies — the view costs one slice header per
 // vertex), and the view's CSR() returns c itself rather than
 // rebuilding. This is how direct-to-CSR construction plugs into every
-// consumer of *Graph — the verifier, the scalar engine, metrics —
+// consumer of *Graph — the verifier, the columnar engine, metrics —
 // without materialising a second representation; the CSR remains the
 // storage. The view is immutable like any built Graph; c must not be
 // mutated afterwards (CSRs never are).

@@ -16,9 +16,8 @@ const (
 	// (or automata's) beep draws for every eligible node.
 	PhaseEligibleDraw
 	// PhaseBeepTally is the per-beeper accounting sweep (res.Beeps).
-	// The per-node engines fuse it into their draw loop and record it
-	// as zero; the columnar loop separates it, attributing the sharded
-	// path's tally at its critical path (slowest shard).
+	// The round loop times it separately from the draws, attributing
+	// the sharded path's tally at its critical path (slowest shard).
 	PhaseBeepTally
 	// PhasePropagate is the first exchange: delivering beeps to
 	// neighbours.

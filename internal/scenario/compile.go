@@ -365,10 +365,11 @@ type Unit struct {
 	// Nodes is the instance node count implied by the family and N.
 	Nodes int
 	// PlannedEngine is the engine the compiled plan expects sim.Run to
-	// execute for this unit: the spec's pin, or — for "auto" — the
-	// heuristic's estimated choice from the expected node and edge
-	// counts. The admission bound budgets this representation's memory;
-	// it is an estimate (random instances vary), never a semantic knob.
+	// execute for this unit: the spec's pin (in its canonical form), or
+	// — for "auto" — the heuristic's estimated choice from the expected
+	// node and edge counts. The admission bound budgets this
+	// representation's memory; it is an estimate (random instances
+	// vary), never a semantic knob.
 	PlannedEngine sim.Engine
 
 	graph   GraphSpec
@@ -455,9 +456,9 @@ func (s *Spec) Compile() (*Compiled, error) {
 	if err := n.Faults.ValidateAgainstRounds(maxRounds); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	engine, err := validateEngine(n.Engine, n.BeepLoss, n.Shards)
+	engine, err := sim.ParseEngine(n.Engine)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
 	info, ok := families[n.Graph.Family]
@@ -571,11 +572,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		if n.Engine == "columnar" && bulk == nil {
-			// Mirror sim.Run's refusal at submission time: a columnar
-			// pin needs the algorithm's bulk kernel.
-			return nil, fmt.Errorf("scenario: engine \"columnar\" requires a bulk kernel, which algorithm %q does not have (use auto)", algo)
-		}
 		for _, un := range ns {
 			for _, up := range ps {
 				if info.usesN && (un <= 0 || un > MaxNodes) {
@@ -591,7 +587,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 				if nodes <= 0 || nodes > MaxNodes {
 					return nil, fmt.Errorf("scenario: family %q instance has %d nodes (max %d)", n.Graph.Family, nodes, MaxNodes)
 				}
-				planned, err := admitFootprint(engine, bulk != nil, n.BeepLoss, n.Graph.Family, nodes, info.expectedEdges(n.Graph, un, up))
+				planned, err := admitFootprint(engine, n.Graph.Family, nodes, info.expectedEdges(n.Graph, un, up))
 				if err != nil {
 					return nil, err
 				}
@@ -644,43 +640,37 @@ func adjacencyBytes(nodes int, expEdges float64) float64 {
 }
 
 // plannedEngine resolves the engine the compiled plan expects to run:
-// the pin itself when the spec names an engine, otherwise the shared
-// auto heuristic (sim.ResolveEngineFromCounts) over the instance's
-// node count and *expected* edge count — validation must not build
-// graphs, and for the admission bound an estimate is exactly what is
-// needed.
-func plannedEngine(pin sim.Engine, hasBulk bool, beepLoss float64, nodes int, expEdges float64) sim.Engine {
+// the pin's canonical form when the spec names an engine, otherwise the
+// shared auto heuristic (sim.ResolveEngineFromCounts) over the
+// instance's node count and *expected* edge count — validation must
+// not build graphs, and for the admission bound an estimate is exactly
+// what is needed.
+func plannedEngine(pin sim.Engine, nodes int, expEdges float64) sim.Engine {
 	if pin != sim.EngineAuto {
-		return pin
+		return pin.Canonical()
 	}
-	return sim.ResolveEngineFromCounts(nodes, int(math.Ceil(expEdges)), hasBulk, beepLoss, 0)
+	return sim.ResolveEngineFromCounts(nodes, int(math.Ceil(expEdges)), 0)
 }
 
 // admitFootprint bounds a unit by the estimated memory footprint of
 // the representation its compiled plan will actually use — the
 // adjacency lists every engine needs, plus the dense matrix for a
-// bitset/columnar plan or the CSR edge array for a sparse one. This is
-// what lets a sparse million-node spec through (its CSR is a few dozen
-// MB) while an infeasible dense pin on the same graph still fails at
+// columnar plan or the CSR edge array for a sparse one. This is what
+// lets a sparse million-node spec through (its CSR is a few dozen MB)
+// while an infeasible dense pin on the same graph still fails at
 // submission time with the reason spelled out.
-func admitFootprint(pin sim.Engine, hasBulk bool, beepLoss float64, family string, nodes int, expEdges float64) (sim.Engine, error) {
-	planned := plannedEngine(pin, hasBulk, beepLoss, nodes, expEdges)
+func admitFootprint(pin sim.Engine, family string, nodes int, expEdges float64) (sim.Engine, error) {
+	planned := plannedEngine(pin, nodes, expEdges)
 	adj := adjacencyBytes(nodes, expEdges)
-	var rep float64
-	switch planned {
-	case sim.EngineBitset, sim.EngineColumnar:
+	rep := float64(graph.CSRBytes(nodes, 0)) + 8*expEdges
+	if planned == sim.EngineColumnar {
 		rep = float64(graph.MatrixBytes(nodes))
-	case sim.EngineSparse:
-		rep = float64(graph.CSRBytes(nodes, 0)) + 8*expEdges
 	}
 	if total := adj + rep; total > float64(MaxUnitMemory) {
-		detail := fmt.Sprintf("≈%.3g expected edges need ≈%s of adjacency", expEdges, formatBytes(adj))
-		if rep > 0 {
-			detail = fmt.Sprintf("engine %q needs ≈%s for its %s on top of ≈%s of adjacency",
-				planned, formatBytes(rep), representationName(planned), formatBytes(adj))
-		}
+		detail := fmt.Sprintf("with ≈%.3g expected edges, engine %q needs ≈%s for its %s on top of ≈%s of adjacency",
+			expEdges, planned, formatBytes(rep), representationName(planned), formatBytes(adj))
 		hint := ""
-		if pin != sim.EngineAuto && pin != sim.EngineScalar && pin != sim.EngineSparse {
+		if pin != sim.EngineAuto && planned == sim.EngineColumnar {
 			hint = `; pin "sparse" or use "auto"`
 		}
 		return planned, fmt.Errorf("scenario: family %q instance (n=%d) exceeds the %s memory bound: %s%s",
@@ -689,17 +679,13 @@ func admitFootprint(pin sim.Engine, hasBulk bool, beepLoss float64, family strin
 	return planned, nil
 }
 
-// representationName names an engine's adjacency representation for
-// error messages.
+// representationName names a planned engine's adjacency
+// representation for error messages.
 func representationName(e sim.Engine) string {
-	switch e {
-	case sim.EngineBitset, sim.EngineColumnar:
+	if e == sim.EngineColumnar {
 		return "dense adjacency matrix"
-	case sim.EngineSparse:
-		return "CSR edge array"
-	default:
-		return "adjacency"
 	}
+	return "CSR edge array"
 }
 
 // formatBytes renders a byte count in binary units for error messages.

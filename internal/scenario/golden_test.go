@@ -63,7 +63,7 @@ var goldenInlineSpecs = []struct {
 		"1b6edb176d77a21b5cb5665fae0216c1e5e2517d08c7a110e4e80b314dc66758"},
 	{"beep-loss",
 		`{"graph":{"family":"gnp","n":200,"p":0.1},"algorithm":"feedback","trials":4,"seed":3,"beep_loss":0.05}`,
-		"4bd6837b9648a9e342671298500bfa30b387d0d3d424d7148b383f0e1540a7e3"},
+		"8ce83b91093a68692dff13086a41698e40aaad5ea1c1cce0e5d8df676b417570"},
 }
 
 // reportDigest runs c at the given trial-pool size and returns the

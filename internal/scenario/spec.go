@@ -34,7 +34,6 @@ import (
 
 	"beepmis/internal/fault"
 	"beepmis/internal/graph"
-	"beepmis/internal/sim"
 )
 
 // Workload ceilings. Scenarios arrive from untrusted input (HTTP
@@ -46,9 +45,9 @@ const (
 	MaxNodes = 1 << 20
 	// MaxUnitMemory caps the estimated memory footprint of a unit's
 	// simulation: the graph's adjacency lists plus the representation
-	// the compiled plan will actually use (dense matrix for a
-	// bitset/columnar pin, CSR edge array for sparse, whatever the auto
-	// heuristic would pick otherwise). Bounding by footprint rather
+	// the compiled plan will actually use (dense matrix for a columnar
+	// plan, CSR edge array for a sparse one, whether pinned or picked by
+	// the auto heuristic). Bounding by footprint rather
 	// than by a blanket edge cap is what admits sparse million-node
 	// specs while still failing infeasible dense ones up front — a
 	// graph is only too big when the plan's representation is.
@@ -162,9 +161,10 @@ type Spec struct {
 	// FixedP is the constant beep probability (algorithm == "fixed");
 	// 0 means 1/2.
 	FixedP float64 `json:"fixed_p,omitempty"`
-	// Engine picks the simulation engine: "auto" (default), "scalar",
-	// "bitset", "columnar", or "sparse". Performance-only; excluded
-	// from the hash.
+	// Engine picks the simulation engine: "auto" (default), "columnar"
+	// or "sparse"; the legacy names "bitset" and "scalar" run columnar
+	// and sparse respectively. Performance-only; excluded from the
+	// hash.
 	Engine string `json:"engine,omitempty"`
 	// Shards bounds the columnar and sparse engines' propagation
 	// goroutines. Performance-only; excluded from the hash.
@@ -181,7 +181,8 @@ type Spec struct {
 	// simulator default.
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// BeepLoss is the per-(beeper, listener) beep loss probability of
-	// the robustness experiments; non-zero forces the scalar engine.
+	// the robustness experiments (see sim.Options.BeepLoss); it runs on
+	// every engine.
 	BeepLoss float64 `json:"beep_loss,omitempty"`
 	// CrashAtRound schedules node crashes: round (1-based) → node ids.
 	CrashAtRound map[int][]int `json:"crash_at_round,omitempty"`
@@ -192,10 +193,10 @@ type Spec struct {
 	WakeWindow int `json:"wake_window,omitempty"`
 	// Faults declares the run's fault model: per-listener channel noise
 	// (loss/spurious), adversarial wake-up schedules, and transient
-	// outages with resume-or-reset recovery (see internal/fault).
-	// Unlike BeepLoss, every fault feature runs on every engine with
-	// bit-identical results, so it composes with sparse million-node
-	// workloads. Changes results, so it is part of the content hash.
+	// outages with resume-or-reset recovery (see internal/fault). Every
+	// fault feature runs on every engine with bit-identical results, so
+	// it composes with sparse million-node workloads. Changes results,
+	// so it is part of the content hash.
 	Faults *fault.Spec `json:"faults,omitempty"`
 	// Sweep expands the spec into a grid of units.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
@@ -459,20 +460,4 @@ func sortedCrashRounds(crashes map[int][]int) []int {
 	}
 	sort.Ints(rounds)
 	return rounds
-}
-
-// validateEngine mirrors sim.Run's engine/option compatibility rules so
-// conflicts fail at submission time.
-func validateEngine(engine string, beepLoss float64, shards int) (sim.Engine, error) {
-	eng, err := sim.ParseEngine(engine)
-	if err != nil {
-		return eng, fmt.Errorf("scenario: %w", err)
-	}
-	if beepLoss > 0 && (eng == sim.EngineBitset || eng == sim.EngineColumnar || eng == sim.EngineSparse) {
-		return eng, fmt.Errorf("scenario: engine %q does not support beep_loss (use scalar or auto)", engine)
-	}
-	if shards != 0 && eng != sim.EngineAuto && eng != sim.EngineColumnar && eng != sim.EngineSparse {
-		return eng, fmt.Errorf("scenario: shards %d conflicts with engine %q (only the columnar and sparse engines shard propagation)", shards, engine)
-	}
-	return eng, nil
 }

@@ -15,11 +15,16 @@ func mustParse(t *testing.T, doc string) *Spec {
 	return s
 }
 
+// TestParseRejectsMalformed pins Parse's verdict on each spec: a
+// malformed spec fails with an error naming the problem. Rows with an
+// empty want are former engine conflicts that every engine now runs —
+// shards under a legacy pin, beep_loss on any engine, a kernel-less
+// algorithm pinned to columnar — and must parse.
 func TestParseRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
 		doc  string
-		want string // substring of the error
+		want string // substring of the error; "" means the spec parses
 	}{
 		{"empty", ``, "parse"},
 		{"not json", `{]`, "parse"},
@@ -33,14 +38,19 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"p above one", `{"graph":{"family":"gnp","n":10,"p":1.5},"algorithm":"feedback"}`, "outside"},
 		{"too many edges", `{"graph":{"family":"gnp","n":1000000,"p":0.9},"algorithm":"feedback"}`, "edges"},
 		{"dense pin infeasible", `{"graph":{"family":"gnp","n":1000000,"p":0.00001},"algorithm":"feedback","engine":"bitset"}`, "dense adjacency matrix"},
+		// Auto plans this unit on the CSR (its matrix would be 125 GB):
+		// 2.75·10⁸ expected edges price at ≈4.4 GB of adjacency plus CSR,
+		// just past MaxUnitMemory. At p = 0.00053 (2.65·10⁸ edges,
+		// ≈4.27 GB) the same spec is admitted.
+		{"sparse plan over memory bound", `{"graph":{"family":"gnp","n":1000000,"p":0.00055},"algorithm":"feedback"}`, "CSR edge array"},
 		{"negative shards", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","shards":-1}`, "shards"},
-		{"shards on scalar", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"scalar","shards":2}`, "conflicts"},
-		{"loss on bitset", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"bitset","beep_loss":0.1}`, "beep_loss"},
-		{"loss on sparse", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"sparse","beep_loss":0.1}`, "beep_loss"},
+		{"shards on scalar", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"scalar","shards":2}`, ""},
+		{"loss on bitset", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"bitset","beep_loss":0.1}`, ""},
+		{"loss on sparse", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"sparse","beep_loss":0.1}`, ""},
 		{"loss out of range", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","beep_loss":1}`, "beep_loss"},
 		{"trials too large", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","trials":1000001}`, "trials"},
 		{"bad engine", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","engine":"warp"}`, "engine"},
-		{"columnar without kernel", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"fixed","engine":"columnar"}`, "bulk kernel"},
+		{"columnar without kernel", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"fixed","engine":"columnar"}`, ""},
 		{"crash round zero", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"0":[1]}}`, "1-based"},
 		{"crash node range", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"2":[10]}}`, "outside"},
 		{"crash duplicate", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"2":[3],"4":[3]}}`, "twice"},
@@ -76,6 +86,12 @@ func TestParseRejectsMalformed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(strings.NewReader(tc.doc))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Parse rejected %s: %v", tc.doc, err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatalf("Parse accepted %s", tc.doc)
 			}

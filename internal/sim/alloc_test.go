@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"beepmis/internal/fault"
@@ -32,23 +34,25 @@ func TestShardPoolRunAllocations(t *testing.T) {
 }
 
 // measureRunAllocs returns the heap allocations of one full simulation
-// run of the feedback algorithm on g under opts.
-func measureRunAllocs(t *testing.T, g *graph.Graph, opts Options) float64 {
+// run of spec's algorithm (with its kernel) on g under opts. A run that
+// reaches an explicit opts.MaxRounds counts as complete.
+func measureRunAllocs(t *testing.T, g *graph.Graph, spec mis.Spec, opts Options) float64 {
 	t.Helper()
-	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
+	factory, bulk, err := mis.NewFactories(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Bulk = bulk
 	return testing.AllocsPerRun(1, func() {
-		if _, err := Run(g, factory, rng.New(11), opts); err != nil {
+		_, err := Run(g, factory, rng.New(11), opts)
+		if err != nil && !(opts.MaxRounds > 0 && errors.Is(err, ErrTooManyRounds)) {
 			t.Fatal(err)
 		}
 	})
 }
 
-// TestRoundLoopAllocations asserts the columnar and sparse round loops
-// allocate nothing per round in steady state, at shard count 1 and at a
+// TestRoundLoopAllocations asserts the round loop allocates nothing per
+// round in steady state, on both engines, at shard count 1 and at a
 // pooled shard count: two runs of the same workload differing only in
 // how many rounds they last (a wake schedule holds most of the graph
 // dormant until round 160 vs 460, keeping the run — and the sharded
@@ -57,6 +61,12 @@ func measureRunAllocs(t *testing.T, g *graph.Graph, opts Options) float64 {
 // allocation would show up ~300-fold in the difference; the tolerance
 // absorbs only incidental noise (map growth, GC bookkeeping), not a
 // per-round cost.
+//
+// The beep-loss rows stretch their runs differently, because the loss
+// draw only runs for awake listeners: feedback pinned at p = 1/2 never
+// lets a node of this graph beep alone, so the run stalls with every
+// node eligible, and capping it at 160 vs 460 rounds adds ~300 rounds
+// that each count emitters and draw loss for thousands of listeners.
 func TestRoundLoopAllocations(t *testing.T) {
 	const (
 		n          = 5000
@@ -76,6 +86,8 @@ func TestRoundLoopAllocations(t *testing.T) {
 		return w
 	}
 	noise := &fault.Spec{Loss: 0.02, Spurious: 0.01}
+	feedback := mis.Spec{Name: mis.NameFeedback}
+	stalled := mis.Spec{Name: mis.NameFeedback, Feedback: mis.FeedbackConfig{InitialP: 0.5, MinP: 0.5}}
 	for _, tc := range []struct {
 		name    string
 		engine  Engine
@@ -89,6 +101,10 @@ func TestRoundLoopAllocations(t *testing.T) {
 		{"sparse/shards=1", EngineSparse, 1, nil, false},
 		{"sparse/shards=4", EngineSparse, 4, nil, false},
 		{"sparse/shards=4/noisy", EngineSparse, 4, noise, false},
+		{"columnar/shards=1/beep-loss", EngineColumnar, 1, nil, false},
+		{"columnar/shards=3/beep-loss", EngineColumnar, 3, nil, false},
+		{"sparse/shards=1/beep-loss", EngineSparse, 1, nil, false},
+		{"sparse/shards=3/beep-loss", EngineSparse, 3, nil, false},
 		// Metrics-enabled rows: recording is atomics into a preallocated
 		// bundle, so the steady-state guarantee must hold unchanged.
 		{"columnar/shards=1/metrics", EngineColumnar, 1, nil, true},
@@ -101,10 +117,19 @@ func TestRoundLoopAllocations(t *testing.T) {
 			if tc.metrics {
 				opts.Metrics = &obs.EngineMetrics{}
 			}
-			opts.WakeAt = wake(shortWake)
-			short := measureRunAllocs(t, g, opts)
-			opts.WakeAt = wake(longWake)
-			long := measureRunAllocs(t, g, opts)
+			var short, long float64
+			if strings.HasSuffix(tc.name, "/beep-loss") {
+				opts.BeepLoss = 0.2
+				opts.MaxRounds = shortWake
+				short = measureRunAllocs(t, g, stalled, opts)
+				opts.MaxRounds = longWake
+				long = measureRunAllocs(t, g, stalled, opts)
+			} else {
+				opts.WakeAt = wake(shortWake)
+				short = measureRunAllocs(t, g, feedback, opts)
+				opts.WakeAt = wake(longWake)
+				long = measureRunAllocs(t, g, feedback, opts)
+			}
 			if d := math.Abs(long - short); d > slack {
 				t.Fatalf("%v extra allocations across ~%d extra rounds (short %v, long %v): the round loop allocates in steady state",
 					d, longWake-shortWake, short, long)

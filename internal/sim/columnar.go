@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"beepmis/internal/beep"
+	"beepmis/internal/fault"
 	"beepmis/internal/graph"
 	"beepmis/internal/obs"
 	"beepmis/internal/rng"
@@ -251,6 +252,28 @@ func (l *columnarLoop) exchange(dst, eligible, emitters graph.Bitset) {
 	}
 }
 
+// loseBeeps applies per-edge beep loss to the first exchange: every
+// eligible listener whose heard bit is set counts its emitting
+// neighbours k and keeps the bit with probability 1 − loss^k, one draw
+// from its own (listener, round) stream. It runs serially after the
+// exchange has joined, in increasing node order, and is only reached
+// when loss is on — loss-free runs never count k.
+//
+//misvet:noalloc
+func (l *columnarLoop) loseBeeps(loss *fault.BeepLoss, master *rng.Source, round int, eligible, emitters graph.Bitset) {
+	for wi, w := range l.heard {
+		w &= eligible[wi]
+		base := wi << 6
+		for w != 0 {
+			v := base + mathbits.TrailingZeros64(w)
+			w &= w - 1
+			if !loss.Hears(master, round, v, l.prop.NeighborsIn(v, emitters)) {
+				l.heard.Clear(v)
+			}
+		}
+	}
+}
+
 //misvet:noalloc
 func (l *columnarLoop) observeShard(_, lo, hi int) {
 	l.ranger.ObserveRange(l.observeMask, l.beeped, l.heard, lo, hi)
@@ -269,25 +292,25 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 	l.bulk.ObserveAll(mask, l.beeped, l.heard)
 }
 
-// runColumnar executes the round loop entirely on packed words: node
-// lifecycle masks are bitsets, beeps are drawn by the algorithm's bulk
-// kernel over struct-of-arrays state, joins are one AndNot
-// (beeped &^ heard), and both exchanges are sharded destination-range
-// OR passes over prop's adjacency representation — the packed matrix
-// for EngineColumnar, the CSR edge arrays for EngineSparse (which also
-// substitutes the per-node adapter kernel when the algorithm has no
-// columnar one). Per round it does O(n/64) word operations plus one
-// rng draw per eligible node, against the per-node engines' five O(n)
-// scans and n interface calls — and it is bit-identical to them: the
-// kernel draws from the same per-node streams in node order, and every
-// mask update mirrors a scalar-loop transition.
+// runColumnar is the simulator's round loop. It executes entirely on
+// packed words: node lifecycle masks are bitsets, beeps are drawn by
+// the algorithm's bulk kernel (or the per-node adapter) over
+// struct-of-arrays state, joins are one AndNot (beeped &^ heard), and
+// both exchanges are sharded destination-range OR passes over prop's
+// adjacency representation — the packed matrix for EngineColumnar, the
+// CSR edge arrays for EngineSparse. Per round it does O(n/64) word
+// operations plus one rng draw per eligible node, and the kernel draws
+// from the per-node streams in node order, so the result is a pure
+// function of (graph, algorithm, seed, options) whatever the engine or
+// shard count.
 //
 // All shardable phases (draws, tallies, exchanges, observes) run on
 // one persistent worker pool created at setup, and every buffer the
 // loop touches is allocated before round 1 — the steady-state round
 // path performs no heap allocations at any shard count (enforced by
-// TestColumnarRoundAllocations).
-func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, prop bulkPropagator, bulkFactory beep.BulkFactory, plan *faultPlan) (*Result, error) {
+// TestRoundLoopAllocations).
+func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
+	g, master, opts, maxRounds, plan := r.g, r.master, r.opts, r.maxRounds, r.plan
 	n := g.N()
 	degrees := make([]int, n)
 	// Per-node streams live in one contiguous backing array: at 10⁶
@@ -300,7 +323,7 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 		master.StreamInto(&streamStore[v], uint64(v))
 		streams[v] = &streamStore[v]
 	}
-	bulk := bulkFactory(beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: g.MaxDegree()})
+	bulk := r.bulk(beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: g.MaxDegree()})
 	var resetter beep.BulkResetter
 	if plan != nil && plan.hasResets {
 		var ok bool
@@ -308,8 +331,8 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 			// Every in-tree kernel (and the per-node adapter) implements
 			// BulkResetter; a third-party kernel that does not cannot run
 			// reset recoveries bit-identically, so refuse rather than
-			// silently diverge from the scalar engines.
-			return nil, fmt.Errorf("sim: fault spec schedules reset outages but the bulk kernel (%T) does not implement beep.BulkResetter (use a per-node engine)", bulk)
+			// silently diverge from the per-node automata.
+			return nil, fmt.Errorf("sim: fault spec schedules reset outages but the bulk kernel (%T) does not implement beep.BulkResetter (leave Options.Bulk nil to run the per-node automata)", bulk)
 		}
 	}
 	shards := EffectiveShards(opts.Shards)
@@ -365,9 +388,11 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 		}
 	}
 	// Transient-outage overlay: a down node neither beeps, hears, nor
-	// observes, whatever its lifecycle state. Persistent MIS behaviour
-	// (keep-alive beeps and re-announcements) applies under wake-up or
-	// outages — exactly as in the scalar loop.
+	// observes, whatever its lifecycle state. Persistent MIS beeping and
+	// re-announcing is needed whenever a node can arrive late to an
+	// established set: staggered wake-up, and outages (a node down
+	// during its neighbour's announcement misses the domination and
+	// must be able to catch up after recovering).
 	var downB graph.Bitset
 	if plan.outages() {
 		downB = graph.NewBitset(n)
@@ -388,7 +413,9 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 		res.Rounds = round
 		clock.start()
 		prevPersist := res.PersistentBeeps
-		// Crashes take effect before the exchange.
+		// Crashes take effect before the exchange. (Entries are range-
+		// and duplicate-checked up front; a listed node that already
+		// terminated is a no-op.)
 		for _, v := range opts.CrashAtRound[round] {
 			if activeB.Test(v) {
 				activeB.Clear(v)
@@ -396,8 +423,9 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 				active--
 			}
 		}
-		// Outage recoveries, then fresh downs — mirroring the scalar
-		// loop's order exactly (see its comments for the semantics).
+		// Outage recoveries, then fresh downs (in that order, so a
+		// back-to-back outage pair keeps the node down through the
+		// boundary round while still applying the recovery semantics).
 		leftDelta = leftDelta[:0]
 		if plan.outages() {
 			for _, v := range plan.resumeAt[round] {
@@ -406,6 +434,12 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 			resets := plan.resetAt[round]
 			for _, v := range resets {
 				downB.Clear(v)
+				// Reset recovery: the node comes back as a freshly
+				// started active competitor, whatever it was before. A
+				// departing MIS member is reported to the delta hook —
+				// its dominated neighbours stay dominated (they cannot
+				// know), which is exactly the transient maximality hole
+				// fault.Verifier measures.
 				if inMIS.Test(v) {
 					inMIS.Clear(v)
 					leftDelta = append(leftDelta, v)
@@ -474,13 +508,19 @@ func runColumnar(g topology, master *rng.Source, opts Options, maxRounds int, pr
 		}
 		loop.exchange(heard, eligible, emitters)
 		clock.mark(obs.PhasePropagate)
-		// Channel noise: each eligible listener's heard bit passes
-		// through the lossy/spurious channel, drawn from that
-		// (node, round)'s own stream — identical on every engine. The
-		// noise phase stays serial: Channel.Apply reuses one scratch
-		// stream across nodes.
-		if plan != nil && plan.channel != nil {
-			plan.channel.Apply(master, round, eligible, heard)
+		// Beep loss, then channel noise: each eligible listener's heard
+		// bit is thinned by per-edge loss and then passes through the
+		// lossy/spurious channel, each drawn from that (node, round)'s
+		// own stream — identical on every engine. Both stay serial: each
+		// reuses one scratch stream across nodes.
+		channel := plan != nil && plan.channel != nil
+		if r.loss != nil || channel {
+			if r.loss != nil {
+				loop.loseBeeps(r.loss, master, round, eligible, emitters)
+			}
+			if channel {
+				plan.channel.Apply(master, round, eligible, heard)
+			}
 			clock.mark(obs.PhaseFaults)
 		}
 		// Join rule: beeped into silence — one word operation.

@@ -20,46 +20,42 @@ func EffectiveShards(shards int) int {
 	return shards
 }
 
-// Engine selects the implementation of the simulator's neighbourhood
-// exchanges. Every engine executes the same algorithm state machine and
-// draws node randomness from the same per-node streams, so results are
-// bit-identical across engines for a given (graph, factory, seed, opts);
-// engines differ only in how fast they deliver beeps.
+// Engine selects the adjacency representation the simulator's one
+// round loop runs over. The loop itself — packed node masks, bulk
+// algorithm kernels (or the per-node adapter for algorithms without
+// one), sharded exchanges — is the same for every engine, and every
+// engine draws node randomness from the same per-node streams, so
+// results are bit-identical across engines for a given (graph, factory,
+// seed, opts); engines differ only in speed and memory.
 type Engine uint8
 
 const (
-	// EngineAuto picks the fastest applicable engine: EngineColumnar
-	// when a bulk kernel is supplied and the graph is dense enough for
-	// word-parallel delivery to win (with the packed adjacency matrix
-	// fitting the memory budget), EngineBitset under the same density
-	// test without a kernel, EngineSparse when the matrix exceeds the
-	// budget but the CSR edge array fits, EngineScalar otherwise. This
-	// is the default. See ResolveEngine.
+	// EngineAuto picks the representation by size and density:
+	// EngineColumnar when the packed adjacency matrix fits the memory
+	// budget and the graph is dense enough for word-parallel delivery
+	// to win, EngineSparse otherwise. This is the default. See
+	// ResolveEngine.
 	EngineAuto Engine = iota
-	// EngineScalar delivers beeps by walking CSR adjacency lists
-	// edge-by-edge: O(Σ deg(beeper)) per round, no extra memory. The
-	// only engine that supports BeepLoss (loss is drawn per edge).
+	// EngineScalar is the legacy name of the engine that walked
+	// adjacency lists edge by edge. It runs EngineSparse, which walks
+	// the same lists in CSR form (see Canonical).
 	EngineScalar
-	// EngineBitset delivers beeps with packed row bitsets: one OR
-	// operation informs 64 listeners, so a round costs
-	// O(beepers · n/64) words — but the round loop around the exchanges
-	// stays per-node. Requires O(n²/8) bytes for the matrix and does
-	// not support BeepLoss.
+	// EngineBitset is the legacy name of the engine that ORed packed
+	// adjacency rows under a per-node round loop. It runs
+	// EngineColumnar, which ORs the same rows (see Canonical).
 	EngineBitset
-	// EngineColumnar runs the whole round loop on packed words: beeps
-	// are drawn by a bulk algorithm kernel over struct-of-arrays state
-	// (Options.Bulk, required), node masks are bitsets end-to-end, and
-	// propagation is sharded across Options.Shards goroutines. Same
-	// memory requirement as EngineBitset; no BeepLoss.
+	// EngineColumnar runs the round loop over the dense packed
+	// adjacency matrix: one word OR informs 64 listeners, and
+	// propagation is sharded across Options.Shards goroutines by
+	// destination word range. Requires O(n²/8) bytes for the matrix.
 	EngineColumnar
-	// EngineSparse runs the columnar round loop over the O(n + m) CSR
-	// representation instead of the dense matrix: per exchange it walks
-	// only the CSR rows of the current emitters into the heard bitset,
-	// sharded by destination vertex range across Options.Shards
-	// goroutines. The one engine whose memory scales with edges rather
-	// than n², so it is how million-node graphs run. A bulk kernel is
-	// used when supplied; without one the per-node automata are driven
-	// through an adapter, so every algorithm qualifies. No BeepLoss.
+	// EngineSparse runs the round loop over the O(n + m) CSR
+	// representation instead: per exchange it walks only the CSR rows
+	// of the current emitters into the heard bitset (or pulls from the
+	// listeners' rows when that is cheaper), sharded by destination
+	// vertex range across Options.Shards goroutines. The engine whose
+	// memory scales with edges rather than n², so it is how
+	// million-node graphs run.
 	EngineSparse
 )
 
@@ -81,7 +77,9 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine converts a command-line engine name to an Engine.
+// ParseEngine converts a command-line engine name to an Engine. The
+// legacy names "scalar" and "bitset" stay accepted, so old specs, HTTP
+// bodies and flags keep working; Canonical says what they run.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "auto", "":
@@ -99,67 +97,68 @@ func ParseEngine(s string) (Engine, error) {
 	}
 }
 
-// DefaultMemoryBudget caps the adjacency-representation memory
-// EngineAuto will spend when Options.MemoryBudget is zero: 2 GiB covers
-// a dense matrix up to n = 10⁵ (1.25 GiB) with headroom and refuses it
-// in the n ≥ 10⁶ regime, where the matrix alone would be 125 GiB —
-// there the CSR representation (O(n + m) bytes) takes over via
-// EngineSparse. An explicit engine pin is honoured regardless of the
-// budget — the caller knows their machine.
+// Canonical returns the engine e actually runs: EngineScalar runs
+// EngineSparse and EngineBitset runs EngineColumnar — each pair shares
+// its adjacency representation — and every other engine is its own
+// canonical form. This is the one place the legacy names resolve.
+func (e Engine) Canonical() Engine {
+	switch e {
+	case EngineScalar:
+		return EngineSparse
+	case EngineBitset:
+		return EngineColumnar
+	default:
+		return e
+	}
+}
+
+// DefaultMemoryBudget caps the dense matrix EngineAuto will build when
+// Options.MemoryBudget is zero: 2 GiB covers a matrix up to n = 10⁵
+// (1.25 GiB) with headroom and refuses it in the n ≥ 10⁶ regime, where
+// the matrix alone would be 125 GiB — there the CSR representation
+// (O(n + m) bytes) runs instead. An explicit engine pin is honoured
+// regardless of the budget — the caller knows their machine.
 const DefaultMemoryBudget = int64(2) << 30
 
 // ResolveEngine reports the engine a run of g under opts will actually
-// execute: the pin itself for a non-auto Options.Engine, and the auto
-// heuristic's choice otherwise. Exported so callers (misbench records,
-// capacity planners) can observe the selection — an auto run silently
-// degrading to the scalar walk was how million-node graphs used to lose
-// their speed without anyone noticing.
-//
-// The heuristic, in order: per-edge BeepLoss draws force the scalar
-// walk; graphs whose packed matrix fits the memory budget take the
-// word-parallel dense engines when dense enough for them to win
-// (columnar with a kernel, bitset without) and the scalar walk
-// otherwise; graphs whose matrix exceeds the budget take the sparse
-// CSR engine as long as the edge array fits, and degrade to scalar —
-// which needs no extra representation — only past that.
+// execute: the canonical form of a non-auto Options.Engine, and the
+// auto heuristic's choice otherwise. Exported so callers (misbench
+// records, capacity planners) can observe the selection.
 func ResolveEngine(g *graph.Graph, opts Options) Engine {
-	if opts.Engine != EngineAuto {
-		return opts.Engine
+	return resolveEngine(opts.Engine, g.N(), g.M(), opts.MemoryBudget)
+}
+
+// resolveEngine is ResolveEngine over counts: the pin's canonical form,
+// or the auto heuristic's choice for an n-vertex, m-edge graph.
+func resolveEngine(pin Engine, n, m int, budget int64) Engine {
+	if pin != EngineAuto {
+		return pin.Canonical()
 	}
-	return ResolveEngineFromCounts(g.N(), g.M(), opts.Bulk != nil, opts.BeepLoss, opts.MemoryBudget)
+	return ResolveEngineFromCounts(n, m, budget)
 }
 
 // ResolveEngineFromCounts is the auto heuristic over counts instead of
-// a built graph: n vertices, m edges, whether a bulk kernel will be
-// supplied, the BeepLoss setting, and the memory budget (<= 0 means
-// DefaultMemoryBudget). ResolveEngine delegates here; the scenario
-// compiler's admission planning calls it directly with its *expected*
-// edge counts, so the two can never drift apart.
-func ResolveEngineFromCounts(n, m int, hasBulk bool, beepLoss float64, budget int64) Engine {
-	if beepLoss > 0 {
-		return EngineScalar
-	}
+// a built graph: n vertices, m edges, and the memory budget (<= 0 means
+// DefaultMemoryBudget). It picks EngineColumnar when the packed matrix
+// fits the budget and the graph is dense enough for word-parallel
+// delivery to win (bitsetWorthwhile), and EngineSparse otherwise. The
+// budget gates only the matrix: the CSR is the smallest representation
+// the loop has. ResolveEngine delegates here; the scenario compiler's
+// admission planning calls it directly with its *expected* edge
+// counts, so the two can never drift apart.
+func ResolveEngineFromCounts(n, m int, budget int64) Engine {
 	if budget <= 0 {
 		budget = DefaultMemoryBudget
 	}
-	if graph.MatrixBytes(n) <= budget {
-		if !bitsetWorthwhile(n, m) {
-			return EngineScalar
-		}
-		if hasBulk {
-			return EngineColumnar
-		}
-		return EngineBitset
+	if graph.MatrixBytes(n) <= budget && bitsetWorthwhile(n, m) {
+		return EngineColumnar
 	}
-	if graph.CSRBytes(n, m) <= budget {
-		return EngineSparse
-	}
-	return EngineScalar
+	return EngineSparse
 }
 
 // bitsetWorthwhile is EngineAuto's density heuristic. Per emitting
-// node a bitset round costs ⌈n/64⌉ word ORs against deg(v) random
-// writes for the scalar walk, so the break-even density is an average
+// node a matrix exchange costs ⌈n/64⌉ word ORs against deg(v) random
+// writes for a CSR row walk, so the break-even density is an average
 // degree of about n/64; word ops are cheaper than scattered writes, so
 // the threshold takes half that. Tiny graphs always qualify — the
 // matrix is a few cache lines. (Whether the matrix fits the memory
@@ -173,54 +172,4 @@ func bitsetWorthwhile(n, m int) bool {
 	}
 	words := float64((n + 63) / 64)
 	return 2*float64(m)/float64(n) >= words/2
-}
-
-// propagator delivers one exchange: dst[w] becomes true for every w
-// adjacent to a vertex with emit[v] true. dst is all-false on entry.
-// Loss-free by contract — the lossy first exchange stays in Run, where
-// per-edge fault draws keep their deterministic order.
-type propagator interface {
-	propagate(emit, dst []bool)
-}
-
-// scalarPropagator walks CSR adjacency lists.
-type scalarPropagator struct{ g *graph.Graph }
-
-func (p scalarPropagator) propagate(emit, dst []bool) {
-	for v, e := range emit {
-		if !e {
-			continue
-		}
-		for _, w := range p.g.Neighbors(v) {
-			dst[w] = true
-		}
-	}
-}
-
-// bitsetPropagator ORs packed adjacency rows: 64 listeners per word
-// operation. Scratch bitsets are reused across rounds.
-type bitsetPropagator struct {
-	mat      *graph.AdjacencyMatrix
-	emitBits graph.Bitset
-	dstBits  graph.Bitset
-}
-
-func newBitsetPropagator(g *graph.Graph) *bitsetPropagator {
-	return &bitsetPropagator{
-		mat:      g.Matrix(),
-		emitBits: graph.NewBitset(g.N()),
-		dstBits:  graph.NewBitset(g.N()),
-	}
-}
-
-func (p *bitsetPropagator) propagate(emit, dst []bool) {
-	p.emitBits.Zero()
-	for v, e := range emit {
-		if e {
-			p.emitBits.Set(v)
-		}
-	}
-	p.dstBits.Zero()
-	p.emitBits.ForEach(func(v int) { p.mat.OrRowInto(p.dstBits, v) })
-	p.dstBits.ForEach(func(w int) { dst[w] = true })
 }

@@ -3,10 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"beepmis/internal/beep"
+	"beepmis/internal/fault"
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
 	"beepmis/internal/rng"
@@ -18,72 +18,71 @@ type engineRun struct {
 	res  *Result
 }
 
-// runAllEngines executes the same configuration on every engine —
-// scalar, bitset, the sparse CSR engine driving per-node automata
-// through the adapter, and (when the algorithm has a kernel) the
-// columnar and sparse engines over it — the sharded ones at shard
-// counts 1, 3, and GOMAXPROCS — and returns the labelled results. The
-// first entry is the scalar reference.
+// engineVariant is one way to run the round loop: an adjacency backend,
+// driving either the per-node automata through the adapter or the
+// algorithm's bulk kernel.
+type engineVariant struct {
+	engine Engine
+	kernel bool
+}
+
+func (v engineVariant) String() string {
+	if v.kernel {
+		return v.engine.String() + "-kernel"
+	}
+	return v.engine.String() + "-adapter"
+}
+
+// engineVariants lists every engineVariant.
+var engineVariants = []engineVariant{
+	{EngineColumnar, false}, {EngineSparse, false}, {EngineColumnar, true}, {EngineSparse, true},
+}
+
+// runAllEngines executes the same configuration on the per-node
+// reference loop and on the round loop over both adjacency backends —
+// the columnar and sparse engines, each driving the per-node automata
+// through the adapter kernel and (when the algorithm has one) the bulk
+// kernel, at shard counts 1, 3, and GOMAXPROCS — and returns the
+// labelled results. The first entry is the reference.
 func runAllEngines(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options) []engineRun {
 	t.Helper()
 	factory, bulk, err := mis.NewFactories(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs []engineRun
-	exec := func(name string) {
-		res, err := Run(g, factory, rng.New(seed), opts)
-		if err != nil {
-			t.Fatalf("%s engine: %v", name, err)
+	ref, err := referenceRun(g, factory, rng.New(seed), opts)
+	if err != nil {
+		t.Fatalf("reference loop: %v", err)
+	}
+	runs := []engineRun{{"reference", ref}}
+	for _, ev := range engineVariants {
+		if ev.kernel && bulk == nil {
+			continue
 		}
-		runs = append(runs, engineRun{name, res})
-	}
-	opts.Engine = EngineScalar
-	exec("scalar")
-	opts.Engine = EngineBitset
-	exec("bitset")
-	// The sparse engine without a kernel drives the per-node automata
-	// through the adapter — the path kernel-less algorithms take.
-	opts.Engine = EngineSparse
-	for _, shards := range []int{1, 3, 0} {
-		opts.Shards = shards
-		exec(fmt.Sprintf("sparse-pernode/shards=%d", shards))
-	}
-	if bulk != nil {
-		opts.Bulk = bulk
-		for _, engine := range []Engine{EngineColumnar, EngineSparse} {
-			opts.Engine = engine
-			for _, shards := range []int{1, 3, 0} {
-				opts.Shards = shards
-				exec(fmt.Sprintf("%v/shards=%d", engine, shards))
+		opts.Engine, opts.Bulk = ev.engine, nil
+		if ev.kernel {
+			opts.Bulk = bulk
+		}
+		for _, shards := range []int{1, 3, 0} {
+			opts.Shards = shards
+			name := fmt.Sprintf("%v/shards=%d", ev, shards)
+			res, err := Run(g, factory, rng.New(seed), opts)
+			if err != nil {
+				t.Fatalf("%s engine: %v", name, err)
 			}
+			runs = append(runs, engineRun{name, res})
 		}
 	}
 	return runs
 }
 
-// runBoth executes the same configuration on the scalar and bitset
-// engines and returns both results.
-func runBoth(t *testing.T, g *graph.Graph, spec mis.Spec, seed uint64, opts Options) (*Result, *Result) {
-	t.Helper()
-	runs := runAllEngines(t, g, spec, seed, opts)
-	return runs[0].res, runs[1].res
-}
-
 // assertAllIdentical checks every run of an equivalence matrix against
-// the first (scalar reference) entry.
+// the first (reference) entry.
 func assertAllIdentical(t *testing.T, runs []engineRun) {
 	t.Helper()
 	for _, run := range runs[1:] {
 		assertIdenticalNamed(t, runs[0].res, run.res, runs[0].name, run.name)
 	}
-}
-
-// assertIdentical fails unless the two results agree on every field the
-// engines promise to reproduce bit-for-bit.
-func assertIdentical(t *testing.T, scalar, bitset *Result) {
-	t.Helper()
-	assertIdenticalNamed(t, scalar, bitset, "scalar", "bitset")
 }
 
 func assertIdenticalNamed(t *testing.T, a, b *Result, aName, bName string) {
@@ -179,7 +178,7 @@ func TestEngineEquivalenceCrashes(t *testing.T) {
 }
 
 // TestEngineAutoMatchesForced pins the auto engine to the same results
-// as both forced engines.
+// as every forced configuration.
 func TestEngineAutoMatchesForced(t *testing.T) {
 	g := graph.GNP(180, 0.5, rng.New(8))
 	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
@@ -190,9 +189,9 @@ func TestEngineAutoMatchesForced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, bitset := runBoth(t, g, mis.Spec{Name: mis.NameFeedback}, 11, Options{})
-	assertIdentical(t, auto, scalar)
-	assertIdentical(t, auto, bitset)
+	for _, run := range runAllEngines(t, g, mis.Spec{Name: mis.NameFeedback}, 11, Options{}) {
+		assertIdenticalNamed(t, auto, run.res, "auto", run.name)
+	}
 }
 
 // TestEngineAutoUpgradesToColumnar pins the auto heuristic: with a bulk
@@ -204,6 +203,9 @@ func TestEngineAutoUpgradesToColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := ResolveEngine(g, Options{Bulk: bulk}); got != EngineColumnar {
+		t.Fatalf("ResolveEngine = %v, want columnar", got)
+	}
 	auto, err := Run(g, factory, rng.New(11), Options{Engine: EngineAuto, Bulk: bulk})
 	if err != nil {
 		t.Fatal(err)
@@ -213,23 +215,30 @@ func TestEngineAutoUpgradesToColumnar(t *testing.T) {
 	}
 }
 
-// TestEngineColumnarRequiresBulk asserts the explicit rejection of a
-// columnar pin without a kernel, and of Shards misuse.
-func TestEngineColumnarRequiresBulk(t *testing.T) {
+// TestEngineColumnarWithoutBulk pins that a columnar pin without a
+// kernel — once refused — runs the per-node automata through the
+// adapter, identically to the reference loop, and that Shards misuse is
+// still refused.
+func TestEngineColumnarWithoutBulk(t *testing.T) {
 	g := graph.GNP(50, 0.5, rng.New(1))
 	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(g, factory, rng.New(1), Options{Engine: EngineColumnar})
-	if err == nil || !strings.Contains(err.Error(), "bulk kernel") {
-		t.Fatalf("columnar without Bulk: got err %v, want bulk-kernel rejection", err)
+	col, err := Run(g, factory, rng.New(1), Options{Engine: EngineColumnar})
+	if err != nil {
+		t.Fatalf("columnar without Bulk: %v", err)
 	}
+	ref, err := referenceRun(g, factory, rng.New(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalNamed(t, ref, col, "reference", "columnar-adapter")
 	if _, err := Run(g, factory, rng.New(1), Options{Shards: -1}); err == nil {
 		t.Fatal("negative Shards was silently accepted")
 	}
 	// The fixed-probability strawman has no kernel: NewFactories returns
-	// a nil bulk, and auto quietly stays per-node.
+	// a nil bulk, and every engine drives its automata.
 	fixedFactory, fixedBulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFixed, FixedP: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -237,24 +246,80 @@ func TestEngineColumnarRequiresBulk(t *testing.T) {
 	if fixedBulk != nil {
 		t.Fatal("fixed-probability algorithm unexpectedly has a bulk kernel; update this test")
 	}
-	if _, err := Run(g, fixedFactory, rng.New(1), Options{Engine: EngineAuto, Bulk: fixedBulk, MaxRounds: 200}); err != nil && !errors.Is(err, ErrTooManyRounds) {
-		t.Fatalf("auto with nil bulk: %v", err)
+	for _, engine := range []Engine{EngineAuto, EngineColumnar, EngineSparse} {
+		if _, err := Run(g, fixedFactory, rng.New(1), Options{Engine: engine, MaxRounds: 200}); err != nil && !errors.Is(err, ErrTooManyRounds) {
+			t.Fatalf("engine %v with nil bulk: %v", engine, err)
+		}
 	}
 }
 
-func TestEngineBitsetRejectsBeepLoss(t *testing.T) {
+// TestEngineBitsetRunsBeepLoss pins that beep loss runs under every
+// engine pin, the legacy bitset and scalar names included (the bitset
+// pin used to refuse it), with results identical to the reference.
+func TestEngineBitsetRunsBeepLoss(t *testing.T) {
 	g := graph.GNP(50, 0.5, rng.New(1))
 	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(g, factory, rng.New(1), Options{Engine: EngineBitset, BeepLoss: 0.1})
-	if err == nil || !strings.Contains(err.Error(), "BeepLoss") {
-		t.Fatalf("bitset engine with loss: got err %v, want BeepLoss rejection", err)
+	want, err := referenceRun(g, factory, rng.New(1), Options{BeepLoss: 0.1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Auto must silently fall back to scalar and succeed.
-	if _, err := Run(g, factory, rng.New(1), Options{Engine: EngineAuto, BeepLoss: 0.1}); err != nil {
-		t.Fatalf("auto engine with loss: %v", err)
+	for _, engine := range []Engine{EngineAuto, EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+		res, err := Run(g, factory, rng.New(1), Options{Engine: engine, BeepLoss: 0.1})
+		if err != nil {
+			t.Fatalf("engine %v with loss: %v", engine, err)
+		}
+		assertIdenticalNamed(t, want, res, "reference", engine.String())
+	}
+}
+
+// TestEngineEquivalenceBeepLoss runs the equivalence matrix under beep
+// loss, alone and composed with the features that change who emits
+// (persistent MIS beeps under wake-up) or what is heard afterwards
+// (channel noise).
+func TestEngineEquivalenceBeepLoss(t *testing.T) {
+	g := graph.GNP(150, 0.3, rng.New(5))
+	wakeSrc := rng.New(98)
+	wake := make([]int, g.N())
+	for v := range wake {
+		wake[v] = 1 + wakeSrc.Intn(12)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"dense", g, Options{BeepLoss: 0.3}},
+		{"sparse", graph.GNP(400, 0.01, rng.New(6)), Options{BeepLoss: 0.5}},
+		{"wake", g, Options{BeepLoss: 0.2, WakeAt: wake}},
+		{"noise", g, Options{BeepLoss: 0.2, Faults: &fault.Spec{Loss: 0.05, Spurious: 0.02}}},
+	} {
+		for seed := uint64(0); seed < 2; seed++ {
+			for _, spec := range []mis.Spec{{Name: mis.NameFeedback}, {Name: mis.NameGlobalSweep}} {
+				opts := tc.opts
+				opts.MaxRounds = 20000
+				assertAllIdentical(t, runAllEngines(t, tc.g, spec, seed, opts))
+			}
+		}
+	}
+}
+
+// TestRunEmptyGraphsUnderAuto pins the degenerate graphs: zero and one
+// nodes terminate under auto, with the lone node in the set.
+func TestRunEmptyGraphsUnderAuto(t *testing.T) {
+	for n := 0; n <= 1; n++ {
+		res, err := Run(graph.Empty(n), feedbackFactory(t), rng.New(3), Options{})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !res.Terminated || len(res.InMIS) != n || (n == 0 && res.Rounds != 0) {
+			t.Fatalf("n=%d: %+v", n, res)
+		}
+		if n == 1 && !res.InMIS[0] {
+			t.Fatal("lone node not in the set")
+		}
 	}
 }
 
@@ -305,10 +370,10 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// TestResolveEngine pins the auto heuristic's routing, including the
-// memory-budget fallback that used to degrade silently to the scalar
-// walk: above the matrix budget the sparse CSR engine now takes over,
-// and only a budget too small even for the edge array reaches scalar.
+// TestResolveEngine pins the auto heuristic's routing and the legacy
+// pins' canonical engines: the matrix when it fits the budget and the
+// graph is dense enough, the CSR otherwise — whatever the kernel, the
+// loss setting, or the CSR's own size.
 func TestResolveEngine(t *testing.T) {
 	_, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
@@ -322,18 +387,19 @@ func TestResolveEngine(t *testing.T) {
 		opts Options
 		want Engine
 	}{
-		{"pin wins", dense, Options{Engine: EngineScalar}, EngineScalar},
-		{"dense no kernel", dense, Options{}, EngineBitset},
+		{"pin wins", sparse, Options{Engine: EngineColumnar}, EngineColumnar},
+		{"scalar pin runs sparse", dense, Options{Engine: EngineScalar}, EngineSparse},
+		{"bitset pin runs columnar", sparse, Options{Engine: EngineBitset}, EngineColumnar},
+		{"dense no kernel", dense, Options{}, EngineColumnar},
 		{"dense kernel", dense, Options{Bulk: bulk}, EngineColumnar},
-		{"sparse under budget", sparse, Options{}, EngineScalar},
-		{"loss forces scalar", dense, Options{BeepLoss: 0.1}, EngineScalar},
-		// A 100 KB budget rejects dense's 500 KB matrix but admits its
-		// CSR edge array (≈ 2·10⁶ edges would not fit; 2000·0.5 ≈ 10⁶
-		// edges · 8 B ≈ 8 MB — so use the genuinely sparse graph).
-		{"over matrix budget", sparse, Options{MemoryBudget: 1 << 20}, EngineSparse},
-		// A budget below even the CSR bytes degrades to the scalar
-		// walk, which needs no extra representation.
-		{"over csr budget", sparse, Options{MemoryBudget: 1 << 10}, EngineScalar},
+		{"dense with loss", dense, Options{BeepLoss: 0.1}, EngineColumnar},
+		{"sparse under budget", sparse, Options{}, EngineSparse},
+		{"over matrix budget", dense, Options{MemoryBudget: 1 << 18}, EngineSparse},
+		// The budget gates only the matrix: the CSR is the smallest
+		// representation there is.
+		{"over csr budget", sparse, Options{MemoryBudget: 1 << 10}, EngineSparse},
+		{"empty", graph.Empty(0), Options{}, EngineSparse},
+		{"single node", graph.Empty(1), Options{}, EngineColumnar},
 	}
 	for _, tc := range tests {
 		if got := ResolveEngine(tc.g, tc.opts); got != tc.want {
@@ -344,7 +410,7 @@ func TestResolveEngine(t *testing.T) {
 
 // TestEngineAutoRoutesSparseOverBudget runs the over-budget auto path
 // end to end: the run must succeed without ever building the dense
-// matrix and stay bit-identical to the scalar reference.
+// matrix and stay bit-identical to the reference loop.
 func TestEngineAutoRoutesSparseOverBudget(t *testing.T) {
 	g := graph.GNP(3000, 0.004, rng.New(3))
 	opts := Options{MemoryBudget: 1 << 19} // matrix would need 1.1 MB
@@ -361,15 +427,16 @@ func TestEngineAutoRoutesSparseOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := Run(g, factory, rng.New(11), Options{Engine: EngineScalar})
+	ref, err := referenceRun(g, factory, rng.New(11), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNamed(t, scalar, auto, "scalar", "auto-sparse")
+	assertIdenticalNamed(t, ref, auto, "reference", "auto-sparse")
 }
 
 // TestEnginesUnderTraceHook checks the per-round snapshots agree between
-// engines, not just the final results.
+// the reference loop and every engine configuration, not just the final
+// results.
 func TestEnginesUnderTraceHook(t *testing.T) {
 	g := graph.GNP(90, 0.3, rng.New(4))
 	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
@@ -382,10 +449,9 @@ func TestEnginesUnderTraceHook(t *testing.T) {
 		probs  []float64
 		active int
 	}
-	capture := func(engine Engine) []roundView {
+	capture := func(run func(Options) (*Result, error)) []roundView {
 		var views []roundView
-		opts := Options{
-			Engine: engine,
+		_, err := run(Options{
 			OnRound: func(s Snapshot) {
 				views = append(views, roundView{
 					beeped: append([]bool(nil), s.Beeped...),
@@ -394,64 +460,36 @@ func TestEnginesUnderTraceHook(t *testing.T) {
 					active: s.Active,
 				})
 			},
-		}
-		if engine == EngineColumnar {
-			opts.Bulk = bulk
-		}
-		_, err := Run(g, factory, rng.New(21), opts)
+		})
 		if err != nil {
-			t.Fatalf("engine %v: %v", engine, err)
+			t.Fatal(err)
 		}
 		return views
 	}
-	sv, bv, cv := capture(EngineScalar), capture(EngineBitset), capture(EngineColumnar)
-	// The sparse engine's per-node adapter must report the same
-	// probabilities and snapshots as the scalar loop it wraps.
-	pv := capture(EngineSparse)
-	if len(sv) != len(pv) {
-		t.Fatalf("round counts differ: scalar %d, sparse %d", len(sv), len(pv))
-	}
-	for r := range sv {
-		if sv[r].active != pv[r].active {
-			t.Fatalf("round %d active differs: scalar %d, sparse %d", r+1, sv[r].active, pv[r].active)
-		}
-		for v := range sv[r].beeped {
-			if sv[r].beeped[v] != pv[r].beeped[v] || sv[r].states[v] != pv[r].states[v] {
-				t.Fatalf("round %d vertex %d snapshot differs (scalar vs sparse)", r+1, v)
+	want := capture(func(opts Options) (*Result, error) { return referenceRun(g, factory, rng.New(21), opts) })
+	for _, engine := range []Engine{EngineColumnar, EngineSparse} {
+		for _, kernel := range []beep.BulkFactory{nil, bulk} {
+			name := fmt.Sprintf("%v/kernel=%v", engine, kernel != nil)
+			got := capture(func(opts Options) (*Result, error) {
+				opts.Engine, opts.Bulk = engine, kernel
+				return Run(g, factory, rng.New(21), opts)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d rounds, reference %d", name, len(got), len(want))
 			}
-			if sv[r].probs[v] != pv[r].probs[v] {
-				t.Fatalf("round %d vertex %d probability differs: scalar %v, sparse %v",
-					r+1, v, sv[r].probs[v], pv[r].probs[v])
-			}
-		}
-	}
-	if len(sv) != len(cv) {
-		t.Fatalf("round counts differ: scalar %d, columnar %d", len(sv), len(cv))
-	}
-	for r := range sv {
-		if sv[r].active != cv[r].active {
-			t.Fatalf("round %d active differs: scalar %d, columnar %d", r+1, sv[r].active, cv[r].active)
-		}
-		for v := range sv[r].beeped {
-			if sv[r].beeped[v] != cv[r].beeped[v] || sv[r].states[v] != cv[r].states[v] {
-				t.Fatalf("round %d vertex %d snapshot differs (scalar vs columnar)", r+1, v)
-			}
-			if sv[r].probs[v] != cv[r].probs[v] {
-				t.Fatalf("round %d vertex %d probability differs: scalar %v, columnar %v",
-					r+1, v, sv[r].probs[v], cv[r].probs[v])
-			}
-		}
-	}
-	if len(sv) != len(bv) {
-		t.Fatalf("round counts differ: scalar %d, bitset %d", len(sv), len(bv))
-	}
-	for r := range sv {
-		if sv[r].active != bv[r].active {
-			t.Fatalf("round %d active differs: %d vs %d", r+1, sv[r].active, bv[r].active)
-		}
-		for v := range sv[r].beeped {
-			if sv[r].beeped[v] != bv[r].beeped[v] || sv[r].states[v] != bv[r].states[v] {
-				t.Fatalf("round %d vertex %d snapshot differs", r+1, v)
+			for r := range want {
+				if got[r].active != want[r].active {
+					t.Fatalf("%s: round %d active %d, reference %d", name, r+1, got[r].active, want[r].active)
+				}
+				for v := range want[r].beeped {
+					if got[r].beeped[v] != want[r].beeped[v] || got[r].states[v] != want[r].states[v] {
+						t.Fatalf("%s: round %d vertex %d snapshot differs from the reference", name, r+1, v)
+					}
+					if got[r].probs[v] != want[r].probs[v] {
+						t.Fatalf("%s: round %d vertex %d probability %v, reference %v",
+							name, r+1, v, got[r].probs[v], want[r].probs[v])
+					}
+				}
 			}
 		}
 	}

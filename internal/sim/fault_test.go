@@ -43,9 +43,10 @@ func faultSpecs() []struct {
 
 // TestEngineEquivalenceFaults is the engine×shards×faults matrix: every
 // fault-spec combination must produce bit-identical traces on the
-// scalar, bitset, columnar, and sparse engines (the sharded ones at
-// several shard counts) — the determinism contract that makes the fault
-// layer a semantic knob rather than an engine feature.
+// reference loop and on the columnar and sparse engines, with and
+// without a kernel, at several shard counts — the determinism contract
+// that makes the fault layer a semantic knob rather than an engine
+// feature.
 func TestEngineEquivalenceFaults(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -89,29 +90,29 @@ func TestFaultVerifierAgreesWithEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, ev := range engineVariants {
 		vf := fault.NewVerifier(g)
-		opts := Options{Engine: engine, Faults: spec, OnMISDelta: vf.ObserveRound}
-		if engine == EngineColumnar || engine == EngineSparse {
+		opts := Options{Engine: ev.engine, Faults: spec, OnMISDelta: vf.ObserveRound}
+		if ev.kernel {
 			opts.Bulk = bulk
 		}
 		res, err := Run(g, factory, rng.New(9), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
 		for v := range res.InMIS {
 			if res.InMIS[v] != vf.InMIS(v) {
-				t.Fatalf("%v: verifier membership diverges from the engine at node %d", engine, v)
+				t.Fatalf("%v: verifier membership diverges from the engine at node %d", ev, v)
 			}
 		}
 		if err := vf.Check(nil); err != nil {
-			t.Fatalf("%v: clean-channel adversarial run failed verification: %v", engine, err)
+			t.Fatalf("%v: clean-channel adversarial run failed verification: %v", ev, err)
 		}
 		if vf.LastChangeRound() == 0 || vf.LastChangeRound() > res.Rounds {
-			t.Fatalf("%v: rounds-to-stable %d outside (0, %d]", engine, vf.LastChangeRound(), res.Rounds)
+			t.Fatalf("%v: rounds-to-stable %d outside (0, %d]", ev, vf.LastChangeRound(), res.Rounds)
 		}
 		if err := graph.VerifyMIS(g, res.InMIS); err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
 	}
 }
@@ -192,36 +193,36 @@ func TestFaultResetRemovesMISMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, ev := range engineVariants {
 		var left []int
 		opts := Options{
-			Engine: engine,
+			Engine: ev.engine,
 			Faults: spec,
 			OnMISDelta: func(round int, joined, l []int) {
 				left = append(left, l...)
 			},
 		}
-		if engine == EngineColumnar || engine == EngineSparse {
+		if ev.kernel {
 			opts.Bulk = bulk
 		}
 		res, err := Run(g, factory, rng.New(2), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
 		// Node 1 joined alone (the only awake node), so the reset at
 		// round 15 must have revoked a membership; alone again, it
 		// rejoins, and the leaves waking at 30 get dominated.
 		if len(left) == 0 || left[0] != 1 {
-			t.Fatalf("%v: expected node 1 to leave the set on reset, left=%v", engine, left)
+			t.Fatalf("%v: expected node 1 to leave the set on reset, left=%v", ev, left)
 		}
 		// The run continues past the reset and still terminates; the
 		// final set must be a valid MIS (node 1 either rejoined or was
 		// dominated by a waking leaf).
 		if err := graph.VerifyMIS(g, res.InMIS); err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
 		if !res.Terminated {
-			t.Fatalf("%v: run did not terminate", engine)
+			t.Fatalf("%v: run did not terminate", ev)
 		}
 	}
 }
@@ -239,37 +240,37 @@ func TestFaultResetAfterConvergenceStillFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
+	for _, ev := range engineVariants {
 		var left []int
 		opts := Options{
-			Engine: engine,
+			Engine: ev.engine,
 			Faults: spec,
 			OnMISDelta: func(round int, joined, l []int) {
 				left = append(left, l...)
 			},
 		}
-		if engine == EngineColumnar || engine == EngineSparse {
+		if ev.kernel {
 			opts.Bulk = bulk
 		}
 		res, err := Run(g, factory, rng.New(4), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
 		if res.Rounds < 70 {
-			t.Fatalf("%v: run ended at round %d, before the scheduled reset at 70", engine, res.Rounds)
+			t.Fatalf("%v: run ended at round %d, before the scheduled reset at 70", ev, res.Rounds)
 		}
 		// Whatever node 0 was (member or dominated), the run survived the
 		// reset and re-converged to a valid MIS.
 		if !res.Terminated {
-			t.Fatalf("%v: not terminated", engine)
+			t.Fatalf("%v: not terminated", ev)
 		}
 		if err := graph.VerifyMIS(g, res.InMIS); err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
 		// If node 0 had joined before the outage, its departure must have
 		// been reported; either way the reset fired (rounds prove it).
 		if res.InMIS[0] && len(left) == 0 && res.Rounds < 70 {
-			t.Fatalf("%v: reset did not fire", engine)
+			t.Fatalf("%v: reset did not fire", ev)
 		}
 	}
 }
@@ -353,25 +354,24 @@ func TestFaultDownMISMemberSilent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reference *Result
-	for _, engine := range []Engine{EngineScalar, EngineBitset, EngineColumnar, EngineSparse} {
-		opts := Options{Engine: engine, Faults: spec}
-		if engine == EngineColumnar || engine == EngineSparse {
+	reference, err := referenceRun(g, factory, rng.New(3), Options{Faults: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0, alone and awake, joins within the first rounds; during its
+	// outage the persistent beep pauses.
+	if !reference.InMIS[0] {
+		t.Fatalf("node 0 should have joined before its outage, states %v", reference.States)
+	}
+	for _, ev := range engineVariants {
+		opts := Options{Engine: ev.engine, Faults: spec}
+		if ev.kernel {
 			opts.Bulk = bulk
 		}
 		res, err := Run(g, factory, rng.New(3), opts)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", ev, err)
 		}
-		if reference == nil {
-			reference = res
-			// Node 0, alone and awake, joins within the first rounds;
-			// during its outage the persistent beep pauses.
-			if !res.InMIS[0] {
-				t.Fatalf("node 0 should have joined before its outage, states %v", res.States)
-			}
-			continue
-		}
-		assertIdenticalNamed(t, reference, res, "scalar", engine.String())
+		assertIdenticalNamed(t, reference, res, "reference", ev.String())
 	}
 }

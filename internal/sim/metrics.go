@@ -8,13 +8,13 @@ import (
 
 // phaseClock accumulates one round's wall time into per-phase buckets
 // and flushes them to the run's EngineMetrics. With metrics disabled
-// (nil bundle) every method is a branch and a return — the round loops
-// call it unconditionally and pay nothing.
+// (nil bundle) every method is a branch and a return — the round loop
+// calls it unconditionally and pays nothing.
 //
 // The clock is a stack value inside the round loop: marking reads
 // time.Now (no allocation), the accumulator is a fixed array, and
 // flushing records into the bundle's lock-free histograms — so enabling
-// metrics preserves the engines' zero-steady-state-allocation guarantee
+// metrics preserves the round loop's zero-steady-state-allocation guarantee
 // (re-asserted by TestRoundLoopAllocations' metrics-enabled rows). No
 // method touches an rng stream, so results are bit-identical with
 // metrics on or off (asserted by TestMetricsDoNotPerturbResults).
@@ -53,7 +53,7 @@ func (c *phaseClock) mark(p obs.Phase) {
 }
 
 // move reattributes ns of the current round from one phase to another —
-// how the columnar loop splits the separately-timed beep tally out of
+// how the round loop splits the separately-timed beep tally out of
 // the eligible-draw wall time without a second clock read in the hot
 // path.
 //

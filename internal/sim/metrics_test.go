@@ -44,9 +44,10 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 }
 
 // TestEngineMetricsRecording asserts the bundle's bookkeeping is
-// internally consistent after real runs on every engine: round and run
-// counts match the Result, every phase histogram saw every round, and
-// the frontier totals match the run's emission accounting.
+// internally consistent after real runs under every engine pin, the
+// legacy names included: round and run counts match the Result, every
+// phase histogram saw every round, and the frontier totals match the
+// run's emission accounting.
 func TestEngineMetricsRecording(t *testing.T) {
 	g := graph.GNP(300, 0.03, rng.New(5))
 	for _, tc := range []struct {
@@ -92,15 +93,12 @@ func TestEngineMetricsRecording(t *testing.T) {
 			if res.TotalBeeps > 0 && m.PropagateBits.Value() == 0 {
 				t.Fatal("beeps were emitted but no delivered bits recorded")
 			}
-			// Non-fused engines attribute real time to the draw phase.
 			if m.Phase[obs.PhaseEligibleDraw].Sum() == 0 {
 				t.Fatal("eligible_draw phase recorded zero total time")
 			}
-			if tc.engine == EngineColumnar || tc.engine == EngineSparse {
-				plans := m.PushExchanges.Value() + m.PullExchanges.Value()
-				if want := uint64(2 * res.Rounds); plans != want {
-					t.Fatalf("%d exchange plans recorded, want %d (two per round)", plans, want)
-				}
+			plans := m.PushExchanges.Value() + m.PullExchanges.Value()
+			if want := uint64(2 * res.Rounds); plans != want {
+				t.Fatalf("%d exchange plans recorded, want %d (two per round)", plans, want)
 			}
 			totals := m.PhaseTotals()
 			if len(totals) != int(obs.PhaseCount) {

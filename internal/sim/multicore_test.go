@@ -14,7 +14,7 @@ import (
 // TestEngineEquivalenceMultiCore is the parallel-correctness matrix:
 // under GOMAXPROCS > 1 — where sharded phases genuinely interleave and
 // a races-on-shared-state bug could actually fire — the columnar and
-// sparse engines must stay bit-identical to the scalar reference at
+// sparse engines must stay bit-identical to the reference loop at
 // every shard count, including deliberately racy ones (3 does not
 // divide the word count evenly; 2×GOMAXPROCS oversubscribes the
 // cores). The graphs are big enough (n > drawShardMinNodes) that the
@@ -42,6 +42,7 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 		{"crashes", Options{CrashAtRound: crashes}},
 		{"staggered-wake", Options{Faults: &fault.Spec{Wake: &fault.Wake{Kind: "uniform", Window: 12}}}},
 		{"noisy", Options{Faults: &fault.Spec{Loss: 0.03, Spurious: 0.01}}},
+		{"beep-loss", Options{BeepLoss: 0.1}},
 		{"outages-reset", Options{Faults: &fault.Spec{Outages: []fault.Outage{
 			{Node: 17, From: 4, For: 3},
 			{Node: 4321, From: 6, For: 5, Reset: true},
@@ -62,8 +63,7 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := variant.opts
-				opts.Engine = EngineScalar
-				ref, err := Run(tg.g, factory, rng.New(5), opts)
+				ref, err := referenceRun(tg.g, factory, rng.New(5), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						assertIdenticalNamed(t, ref, res, "scalar", name)
+						assertIdenticalNamed(t, ref, res, "reference", name)
 					}
 				}
 			})

@@ -21,12 +21,13 @@ import (
 // measured path without compile-time coverage. Change this list only
 // together with the annotation and the alloc tests.
 var noallocAnnotated = []string{
-	// columnar round-loop phases, driven every round by runColumnar
-	// under both the columnar and sparse engines.
+	// round-loop phases, driven every round by runColumnar under both
+	// the columnar and sparse engines (loseBeeps by the beep-loss rows).
 	"*columnarLoop.beepShard",
 	"*columnarLoop.drawBeeps",
 	"*columnarLoop.exchange",
 	"*columnarLoop.exchangeShard",
+	"*columnarLoop.loseBeeps",
 	"*columnarLoop.observe",
 	"*columnarLoop.observeShard",
 	"*columnarLoop.runPool",

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"beepmis/internal/beep"
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
+	"beepmis/internal/obs"
 	"beepmis/internal/rng"
 )
 
@@ -124,5 +126,87 @@ func TestFeedbackProbabilityDynamics(t *testing.T) {
 	}
 	if !(meanPLater < meanPFirst) {
 		t.Fatalf("mean p did not fall under collisions: round1=%.3f round4=%.3f", meanPFirst, meanPLater)
+	}
+}
+
+// loudAutomaton beeps every step.
+type loudAutomaton struct{}
+
+func (loudAutomaton) Beep(*rng.Source) bool { return true }
+func (loudAutomaton) Observe(beep.Outcome)  {}
+
+// TestBeepLossDrawDistribution checks the beep-loss draw against
+// per-edge loss: a listener with k emitting neighbours must hear
+// nothing with probability L^k. Node 0 is the centre of a star K_{1,k}
+// and every node beeps in round 1, so node 0 joins in that round
+// exactly when all k of its neighbours' beeps are lost. Over 2,000
+// seeded one-round runs per (k, L), the join frequency must lie within
+// 5σ of L^k on the reference loop, the columnar engine, and the sparse
+// engine with its first exchange pushed and pulled. Padding steers the
+// sparse plan: a ten-node clique makes pulling cheaper, and 200
+// dormant isolated nodes make pushing cheaper; neither touches node 0.
+func TestBeepLossDrawDistribution(t *testing.T) {
+	const runs = 2000
+	factory := func(beep.NodeInfo) beep.Automaton { return loudAutomaton{} }
+	for _, k := range []int{1, 2, 4, 8} {
+		star := func(extra int) *graph.Builder {
+			b := graph.NewBuilder(k + 1 + extra)
+			for leaf := 1; leaf <= k; leaf++ {
+				b.AddEdge(0, leaf)
+			}
+			return b
+		}
+		pullB := star(10)
+		for u := k + 1; u < k+11; u++ {
+			for v := u + 1; v < k+11; v++ {
+				pullB.AddEdge(u, v)
+			}
+		}
+		pullG, pushG := pullB.Build(), star(200).Build()
+		dormant := make([]int, pushG.N())
+		for v := k + 1; v < len(dormant); v++ {
+			dormant[v] = 2
+		}
+		configs := []struct {
+			name string
+			g    *graph.Graph
+			opts Options
+			pull bool // the sparse engine must pull (true) or push (false) the first exchange
+		}{
+			{"reference", pullG, Options{}, false},
+			{"columnar", pullG, Options{Engine: EngineColumnar}, false},
+			{"sparse-pull", pullG, Options{Engine: EngineSparse}, true},
+			{"sparse-push", pushG, Options{Engine: EngineSparse, WakeAt: dormant}, false},
+		}
+		for _, loss := range []float64{0.1, 0.5} {
+			want := math.Pow(loss, float64(k))
+			bound := 5 * math.Sqrt(want*(1-want)/runs)
+			for _, tc := range configs {
+				m := &obs.EngineMetrics{}
+				opts := tc.opts
+				opts.BeepLoss, opts.MaxRounds, opts.Shards, opts.Metrics = loss, 1, 1, m
+				deaf := 0
+				for seed := uint64(0); seed < runs; seed++ {
+					run := Run
+					if tc.name == "reference" {
+						run = referenceRun
+					}
+					res, err := run(tc.g, factory, rng.New(seed), opts)
+					if err != nil && !errors.Is(err, ErrTooManyRounds) {
+						t.Fatalf("%s k=%d: %v", tc.name, k, err)
+					}
+					if res.InMIS[0] {
+						deaf++
+					}
+				}
+				if got := float64(deaf) / runs; math.Abs(got-want) > bound {
+					t.Errorf("%s k=%d L=%v: listener heard nothing in %.4f of rounds, want %.4f ± %.4f (5σ)",
+						tc.name, k, loss, got, want, bound)
+				}
+				if tc.opts.Engine == EngineSparse && (m.PullExchanges.Value() > 0) != tc.pull {
+					t.Fatalf("%s k=%d: %d pulled exchanges, want pull=%v", tc.name, k, m.PullExchanges.Value(), tc.pull)
+				}
+			}
+		}
 	}
 }

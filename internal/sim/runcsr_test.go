@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"beepmis/internal/fault"
@@ -13,7 +15,8 @@ import (
 // TestRunCSREquivalence is RunCSR's contract test: for every engine and
 // shard count, RunCSR(c, …) must be bit-identical to Run over the
 // adjacency view of the same CSR — the sparse path runs the CSR
-// directly, the rest delegate, and neither may change a single field.
+// directly, the columnar one builds its matrix from the view, and
+// neither may change a single field.
 func TestRunCSREquivalence(t *testing.T) {
 	c, err := graph.RMATCSR(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
 	if err != nil {
@@ -77,7 +80,7 @@ func TestRunCSRFaults(t *testing.T) {
 		Spurious: 0.01,
 		Wake:     &fault.Wake{Kind: fault.WakeDegree, Window: 6},
 	}
-	opts := Options{Engine: EngineSparse, Shards: 2, Bulk: bulk, Faults: fs}
+	opts := Options{Engine: EngineSparse, Shards: 2, Bulk: bulk, BeepLoss: 0.1, Faults: fs}
 	want, err := Run(graph.FromCSR(c), factory, rng.New(9), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +105,7 @@ func TestRunCSRValidation(t *testing.T) {
 		{BeepLoss: 1},
 		{Shards: -1},
 		{MemoryBudget: -1},
-		{Engine: EngineSparse, BeepLoss: 0.5},
+		{Engine: Engine(99)},
 		{WakeAt: []int{1, 1}}, // wrong length for n=4
 		{CrashAtRound: map[int][]int{1: {99}}},
 	}
@@ -110,5 +113,31 @@ func TestRunCSRValidation(t *testing.T) {
 		if _, err := RunCSR(c, factory, rng.New(1), opts); err == nil {
 			t.Errorf("case %d: invalid options %+v did not error", i, opts)
 		}
+	}
+}
+
+// TestBeepLossNodeBound: beep loss packs node ids into 21 bits of its
+// stream ids, like channel noise, so a lossy run on a wider graph is
+// refused up front with the bound named — and a loss-free run on the
+// same graph is not.
+func TestBeepLossNodeBound(t *testing.T) {
+	b := graph.NewCSRBuilder(fault.MaxChannelNodes + 1)
+	if err := b.FinishCounts(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.Finish(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunCSR(c, factory, rng.New(1), Options{BeepLoss: 0.1, Bulk: bulk})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(fault.MaxChannelNodes)) {
+		t.Fatalf("beep loss on %d nodes: err %v, want the %d-node bound named", c.N(), err, fault.MaxChannelNodes)
+	}
+	if _, err := RunCSR(c, factory, rng.New(1), Options{MaxRounds: 1, Bulk: bulk}); err != nil && !errors.Is(err, ErrTooManyRounds) {
+		t.Fatalf("loss-free run on %d nodes: %v", c.N(), err)
 	}
 }

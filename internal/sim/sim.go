@@ -6,26 +6,27 @@
 // joins the MIS and announces it, and the announcement deactivates its
 // neighbours.
 //
-// The simulator additionally supports fault injection (independent beep
-// loss on the first exchange, node crashes at chosen rounds) and a
-// per-round trace hook, used by the robustness experiments and the
-// visualising examples.
+// The simulator additionally supports fault injection (independent
+// per-edge beep loss on the first exchange, node crashes at chosen
+// rounds, and the channel noise, wake-up schedules and outages of
+// internal/fault) and a per-round trace hook, used by the robustness
+// experiments and the visualising examples.
 //
-// Three interchangeable engines execute the time step: a scalar engine
-// that walks adjacency lists edge-by-edge, a word-parallel bitset
-// engine that ORs packed adjacency rows (64 listeners per machine
-// operation) under the per-node round loop, and a columnar engine that
-// additionally runs the algorithm itself as a bulk kernel over packed
-// per-node state and shards propagation across cores. Options.Engine
-// selects one; EngineAuto (the default) picks by graph density, size,
-// and kernel availability. Engines are bit-identical in their results —
-// only the wall clock differs.
+// One round loop executes the time step on packed words: node masks are
+// bitsets, the algorithm runs as a bulk kernel over packed per-node
+// state (or through an adapter over its per-node automata), and both
+// exchanges are sharded across cores. Two engines choose the adjacency
+// representation it reads: the dense packed matrix (EngineColumnar, 64
+// listeners per machine operation) or the CSR edge arrays
+// (EngineSparse, memory linear in the edges). Options.Engine selects
+// one; EngineAuto (the default) picks by graph density and size.
+// Engines are bit-identical in their results — only the wall clock and
+// the memory differ.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"beepmis/internal/beep"
@@ -40,11 +41,6 @@ import (
 // memory, so hitting it indicates a genuinely non-terminating schedule
 // (e.g. a badly tuned fixed-probability strawman).
 const DefaultMaxRounds = 1 << 20
-
-// faultStreamID is the rng stream used for fault injection. Node streams
-// use ids [0, n); this id is far outside any representable node index, so
-// enabling faults never perturbs node randomness.
-const faultStreamID = uint64(1) << 40
 
 // ErrTooManyRounds is wrapped in the error returned by Run when the round
 // limit is reached before every node terminates.
@@ -73,15 +69,16 @@ type Snapshot struct {
 type Options struct {
 	// MaxRounds caps the number of time steps; 0 means DefaultMaxRounds.
 	MaxRounds int
-	// Engine selects the exchange implementation (see Engine). The
-	// default, EngineAuto, picks the fastest applicable engine on
-	// graphs dense enough for word-parallel delivery to win. Results
-	// are identical for every engine on a given seed.
+	// Engine selects the adjacency representation (see Engine). The
+	// default, EngineAuto, takes the dense matrix on graphs dense
+	// enough for word-parallel delivery to win and the CSR otherwise.
+	// Results are identical for every engine on a given seed.
 	Engine Engine
 	// Bulk, if non-nil, supplies the algorithm's columnar kernel — all
-	// nodes' state as packed arrays (see beep.BulkAutomaton). Required
-	// by EngineColumnar; EngineAuto upgrades to the columnar engine
-	// when it is present. Ignored by the per-node engines.
+	// nodes' state as packed arrays (see beep.BulkAutomaton). When nil,
+	// the round loop drives the factory's per-node automata through an
+	// adapter with bit-identical results, so every algorithm runs on
+	// every engine; the kernel is only faster.
 	Bulk beep.BulkFactory
 	// Shards bounds the goroutines the columnar and sparse engines fan
 	// propagation out to, partitioned by destination word ranges. 0
@@ -89,17 +86,21 @@ type Options struct {
 	// Results are bit-identical for every value — workers own disjoint
 	// destination words and OR is order-independent.
 	Shards int
-	// MemoryBudget caps the bytes EngineAuto will spend on an adjacency
-	// representation: the packed matrix is taken only when it fits, the
-	// CSR form only when its edge array does. 0 means
-	// DefaultMemoryBudget (2 GiB). Explicit engine pins ignore it — the
-	// caller knows their machine.
+	// MemoryBudget caps the bytes EngineAuto will spend on the packed
+	// matrix: it is taken only when it fits, and the CSR otherwise. 0
+	// means DefaultMemoryBudget (2 GiB). Explicit engine pins ignore it
+	// — the caller knows their machine.
 	MemoryBudget int64
 	// BeepLoss is the probability that a given neighbour fails to hear a
-	// given beep in the first exchange (each beeper→listener pair drawn
-	// independently). Join announcements (second exchange) are assumed
-	// reliable, so domination stays safe; what loss can break is
-	// *independence*, which the ablate-loss experiment quantifies.
+	// given beep in the first exchange (each beeper→listener pair lost
+	// independently, persistent MIS beeps included). A listener with k
+	// emitting neighbours therefore hears with probability 1 − BeepLoss^k,
+	// which is how every engine draws it: one uniform per (listener,
+	// round) from the fault layer (fault.BeepLoss), before any channel
+	// noise. Join announcements (second exchange) are assumed reliable,
+	// so domination stays safe; what loss can break is *independence*,
+	// which the ablate-loss experiment quantifies. Must be in [0, 1);
+	// non-zero values support at most fault.MaxChannelNodes nodes.
 	BeepLoss float64
 	// CrashAtRound lists nodes to crash at the start of the given
 	// (1-based) round. Crashed nodes stop participating entirely.
@@ -116,13 +117,12 @@ type Options struct {
 	// channel noise (loss and spurious beeps), adversarial wake-up
 	// schedules (which resolve into WakeAt before the round loop; a
 	// spec wake and an explicit WakeAt together are an error), and
-	// transient outages with resume-or-reset recovery. Unlike the
-	// legacy per-edge BeepLoss, every fault feature is engine-agnostic:
-	// all randomness is drawn from dedicated per-(node, round) streams,
-	// so the four engines stay bit-identical under any spec and any
-	// shard count. Outages and persistent MIS behaviour compose: while
-	// any outage schedule is present, MIS members beep and re-announce
-	// persistently (as under wake-up), except while themselves down.
+	// transient outages with resume-or-reset recovery. All randomness
+	// is drawn from dedicated per-(node, round) streams, so the engines
+	// stay bit-identical under any spec and any shard count. Outages
+	// and persistent MIS behaviour compose: while any outage schedule
+	// is present, MIS members beep and re-announce persistently (as
+	// under wake-up), except while themselves down.
 	Faults *fault.Spec
 	// Metrics, if non-nil, receives the run's instrumentation: per-phase
 	// wall time, frontier sizes, exchange decisions, and shard balance
@@ -130,7 +130,7 @@ type Options struct {
 	// runs — every record operation is a lock-free atomic. Recording
 	// never draws from an rng stream and never allocates, so enabling
 	// metrics changes neither the results (bit-identical, all engines)
-	// nor the round loops' steady-state allocation profile.
+	// nor the round loop's steady-state allocation profile.
 	Metrics *obs.EngineMetrics
 	// OnRound, if non-nil, is called after every time step.
 	OnRound func(Snapshot)
@@ -181,8 +181,59 @@ func (r *Result) MeanBeepsPerNode() float64 {
 // ErrTooManyRounds if the round cap is hit; the partial Result is still
 // returned alongside it for inspection.
 func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options) (*Result, error) {
-	if opts.BeepLoss < 0 || opts.BeepLoss >= 1 {
-		return nil, fmt.Errorf("sim: beep loss %v outside [0,1)", opts.BeepLoss)
+	r, err := prepare(g, factory, master, opts)
+	if err != nil {
+		return nil, err
+	}
+	if r.engine == EngineColumnar {
+		return runColumnar(r, g.Matrix())
+	}
+	return runColumnar(r, g.CSR())
+}
+
+// topology is the graph view the round loop reads at setup: a node
+// count, per-node degrees, the maximum degree, and (for engine
+// selection) the edge count. Both *graph.Graph and *graph.CSR satisfy
+// it, which is what lets RunCSR run a direct-to-CSR graph without a
+// backing Graph — everything else the loop touches goes through the
+// bulkPropagator.
+type topology interface {
+	N() int
+	M() int
+	Degree(v int) int
+	MaxDegree() int
+}
+
+var (
+	_ topology = (*graph.Graph)(nil)
+	_ topology = (*graph.CSR)(nil)
+)
+
+// preparedRun is a run whose options have passed validation: the
+// engine resolved, wake schedules resolved into opts.WakeAt, the fault
+// spec compiled into a plan, and a bulk kernel chosen. Only the
+// adjacency representation is left for the caller to supply.
+type preparedRun struct {
+	g         topology
+	master    *rng.Source
+	opts      Options
+	engine    Engine // EngineColumnar or EngineSparse
+	maxRounds int
+	bulk      beep.BulkFactory
+	loss      *fault.BeepLoss // nil without beep loss
+	plan      *faultPlan
+}
+
+// prepare is the prelude Run and RunCSR share: it validates opts
+// against g — beep loss, shards, budget, the engine, WakeAt, crashes
+// and the fault spec — resolves the engine and any declarative wake
+// schedule, and substitutes the per-node adapter when the algorithm
+// has no kernel.
+func prepare(g topology, factory beep.Factory, master *rng.Source, opts Options) (*preparedRun, error) {
+	n := g.N()
+	loss, err := fault.NewBeepLoss(opts.BeepLoss, n)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("sim: Shards %d negative (0 = GOMAXPROCS, 1 = serial)", opts.Shards)
@@ -190,30 +241,14 @@ func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options)
 	if opts.MemoryBudget < 0 {
 		return nil, fmt.Errorf("sim: MemoryBudget %d negative (0 = default %d bytes)", opts.MemoryBudget, DefaultMemoryBudget)
 	}
-	engine := opts.Engine
-	switch engine {
-	case EngineAuto:
-		engine = ResolveEngine(g, opts)
-	case EngineScalar:
-	case EngineBitset, EngineColumnar, EngineSparse:
-		if opts.BeepLoss > 0 {
-			// Loss is drawn per (beeper, listener) edge in adjacency
-			// order; a word-parallel exchange has no per-edge step to
-			// draw it in, so the combination is refused rather than
-			// silently changing the random sequence.
-			return nil, fmt.Errorf("sim: engine %v does not support BeepLoss (use scalar or auto)", engine)
-		}
-		if engine == EngineColumnar && opts.Bulk == nil {
-			return nil, fmt.Errorf("sim: engine %v requires a bulk kernel (Options.Bulk); the algorithm may not have one", engine)
-		}
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %v", engine)
+	engine := resolveEngine(opts.Engine, n, g.M(), opts.MemoryBudget)
+	if engine != EngineColumnar && engine != EngineSparse {
+		return nil, fmt.Errorf("sim: unknown engine %v", opts.Engine)
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	n := g.N()
 	if opts.WakeAt != nil && len(opts.WakeAt) != n {
 		return nil, fmt.Errorf("sim: WakeAt has %d entries for %d nodes", len(opts.WakeAt), n)
 	}
@@ -243,294 +278,11 @@ func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options)
 			opts.WakeAt = fault.ResolveWake(fs.Wake, g, master)
 		}
 	}
-	plan := newFaultPlan(fs)
-	if engine == EngineColumnar || engine == EngineSparse {
-		// Same packed round loop, two adjacency backends: dense matrix
-		// rows for the columnar engine, CSR edge arrays for the sparse
-		// one. The sparse engine additionally runs kernel-less
-		// algorithms by driving the per-node automata through the
-		// adapter kernel, which draws from the same per-node streams in
-		// the same order as the scalar loop.
-		var prop bulkPropagator
-		bulkFactory := opts.Bulk
-		if engine == EngineSparse {
-			prop = g.CSR()
-			if bulkFactory == nil {
-				bulkFactory = perNodeBulkFactory(factory)
-			}
-		} else {
-			prop = g.Matrix()
-		}
-		return runColumnar(g, master, opts, maxRounds, prop, bulkFactory, plan)
+	bulk := opts.Bulk
+	if bulk == nil {
+		bulk = perNodeBulkFactory(factory)
 	}
-	wake := opts.WakeAt
-	maxDeg := g.MaxDegree()
-
-	autos := make([]beep.Automaton, n)
-	streams := make([]*rng.Source, n)
-	for v := 0; v < n; v++ {
-		autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: maxDeg})
-		streams[v] = master.Stream(uint64(v))
-	}
-	var faultSrc *rng.Source
-	if opts.BeepLoss > 0 {
-		faultSrc = master.Stream(faultStreamID)
-	}
-
-	res := &Result{
-		InMIS:  make([]bool, n),
-		States: make([]beep.State, n),
-		Beeps:  make([]int, n),
-	}
-	for v := range res.States {
-		res.States[v] = beep.StateActive
-	}
-	active := n
-
-	beeped := make([]bool, n)
-	heard := make([]bool, n)
-	joined := make([]bool, n)
-	neighborJoined := make([]bool, n)
-	var prop propagator = scalarPropagator{g}
-	if engine == EngineBitset {
-		prop = newBitsetPropagator(g)
-	}
-	// Persistent MIS beeping/re-announcing is needed whenever a node can
-	// arrive late to an established set: staggered wake-up, and outages
-	// (a node down during its neighbour's announcement misses the
-	// domination and must be able to catch up after recovering).
-	var persist, emit []bool
-	if wake != nil || plan.outages() {
-		persist = make([]bool, n)
-		emit = make([]bool, n) // scratch emitter mask: beeped/joined ∪ persist
-	}
-	// down overlays the lifecycle states with transient outages; a down
-	// node neither beeps, hears, nor observes, whatever its state.
-	var down []bool
-	if plan.outages() {
-		down = make([]bool, n)
-	}
-	awake := func(v, round int) bool { return wake == nil || round >= wake[v] }
-	up := func(v int) bool { return down == nil || !down[v] }
-	var probs []float64 // lazily allocated snapshot buffer
-	// MIS-delta scratch for the OnMISDelta hook (and reset bookkeeping).
-	var joinedDelta, leftDelta []int
-	metrics := opts.Metrics
-	clock := phaseClock{m: metrics}
-
-	for round := 1; (active > 0 || plan.keepAlive(round)) && round <= maxRounds; round++ {
-		res.Rounds = round
-		clock.start()
-		prevBeeps, prevPersist := res.TotalBeeps, res.PersistentBeeps
-		// Fault injection: crashes take effect before the exchange.
-		// (Entries are range- and duplicate-checked up front; a listed
-		// node that already terminated is a no-op.)
-		for _, v := range opts.CrashAtRound[round] {
-			if res.States[v] == beep.StateActive {
-				res.States[v] = beep.StateCrashed
-				active--
-			}
-		}
-		// Outage recoveries, then fresh downs (in that order, so a
-		// back-to-back outage pair keeps the node down through the
-		// boundary round while still applying the recovery semantics).
-		leftDelta = leftDelta[:0]
-		if plan.outages() {
-			for _, v := range plan.resumeAt[round] {
-				down[v] = false
-			}
-			for _, v := range plan.resetAt[round] {
-				down[v] = false
-				// Reset recovery: the node comes back as a freshly
-				// started active competitor, whatever it was before. A
-				// departing MIS member is reported to the delta hook —
-				// its dominated neighbours stay dominated (they cannot
-				// know), which is exactly the transient maximality hole
-				// fault.Verifier measures.
-				switch res.States[v] {
-				case beep.StateInMIS:
-					res.States[v] = beep.StateActive
-					res.InMIS[v] = false
-					active++
-					leftDelta = append(leftDelta, v)
-				case beep.StateDominated:
-					res.States[v] = beep.StateActive
-					active++
-				}
-				autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: maxDeg})
-			}
-			for _, v := range plan.startAt[round] {
-				down[v] = true
-			}
-		}
-		clock.mark(obs.PhaseFaults)
-		// First exchange: draw beeps (dormant and down nodes neither
-		// beep nor later observe).
-		for v := 0; v < n; v++ {
-			beeped[v] = awake(v, round) && up(v) && res.States[v] == beep.StateActive && autos[v].Beep(streams[v])
-			heard[v] = false
-			joined[v] = false
-			neighborJoined[v] = false
-			if beeped[v] {
-				res.Beeps[v]++
-				res.TotalBeeps++
-			}
-		}
-		// The per-node engines fuse the beep tally into the draw loop, so
-		// the whole section is eligible_draw and beep_tally records zero.
-		clock.mark(obs.PhaseEligibleDraw)
-		// With wake-up scheduling or outages, established MIS members
-		// keep beeping so late arrivals can never perceive silence next
-		// to them — except while themselves down.
-		if persist != nil {
-			for v := 0; v < n; v++ {
-				persist[v] = res.States[v] == beep.StateInMIS && up(v)
-				if persist[v] {
-					res.PersistentBeeps++
-				}
-			}
-		}
-		// Propagate beeps to neighbours (with optional loss per listener).
-		emitters := beeped
-		if persist != nil {
-			for v := 0; v < n; v++ {
-				emit[v] = beeped[v] || persist[v]
-			}
-			emitters = emit
-		}
-		if faultSrc != nil {
-			// Lossy exchange: fault draws happen per (beeper, listener)
-			// edge in adjacency order, so this path is scalar by
-			// construction (EngineBitset refuses BeepLoss).
-			for v := 0; v < n; v++ {
-				if !emitters[v] {
-					continue
-				}
-				for _, w := range g.Neighbors(v) {
-					if faultSrc.Bernoulli(opts.BeepLoss) {
-						continue
-					}
-					heard[w] = true
-				}
-			}
-		} else {
-			prop.propagate(emitters, heard)
-		}
-		if metrics != nil {
-			metrics.Frontier.Observe(int64(res.TotalBeeps - prevBeeps + res.PersistentBeeps - prevPersist))
-			delivered := 0
-			for _, h := range heard {
-				if h {
-					delivered++
-				}
-			}
-			metrics.PropagateBits.Add(uint64(delivered))
-		}
-		clock.mark(obs.PhasePropagate)
-		// Channel noise: each eligible listener's heard bit passes
-		// through the lossy/spurious channel, drawn from that
-		// (node, round)'s own stream — identical on every engine.
-		if plan != nil && plan.channel != nil {
-			for v := 0; v < n; v++ {
-				if res.States[v] == beep.StateActive && awake(v, round) && up(v) {
-					heard[v] = plan.channel.Hears(master, round, v, heard[v])
-				}
-			}
-			clock.mark(obs.PhaseFaults)
-		}
-		// Join rule: beeped into (perceived) silence.
-		for v := 0; v < n; v++ {
-			if beeped[v] && !heard[v] {
-				joined[v] = true
-			}
-		}
-		// Second exchange: join announcements (reliable). Persistent MIS
-		// members re-announce so nodes waking later still get dominated.
-		for v := 0; v < n; v++ {
-			if joined[v] && g.Degree(v) > 0 {
-				res.JoinAnnouncements++
-			}
-		}
-		announcers := joined
-		if persist != nil {
-			for v := 0; v < n; v++ {
-				emit[v] = joined[v] || persist[v]
-			}
-			announcers = emit
-		}
-		prop.propagate(announcers, neighborJoined)
-		if metrics != nil {
-			delivered := 0
-			for _, h := range neighborJoined {
-				if h {
-					delivered++
-				}
-			}
-			metrics.PropagateBits.Add(uint64(delivered))
-		}
-		clock.mark(obs.PhaseJoin)
-		// State transitions and feedback (down nodes observe nothing and
-		// cannot be dominated — they did not hear the announcement).
-		for v := 0; v < n; v++ {
-			if res.States[v] != beep.StateActive || !awake(v, round) || !up(v) {
-				continue
-			}
-			switch {
-			case joined[v]:
-				res.States[v] = beep.StateInMIS
-				res.InMIS[v] = true
-				active--
-			case neighborJoined[v]:
-				res.States[v] = beep.StateDominated
-				active--
-			default:
-				autos[v].Observe(beep.Outcome{
-					Beeped:         beeped[v],
-					Heard:          heard[v],
-					NeighborJoined: neighborJoined[v],
-				})
-			}
-		}
-		clock.mark(obs.PhaseObserve)
-		clock.flush()
-		if opts.OnMISDelta != nil {
-			joinedDelta = joinedDelta[:0]
-			for v := 0; v < n; v++ {
-				if joined[v] {
-					joinedDelta = append(joinedDelta, v)
-				}
-			}
-			if len(joinedDelta) > 0 || len(leftDelta) > 0 {
-				opts.OnMISDelta(round, joinedDelta, leftDelta)
-			}
-		}
-		if opts.OnRound != nil {
-			if probs == nil {
-				probs = make([]float64, n)
-			}
-			for v := 0; v < n; v++ {
-				switch {
-				case res.States[v] != beep.StateActive:
-					probs[v] = 0
-				default:
-					if pr, ok := autos[v].(beep.ProbabilityReporter); ok {
-						probs[v] = pr.BeepProbability()
-					} else {
-						probs[v] = math.NaN()
-					}
-				}
-			}
-			opts.OnRound(Snapshot{Round: round, States: res.States, Beeped: beeped, Probabilities: probs, Active: active})
-		}
-	}
-	res.Terminated = active == 0
-	if metrics != nil {
-		metrics.Runs.Inc()
-	}
-	if !res.Terminated {
-		return res, fmt.Errorf("%w: %d nodes still active after %d rounds", ErrTooManyRounds, active, maxRounds)
-	}
-	return res, nil
+	return &preparedRun{g: g, master: master, opts: opts, engine: engine, maxRounds: maxRounds, bulk: bulk, loss: loss, plan: newFaultPlan(fs)}, nil
 }
 
 // ValidateCrashes rejects malformed Options.CrashAtRound schedules up

@@ -8,10 +8,10 @@ import (
 	"beepmis/internal/rng"
 )
 
-// bulkPropagator delivers one exchange for the columnar round loop:
-// dst becomes the union of the adjacency rows of every vertex in
-// emitters — required to be correct at least at the bits in targets,
-// the only ones the round loop reads — with the destination word range
+// bulkPropagator delivers one exchange for the round loop: dst
+// becomes the union of the adjacency rows of every vertex in emitters
+// — required to be correct at least at the bits in targets, the only
+// ones the round loop reads — with the destination word range
 // partitioned across up to `shards` goroutines. Both adjacency
 // representations satisfy it: *graph.AdjacencyMatrix (dense packed
 // rows, the columnar engine) always pushes, *graph.CSR (sorted edge
@@ -25,6 +25,9 @@ type bulkPropagator interface {
 	// pool instead of paying goroutine spawns per exchange per round.
 	PlanExchange(targets, emitters graph.Bitset, shards int) graph.ExchangePlan
 	ExchangeRange(p graph.ExchangePlan, dst, targets, emitters graph.Bitset, loWord, hiWord int)
+	// NeighborsIn counts v's neighbours in set — the emitter count k
+	// the beep-loss draw needs, asked only while loss is on.
+	NeighborsIn(v int, set graph.Bitset) int
 }
 
 var (
@@ -34,12 +37,12 @@ var (
 )
 
 // perNodeBulk adapts per-node automata to the beep.BulkAutomaton
-// surface, so the sparse engine can run algorithms that have no
-// columnar kernel. It is observationally identical to the scalar
-// loop's per-node calls: BeepAll visits active nodes in increasing id
-// order drawing from each node's own stream, and ObserveAll delivers
-// exactly the per-node Outcome (an observed node never has a joining
-// neighbour — the engine owns the join rule).
+// surface, so the round loop can run algorithms that have no columnar
+// kernel, on either engine. It is observationally identical to driving
+// each automaton directly: BeepAll visits active nodes in increasing
+// id order drawing from each node's own stream, and ObserveAll
+// delivers exactly the per-node Outcome (an observed node never has a
+// joining neighbour — the engine owns the join rule).
 type perNodeBulk struct {
 	autos   []beep.Automaton
 	factory beep.Factory
@@ -47,8 +50,7 @@ type perNodeBulk struct {
 }
 
 // perNodeBulkFactory wraps a per-node factory as a bulk factory,
-// constructing the automata with the same NodeInfo the scalar loop
-// would pass.
+// constructing each automaton with its node's NodeInfo.
 func perNodeBulkFactory(factory beep.Factory) beep.BulkFactory {
 	return func(net beep.NetworkInfo) beep.BulkAutomaton {
 		b := &perNodeBulk{autos: make([]beep.Automaton, net.N), factory: factory, net: net}
@@ -64,7 +66,7 @@ func (b *perNodeBulk) build(v int) beep.Automaton {
 }
 
 // ResetNodes implements beep.BulkResetter by rebuilding each node's
-// automaton — exactly what the scalar loop does on a reset recovery.
+// automaton, so a reset node restarts from the factory's initial state.
 func (b *perNodeBulk) ResetNodes(nodes []int) {
 	for _, v := range nodes {
 		b.autos[v] = b.build(v)
@@ -80,7 +82,7 @@ func (b *perNodeBulk) BeepAll(active graph.Bitset, streams []*rng.Source, out gr
 // disjoint node ranges touch disjoint state and the adapter satisfies
 // the ranger contract for exactly the same reason the packed kernels
 // do. (An automaton that shared mutable state across nodes would
-// already violate the per-node engines' determinism contract.)
+// already violate the simulator's determinism contract.)
 func (b *perNodeBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out graph.Bitset, loWord, hiWord int) {
 	active.ForEachRange(loWord, hiWord, func(v int) {
 		if b.autos[v].Beep(streams[v]) {
@@ -101,9 +103,8 @@ func (b *perNodeBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord,
 }
 
 // BeepProbabilities implements beep.BulkProbabilityReporter by
-// delegating to each automaton's optional per-node reporter, mirroring
-// the scalar loop's snapshot probabilities (NaN when an automaton does
-// not report).
+// delegating to each automaton's optional per-node reporter (NaN when
+// an automaton does not report).
 func (b *perNodeBulk) BeepProbabilities(dst []float64) {
 	for v, a := range b.autos {
 		if pr, ok := a.(beep.ProbabilityReporter); ok {

@@ -4,9 +4,9 @@
 # Stages:
 #   1. The standard single-core workload trio — the dense G(20000, 1/2)
 #      and sparse G(100000, 0.05) used by every PR's engine comparison,
-#      plus the large-sparse G(10^6, 10/n) that only the scalar and
-#      sparse engines can hold — pinned to -shards 1 so the records'
-#      (engine, n, p, shards, faults) keys are machine-independent.
+#      plus the large-sparse G(10^6, 10/n) that only the sparse engine
+#      can hold — pinned to -shards 1 so the records' (engine, n, p,
+#      shards, faults) keys are machine-independent.
 #   2. The noisy-channel overhead pair (PR 5) under per-listener
 #      loss=0.05 / spurious=0.01.
 #   3. The shards × GOMAXPROCS sweep (PR 6): the columnar and sparse
@@ -57,10 +57,10 @@ go build -o "$bin" ./cmd/misbench
 # --- Stage 1: single-core trio (shards pinned to 1) ------------------
 "$bin" -bench -json -shards 1 -benchn 20000 -benchp 0.5 -benchruns "$runs" >"$tmp"
 "$bin" -bench -json -shards 1 -benchn 100000 -benchp 0.05 -benchruns "$runs" >>"$tmp"
-# Large-sparse: a single run is already most of a minute of scalar wall
-# clock, and the auto enumeration measures only the engines whose
-# representation fits the memory budget — scalar and sparse here (the
-# dense matrix would need 125 GB).
+# Large-sparse: graph generation dominates, so one run; the auto
+# enumeration measures only the engines whose representation fits the
+# memory budget — sparse alone here (the dense matrix would need
+# 125 GB).
 "$bin" -bench -json -shards 1 -benchn 1000000 -benchp 0.00001 -benchruns 1 >>"$tmp"
 
 # --- Stage 2: noisy-channel overhead ---------------------------------
@@ -96,9 +96,7 @@ GOMAXPROCS=4 "$bin" -bench -json -engine sparse -shards 4 -benchn 1000000 -bench
 # Small, fast, fully pinned workloads whose keys CI re-measures and
 # compares against this committed file (generous tolerance — the gate
 # exists to catch order-of-magnitude regressions, not machine drift).
-# All four engines are recorded for the trajectory, but CI gates only
-# the columnar/sparse keys — the scalar/bitset rounds on graphs this
-# small are microseconds and their ratios are scheduler noise.
+# Both engines are recorded for the trajectory, and CI gates both keys.
 # Keep in sync with the perf-gate job in .github/workflows/ci.yml.
 for shards in 1 2; do
   GOMAXPROCS=2 "$bin" -bench -json -shards "$shards" -benchn 2000 -benchp 0.1 -benchruns "$runs" >>"$tmp"
