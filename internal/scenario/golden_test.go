@@ -36,7 +36,9 @@ var goldenLargeScenarios = map[string]bool{"large-sparse.json": true, "rmat-spar
 // both again under each of the "scalar" and "bitset" pins, crash and
 // wake schedules on a sparse graph, and per-edge beep loss. Engine pins
 // are stripped from the canonical spec, so a pinned spec's report must
-// match its unpinned twin byte for byte.
+// match its unpinned twin byte for byte. The rest pin one spec for each
+// family no committed scenario uses, each with its own algorithm or
+// fault feature.
 var goldenInlineSpecs = []struct {
 	name, doc, digest string
 }{
@@ -64,6 +66,45 @@ var goldenInlineSpecs = []struct {
 	{"beep-loss",
 		`{"graph":{"family":"gnp","n":200,"p":0.1},"algorithm":"feedback","trials":4,"seed":3,"beep_loss":0.05}`,
 		"8ce83b91093a68692dff13086a41698e40aaad5ea1c1cce0e5d8df676b417570"},
+	{"complete",
+		`{"graph":{"family":"complete","n":60},"algorithm":"feedback","trials":3,"seed":11}`,
+		"9d577559a1544513b3b74e4bdb6ea5a5914984d88dd000cc84e962143ed3c42a"},
+	{"cliques",
+		`{"graph":{"family":"cliques","n":300},"algorithm":"afek","trials":3,"seed":12}`,
+		"eb3425a8b0231fc0426ff2d1ee2396fa592726810745ad3882bb9337304af4a3"},
+	{"torus",
+		`{"graph":{"family":"torus","rows":9,"cols":11},"algorithm":"globalsweep","trials":3,"seed":13}`,
+		"dfff6571d6b18ffe2490521b7be21d7743518ac1a7d88738ead89190a719c556"},
+	{"path",
+		`{"graph":{"family":"path","n":150},"algorithm":"feedback","trials":3,"seed":14,"wake_window":6}`,
+		"63b80d67dc191f5afdc95a9c94375b4a09ec14df9ab5a6809c634fe268417b83"},
+	{"cycle",
+		`{"graph":{"family":"cycle","n":151},"algorithm":"fixed","fixed_p":0.3,"trials":3,"seed":15}`,
+		"afb46613cc304f897f4481d8f9e63022e14d829ffa109051997683ecf1342367"},
+	{"star",
+		`{"graph":{"family":"star","n":120},"algorithm":"feedback","trials":3,"seed":16,"beep_loss":0.05}`,
+		"d812ba1fbec06b31ea4972f5e2f666f63c1d1bfb60989c3679d0bcb9e43c9acc"},
+	{"tree",
+		`{"graph":{"family":"tree","n":200},"algorithm":"feedback","trials":3,"seed":17}`,
+		"3fa6fdc7ed0fa01535b2ae0271df19ec63bb280a2b74e73977db76e86861803c"},
+	{"completebinarytree",
+		`{"graph":{"family":"completebinarytree","n":127},"algorithm":"afek","trials":3,"seed":18}`,
+		"9f60e7e799cdf1d4bd76d44d20c612f190f3b41ab0a273097bc487a63c3461e2"},
+	{"barabasialbert",
+		`{"graph":{"family":"barabasialbert","n":200,"m":3},"algorithm":"feedback","trials":3,"seed":19,"faults":{"loss":0.05,"spurious":0.02}}`,
+		"fe3e97de097b997d11660dbb7aa7b1fe60a18d5435fd567ab2f566e5bcaae230"},
+	{"wattsstrogatz",
+		`{"graph":{"family":"wattsstrogatz","n":200,"k":6,"beta":0.2},"algorithm":"globalsweep","trials":3,"seed":20}`,
+		"a5872559ca57ffb0c5cf920ff29a9ac41da87b9e37ba74eb23150b1a73f9d2df"},
+	{"hypercube",
+		`{"graph":{"family":"hypercube","d":7},"algorithm":"feedback","trials":3,"seed":21,"faults":{"wake":{"kind":"degree","window":8}}}`,
+		"565bca2b8669c841d09f5269a80e860b526798f2c0a4a1cf8e4c6d3446e6140f"},
+	{"randomregular",
+		`{"graph":{"family":"randomregular","n":200,"d":5,"seed":7},"algorithm":"feedback","trials":3,"seed":22,"crash_at_round":{"3":[1,2]}}`,
+		"b8ad818e47c236f9cb2365d2d32f0fbc7bf1f473c4fe60eab424a66bfa9f85ea"},
+	{"configmodel",
+		`{"graph":{"family":"configmodel","n":300,"edges":1500},"algorithm":"feedback","trials":3,"seed":23,"faults":{"outages":[{"node":0,"from":2,"for":3,"reset":true}]}}`,
+		"c177153c8da13aeb83f7a3ac8add0553c46bd4f9f17e41982521b304ff675790"},
 }
 
 // reportDigest runs c at the given trial-pool size and returns the
