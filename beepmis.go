@@ -36,7 +36,8 @@ import (
 	"beepmis/internal/sim"
 )
 
-// Graph is an immutable simple undirected graph on vertices 0..N()-1.
+// Graph is an immutable simple undirected graph on vertices 0..N()-1,
+// stored as compressed sparse rows.
 type Graph = graph.Graph
 
 // GraphBuilder accumulates edges and produces a Graph.
@@ -112,7 +113,12 @@ func UnitDisk(n int, r float64, seed uint64) *Graph {
 }
 
 // ReadEdgeList parses a graph in the textual edge-list format produced
-// by WriteEdgeList.
+// by WriteEdgeList: an "n <count>" header, optionally followed by
+// "m <edges>" (which must then equal the number of edge lines), and
+// one edge per line as two vertex ids separated by spaces or tabs.
+// Lines starting with '#' are comments. An edge listed twice, in
+// either orientation, is an error naming its line, as are self-loops
+// and out-of-range ids.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // WriteEdgeList writes g in a textual edge-list format.

@@ -36,8 +36,8 @@ type benchRecord struct {
 	// predate the field still match exactly.
 	Graph string `json:"graph,omitempty"`
 	// M is the workload's final (deduplicated) edge count; BuildNs and
-	// EdgesPerSec time its construction — the direct-to-CSR pipeline's
-	// own trajectory, measured once per bench invocation and stamped on
+	// EdgesPerSec time its construction — the graph builders' own
+	// trajectory, measured once per bench invocation and stamped on
 	// every engine's record. GraphDigest is the hex SHA-256 of a
 	// -graphfile workload's bytes.
 	M           int64   `json:"m,omitempty"`
@@ -116,14 +116,11 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		engines = []sim.Engine{engine}
 	}
 	autoEngine := sim.ResolveEngine(g, sim.Options{MemoryBudget: memBudget}).String()
-	// Build (and cache) each measured engine's adjacency representation
-	// outside the timer: the packed matrix rows for the columnar engine,
-	// the CSR arrays for the sparse one.
+	// Build (and cache) the columnar engine's packed matrix outside the
+	// timer; the sparse engine reads the graph's rows as built.
 	for _, e := range engines {
 		if e == sim.EngineColumnar {
 			g.Matrix()
-		} else {
-			g.CSR()
 		}
 	}
 	// Records carry the shard count that actually applied: the resolved
@@ -144,15 +141,7 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		var rounds, beeps float64
 		start := time.Now()
 		for run := 0; run < runs; run++ {
-			var res *sim.Result
-			var err error
-			if wl.csr != nil && e == sim.EngineSparse {
-				// Direct-to-CSR workloads exercise the no-backing-Graph
-				// sparse path the pipeline exists for.
-				res, err = sim.RunCSR(wl.csr, factory, rng.New(seed+uint64(run)), opts)
-			} else {
-				res, err = sim.Run(g, factory, rng.New(seed+uint64(run)), opts)
-			}
+			res, err := sim.Run(g, factory, rng.New(seed+uint64(run)), opts)
 			if err != nil {
 				return nil, fmt.Errorf("bench engine %v run %d: %w", e, run, err)
 			}

@@ -249,3 +249,44 @@ func TestShardsFlagInvariance(t *testing.T) {
 		t.Fatalf("output differs between -shards 1 and -shards 3:\n%s\n---\n%s", outputs[0], outputs[1])
 	}
 }
+
+// TestBuildGraphSpecWorkload pins the -graph grammar: malformed or
+// out-of-domain gnp parameters are usage errors naming the offending
+// value, raised before anything is built, and valid specs build the
+// graph they name.
+func TestBuildGraphSpecWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		spec, wantErr string
+		wantN         int
+	}{
+		{spec: "gnp:n=200,p=0.05", wantN: 200},
+		{spec: "gnp:n=0,p=0.5", wantN: 0},
+		{spec: "rmat:n=64,edges=200", wantN: 64},
+		{spec: "configmodel:n=50,edges=100", wantN: 50},
+		{spec: "gnp:n=-1,p=0.5", wantErr: "n=-1"},
+		{spec: "gnp:n=10,p=NaN", wantErr: "p=NaN"},
+		{spec: "gnp:n=10,p=Inf", wantErr: "p=+Inf"},
+		{spec: "gnp:n=10,p=-Inf", wantErr: "p=-Inf"},
+		{spec: "gnp:n=10,p=-0.1", wantErr: "p=-0.1"},
+		{spec: "gnp:n=10,p=1.5", wantErr: "p=1.5"},
+		{spec: "gnp:n=10", wantErr: "needs p="},
+		{spec: "gnp:p=0.5", wantErr: "needs n="},
+		{spec: "gnp:n=10,p=0.5,q=1", wantErr: `parameter "q"`},
+		{spec: "ring:n=10", wantErr: "unknown"},
+	} {
+		wl, err := buildGraphSpecWorkload(tc.spec, 1)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.spec, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.spec, err)
+			continue
+		}
+		if wl.g.N() != tc.wantN || wl.label != tc.spec || wl.edges != int64(wl.g.M()) {
+			t.Errorf("%s: built n=%d label %q edges %d, want n=%d", tc.spec, wl.g.N(), wl.label, wl.edges, tc.wantN)
+		}
+	}
+}

@@ -11,18 +11,14 @@ import (
 )
 
 // benchWorkload is the graph a -bench invocation measures, plus the
-// construction metadata stamped onto every record: how long the
-// direct-to-CSR pipeline took to build it, its final edge count, and —
-// for file workloads — the content digest that identifies the bytes.
+// construction metadata stamped onto every record: how long the graph
+// took to build, its final edge count, and — for file workloads — the
+// content digest that identifies the bytes.
 type benchWorkload struct {
 	// label names non-default workloads in records and regression-gate
 	// keys; "" means the classic G(n,p) bench.
-	label string
-	g     *graph.Graph
-	// csr is non-nil when the workload was built direct-to-CSR (g is
-	// then the zero-copy graph.FromCSR view over it); the sparse engine
-	// runs straight off it via sim.RunCSR.
-	csr     *graph.CSR
+	label   string
+	g       *graph.Graph
 	digest  string
 	buildNs int64
 	edges   int64
@@ -31,8 +27,7 @@ type benchWorkload struct {
 // buildBenchWorkload materialises the bench graph from the -graph /
 // -graphfile / -benchn / -benchp flags, timing construction. Exactly
 // one of spec and file may be set; with neither, the default G(n,p)
-// workload is built through the adjacency funnel as before (so its
-// records stay comparable with committed baselines).
+// workload is built from -benchn and -benchp.
 func buildBenchWorkload(spec, file string, n int, p float64, seed uint64) (*benchWorkload, error) {
 	if spec != "" && file != "" {
 		return nil, fmt.Errorf("-graph and -graphfile are mutually exclusive")
@@ -40,11 +35,11 @@ func buildBenchWorkload(spec, file string, n int, p float64, seed uint64) (*benc
 	switch {
 	case file != "":
 		start := time.Now()
-		c, digest, err := graph.LoadCSRFile(file, graph.DetectGraphFormat(file), 0)
+		g, digest, err := graph.LoadCSRFile(file, graph.DetectGraphFormat(file), 0)
 		if err != nil {
 			return nil, err
 		}
-		w := newCSRWorkload(c, time.Since(start), "file:"+baseName(file))
+		w := newGraphWorkload(g, time.Since(start), "file:"+baseName(file))
 		w.digest = digest
 		return w, nil
 	case spec != "":
@@ -67,10 +62,10 @@ func buildBenchWorkload(spec, file string, n int, p float64, seed uint64) (*benc
 }
 
 // buildGraphSpecWorkload parses a -graph value of the form
-// "family:key=value,key=value" and builds the graph direct-to-CSR.
-// Families: rmat (n, edges, a, b, c), configmodel (n, edges, gamma),
-// gnp (n, p — the Batagelj–Brandes direct-to-CSR path, distinct from
-// the default bench's adjacency funnel).
+// "family:key=value,key=value" and builds the graph. Families: rmat
+// (n, edges, a, b, c) and configmodel (n, edges, gamma), both streamed
+// through graph.CSRBuilder, and gnp (n, p — graph.GNP, the sampler the
+// default bench uses, labelled by the spec).
 func buildGraphSpecWorkload(spec string, seed uint64) (*benchWorkload, error) {
 	family, rest, _ := strings.Cut(spec, ":")
 	params := map[string]string{}
@@ -108,7 +103,7 @@ func buildGraphSpecWorkload(spec string, seed uint64) (*benchWorkload, error) {
 		return f, nil
 	}
 	var (
-		c     *graph.CSR
+		g     *graph.Graph
 		err   error
 		start time.Time
 	)
@@ -129,7 +124,7 @@ func buildGraphSpecWorkload(spec string, seed uint64) (*benchWorkload, error) {
 			return nil, err
 		}
 		start = time.Now()
-		c, err = graph.RMATCSR(int(n), edges, a, b, cc, 1-a-b-cc, rng.New(seed), 0)
+		g, err = graph.RMATCSR(int(n), edges, a, b, cc, 1-a-b-cc, rng.New(seed), 0)
 	case "configmodel":
 		n, errN := getInt("n")
 		edges, errM := getInt("edges")
@@ -144,40 +139,45 @@ func buildGraphSpecWorkload(spec string, seed uint64) (*benchWorkload, error) {
 			return nil, err
 		}
 		start = time.Now()
-		c, err = graph.ConfigModelCSR(int(n), edges, gamma, rng.New(seed), 0)
+		g, err = graph.ConfigModelCSR(int(n), edges, gamma, rng.New(seed), 0)
 	case "gnp":
 		n, errN := getInt("n")
 		if errN != nil {
 			return nil, errN
 		}
-		p, errP := getFloat("p", -1)
+		if _, ok := params["p"]; !ok {
+			return nil, fmt.Errorf("-graph gnp needs p= (got %q)", spec)
+		}
+		p, errP := getFloat("p", 0)
 		if errP != nil {
 			return nil, errP
 		}
-		if p < 0 {
-			return nil, fmt.Errorf("-graph gnp needs p= (got %q)", spec)
+		if n < 0 {
+			return nil, fmt.Errorf("-graph gnp: n=%d is negative", n)
+		}
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("-graph gnp: p=%v is not an edge probability in [0, 1]", p)
 		}
 		if err := rejectUnknownParams(family, params); err != nil {
 			return nil, err
 		}
 		start = time.Now()
-		c, err = graph.GNPCSR(int(n), p, rng.New(seed), 0)
+		g = graph.GNP(int(n), p, rng.New(seed))
 	default:
 		return nil, fmt.Errorf("-graph family %q unknown (want rmat, configmodel, or gnp)", family)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return newCSRWorkload(c, time.Since(start), spec), nil
+	return newGraphWorkload(g, time.Since(start), spec), nil
 }
 
-func newCSRWorkload(c *graph.CSR, build time.Duration, label string) *benchWorkload {
+func newGraphWorkload(g *graph.Graph, build time.Duration, label string) *benchWorkload {
 	return &benchWorkload{
 		label:   label,
-		g:       graph.FromCSR(c),
-		csr:     c,
+		g:       g,
 		buildNs: build.Nanoseconds(),
-		edges:   int64(c.M()),
+		edges:   int64(g.M()),
 	}
 }
 

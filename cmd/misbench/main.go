@@ -81,7 +81,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		benchN    = fs.Int("benchn", 20000, "bench graph size n for G(n,p)")
 		benchP    = fs.Float64("benchp", 0.5, "bench edge probability p for G(n,p)")
 		benchR    = fs.Int("benchruns", 3, "bench simulation runs per engine")
-		graphSpec = fs.String("graph", "", `bench a generated direct-to-CSR workload instead of the default G(n,p): "rmat:n=65536,edges=1048576[,a=,b=,c=]", "configmodel:n=...,edges=...[,gamma=]", or "gnp:n=...,p=..." (the Batagelj–Brandes fast path)`)
+		graphSpec = fs.String("graph", "", `bench a generated workload instead of the default G(n,p): "rmat:n=65536,edges=1048576[,a=,b=,c=]", "configmodel:n=...,edges=...[,gamma=]", or "gnp:n=...,p=..." (graph.GNP)`)
 		graphFile = fs.String("graphfile", "", "bench a graph streamed from this file (edge-list, .bel binary, or METIS — format inferred from the extension)")
 		asJSON    = fs.Bool("json", false, "emit -bench results as JSON records (engine, auto_engine, shards, rounds, ns/round, beeps, heap)")
 		faultsDoc = fs.String("faults", "", `fault-model JSON (e.g. '{"loss":0.05,"spurious":0.01}'): per-listener channel noise, wake schedules, outages — applied to every trial on every engine`)

@@ -34,8 +34,8 @@ func (v Violation) String() string {
 // instead consumes the engine's per-round MIS deltas (sim's OnMISDelta
 // hook matches ObserveRound's signature), maintains its own membership
 // bitset, and checks independence as members arrive: each joiner walks
-// only its own adjacency row (the Graph's native sorted CSR-style
-// neighbour lists; no extra representation is built), so a round costs
+// only its own adjacency row (the Graph's sorted compressed rows; no
+// extra representation is built), so a round costs
 // O(Σ deg(frontier)) — nothing when the set is quiet — rather than
 // O(n + m). Maximality is checked once, at termination, via Uncovered.
 //

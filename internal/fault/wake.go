@@ -3,17 +3,9 @@ package fault
 import (
 	"sort"
 
+	"beepmis/internal/graph"
 	"beepmis/internal/rng"
 )
-
-// Topology is the graph view wake resolution needs: a node count and
-// per-node degrees. Both *graph.Graph and *graph.CSR satisfy it, so
-// the direct-CSR simulation path resolves wake schedules without a
-// backing Graph.
-type Topology interface {
-	N() int
-	Degree(v int) int
-}
 
 // ResolveWake materialises a wake schedule into the per-node wake
 // rounds the simulator's existing WakeAt machinery executes. It runs
@@ -30,7 +22,7 @@ type Topology interface {
 //     round 1.
 //
 // The schedule must have passed Validate for g.N() nodes.
-func ResolveWake(w *Wake, g Topology, master *rng.Source) []int {
+func ResolveWake(w *Wake, g *graph.Graph, master *rng.Source) []int {
 	if w == nil {
 		return nil
 	}

@@ -142,7 +142,7 @@ type AdjacencyMatrix struct {
 }
 
 // NewAdjacencyMatrix builds the packed adjacency representation of g
-// from its CSR form. Cost: O(n²/64) words of memory, O(n²/64 + m) time.
+// from its rows. Cost: O(n²/64) words of memory, O(n²/64 + m) time.
 // For repeated simulations on the same graph prefer Graph.Matrix, which
 // builds once and caches.
 func NewAdjacencyMatrix(g *Graph) *AdjacencyMatrix {
@@ -296,7 +296,7 @@ func (m *AdjacencyMatrix) ExchangeRange(_ ExchangePlan, dst, _, emitters Bitset,
 	m.orRowsRangeInto(dst, emitters, loWord, hiWord)
 }
 
-// PropagateToTargets is the matrix form of CSR.PropagateToTargets,
+// PropagateToTargets is the matrix form of Graph.PropagateToTargets,
 // planning and fanning out on ad-hoc goroutines. Callers with a
 // persistent worker pool use PlanExchange + ExchangeRange directly.
 func (m *AdjacencyMatrix) PropagateToTargets(dst, targets, emitters Bitset, shards int) {

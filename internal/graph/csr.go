@@ -5,87 +5,28 @@ import (
 	"sort"
 )
 
-// CSR is the graph's adjacency relation in compressed-sparse-row form:
-// one flat, sorted int32 column-index array plus per-row offsets. It
-// occupies O(n + m) memory — 8·(n+1) bytes of offsets and 4·2m bytes of
-// columns — against the adjacency matrix's O(n²/8), which is what lets
-// the sparse simulation engine run million-node graphs that a packed
-// matrix could never hold (n = 10⁶ would need ~125 GiB of matrix).
-//
-// Rows are sorted, so a destination-range worker can binary-search the
-// slice of a row that lands in its range; that is the building block of
-// sharded sparse propagation.
-type CSR struct {
-	n       int
-	offsets []int64 // len n+1; row v is cols[offsets[v]:offsets[v+1]]
-	cols    []int32 // len 2m, sorted within each row
-}
-
-// NewCSR flattens g's adjacency lists into compressed-sparse-row form.
-// Cost: O(n + m) time and memory. For repeated simulations on the same
-// graph prefer Graph.CSR, which builds once and caches.
-func NewCSR(g *Graph) *CSR {
-	n := g.N()
-	c := &CSR{n: n, offsets: make([]int64, n+1)}
-	total := 0
-	for v := 0; v < n; v++ {
-		total += g.Degree(v)
-	}
-	c.cols = make([]int32, 0, total)
-	for v := 0; v < n; v++ {
-		c.cols = append(c.cols, g.Neighbors(v)...)
-		c.offsets[v+1] = int64(len(c.cols))
-	}
-	return c
-}
-
-// CSRBytes returns the memory a CSR for an n-vertex, m-edge graph would
-// occupy, without building it. The engine auto-selection heuristic uses
-// this (alongside MatrixBytes) to pick a representation that fits the
-// memory budget.
+// CSRBytes returns the memory an n-vertex, m-edge Graph's rows occupy,
+// without building it: 8·(n+1) bytes of offsets and 4·2m bytes of
+// neighbours, against the adjacency matrix's O(n²/8) (MatrixBytes) —
+// which is what lets the sparse engine run million-node graphs that a
+// packed matrix could never hold. The engine auto-selection heuristic
+// uses both to pick a representation that fits the memory budget.
 func CSRBytes(n, m int) int64 {
 	return int64(n+1)*8 + int64(m)*2*4
-}
-
-// N returns the number of vertices.
-func (c *CSR) N() int { return c.n }
-
-// M returns the number of edges.
-func (c *CSR) M() int { return len(c.cols) / 2 }
-
-// Row returns vertex v's sorted neighbour list sharing the CSR's
-// storage; it must not be modified.
-func (c *CSR) Row(v int) []int32 {
-	return c.cols[c.offsets[v]:c.offsets[v+1]]
-}
-
-// Degree returns the degree of vertex v.
-func (c *CSR) Degree(v int) int {
-	return int(c.offsets[v+1] - c.offsets[v])
 }
 
 // NeighborsIn returns how many of vertex v's neighbours are in set, by
 // one walk of v's row.
 //
 //misvet:noalloc
-func (c *CSR) NeighborsIn(v int, set Bitset) int {
+func (g *Graph) NeighborsIn(v int, set Bitset) int {
 	k := 0
-	for _, t := range c.Row(v) {
+	for _, t := range g.Neighbors(v) {
 		if set[t>>6]&(1<<(uint(t)&63)) != 0 {
 			k++
 		}
 	}
 	return k
-}
-
-// HasEdge reports whether the edge {u, v} is present.
-func (c *CSR) HasEdge(u, v int) bool {
-	if u < 0 || u >= c.n || v < 0 || v >= c.n {
-		return false
-	}
-	row := c.Row(u)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(v) })
-	return i < len(row) && row[i] == int32(v)
 }
 
 // orRowsVertexRangeInto sets dst's words [loWord, hiWord) to the union
@@ -105,13 +46,13 @@ func (c *CSR) HasEdge(u, v int) bool {
 // the whole range would cost more than the writes it tries to save.
 //
 //misvet:noalloc
-func (c *CSR) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
+func (g *Graph) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
 	for i := loWord; i < hiWord; i++ {
 		dst[i] = 0
 	}
 	capacity := (hiWord - loWord) << 6
 	written := 0
-	if loWord == 0 && capacity >= c.n {
+	if loWord == 0 && capacity >= g.n {
 		// Full-range (serial) fast path: every row entry lands in range,
 		// so the inner loop needs no boundary comparisons.
 		for wi, w := range emitters {
@@ -119,13 +60,13 @@ func (c *CSR) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
 			for w != 0 {
 				v := base + bits.TrailingZeros64(w)
 				w &= w - 1
-				row := c.Row(v)
+				row := g.Neighbors(v)
 				for _, t := range row {
 					dst[t>>6] |= 1 << (uint(t) & 63)
 				}
 				written += len(row)
 				if written >= capacity {
-					if rangeSaturated(dst, c.n, loWord, hiWord) {
+					if rangeSaturated(dst, g.n, loWord, hiWord) {
 						return
 					}
 					written = 0
@@ -141,7 +82,7 @@ func (c *CSR) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
 		for w != 0 {
 			v := base + bits.TrailingZeros64(w)
 			w &= w - 1
-			row := c.Row(v)
+			row := g.Neighbors(v)
 			start := 0
 			if loVert > 0 {
 				//misvet:allow(noalloc) the predicate closure does not escape sort.Search, so it stays on the stack
@@ -154,7 +95,7 @@ func (c *CSR) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
 			}
 			written += i - start
 			if written >= capacity {
-				if rangeSaturated(dst, c.n, loWord, hiWord) {
+				if rangeSaturated(dst, g.n, loWord, hiWord) {
 					return
 				}
 				written = 0
@@ -179,7 +120,7 @@ func (c *CSR) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
 // eligible nodes) observe identical results from either direction.
 //
 //misvet:noalloc
-func (c *CSR) PullRangeInto(dst, targets, emitters Bitset, loWord, hiWord int) {
+func (g *Graph) PullRangeInto(dst, targets, emitters Bitset, loWord, hiWord int) {
 	for i := loWord; i < hiWord; i++ {
 		dst[i] = 0
 	}
@@ -191,7 +132,7 @@ func (c *CSR) PullRangeInto(dst, targets, emitters Bitset, loWord, hiWord int) {
 		for w != 0 {
 			b := uint(bits.TrailingZeros64(w))
 			w &= w - 1
-			row := c.Row(base + int(b))
+			row := g.Neighbors(base + int(b))
 			for _, t := range row {
 				if emitters[t>>6]&(1<<(uint(t)&63)) != 0 {
 					hits |= 1 << b
@@ -223,7 +164,7 @@ func rangeSaturated(dst Bitset, n, lo, hi int) bool {
 }
 
 // propagateMinDegreeSum is the emitter-degree workload below which
-// CSR.PropagateInto stays on one goroutine: fan-out costs a few
+// Graph.PropagateInto stays on one goroutine: fan-out costs a few
 // microseconds per worker plus a per-emitter binary search per shard,
 // which only pays once each worker has real scatter work to do.
 const propagateMinDegreeSum = 1 << 14
@@ -237,9 +178,9 @@ const propagateMinDegreeSum = 1 << 14
 // and associative, so dst is bit-identical for every shard count
 // (including the inline shards <= 1 path); sharding changes only the
 // wall clock. Small workloads run inline regardless of shards.
-func (c *CSR) PropagateInto(dst, emitters Bitset, shards int) {
-	plan := c.planPush(emitters, shards)
-	runExchange(c, plan, dst, nil, emitters, shards, bitsetWords(c.n))
+func (g *Graph) PropagateInto(dst, emitters Bitset, shards int) {
+	plan := g.planPush(emitters, shards)
+	runExchange(g, plan, dst, nil, emitters, shards, bitsetWords(g.n))
 }
 
 // planPush is the push-only half of PlanExchange: serial when the
@@ -247,14 +188,14 @@ func (c *CSR) PropagateInto(dst, emitters Bitset, shards int) {
 // only worth computing when fan-out is even possible.
 //
 //misvet:noalloc
-func (c *CSR) planPush(emitters Bitset, shards int) ExchangePlan {
+func (g *Graph) planPush(emitters Bitset, shards int) ExchangePlan {
 	serial := shards <= 1
 	if !serial {
 		sum := 0
 		for wi, w := range emitters {
 			base := wi << 6
 			for w != 0 {
-				sum += c.Degree(base + bits.TrailingZeros64(w))
+				sum += g.Degree(base + bits.TrailingZeros64(w))
 				w &= w - 1
 			}
 		}
@@ -277,12 +218,12 @@ func (c *CSR) planPush(emitters Bitset, shards int) ExchangePlan {
 // push.
 //
 //misvet:noalloc
-func (c *CSR) PlanExchange(targets, emitters Bitset, shards int) ExchangePlan {
+func (g *Graph) PlanExchange(targets, emitters Bitset, shards int) ExchangePlan {
 	e := emitters.Count()
-	if e > 0 && len(c.cols) > 0 {
+	if e > 0 && len(g.cols) > 0 {
 		t := targets.Count()
-		avgDeg := float64(len(c.cols)) / float64(c.n)
-		probes := float64(c.n) / float64(e) // expected probes to hit an emitter
+		avgDeg := float64(len(g.cols)) / float64(g.n)
+		probes := float64(g.n) / float64(e) // expected probes to hit an emitter
 		if probes > avgDeg {
 			probes = avgDeg
 		}
@@ -292,7 +233,7 @@ func (c *CSR) PlanExchange(targets, emitters Bitset, shards int) ExchangePlan {
 			return ExchangePlan{Pull: true, Serial: shards <= 1 || pullCost < propagateMinDegreeSum}
 		}
 	}
-	return c.planPush(emitters, shards)
+	return g.planPush(emitters, shards)
 }
 
 // ExchangeRange executes a planned exchange restricted to destination
@@ -302,12 +243,12 @@ func (c *CSR) PlanExchange(targets, emitters Bitset, shards int) ExchangePlan {
 // pass.
 //
 //misvet:noalloc
-func (c *CSR) ExchangeRange(p ExchangePlan, dst, targets, emitters Bitset, loWord, hiWord int) {
+func (g *Graph) ExchangeRange(p ExchangePlan, dst, targets, emitters Bitset, loWord, hiWord int) {
 	if p.Pull {
-		c.PullRangeInto(dst, targets, emitters, loWord, hiWord)
+		g.PullRangeInto(dst, targets, emitters, loWord, hiWord)
 		return
 	}
-	c.orRowsVertexRangeInto(dst, emitters, loWord, hiWord)
+	g.orRowsVertexRangeInto(dst, emitters, loWord, hiWord)
 }
 
 // PropagateToTargets is the direction-optimizing exchange: it fills dst
@@ -316,15 +257,17 @@ func (c *CSR) ExchangeRange(p ExchangePlan, dst, targets, emitters Bitset, loWor
 // goroutines; callers with a persistent worker pool (the simulator's
 // round loop) use PlanExchange + ExchangeRange directly and skip the
 // per-exchange spawns.
-func (c *CSR) PropagateToTargets(dst, targets, emitters Bitset, shards int) {
-	plan := c.PlanExchange(targets, emitters, shards)
-	runExchange(c, plan, dst, targets, emitters, shards, bitsetWords(c.n))
+func (g *Graph) PropagateToTargets(dst, targets, emitters Bitset, shards int) {
+	plan := g.PlanExchange(targets, emitters, shards)
+	runExchange(g, plan, dst, targets, emitters, shards, bitsetWords(g.n))
 }
 
-// CSR returns g's compressed-sparse-row representation, building it on
-// first use and caching it for the graph's lifetime. Safe for
-// concurrent callers, like all Graph readers.
-func (g *Graph) CSR() *CSR {
-	g.csrOnce.Do(func() { g.csr = NewCSR(g) })
-	return g.csr
-}
+// CSR returns g itself.
+//
+// Deprecated: Graph is the compressed-sparse-row form; use g directly.
+func (g *Graph) CSR() *Graph { return g }
+
+// FromCSR returns g itself.
+//
+// Deprecated: Graph is the compressed-sparse-row form; use g directly.
+func FromCSR(g *Graph) *Graph { return g }

@@ -21,35 +21,32 @@ func buildCSRGraphs() map[string]*Graph {
 	}
 }
 
+// TestCSRMatchesGraph checks the row accessors against the packed
+// matrix of the same graph: Degree, Neighbors and HasEdge's binary
+// search must agree with the matrix's bits everywhere, and HasEdge is
+// false out of range.
 func TestCSRMatchesGraph(t *testing.T) {
 	for name, g := range buildCSRGraphs() {
-		c := g.CSR()
-		if c.N() != g.N() || c.M() != g.M() {
-			t.Fatalf("%s: CSR n=%d m=%d, graph n=%d m=%d", name, c.N(), c.M(), g.N(), g.M())
-		}
-		if again := g.CSR(); again != c {
-			t.Fatalf("%s: CSR cache rebuilt", name)
-		}
+		mat := g.Matrix()
 		for v := 0; v < g.N(); v++ {
-			row := c.Row(v)
-			adj := g.Neighbors(v)
-			if len(row) != len(adj) || c.Degree(v) != g.Degree(v) {
-				t.Fatalf("%s: row %d length %d, want %d", name, v, len(row), len(adj))
+			row := g.Neighbors(v)
+			if len(row) != g.Degree(v) || len(row) != cap(row) || mat.Row(v).Count() != len(row) {
+				t.Fatalf("%s: row %d length %d, cap %d, degree %d, matrix row %d", name, v, len(row), cap(row), g.Degree(v), mat.Row(v).Count())
 			}
-			for i := range row {
-				if row[i] != adj[i] {
-					t.Fatalf("%s: row %d entry %d is %d, want %d", name, v, i, row[i], adj[i])
+			for _, w := range row {
+				if !mat.HasEdge(v, int(w)) {
+					t.Fatalf("%s: row %d holds %d, absent from the matrix", name, v, w)
 				}
 			}
 		}
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				if c.HasEdge(u, v) != g.HasEdge(u, v) {
-					t.Fatalf("%s: HasEdge(%d,%d) disagrees with graph", name, u, v)
+				if g.HasEdge(u, v) != mat.HasEdge(u, v) {
+					t.Fatalf("%s: HasEdge(%d,%d) disagrees with the matrix", name, u, v)
 				}
 			}
 		}
-		if c.HasEdge(-1, 0) || c.HasEdge(0, g.N()) {
+		if g.HasEdge(-1, 0) || g.HasEdge(0, g.N()) {
 			t.Fatalf("%s: out-of-range HasEdge returned true", name)
 		}
 	}
@@ -74,7 +71,7 @@ func TestCSRBytes(t *testing.T) {
 func TestCSRPropagateMatchesMatrix(t *testing.T) {
 	for name, g := range buildCSRGraphs() {
 		n := g.N()
-		c := g.CSR()
+		c := g
 		mat := g.Matrix()
 		src := rng.New(7)
 		for trial := 0; trial < 8; trial++ {

@@ -3,42 +3,41 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// CSRBuilder constructs a CSR directly from an edge stream, without the
-// intermediate pointer-per-row adjacency Graph: no per-edge appends into
-// [][]int32, no realloc churn, and a construction peak of ~1.2× the
-// final CSRBytes footprint instead of the ~3× the Builder→NewCSR path
-// transiently holds. It is the construction target of the web-scale
-// generators (RMAT, configuration model, sparse GNP) and the streamed
-// file loaders, sized for 10⁷–10⁸ edges.
+// CSRBuilder constructs a Graph directly from an edge stream into its
+// final flat rows: no per-vertex slices and no realloc churn. It is the
+// one place rows are sorted and deduplicated: Builder.Build finishes
+// through it (feeding both passes from its edge list on one goroutine),
+// as do the web-scale generators (RMAT, configuration model) and the
+// streamed file loaders, which are sized for 10⁷–10⁸ edges.
 //
 // Construction is a deterministic two-pass protocol:
 //
-//  1. Counting: the caller streams every edge once through Count (or
-//     CountArc), from any number of goroutines — degrees accumulate by
-//     atomic adds directly into the offsets array, so the pass needs no
-//     per-worker counter copies.
+//  1. Counting: the caller streams every edge once through Count, from
+//     any number of goroutines — degrees accumulate by atomic adds
+//     directly into the offsets array, so the pass needs no per-worker
+//     counter copies.
 //  2. FinishCounts turns the counts into row offsets by one serial
 //     prefix sum and allocates the flat column array.
-//  3. Placement: the caller streams the same edges again through Place
-//     (or PlaceArc), again from any goroutines — each arc lands at an
-//     atomically bumped per-row cursor. The placement order is
+//  3. Placement: the caller streams the same edges again through Place,
+//     again from any goroutines — each arc lands at an atomically
+//     bumped per-row cursor. The placement order is
 //     scheduling-dependent, but irrelevant: finalisation sorts each row.
 //  4. Finish sorts and dedupes every row in place (self-loops were
 //     dropped at insertion), compacts the column array over the holes
 //     dedupe left, and rebuilds the offsets.
 //
-// The result is bit-identical to the Builder→NewCSR path for the same
-// edge set, for ANY worker count and ANY insertion order — each row's
-// final content is the sorted set of its neighbours, a pure function of
-// the edge set. The two passes must stream exactly the same edges;
-// generators replay their per-chunk rng streams, file loaders re-read
-// the file. A mismatch is detected and reported by Finish, never
-// silently mis-built.
+// The result is bit-identical for the same edge set, for ANY worker
+// count and ANY insertion order — each row's final content is the
+// sorted set of its neighbours, a pure function of the edge set. The
+// two passes must stream exactly the same edges; generators replay
+// their per-chunk rng streams, file loaders re-read the file. A
+// mismatch is detected and reported by Finish, never silently
+// mis-built.
 //
 // Peak memory: 8·(n+1) bytes of offsets + 4·n bytes of cursors +
 // 4 bytes per inserted arc (two arcs per undirected edge) — at most
@@ -94,26 +93,10 @@ func (b *CSRBuilder) Count(u, v int32) {
 	atomic.AddInt64(&b.offsets[v+1], 1)
 }
 
-// CountArc registers the directed arc u→v for the counting pass: only
-// u's row grows. The METIS loader uses it — that format already lists
-// every undirected edge once per endpoint row, so counting both
-// directions per line would double the graph. Safe for concurrent
-// callers.
-func (b *CSRBuilder) CountArc(u, v int32) {
-	if u == v {
-		return
-	}
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		b.setErr(fmt.Errorf("graph: CSRBuilder arc %d→%d out of range for n=%d", u, v, b.n))
-		return
-	}
-	atomic.AddInt64(&b.offsets[u+1], 1)
-}
-
 // FinishCounts closes the counting pass: one serial prefix sum turns
 // the per-row counts into row offsets, and the flat column array is
 // allocated at its exact final capacity. Must be called once, between
-// the passes, with no concurrent Count/CountArc calls.
+// the passes, with no concurrent Count calls.
 func (b *CSRBuilder) FinishCounts() error {
 	if b.phase != 0 {
 		return fmt.Errorf("graph: CSRBuilder.FinishCounts called twice")
@@ -132,38 +115,52 @@ func (b *CSRBuilder) FinishCounts() error {
 	return nil
 }
 
-// Place inserts the undirected edge {u, v} in the placement pass. The
-// edge stream must be exactly the counting pass's stream (in any
-// order); a divergence is caught by Finish. Safe for concurrent
-// callers.
+// Place inserts the undirected edge {u, v} in the placement pass, one
+// arc into each endpoint's row. The edge stream must be exactly the
+// counting pass's stream (in any order); a divergence is caught by
+// Finish. Safe for concurrent callers.
 func (b *CSRBuilder) Place(u, v int32) {
 	if u == v {
 		return
 	}
-	b.PlaceArc(u, v)
-	b.PlaceArc(v, u)
+	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
+		b.setErr(fmt.Errorf("graph: CSRBuilder edge {%d,%d} out of range for n=%d", u, v, b.n))
+		return
+	}
+	for _, arc := range [2][2]int32{{u, v}, {v, u}} {
+		row := arc[0]
+		slot := atomic.AddInt32(&b.cur[row], 1) - 1
+		idx := b.offsets[row] + int64(slot)
+		if idx >= b.offsets[row+1] {
+			// More arcs placed into this row than were counted: the two
+			// passes diverged. Refuse the write — it would land in the
+			// next row's territory — and let Finish report it.
+			b.setErr(fmt.Errorf("graph: CSRBuilder placement overflow at row %d: placement pass emitted more arcs than the counting pass", row))
+			return
+		}
+		b.cols[idx] = arc[1]
+	}
 }
 
-// PlaceArc inserts the directed arc u→v in the placement pass; the
-// METIS counterpart of CountArc. Safe for concurrent callers.
-func (b *CSRBuilder) PlaceArc(u, v int32) {
-	if u == v {
-		return
+// countPairs is Count for one goroutine over a list of endpoint pairs
+// (edge i is {edges[2i], edges[2i+1]}) already known to be in range
+// and loop-free, as Builder's are: plain adds instead of atomic ones,
+// which cost several times more than the placement itself.
+func (b *CSRBuilder) countPairs(edges []int32) {
+	for _, v := range edges {
+		b.offsets[v+1]++
 	}
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		b.setErr(fmt.Errorf("graph: CSRBuilder arc %d→%d out of range for n=%d", u, v, b.n))
-		return
+}
+
+// placePairs is Place for countPairs' list, on the same terms.
+func (b *CSRBuilder) placePairs(edges []int32) {
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		b.cols[b.offsets[u]+int64(b.cur[u])] = v
+		b.cur[u]++
+		b.cols[b.offsets[v]+int64(b.cur[v])] = u
+		b.cur[v]++
 	}
-	slot := atomic.AddInt32(&b.cur[u], 1) - 1
-	idx := b.offsets[u] + int64(slot)
-	if idx >= b.offsets[u+1] {
-		// More arcs placed into this row than were counted: the two
-		// passes diverged. Refuse the write — it would land in the next
-		// row's territory — and let Finish report it.
-		b.setErr(fmt.Errorf("graph: CSRBuilder placement overflow at row %d: placement pass emitted more arcs than the counting pass", u))
-		return
-	}
-	b.cols[idx] = v
 }
 
 // PeakBytes returns the builder's peak heap footprint: offsets,
@@ -189,7 +186,7 @@ func finalizeWorkers(workers, n int) int {
 	return workers
 }
 
-// Finish closes the placement pass and finalises the CSR: every row is
+// Finish closes the placement pass and finalises the Graph: every row is
 // sorted and deduplicated in place (row ranges are partitioned across
 // up to `workers` goroutines; ≤0 means GOMAXPROCS), the column array is
 // compacted over dedupe's holes, and the offsets are rebuilt. The
@@ -197,7 +194,7 @@ func finalizeWorkers(workers, n int) int {
 //
 // The result is identical for every worker count: each row's final
 // content depends only on the set of arcs placed into it.
-func (b *CSRBuilder) Finish(workers int) (*CSR, error) {
+func (b *CSRBuilder) Finish(workers int) (*Graph, error) {
 	if b.phase != 1 {
 		return nil, fmt.Errorf("graph: CSRBuilder.Finish before FinishCounts")
 	}
@@ -226,7 +223,7 @@ func (b *CSRBuilder) Finish(workers int) (*CSR, error) {
 				b.cur[v] = 0
 				continue
 			}
-			sort.Sort(int32Slice(row))
+			slices.Sort(row)
 			k := 1
 			for i := 1; i < len(row); i++ {
 				if row[i] != row[i-1] {
@@ -267,84 +264,7 @@ func (b *CSRBuilder) Finish(workers int) (*CSR, error) {
 	}
 	b.offsets[b.n] = write
 
-	c := &CSR{n: b.n, offsets: b.offsets, cols: b.cols[:write]}
+	g := &Graph{n: b.n, offsets: b.offsets, cols: b.cols[:write]}
 	b.offsets, b.cols, b.cur = nil, nil, nil
-	return c, nil
-}
-
-// int32Slice implements sort.Interface; the stdlib has no int32 sort
-// and a sort.Slice closure per row costs an allocation on the hottest
-// loop of construction.
-type int32Slice []int32
-
-func (s int32Slice) Len() int           { return len(s) }
-func (s int32Slice) Less(i, j int) bool { return s[i] < s[j] }
-func (s int32Slice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-// MaxDegree returns the maximum row length, or 0 for an empty CSR. Like
-// Graph.MaxDegree it is an O(n) scan; the simulator calls it once per
-// run.
-func (c *CSR) MaxDegree() int {
-	maxDeg := 0
-	for v := 0; v < c.n; v++ {
-		if d := int(c.offsets[v+1] - c.offsets[v]); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return maxDeg
-}
-
-// Validate checks the CSR's structural invariants — monotone offsets,
-// sorted strictly-deduplicated rows, in-range columns, no self-loops,
-// symmetry — mirroring Graph.Validate. Generators and loaders are
-// tested through it; O(m log m).
-func (c *CSR) Validate() error {
-	if len(c.offsets) != c.n+1 || c.offsets[0] != 0 || c.offsets[c.n] != int64(len(c.cols)) {
-		return fmt.Errorf("graph: CSR offsets malformed (n=%d, len=%d, first=%d, last=%d, cols=%d)",
-			c.n, len(c.offsets), c.offsets[0], c.offsets[c.n], len(c.cols))
-	}
-	for v := 0; v < c.n; v++ {
-		if c.offsets[v] > c.offsets[v+1] {
-			return fmt.Errorf("graph: CSR offsets decrease at row %d", v)
-		}
-		row := c.Row(v)
-		for i, w := range row {
-			if w < 0 || int(w) >= c.n {
-				return fmt.Errorf("%w: CSR row %d contains %d", ErrVertexRange, v, w)
-			}
-			if int(w) == v {
-				return fmt.Errorf("graph: CSR self-loop at %d", v)
-			}
-			if i > 0 && row[i-1] >= w {
-				return fmt.Errorf("graph: CSR row %d not strictly sorted at index %d", v, i)
-			}
-			if !c.HasEdge(int(w), v) {
-				return fmt.Errorf("graph: CSR asymmetric edge {%d,%d}", v, w)
-			}
-		}
-	}
-	return nil
-}
-
-// FromCSR returns a *Graph view over c: the adjacency slices alias c's
-// column storage (zero copies — the view costs one slice header per
-// vertex), and the view's CSR() returns c itself rather than
-// rebuilding. This is how direct-to-CSR construction plugs into every
-// consumer of *Graph — the verifier, the columnar engine, metrics —
-// without materialising a second representation; the CSR remains the
-// storage. The view is immutable like any built Graph; c must not be
-// mutated afterwards (CSRs never are).
-func FromCSR(c *CSR) *Graph {
-	return fromCSR(c, make([][]int32, c.n))
-}
-
-// fromCSR is FromCSR with the adjacency headers' storage supplied; adj
-// must have length c.N().
-func fromCSR(c *CSR, adj [][]int32) *Graph {
-	for v := 0; v < c.n; v++ {
-		adj[v] = c.cols[c.offsets[v]:c.offsets[v+1]:c.offsets[v+1]]
-	}
-	g := &Graph{adj: adj, m: c.M()}
-	g.csrOnce.Do(func() { g.csr = c })
-	return g
+	return g, nil
 }

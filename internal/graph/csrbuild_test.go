@@ -1,36 +1,25 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"beepmis/internal/rng"
 )
 
-// csrEqual reports whether two CSRs are bit-identical.
-func csrEqual(a, b *CSR) bool {
-	if a.n != b.n || len(a.offsets) != len(b.offsets) || len(a.cols) != len(b.cols) {
-		return false
-	}
-	for i := range a.offsets {
-		if a.offsets[i] != b.offsets[i] {
-			return false
-		}
-	}
-	for i := range a.cols {
-		if a.cols[i] != b.cols[i] {
-			return false
-		}
-	}
-	return true
+// csrEqual reports whether two graphs' rows are bit-identical.
+func csrEqual(a, b *Graph) bool {
+	return a.n == b.n && slices.Equal(a.offsets, b.offsets) && slices.Equal(a.cols, b.cols)
 }
 
 // buildViaBuilder runs a graph's edge list through the two-pass
 // builder on `workers` goroutines, splitting the edges into uneven
 // contiguous spans so the parallel case really interleaves.
-func buildViaBuilder(t *testing.T, g *Graph, workers int) *CSR {
+func buildViaBuilder(t *testing.T, g *Graph, workers int) *Graph {
 	t.Helper()
 	edges := g.Edges()
 	b := NewCSRBuilder(g.N())
@@ -68,9 +57,10 @@ func buildViaBuilder(t *testing.T, g *Graph, workers int) *CSR {
 }
 
 // TestCSRBuilderMatchesNewCSR is the construction-equivalence matrix:
-// for every graph family, the two-pass builder must reproduce
-// NewCSR(g) bit-for-bit at every worker count — the builder's
-// determinism contract.
+// for every graph family, the two-pass builder fed the graph's edges
+// from several goroutines must reproduce the graph — Builder output,
+// or GNP's for the G(n,p) rows — bit for bit at every worker count:
+// the builder's determinism contract.
 func TestCSRBuilderMatchesNewCSR(t *testing.T) {
 	src := rng.New(7)
 	graphs := map[string]*Graph{
@@ -112,12 +102,11 @@ func TestCSRBuilderMatchesNewCSR(t *testing.T) {
 	}
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range graphs {
-		want := NewCSR(g)
 		for _, w := range workerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				got := buildViaBuilder(t, g, w)
-				if !csrEqual(got, want) {
-					t.Fatalf("builder CSR differs from NewCSR (n=%d m=%d)", g.N(), g.M())
+				if !csrEqual(got, g) {
+					t.Fatalf("CSRBuilder rows differ from the graph's (n=%d m=%d)", g.N(), g.M())
 				}
 				if err := got.Validate(); err != nil {
 					t.Fatal(err)
@@ -247,41 +236,55 @@ func TestCSRBuilderPeakBytes(t *testing.T) {
 	}
 }
 
-// TestFromCSRAliasesStorage: the Graph view must share the CSR's
-// column storage (zero copy) and report the same counts; its cached
-// CSR must be the original pointer.
+// TestFromCSRAliasesStorage: the deprecated FromCSR and Graph.CSR are
+// identities, so a graph loaded from a file and passed through them is
+// the loaded graph itself, with the rows Builder gives the same edges.
 func TestFromCSRAliasesStorage(t *testing.T) {
-	g0 := GNP(50, 0.2, rng.New(3))
-	c := NewCSR(g0)
-	g := FromCSR(c)
-	if g.N() != c.N() || g.M() != c.M() {
-		t.Fatalf("view reports (n=%d, m=%d), want (%d, %d)", g.N(), g.M(), c.N(), c.M())
+	src := GNP(50, 0.2, rng.New(3))
+	b := NewBuilder(src.N())
+	for _, e := range src.Edges() {
+		if err := b.AddEdge(e[1], e[0]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if g.CSR() != c {
-		t.Fatal("view's CSR() is not the original CSR")
-	}
-	if err := g.Validate(); err != nil {
+	want := b.Build()
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.N(); v++ {
-		row := c.Row(v)
-		adj := g.Neighbors(v)
-		if len(row) != len(adj) {
-			t.Fatalf("vertex %d: view degree %d, CSR degree %d", v, len(adj), len(row))
-		}
-		if len(row) > 0 && &row[0] != &adj[0] {
-			t.Fatalf("vertex %d: view adjacency does not alias CSR storage", v)
-		}
+	c, _, err := LoadCSRFile(writeTemp(t, "g.el", buf.Bytes()), "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := FromCSR(c); g != c || g.CSR() != c {
+		t.Fatal("FromCSR or CSR is not the identity")
+	}
+	if !csrEqual(c, want) {
+		t.Fatal("loaded rows differ from Builder output for the same edges")
 	}
 }
 
-// TestCSRMaxDegree pins the CSR's own MaxDegree against the Graph's.
+// TestCSRMaxDegree pins MaxDegree against the longest list of the
+// adjacency-list reference, and at 0 for edgeless and empty graphs.
 func TestCSRMaxDegree(t *testing.T) {
 	g := GNP(60, 0.25, rng.New(5))
-	if got, want := NewCSR(g).MaxDegree(), g.MaxDegree(); got != want {
-		t.Fatalf("CSR MaxDegree = %d, Graph MaxDegree = %d", got, want)
+	ref := newBuilderReference(g.N())
+	for _, e := range g.Edges() {
+		if err := ref.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := NewCSR(Empty(4)).MaxDegree(); got != 0 {
-		t.Fatalf("empty CSR MaxDegree = %d, want 0", got)
+	want := 0
+	for _, lst := range ref.adj {
+		want = max(want, len(lst))
+	}
+	if got := g.MaxDegree(); got != want {
+		t.Fatalf("MaxDegree = %d, reference %d", got, want)
+	}
+	var zero Graph
+	for _, g := range []*Graph{Empty(4), &zero} {
+		if got := g.MaxDegree(); got != 0 {
+			t.Fatalf("%v: MaxDegree = %d, want 0", g, got)
+		}
 	}
 }

@@ -10,18 +10,17 @@ import (
 	"beepmis/internal/rng"
 )
 
-// This file holds the web-scale generators that construct CSR directly
-// through CSRBuilder — no intermediate adjacency Graph, no per-edge
-// append churn. They all share one determinism discipline, the same one
-// rng.Stream gives the simulator: the edge stream is split into chunks
-// whose boundaries are a pure function of the parameters (never of the
-// worker count), and chunk k draws every sample from the sub-stream
-// src.Stream(k). Workers claim chunks from an atomic counter, so which
-// goroutine generates a chunk is scheduling luck — but the chunk's
-// edges are not, and the builder's sort-based finalisation erases
-// placement order. The same chunks are regenerated identically in the
-// counting and placement passes, which is what lets the pipeline run
-// without ever buffering the edge list.
+// This file holds the web-scale generators that construct their rows
+// directly through CSRBuilder. They all share one determinism
+// discipline, the same one rng.Stream gives the simulator: the edge
+// stream is split into chunks whose boundaries are a pure function of
+// the parameters (never of the worker count), and chunk k draws every
+// sample from the sub-stream src.Stream(k). Workers claim chunks from
+// an atomic counter, so which goroutine generates a chunk is scheduling
+// luck — but the chunk's edges are not, and the builder's sort-based
+// finalisation erases placement order. The same chunks are regenerated
+// identically in the counting and placement passes, which is what lets
+// the pipeline run without ever buffering the edge list.
 
 // csrGenChunkEdges is the target edge count per generator chunk: big
 // enough that the per-chunk stream derivation and atomic chunk claim
@@ -68,7 +67,7 @@ func runCSRGenPass(src *rng.Source, numChunks int64, workers int, gen func(k int
 // finalises. gen must emit exactly the same edges for a given (chunk,
 // stream) on both invocations — it is called with emit=b.Count, then
 // emit=b.Place.
-func buildChunkedCSR(n int, numChunks int64, src *rng.Source, workers int, gen func(k int64, s *rng.Source, emit func(u, v int32))) (*CSR, error) {
+func buildChunkedCSR(n int, numChunks int64, src *rng.Source, workers int, gen func(k int64, s *rng.Source, emit func(u, v int32))) (*Graph, error) {
 	b := NewCSRBuilder(n)
 	runCSRGenPass(src, numChunks, workers, func(k int64, s *rng.Source, _ func(u, v int32)) {
 		gen(k, s, b.Count)
@@ -94,7 +93,7 @@ func buildChunkedCSR(n int, numChunks int64, src *rng.Source, workers int, gen f
 // final edge count is at most (and for skewed parameter sets
 // measurably below) the requested count — the standard R-MAT contract.
 // Output is bit-identical for any worker count.
-func RMATCSR(n int, edges int64, a, b, c, d float64, src *rng.Source, workers int) (*CSR, error) {
+func RMATCSR(n int, edges int64, a, b, c, d float64, src *rng.Source, workers int) (*Graph, error) {
 	scale := 0
 	for 1<<scale < n {
 		scale++
@@ -167,7 +166,7 @@ func ValidateRMATProbs(a, b, c, d float64) error {
 // comparisons) generate. gamma must exceed 2 (finite mean degree);
 // self-loops are dropped and duplicates deduplicated, so the final
 // edge count is at most the requested count.
-func ConfigModelCSR(n int, edges int64, gamma float64, src *rng.Source, workers int) (*CSR, error) {
+func ConfigModelCSR(n int, edges int64, gamma float64, src *rng.Source, workers int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: configmodel vertex count %d < 1", n)
 	}
@@ -201,66 +200,6 @@ func ConfigModelCSR(n int, edges int64, gamma float64, src *rng.Source, workers 
 				v = int32(n - 1)
 			}
 			emit(u, v)
-		}
-	})
-}
-
-// GNPCSR generates G(n, p) directly into CSR via per-chunk
-// Batagelj–Brandes geometric skipping — the direct-to-CSR fast path for
-// the sparse regime, where the adjacency-Graph funnel's append churn
-// dominates construction. Chunks are contiguous ranges of the higher
-// endpoint u with boundaries u_k = round(n·sqrt(k/chunks)) — equal
-// expected edge mass per chunk, and a pure function of (n, p) so the
-// edge set is bit-identical for any worker count. Within a chunk, each
-// row u samples its candidate lower endpoints v < u by geometric gap
-// skipping; the geometric distribution is memoryless, so restarting the
-// gap sequence at each row still makes every pair an independent
-// Bernoulli(p) trial.
-//
-// The sample drawn differs from GNP's (different chunking, same
-// distribution): GNPCSR is a new family member for direct-to-CSR
-// workloads, not a byte-compatible replacement for GNP(seed).
-func GNPCSR(n int, p float64, src *rng.Source, workers int) (*CSR, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: gnp vertex count %d negative", n)
-	}
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return nil, fmt.Errorf("graph: gnp probability %v outside [0,1]", p)
-	}
-	if p == 0 || n < 2 {
-		b := NewCSRBuilder(n)
-		if err := b.FinishCounts(); err != nil {
-			return nil, err
-		}
-		return b.Finish(workers)
-	}
-	if p == 1 {
-		return NewCSR(Complete(n)), nil
-	}
-	expected := p * float64(n) * float64(n-1) / 2
-	numChunks := int64(expected/csrGenChunkEdges) + 1
-	if numChunks > int64(n) {
-		numChunks = int64(n)
-	}
-	// bounds[k] is chunk k's first u: equal expected edge mass per chunk
-	// because the edges below u grow ∝ u².
-	bounds := make([]int, numChunks+1)
-	for k := int64(1); k < numChunks; k++ {
-		bounds[k] = int(float64(n) * math.Sqrt(float64(k)/float64(numChunks)))
-	}
-	bounds[numChunks] = n
-	lq := math.Log1p(-p)
-	return buildChunkedCSR(n, numChunks, src, workers, func(k int64, s *rng.Source, emit func(u, v int32)) {
-		for u := bounds[k]; u < bounds[k+1]; u++ {
-			v := -1
-			for {
-				r := s.Float64()
-				v += 1 + int(math.Log1p(-r)/lq)
-				if v >= u {
-					break
-				}
-				emit(int32(u), int32(v))
-			}
 		}
 	})
 }

@@ -9,29 +9,23 @@ import (
 )
 
 // TestGeneratorsDeterministicAcrossWorkers is the generator half of the
-// pipeline's determinism contract: for each direct-to-CSR generator,
+// pipeline's determinism contract: for each streamed generator,
 // every worker count must produce the bit-identical graph, and the
 // graph must pass full structural validation.
 func TestGeneratorsDeterministicAcrossWorkers(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	gens := map[string]func(workers int) (*CSR, error){
-		"rmat": func(w int) (*CSR, error) {
+	gens := map[string]func(workers int) (*Graph, error){
+		"rmat": func(w int) (*Graph, error) {
 			return RMATCSR(256, 4000, 0.57, 0.19, 0.19, 0.05, rng.New(11), w)
 		},
-		"rmat-uniform": func(w int) (*CSR, error) {
+		"rmat-uniform": func(w int) (*Graph, error) {
 			return RMATCSR(128, 2000, 0.25, 0.25, 0.25, 0.25, rng.New(12), w)
 		},
-		"configmodel": func(w int) (*CSR, error) {
+		"configmodel": func(w int) (*Graph, error) {
 			return ConfigModelCSR(300, 3000, 2.5, rng.New(13), w)
 		},
-		"configmodel-steep": func(w int) (*CSR, error) {
+		"configmodel-steep": func(w int) (*Graph, error) {
 			return ConfigModelCSR(200, 1000, 3.5, rng.New(14), w)
-		},
-		"gnp": func(w int) (*CSR, error) {
-			return GNPCSR(400, 0.05, rng.New(15), w)
-		},
-		"gnp-sparse": func(w int) (*CSR, error) {
-			return GNPCSR(5000, 0.0008, rng.New(16), w)
 		},
 	}
 	for name, gen := range gens {
@@ -86,34 +80,6 @@ func TestConfigModelDegreeSkew(t *testing.T) {
 	}
 }
 
-// TestGNPCSRMatchesExpectation: the Batagelj–Brandes path must deliver
-// a G(n,p)-plausible edge count (within 5 sigma) and valid structure;
-// the degenerate p values take their special-case paths.
-func TestGNPCSRMatchesExpectation(t *testing.T) {
-	n, p := 2000, 0.01
-	c, err := GNPCSR(n, p, rng.New(23), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mean := p * float64(n) * float64(n-1) / 2
-	sigma := math.Sqrt(mean * (1 - p))
-	if diff := math.Abs(float64(c.M()) - mean); diff > 5*sigma {
-		t.Fatalf("GNPCSR produced %d edges, expected %.0f ± %.0f", c.M(), mean, 5*sigma)
-	}
-	if c, err := GNPCSR(50, 0, rng.New(1), 0); err != nil || c.M() != 0 {
-		t.Fatalf("p=0: got m=%d, err=%v", c.M(), err)
-	}
-	if c, err := GNPCSR(20, 1, rng.New(1), 0); err != nil || c.M() != 20*19/2 {
-		t.Fatalf("p=1: got m=%d, err=%v", c.M(), err)
-	}
-	if c, err := GNPCSR(0, 0.5, rng.New(1), 0); err != nil || c.N() != 0 {
-		t.Fatalf("n=0: got n=%d, err=%v", c.N(), err)
-	}
-}
-
 // TestGeneratorParamValidation: every generator rejects out-of-domain
 // parameters with an error, never a panic.
 func TestGeneratorParamValidation(t *testing.T) {
@@ -129,9 +95,6 @@ func TestGeneratorParamValidation(t *testing.T) {
 		"config-nan":       func() error { _, err := ConfigModelCSR(10, 10, math.NaN(), src, 0); return err },
 		"config-neg-edges": func() error { _, err := ConfigModelCSR(10, -1, 2.5, src, 0); return err },
 		"config-n0":        func() error { _, err := ConfigModelCSR(0, 10, 2.5, src, 0); return err },
-		"gnp-neg-p":        func() error { _, err := GNPCSR(10, -0.1, src, 0); return err },
-		"gnp-p-above-1":    func() error { _, err := GNPCSR(10, 1.1, src, 0); return err },
-		"gnp-neg-n":        func() error { _, err := GNPCSR(-1, 0.5, src, 0); return err },
 	}
 	for name, call := range cases {
 		if err := call(); err == nil {

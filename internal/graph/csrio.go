@@ -9,21 +9,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // This file holds the streamed file loaders: edge-list (text and
-// binary) and METIS readers that construct graph.CSR directly through
+// binary) and METIS readers that construct a Graph directly through
 // CSRBuilder. The file IS the edge buffer — each loader reads it twice
-// (count pass, place pass) and never materialises an intermediate
-// adjacency Graph, so peak memory during ingestion is the CSRBuilder
-// bound (~1.2× the final CSR) plus O(n) parse metadata, regardless of
-// file size. Pass one also folds every byte through SHA-256; the
-// returned digest is what the scenario layer mixes into the content
-// hash so the misd result cache stays sound for file-referenced graphs
-// (same spec + different file bytes ⇒ different hash).
+// (count pass, place pass) and never buffers the edge list, so peak
+// memory during ingestion is the CSRBuilder bound (~1.2× the final
+// rows) plus O(n) parse metadata, regardless of file size. Pass one
+// also folds every byte through SHA-256; the returned digest is what
+// the scenario layer mixes into the content hash so the misd result
+// cache stays sound for file-referenced graphs (same spec + different
+// file bytes ⇒ different hash).
 //
 // All loaders validate as they parse and return errors naming the
 // offending line (or entry index, for the binary format): malformed
@@ -111,12 +111,12 @@ func PeekGraphFile(path, format string) (PeekInfo, error) {
 	}
 }
 
-// LoadCSRFile streams the graph file at path into a CSR, returning the
-// CSR and the hex SHA-256 digest of the file's bytes. format "" means
-// DetectGraphFormat(path); workers bounds the builder's finalisation
-// fan-out (≤0 means GOMAXPROCS). The result is identical for any
-// worker count.
-func LoadCSRFile(path, format string, workers int) (*CSR, string, error) {
+// LoadCSRFile streams the graph file at path into a Graph, returning
+// the Graph and the hex SHA-256 digest of the file's bytes. format ""
+// means DetectGraphFormat(path); workers bounds the builder's
+// finalisation fan-out (≤0 means GOMAXPROCS). The result is identical
+// for any worker count.
+func LoadCSRFile(path, format string, workers int) (*Graph, string, error) {
 	if format == "" {
 		format = DetectGraphFormat(path)
 	}
@@ -182,8 +182,10 @@ func readEdgeListHeader(sc *bufio.Scanner, lineNo int) (int, int64, bool, int, e
 }
 
 // scanEdgeListBody parses every edge line after the header, calling
-// visit(u, v, lineNo) for each. Range and self-loop violations are
-// rejected here, with their line number; visit handles the rest.
+// visit(u, v, lineNo) for each. An edge line is two vertex ids
+// separated by any run of spaces or tabs. Range and self-loop
+// violations are rejected here, with their line number; visit handles
+// the rest.
 func scanEdgeListBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, lineNo int) error) (int64, error) {
 	var edges int64
 	for sc.Scan() {
@@ -192,17 +194,18 @@ func scanEdgeListBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, l
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		uStr, vStr, ok := strings.Cut(line, " ")
-		if !ok {
+		sep := strings.IndexAny(line, " \t")
+		if sep < 0 {
 			return 0, fmt.Errorf("line %d: expected \"u v\", got %q", lineNo, line)
 		}
+		uStr, vStr := line[:sep], strings.TrimLeft(line[sep:], " \t")
 		u, err := strconv.Atoi(uStr)
 		if err != nil {
 			return 0, fmt.Errorf("line %d: bad vertex %q", lineNo, uStr)
 		}
-		v, err := strconv.Atoi(strings.TrimSpace(vStr))
+		v, err := strconv.Atoi(vStr)
 		if err != nil {
-			return 0, fmt.Errorf("line %d: bad vertex %q", lineNo, strings.TrimSpace(vStr))
+			return 0, fmt.Errorf("line %d: bad vertex %q", lineNo, vStr)
 		}
 		if u < 0 || u >= n || v < 0 || v >= n {
 			return 0, fmt.Errorf("line %d: %w: edge {%d,%d} with n=%d", lineNo, ErrVertexRange, u, v, n)
@@ -221,7 +224,7 @@ func scanEdgeListBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, l
 	return edges, nil
 }
 
-func loadEdgeListCSR(path string, workers int) (*CSR, string, error) {
+func loadEdgeListCSR(path string, workers int) (*Graph, string, error) {
 	// Pass 1: count degrees, hash every byte.
 	f, err := os.Open(path)
 	if err != nil {
@@ -253,19 +256,19 @@ func loadEdgeListCSR(path string, workers int) (*CSR, string, error) {
 	// Pass 2: re-read and place. The file has not been re-validated —
 	// it also hasn't changed, and if it has, the builder's pass-mismatch
 	// check refuses the result rather than mis-building.
-	c, err := edgeListSecondPass(path, b, n, workers)
+	g, err := edgeListSecondPass(path, b, n, workers)
 	if err != nil {
 		return nil, "", err
 	}
 	// Dedupe loss means the file listed some edge twice (in either
 	// orientation) — find and name the first offending line.
-	if int64(len(c.cols)) != 2*edges {
-		return nil, "", fmt.Errorf("%s: %w", path, findDuplicateEdgeLine(path, c))
+	if int64(g.M()) != edges {
+		return nil, "", fmt.Errorf("%s: %w", path, findDuplicateEdgeLine(path, g))
 	}
-	return c, digest, nil
+	return g, digest, nil
 }
 
-func edgeListSecondPass(path string, b *CSRBuilder, n, workers int) (*CSR, error) {
+func edgeListSecondPass(path string, b *CSRBuilder, n, workers int) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -282,34 +285,43 @@ func edgeListSecondPass(path string, b *CSRBuilder, n, workers int) (*CSR, error
 	}); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	c, err := b.Finish(workers)
+	g, err := b.Finish(workers)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return c, nil
+	return g, nil
 }
 
 // findDuplicateEdgeLine re-scans a file already known to contain a
 // duplicate edge and names the first line whose edge was seen before.
 // Error path only: costs one extra file pass plus a bit per final arc.
-// Each surviving arc has a unique position in the deduped CSR, so a
-// seen-bitmap over arc positions detects revisits exactly.
-func findDuplicateEdgeLine(path string, c *CSR) error {
+func findDuplicateEdgeLine(path string, g *Graph) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	seen := make([]uint64, (len(c.cols)+63)/64)
 	sc := newGraphScanner(f)
 	n, _, _, lineNo, err := readEdgeListHeader(sc, 0)
 	if err != nil {
 		return err
 	}
-	_, err = scanEdgeListBody(sc, n, lineNo, func(u, v int32, lineNo int) error {
+	return duplicateEdge(g, func(visit func(u, v int32, lineNo int) error) error {
+		_, err := scanEdgeListBody(sc, n, lineNo, visit)
+		return err
+	})
+}
+
+// duplicateEdge replays an edge list that names some edge of g twice
+// and returns an error naming the line of the first repeat. Each edge
+// has a unique arc position in g's deduplicated rows, so a seen-bitmap
+// over arc positions detects revisits exactly.
+func duplicateEdge(g *Graph, replay func(visit func(u, v int32, lineNo int) error) error) error {
+	seen := make([]uint64, (len(g.cols)+63)/64)
+	err := replay(func(u, v int32, lineNo int) error {
 		// Canonical orientation: "0 1" and "1 0" are the same edge and
 		// must mark the same bit.
-		idx := c.arcIndex(min(u, v), max(u, v))
+		idx := g.arcIndex(min(u, v), max(u, v))
 		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
 			return fmt.Errorf("line %d: duplicate edge {%d,%d}", lineNo, u, v)
 		}
@@ -324,10 +336,9 @@ func findDuplicateEdgeLine(path string, c *CSR) error {
 
 // arcIndex returns the position of arc u→v in the flat column array.
 // The caller guarantees the arc exists.
-func (c *CSR) arcIndex(u, v int32) int64 {
-	row := c.Row(int(u))
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	return c.offsets[u] + int64(i)
+func (g *Graph) arcIndex(u, v int32) int64 {
+	i, _ := slices.BinarySearch(g.Neighbors(int(u)), v)
+	return g.offsets[u] + int64(i)
 }
 
 // --- binary edge list -------------------------------------------------
@@ -418,7 +429,7 @@ func scanBinaryBody(r io.Reader, n int, m int64, visit func(u, v int32, entry in
 	return nil
 }
 
-func loadBinaryEdgeListCSR(path string, workers int) (*CSR, string, error) {
+func loadBinaryEdgeListCSR(path string, workers int) (*Graph, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", err
@@ -457,19 +468,19 @@ func loadBinaryEdgeListCSR(path string, workers int) (*CSR, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	c, err := b.Finish(workers)
+	g, err := b.Finish(workers)
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	if int64(len(c.cols)) != 2*m {
-		return nil, "", fmt.Errorf("%s: %w", path, findDuplicateBinaryEntry(path, c))
+	if int64(g.M()) != m {
+		return nil, "", fmt.Errorf("%s: %w", path, findDuplicateBinaryEntry(path, g))
 	}
-	return c, digest, nil
+	return g, digest, nil
 }
 
 // findDuplicateBinaryEntry is findDuplicateEdgeLine for the binary
 // format, naming the first duplicate record's entry index.
-func findDuplicateBinaryEntry(path string, c *CSR) error {
+func findDuplicateBinaryEntry(path string, g *Graph) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -479,9 +490,9 @@ func findDuplicateBinaryEntry(path string, c *CSR) error {
 	if err != nil {
 		return err
 	}
-	seen := make([]uint64, (len(c.cols)+63)/64)
+	seen := make([]uint64, (len(g.cols)+63)/64)
 	err = scanBinaryBody(f, n, m, func(u, v int32, entry int64) error {
-		idx := c.arcIndex(min(u, v), max(u, v))
+		idx := g.arcIndex(min(u, v), max(u, v))
 		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
 			return fmt.Errorf("binary edge list: entry %d: duplicate edge {%d,%d}", entry, u, v)
 		}
@@ -597,7 +608,7 @@ func scanMETISBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, line
 	return nil
 }
 
-func loadMETISCSR(path string, workers int) (*CSR, string, error) {
+func loadMETISCSR(path string, workers int) (*Graph, string, error) {
 	// Pass 1: count, hash, and record each row's file line + arc count
 	// for the symmetry/duplicate cross-check after finalisation. METIS
 	// lists every undirected edge once per endpoint row, so only the
@@ -650,22 +661,22 @@ func loadMETISCSR(path string, workers int) (*CSR, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	c, err := b.Finish(workers)
+	g, err := b.Finish(workers)
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
 	// A symmetric, duplicate-free file has every row's arc count equal
 	// to the built degree; the first row violating that names the line.
 	for v := 0; v < n; v++ {
-		if int(rowArcs[v]) != c.Degree(v) {
+		if int(rowArcs[v]) != g.Degree(v) {
 			return nil, "", fmt.Errorf("%s: line %d: vertex %d lists %d neighbours but the file's edge set gives it degree %d (asymmetric or duplicate entry)",
-				path, rowLine[v], v, rowArcs[v], c.Degree(v))
+				path, rowLine[v], v, rowArcs[v], g.Degree(v))
 		}
 	}
-	if int64(c.M()) != declaredM {
-		return nil, "", fmt.Errorf("%s: header declares m=%d but the file contains %d edges", path, declaredM, c.M())
+	if int64(g.M()) != declaredM {
+		return nil, "", fmt.Errorf("%s: header declares m=%d but the file contains %d edges", path, declaredM, g.M())
 	}
-	return c, digest, nil
+	return g, digest, nil
 }
 
 // HashGraphFile returns the hex SHA-256 digest of the file's bytes —

@@ -27,7 +27,7 @@ func writeTemp(t *testing.T, name string, content []byte) string {
 // match HashGraphFile.
 func TestLoadCSRFileRoundTrips(t *testing.T) {
 	g := GNP(120, 0.08, rng.New(9))
-	want := NewCSR(g)
+	want := g
 	cases := map[string]struct {
 		name  string
 		write func(*bytes.Buffer) error
@@ -292,4 +292,42 @@ func FuzzMETIS(f *testing.F) {
 			t.Fatalf("digest %s != file hash %s (err=%v)", digest, want, err)
 		}
 	})
+}
+
+// TestEdgeListReadersAgree runs each input through both text edge-list
+// readers — ReadEdgeList over a reader and LoadCSRFile over a file — and
+// requires the same verdict, and the same rows when both accept.
+func TestEdgeListReadersAgree(t *testing.T) {
+	cases := map[string]string{
+		"plain":           "n 3\n0 1\n1 2\n",
+		"m-header":        "n 3 m 2\n0 1\n1 2\n",
+		"m-mismatch":      "n 3 m 1\n0 1\n1 2\n",
+		"duplicate":       "n 3\n0 1\n1 0\n",
+		"duplicate-same":  "n 3\n0 1\n0 1\n",
+		"tab":             "n 3\n0\t1\n1 2\n",
+		"spaces-and-tabs": "n 3\n0  \t 1\n 1 2 \n",
+		"crlf":            "n 3\r\n0 1\r\n1 2\r\n",
+		"comments":        "# c\n\nn 3\n# d\n0 1\n\n",
+		"isolated":        "n 5\n",
+		"three-fields":    "n 3\n0 1 2\n",
+		"one-field":       "n 3\n01\n",
+		"self-loop":       "n 3\n1 1\n",
+		"out-of-range":    "n 3\n0 3\n",
+		"negative":        "n 3\n-1 2\n",
+		"no-header":       "0 1\n",
+		"bad-header":      "x 3\n",
+		"empty":           "",
+	}
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) {
+			got, err := ReadEdgeList(strings.NewReader(in))
+			want, _, loadErr := LoadCSRFile(writeTemp(t, "g.el", []byte(in)), FormatEdgeList, 1)
+			if (err == nil) != (loadErr == nil) {
+				t.Fatalf("ReadEdgeList err %v, LoadCSRFile err %v", err, loadErr)
+			}
+			if err == nil && !csrEqual(got, want) {
+				t.Fatalf("readers built different graphs: %v and %v", got, want)
+			}
+		})
+	}
 }

@@ -3,9 +3,10 @@ package graph
 import "sync"
 
 // ExchangePlan is the per-exchange decision both adjacency
-// representations make before delivering a beeping exchange: which
-// direction to run it in (push the emitters' rows, or — CSR only —
-// pull each target's first emitting neighbour) and whether the
+// representations (the Graph's rows and its AdjacencyMatrix) make
+// before delivering a beeping exchange: which direction to run it in
+// (push the emitters' rows, or — rows only — pull each target's first
+// emitting neighbour) and whether the
 // workload is too small to pay goroutine fan-out. Planning is split
 // from execution so a caller that owns a persistent worker pool (the
 // simulator's round loop) can make the decision once per exchange and
@@ -16,8 +17,8 @@ import "sync"
 type ExchangePlan struct {
 	// Pull runs the exchange in the pull direction: probe each target
 	// for an emitting neighbour instead of scattering emitter rows.
-	// Only the CSR representation ever sets it; dst bits outside
-	// targets are then left unset (see CSR.PullRangeInto).
+	// Only the Graph's rows ever set it; dst bits outside targets are
+	// then left unset (see Graph.PullRangeInto).
 	Pull bool
 	// Serial reports that the exchange is too small for fan-out to pay:
 	// the caller should run ExchangeRange once over the full word range

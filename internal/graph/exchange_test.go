@@ -17,7 +17,7 @@ type exchangeRep struct {
 
 func repsOf(g *Graph) []exchangeRep {
 	mat := g.Matrix()
-	c := g.CSR()
+	c := g
 	return []exchangeRep{
 		{"matrix", mat.PlanExchange, mat.ExchangeRange},
 		{"csr", c.PlanExchange, c.ExchangeRange},
@@ -107,7 +107,7 @@ func TestExchangeRangePartitionMatchesSerial(t *testing.T) {
 // must push, and the empty exchange must not pull.
 func TestCSRPlanExchangeDirections(t *testing.T) {
 	g := GNP(20000, 0.0005, rng.New(3)) // avg degree ~10
-	c := g.CSR()
+	c := g
 	n := g.N()
 	everyone := NewBitset(n)
 	everyone.Fill(n)
@@ -152,8 +152,8 @@ func TestPlanExchangeSerialThresholds(t *testing.T) {
 		{"matrix", dense.Matrix().PlanExchange, everyone, 4, false},
 		{"matrix", dense.Matrix().PlanExchange, few, 4, true},
 		{"matrix", dense.Matrix().PlanExchange, everyone, 1, true},
-		{"csr", dense.CSR().PlanExchange, few, 4, true},
-		{"csr", dense.CSR().PlanExchange, few, 1, true},
+		{"csr", dense.PlanExchange, few, 4, true},
+		{"csr", dense.PlanExchange, few, 1, true},
 	} {
 		name := fmt.Sprintf("%s/emitters=%d/shards=%d", tc.rep, tc.emitters.Count(), tc.shards)
 		if plan := tc.plan(everyone, tc.emitters, tc.shards); plan.Serial != tc.wantSerial {

@@ -41,11 +41,11 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzCSR asserts CSR construction never panics and round-trips against
-// Graph.HasEdge for adversarial edge lists: the fuzzer decodes raw
-// bytes as (n, endpoint pairs), feeds them — including out-of-range and
-// self-loop garbage the Builder rejects, and duplicates it dedupes —
-// through Build, and cross-checks the CSR form edge by edge.
+// FuzzCSR feeds one adversarial edge stream to Builder and to the
+// adjacency-list reference it replaced: the fuzzer decodes raw bytes as
+// (n, endpoint pairs), including out-of-range and self-loop garbage
+// both reject with the same verdict, and duplicates both dedupe. The
+// built graphs must agree on N, M and every row, and pass Validate.
 func FuzzCSR(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 1, 2})
 	f.Add(uint8(0), []byte{})
@@ -55,43 +55,15 @@ func FuzzCSR(f *testing.F) {
 		if len(edges) > 1<<12 {
 			t.Skip()
 		}
-		b := NewBuilder(int(n))
+		b, ref := NewBuilder(int(n)), newBuilderReference(int(n))
 		for i := 0; i+3 < len(edges); i += 4 {
 			u := int(binary.LittleEndian.Uint16(edges[i:]))
 			v := int(binary.LittleEndian.Uint16(edges[i+2:]))
-			_ = b.AddEdge(u, v) // out-of-range and self-loops rejected; duplicates deduped
-		}
-		g := b.Build()
-		if err := g.Validate(); err != nil {
-			t.Fatalf("built graph fails validation: %v", err)
-		}
-		c := NewCSR(g)
-		if c.N() != g.N() || c.M() != g.M() {
-			t.Fatalf("CSR n=%d m=%d, graph n=%d m=%d", c.N(), c.M(), g.N(), g.M())
-		}
-		total := 0
-		for v := 0; v < g.N(); v++ {
-			row := c.Row(v)
-			total += len(row)
-			prev := int32(-1)
-			for _, w := range row {
-				if w <= prev {
-					t.Fatalf("row %d not strictly sorted", v)
-				}
-				prev = w
-				if !g.HasEdge(v, int(w)) {
-					t.Fatalf("CSR edge {%d,%d} absent from graph", v, w)
-				}
+			err, refErr := b.AddEdge(u, v), ref.AddEdge(u, v)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("AddEdge(%d, %d): err %v, reference err %v", u, v, err, refErr)
 			}
 		}
-		if total != 2*g.M() {
-			t.Fatalf("CSR holds %d entries for %d edges", total, g.M())
-		}
-		// The reverse direction: every graph edge must be in the CSR.
-		for _, e := range g.Edges() {
-			if !c.HasEdge(e[0], e[1]) || !c.HasEdge(e[1], e[0]) {
-				t.Fatalf("graph edge %v absent from CSR", e)
-			}
-		}
+		assertSameRows(t, "Builder", b.Build(), ref.Build())
 	})
 }

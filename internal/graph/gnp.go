@@ -23,26 +23,24 @@ const gnpSkipBelow = 0.1
 // graph from the identical draws into storage reused across builds.
 func GNP(n int, p float64, src *rng.Source) *Graph {
 	var s Scratch
-	c := s.gnpCSR(n, p, src)
-	return fromCSR(c, make([][]int32, c.n))
+	return s.gnp(n, p, src)
 }
 
 // Scratch is reusable storage for a sequence of G(n, p) builds, such as
 // the per-trial instances of one scenario unit. It holds the half-row
-// buffer the sampler writes, the CSR row offsets and neighbour array,
-// the adjacency headers, and the words of the adjacency matrix, so a
-// build into a warm Scratch allocates only a few small headers.
+// buffer the sampler writes, the graph's row offsets and neighbour
+// array, and the words of the adjacency matrix, so a build into a warm
+// Scratch allocates only the Graph header.
 //
-// A graph built by s.GNP — with its CSR() and Matrix() — is valid until
-// s's next build, which overwrites the storage in place. Until then it
-// may be read concurrently like any Graph; only one goroutine may build
-// with s at a time. The zero value is ready to use.
+// A graph built by s.GNP — with its Matrix() — is valid until s's next
+// build, which overwrites the storage in place. Until then it may be
+// read concurrently like any Graph; only one goroutine may build with s
+// at a time. The zero value is ready to use.
 type Scratch struct {
 	hoff  []int64 // half-row offsets: row u's half is half[hoff[u]:hoff[u+1]]
 	half  []int32
-	off   []int64 // CSR row offsets
-	cols  []int32 // CSR neighbour ids
-	adj   [][]int32
+	off   []int64 // row offsets
+	cols  []int32 // neighbour ids
 	words []uint64
 }
 
@@ -50,22 +48,20 @@ type Scratch struct {
 // same values from src, but into s's storage; see Scratch for how long
 // the result stays valid. Its Matrix() is built, on first call, into s.
 func (s *Scratch) GNP(n int, p float64, src *rng.Source) *Graph {
-	c := s.gnpCSR(n, p, src)
-	s.adj = resize(s.adj, c.n)
-	g := fromCSR(c, s.adj)
+	g := s.gnp(n, p, src)
 	g.scratch = s
 	return g
 }
 
-// gnpCSR samples G(n, p) into s and returns the CSR over s.off and
+// gnp samples G(n, p) into s and returns the graph over s.off and
 // s.cols. Each sampling regime emits one half of every row, rows in
 // order and each half ascending (halfRows); mirror then writes the full
 // rows already sorted, so nothing is sorted or deduplicated.
-func (s *Scratch) gnpCSR(n int, p float64, src *rng.Source) *CSR {
+func (s *Scratch) gnp(n int, p float64, src *rng.Source) *Graph {
 	n = max(n, 0)
 	s.halfRows(n, p, src)
 	s.mirror(n)
-	return &CSR{n: n, offsets: s.off, cols: s.cols}
+	return &Graph{n: n, offsets: s.off, cols: s.cols}
 }
 
 // halfRows fills s.half and s.hoff with one half of every row of
@@ -151,11 +147,11 @@ func sampleRow(row []int32, first int32, p float64, src *rng.Source) int {
 	return k
 }
 
-// mirror completes the half rows into full CSR rows in s.off and
-// s.cols. Row x holds its own half, which lies on one side of x, plus
-// every u whose half holds x, which lies on the other side. Walking the
-// half rows in row order and appending both kinds through per-row
-// cursors therefore fills every row in ascending order: entries below x
+// mirror completes the half rows into full rows in s.off and s.cols.
+// Row x holds its own half, which lies on one side of x, plus every u
+// whose half holds x, which lies on the other side. Walking the half
+// rows in row order and appending both kinds through per-row cursors
+// therefore fills every row in ascending order: entries below x
 // all arrive before entries above it, and each kind arrives ascending.
 func (s *Scratch) mirror(n int) {
 	hoff, half := s.hoff, s.half

@@ -9,29 +9,31 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// Graph is a simple undirected graph on vertices 0..N()-1. The zero value
-// is an empty graph with no vertices. Graph is immutable after Build and
-// safe for concurrent readers.
+// Graph is a simple undirected graph on vertices 0..N()-1, stored in
+// compressed-sparse-row form: one flat int32 neighbour array holding
+// every row back to back, sorted within each row, plus per-row offsets.
+// It occupies 8·(n+1) bytes of offsets and 4 bytes per arc (two per
+// edge); see CSRBytes. The zero value is an empty graph with no
+// vertices. Graph is immutable once built and safe for concurrent
+// readers.
+//
+// Rows are sorted, so a destination-range worker can binary-search the
+// slice of a row that lands in its range; that is the building block of
+// the sparse engine's sharded exchanges (see PropagateInto).
 type Graph struct {
-	// adj[v] is the sorted neighbour list of v. Stored as int32 to halve
-	// memory on large simulations; vertex counts here never exceed 2^31.
-	adj [][]int32
-	m   int // number of edges
+	n       int
+	offsets []int64 // len n+1, or nil when n == 0; row v is cols[offsets[v]:offsets[v+1]]
+	cols    []int32 // len 2m, sorted within each row
 
 	// mat is the lazily built packed adjacency-matrix form used by the
-	// bitset simulation engine; matOnce guards its one-time construction
-	// so concurrent readers stay safe.
+	// columnar simulation engine; matOnce guards its one-time
+	// construction so concurrent readers stay safe.
 	matOnce sync.Once
 	mat     *AdjacencyMatrix
-
-	// csr is the lazily built compressed-sparse-row form used by the
-	// sparse simulation engine, with the same once-guarded discipline.
-	csrOnce sync.Once
-	csr     *CSR
 
 	// scratch, when set, is the Scratch the graph was built into; its
 	// Matrix() is then built into the scratch's words.
@@ -46,16 +48,13 @@ var ErrVertexRange = errors.New("graph: vertex out of range")
 // edges are accepted and removed by Build, so the finished graph is
 // simple either way.
 type Builder struct {
-	n   int
-	adj [][]int32
+	n     int
+	edges []int32 // endpoint pairs in insertion order: edge i is {edges[2i], edges[2i+1]}
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int) *Builder {
-	if n < 0 {
-		n = 0
-	}
-	return &Builder{n: n, adj: make([][]int32, n)}
+	return &Builder{n: max(n, 0)}
 }
 
 // AddEdge inserts the undirected edge {u, v}. It returns an error for
@@ -71,33 +70,36 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
-	b.adj[u] = append(b.adj[u], int32(v))
-	b.adj[v] = append(b.adj[v], int32(u))
+	b.edges = append(b.edges, int32(u), int32(v))
 	return nil
 }
 
-// Build finalizes the builder into an immutable Graph, sorting adjacency
-// lists and removing duplicate edges. The builder must not be used after
+// Build finalizes the builder into an immutable Graph with sorted rows
+// and duplicate edges removed. The builder must not be used after
 // Build.
 func (b *Builder) Build() *Graph {
-	m := 0
-	for v := range b.adj {
-		lst := b.adj[v]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		// Dedupe in place.
-		out := lst[:0]
-		var prev int32 = -1
-		for _, w := range lst {
-			if w != prev {
-				out = append(out, w)
-				prev = w
-			}
-		}
-		b.adj[v] = out
-		m += len(out)
+	g := finishBuild(b.n, b.edges)
+	b.edges = nil
+	return g
+}
+
+// finishBuild places a Builder's edge list into a Graph through
+// CSRBuilder: count, FinishCounts, place, then Finish sorts and dedupes
+// every row. The edges were checked by AddEdge, so the builder cannot
+// fail. It is a variable so the package's tests can rebuild every
+// Builder-based constructor through the adjacency-list reference and
+// compare rows.
+var finishBuild = func(n int, edges []int32) *Graph {
+	c := NewCSRBuilder(n)
+	c.countPairs(edges)
+	if err := c.FinishCounts(); err != nil {
+		panic(err)
 	}
-	g := &Graph{adj: b.adj, m: m / 2}
-	b.adj = nil
+	c.placePairs(edges)
+	g, err := c.Finish(1)
+	if err != nil {
+		panic(err)
+	}
 	return g
 }
 
@@ -107,71 +109,71 @@ func Empty(n int) *Graph {
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return len(g.cols) / 2 }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
 // Neighbors returns the sorted neighbour list of v. The returned slice is
 // shared with the graph's internal storage and must not be modified; this
 // is the hot path of the simulator, so we avoid a defensive copy and
 // enforce the contract by documentation, mirroring the standard library's
-// bytes.Buffer.Bytes.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+// bytes.Buffer.Bytes. Its capacity ends at the row's end, so an append
+// cannot reach the next row.
+func (g *Graph) Neighbors(v int) []int32 {
+	lo, hi := g.offsets[v], g.offsets[v+1]
+	return g.cols[lo:hi:hi]
+}
 
 // HasEdge reports whether the edge {u, v} exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	lst := g.adj[u]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= int32(v) })
-	return i < len(lst) && lst[i] == int32(v)
+	_, found := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return found
 }
 
-// MaxDegree returns the maximum degree, or 0 for an empty graph.
+// MaxDegree returns the maximum degree, or 0 for an empty graph. It is
+// an O(n) scan; the simulator calls it once per run.
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := range g.adj {
-		if d := len(g.adj[v]); d > max {
-			max = d
-		}
+	maxDeg := 0
+	for v := 0; v < g.n; v++ {
+		maxDeg = max(maxDeg, g.Degree(v))
 	}
-	return max
+	return maxDeg
 }
 
 // MinDegree returns the minimum degree, or 0 for an empty graph.
 func (g *Graph) MinDegree() int {
-	if len(g.adj) == 0 {
+	if g.n == 0 {
 		return 0
 	}
-	min := len(g.adj[0])
-	for v := 1; v < len(g.adj); v++ {
-		if d := len(g.adj[v]); d < min {
-			min = d
-		}
+	minDeg := g.Degree(0)
+	for v := 1; v < g.n; v++ {
+		minDeg = min(minDeg, g.Degree(v))
 	}
-	return min
+	return minDeg
 }
 
 // AvgDegree returns the average degree 2m/n, or 0 for an empty graph.
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.n == 0 {
 		return 0
 	}
-	return 2 * float64(g.m) / float64(len(g.adj))
+	return float64(len(g.cols)) / float64(g.n)
 }
 
 // Edges returns all edges as [2]int pairs with u < v, sorted
 // lexicographically. It allocates; intended for I/O and tests, not the
 // simulation hot path.
 func (g *Graph) Edges() [][2]int {
-	edges := make([][2]int, 0, g.m)
-	for u := range g.adj {
-		for _, w := range g.adj[u] {
+	edges := make([][2]int, 0, g.M())
+	for u := 0; u < g.n; u++ {
+		for _, w := range g.Neighbors(u) {
 			if int32(u) < w {
 				edges = append(edges, [2]int{u, int(w)})
 			}
@@ -182,38 +184,42 @@ func (g *Graph) Edges() [][2]int {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	adj := make([][]int32, len(g.adj))
-	for v := range g.adj {
-		adj[v] = append([]int32(nil), g.adj[v]...)
-	}
-	return &Graph{adj: adj, m: g.m}
+	return &Graph{n: g.n, offsets: slices.Clone(g.offsets), cols: slices.Clone(g.cols)}
 }
 
-// Validate checks internal invariants: sorted, deduplicated, symmetric
-// adjacency with a consistent edge count. Generators are tested through
-// this; it is O(m log m).
+// Validate checks internal invariants: monotone offsets covering the
+// neighbour array, sorted and deduplicated rows of in-range vertices,
+// no self-loops, and symmetry. Generators and loaders are tested
+// through this; it is O(m log m).
 func (g *Graph) Validate() error {
-	count := 0
-	for v := range g.adj {
-		lst := g.adj[v]
-		for i, w := range lst {
-			if w < 0 || int(w) >= len(g.adj) {
-				return fmt.Errorf("%w: adj[%d] contains %d", ErrVertexRange, v, w)
+	if g.n == 0 && len(g.offsets) == 0 {
+		if len(g.cols) != 0 {
+			return fmt.Errorf("graph: %d neighbour entries without vertices", len(g.cols))
+		}
+		return nil
+	}
+	if len(g.offsets) != g.n+1 || g.offsets[0] != 0 || g.offsets[g.n] != int64(len(g.cols)) {
+		return fmt.Errorf("graph: row offsets malformed (n=%d, len=%d, cols=%d)", g.n, len(g.offsets), len(g.cols))
+	}
+	for v := 0; v < g.n; v++ {
+		if g.offsets[v] > g.offsets[v+1] {
+			return fmt.Errorf("graph: row offsets decrease at row %d", v)
+		}
+		row := g.Neighbors(v)
+		for i, w := range row {
+			if w < 0 || int(w) >= g.n {
+				return fmt.Errorf("%w: row %d contains %d", ErrVertexRange, v, w)
 			}
 			if int(w) == v {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
-			if i > 0 && lst[i-1] >= w {
-				return fmt.Errorf("graph: adj[%d] not strictly sorted at index %d", v, i)
+			if i > 0 && row[i-1] >= w {
+				return fmt.Errorf("graph: row %d not strictly sorted at index %d", v, i)
 			}
 			if !g.HasEdge(int(w), v) {
 				return fmt.Errorf("graph: asymmetric edge {%d,%d}", v, w)
 			}
 		}
-		count += len(lst)
-	}
-	if count != 2*g.m {
-		return fmt.Errorf("graph: edge count %d inconsistent with adjacency total %d", g.m, count)
 	}
 	return nil
 }

@@ -22,15 +22,17 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestZeroVertexGraph(t *testing.T) {
-	g := Empty(0)
-	if g.N() != 0 || g.M() != 0 {
-		t.Fatalf("Empty(0) = %v", g)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.AvgDegree() != 0 {
-		t.Fatal("AvgDegree of empty graph must be 0")
+	var zero Graph
+	for name, g := range map[string]*Graph{"Empty(0)": Empty(0), "zero value": &zero} {
+		if g.N() != 0 || g.M() != 0 {
+			t.Fatalf("%s = %v", name, g)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g.AvgDegree() != 0 || g.MaxDegree() != 0 || g.MinDegree() != 0 || len(g.Edges()) != 0 {
+			t.Fatalf("%s: degree statistics or edges of an empty graph are not zero", name)
+		}
 	}
 }
 
@@ -124,8 +126,8 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone differs in size")
 	}
 	// Mutating the clone's internals must not affect the original.
-	c.adj[0][0] = 3
-	if g.adj[0][0] == 3 {
+	c.cols[0] = 3
+	if g.cols[0] == 3 {
 		t.Fatal("clone shares storage with original")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteEdgeList writes g in a simple text format:
@@ -33,64 +31,51 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// MaxEdgeListVertices caps the vertex count ReadEdgeList accepts. The
-// header is attacker-controlled in any setting where graphs arrive over
-// the network, and the count drives an O(n) allocation (~24 bytes per
-// vertex of empty adjacency headers) before a single edge is read.
-// 2^22 vertices (~100 MiB) is far beyond what the simulator can process
-// in reasonable time anyway; construct larger graphs programmatically.
+// MaxEdgeListVertices caps the vertex count the graph file readers
+// accept. The header is attacker-controlled in any setting where graphs
+// arrive over the network, and the count drives O(n) allocations (row
+// offsets and placement cursors, 12 bytes per vertex) before a single
+// edge is read. 2^22 vertices is far beyond what the simulator can
+// process in reasonable time anyway; construct larger graphs
+// programmatically.
 const MaxEdgeListVertices = 1 << 22
 
-// ReadEdgeList parses the format emitted by WriteEdgeList. Lines starting
-// with '#' and blank lines are ignored. Errors carry the offending line
-// number. Headers declaring more than MaxEdgeListVertices vertices are
-// rejected.
+// ReadEdgeList parses a text edge list: the format WriteEdgeList emits,
+// in the grammar LoadCSRFile reads as FormatEdgeList. Lines starting
+// with '#' and blank lines are ignored. The header is "n <count>" or
+// "n <count> m <edges>"; a declared m must equal the number of edge
+// lines. Each edge line is two vertex ids separated by spaces or tabs.
+// Out-of-range endpoints, self-loops and an edge listed twice (in
+// either orientation) are errors naming their line, as are headers
+// declaring more than MaxEdgeListVertices vertices.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var b *Builder
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if b == nil {
-			if len(fields) != 2 || fields[0] != "n" {
-				return nil, fmt.Errorf("line %d: expected header \"n <count>\", got %q", lineNo, line)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("line %d: bad vertex count %q", lineNo, fields[1])
-			}
-			if n > MaxEdgeListVertices {
-				return nil, fmt.Errorf("line %d: vertex count %d exceeds limit %d", lineNo, n, MaxEdgeListVertices)
-			}
-			b = NewBuilder(n)
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("line %d: expected \"u v\", got %q", lineNo, line)
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad vertex %q", lineNo, fields[0])
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad vertex %q", lineNo, fields[1])
-		}
-		if err := b.AddEdge(u, v); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
+	sc := newGraphScanner(r)
+	n, declaredM, haveM, lineNo, err := readEdgeListHeader(sc, 0)
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("scan edge list: %w", err)
+	var edges, lines []int32 // edge i is {edges[2i], edges[2i+1]}, read on line lines[i]
+	count, err := scanEdgeListBody(sc, n, lineNo, func(u, v int32, lineNo int) error {
+		edges = append(edges, u, v)
+		lines = append(lines, int32(lineNo))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if b == nil {
-		return nil, fmt.Errorf("edge list: missing \"n <count>\" header")
+	if haveM && count != declaredM {
+		return nil, fmt.Errorf("edge list: header declares m=%d but the list contains %d edge lines", declaredM, count)
 	}
-	return b.Build(), nil
+	g := finishBuild(n, edges)
+	if int64(g.M()) != count {
+		return nil, duplicateEdge(g, func(visit func(u, v int32, lineNo int) error) error {
+			for i, line := range lines {
+				if err := visit(edges[2*i], edges[2*i+1], int(line)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	return g, nil
 }

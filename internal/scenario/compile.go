@@ -247,10 +247,9 @@ var families = map[string]familyInfo{
 			return graph.RandomRegular(n, g.D, src)
 		},
 	},
-	// The three direct-to-CSR families. Their builders return a
-	// graph.FromCSR view — adjacency slice headers aliasing the CSR's
-	// column array — so the sparse engine gets the CSR with no copy and
-	// the verifier gets its neighbour walks from the same storage.
+	// The three streamed families. They build through graph.CSRBuilder
+	// in two passes over their edge stream (regenerated, or re-read
+	// from the file), never holding the edge list.
 	"rmat": {
 		usesN: true, random: true, extra: []string{"edges", "a", "b", "c"},
 		expectedEdges: func(g GraphSpec, _ int, _ float64) float64 { return float64(g.Edges) },
@@ -268,11 +267,7 @@ var families = map[string]familyInfo{
 			return nil
 		},
 		build: func(g GraphSpec, n int, _ float64, src *rng.Source) (*graph.Graph, error) {
-			c, err := graph.RMATCSR(n, g.Edges, g.A, g.B, g.C, 1-g.A-g.B-g.C, src, 0)
-			if err != nil {
-				return nil, err
-			}
-			return graph.FromCSR(c), nil
+			return graph.RMATCSR(n, g.Edges, g.A, g.B, g.C, 1-g.A-g.B-g.C, src, 0)
 		},
 	},
 	"configmodel": {
@@ -289,17 +284,13 @@ var families = map[string]familyInfo{
 			return nil
 		},
 		build: func(g GraphSpec, n int, _ float64, src *rng.Source) (*graph.Graph, error) {
-			c, err := graph.ConfigModelCSR(n, g.Edges, g.Gamma, src, 0)
-			if err != nil {
-				return nil, err
-			}
-			return graph.FromCSR(c), nil
+			return graph.ConfigModelCSR(n, g.Edges, g.Gamma, src, 0)
 		},
 	},
-	// file loads a graph from disk through the streaming loaders — never
-	// an intermediate adjacency Graph. It is deterministic (not random:
-	// the file's bytes are pinned by the digest Compile resolves), so the
-	// runner builds it once per unit and shares it across trials.
+	// file loads a graph from disk through the streaming loaders. It is
+	// deterministic (not random: the file's bytes are pinned by the
+	// digest Compile resolves), so the runner builds it once per unit
+	// and shares it across trials.
 	"file": {
 		extra: []string{"path", "format", "digest"},
 		expectedEdges: func(g GraphSpec, _ int, _ float64) float64 {
@@ -326,7 +317,7 @@ var families = map[string]familyInfo{
 			return nil
 		},
 		build: func(g GraphSpec, _ int, _ float64, _ *rng.Source) (*graph.Graph, error) {
-			c, digest, err := graph.LoadCSRFile(g.Path, g.Format, 0)
+			gr, digest, err := graph.LoadCSRFile(g.Path, g.Format, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -335,7 +326,7 @@ var families = map[string]familyInfo{
 			if digest != g.Digest {
 				return nil, fmt.Errorf("graph file %s has digest %s, but the compiled scenario expects %s (file changed since submission?)", g.Path, digest, g.Digest)
 			}
-			return graph.FromCSR(c), nil
+			return gr, nil
 		},
 	},
 }
@@ -632,9 +623,11 @@ func (s *Spec) Compile() (*Compiled, error) {
 	return c, nil
 }
 
-// adjacencyBytes estimates the memory of the Graph's own adjacency
-// lists: two int32 entries per edge plus a slice header per vertex. An
-// instance needs this whatever engine runs it.
+// adjacencyBytes estimates the transient storage every build holds
+// beside the graph's final rows: the Builder's edge list, GNP's half
+// rows, or CSRBuilder's placement cursors — priced as 24 bytes per
+// vertex plus two int32 entries per edge. An instance needs this
+// whatever engine runs it.
 func adjacencyBytes(nodes int, expEdges float64) float64 {
 	return 24*float64(nodes) + 8*expEdges
 }
@@ -653,12 +646,12 @@ func plannedEngine(pin sim.Engine, nodes int, expEdges float64) sim.Engine {
 }
 
 // admitFootprint bounds a unit by the estimated memory footprint of
-// the representation its compiled plan will actually use — the
-// adjacency lists every engine needs, plus the dense matrix for a
-// columnar plan or the CSR edge array for a sparse one. This is what
-// lets a sparse million-node spec through (its CSR is a few dozen MB)
-// while an infeasible dense pin on the same graph still fails at
-// submission time with the reason spelled out.
+// the representation its compiled plan will actually use — the build's
+// transient storage every engine needs (adjacencyBytes), plus the dense
+// matrix for a columnar plan or the graph's CSR rows for a sparse one.
+// This is what lets a sparse million-node spec through (its CSR is a
+// few dozen MB) while an infeasible dense pin on the same graph still
+// fails at submission time with the reason spelled out.
 func admitFootprint(pin sim.Engine, family string, nodes int, expEdges float64) (sim.Engine, error) {
 	planned := plannedEngine(pin, nodes, expEdges)
 	adj := adjacencyBytes(nodes, expEdges)

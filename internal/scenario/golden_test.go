@@ -164,8 +164,8 @@ func TestGoldenReportDigests(t *testing.T) {
 }
 
 // TestScratchTrialsMatchAcrossWorkers runs per-trial G(n,p) units, in
-// both sampling regimes and on every engine backend that reads a
-// scratch-built graph (the matrix, the CSR, the adjacency lists), at
+// both sampling regimes and on every engine spelling that reads a
+// scratch-built graph (the matrix, or the graph's own rows), at
 // four trial workers and at one: the reports must be byte-identical.
 // Under -race this is also the check that no two concurrent trials
 // share a graph.Scratch and that none is reused while a trial still

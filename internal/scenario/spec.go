@@ -44,10 +44,10 @@ const (
 	// MaxNodes caps the node count of any single graph.
 	MaxNodes = 1 << 20
 	// MaxUnitMemory caps the estimated memory footprint of a unit's
-	// simulation: the graph's adjacency lists plus the representation
-	// the compiled plan will actually use (dense matrix for a columnar
-	// plan, CSR edge array for a sparse one, whether pinned or picked by
-	// the auto heuristic). Bounding by footprint rather
+	// simulation: the graph build's transient storage plus the
+	// representation the compiled plan will actually use (dense matrix
+	// for a columnar plan, the graph's CSR rows for a sparse one,
+	// whether pinned or picked by the auto heuristic). Bounding by footprint rather
 	// than by a blanket edge cap is what admits sparse million-node
 	// specs while still failing infeasible dense ones up front — a
 	// graph is only too big when the plan's representation is.

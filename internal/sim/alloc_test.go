@@ -76,8 +76,7 @@ func TestRoundLoopAllocations(t *testing.T) {
 		slack      = 40 // far below the ~300 allocs a 1-alloc/round regression would add
 	)
 	g := graph.GNP(n, 0.01, rng.New(7))
-	g.Matrix() // build cached representations outside the measurement
-	g.CSR()
+	g.Matrix() // build the cached matrix outside the measurement
 	wake := func(round int) []int {
 		w := make([]int, n)
 		for v := earlyBirds; v < n; v++ {

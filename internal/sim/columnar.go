@@ -298,7 +298,7 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 // struct-of-arrays state, joins are one AndNot (beeped &^ heard), and
 // both exchanges are sharded destination-range OR passes over prop's
 // adjacency representation — the packed matrix for EngineColumnar, the
-// CSR edge arrays for EngineSparse. Per round it does O(n/64) word
+// graph's own sorted rows for EngineSparse. Per round it does O(n/64) word
 // operations plus one rng draw per eligible node, and the kernel draws
 // from the per-node streams in node order, so the result is a pure
 // function of (graph, algorithm, seed, options) whatever the engine or

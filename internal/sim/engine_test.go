@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"beepmis/internal/beep"
@@ -120,10 +121,15 @@ func assertIdenticalNamed(t *testing.T, a, b *Result, aName, bName string) {
 }
 
 func TestEngineEquivalencePureModel(t *testing.T) {
+	rmat, err := graph.RMATCSR(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := []struct {
 		name string
 		g    *graph.Graph
 	}{
+		{"rmat-128", rmat},
 		{"gnp-200", graph.GNP(200, 0.5, rng.New(1))},
 		{"gnp-sparse-300", graph.GNP(300, 0.02, rng.New(2))},
 		{"grid-13x13", graph.Grid(13, 13)},
@@ -492,5 +498,106 @@ func TestEnginesUnderTraceHook(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunCSREquivalence runs a graph built straight into compressed
+// sparse rows (CSR) by the R-MAT generator under every engine spelling —
+// the legacy pins, auto, and both backends with and without a kernel at
+// several shard counts — and requires every run to equal the per-node
+// reference loop and to return a maximal independent set.
+func TestRunCSREquivalence(t *testing.T) {
+	g, err := graph.RMATCSR(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	want, err := referenceRun(g, factory, rng.New(seed), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		engine Engine
+		shards []int
+		bulk   bool
+	}{
+		{EngineScalar, []int{0}, false},
+		{EngineBitset, []int{0}, false},
+		{EngineSparse, []int{1, 3, 0}, false}, // per-node adapter path
+		{EngineColumnar, []int{1, 3, 0}, true},
+		{EngineSparse, []int{1, 3, 0}, true},
+		{EngineAuto, []int{0}, true},
+	} {
+		for _, shards := range tc.shards {
+			name := fmt.Sprintf("%v/shards=%d/bulk=%v", tc.engine, shards, tc.bulk)
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Engine: tc.engine, Shards: shards}
+				if tc.bulk {
+					opts.Bulk = bulk
+				}
+				got, err := Run(g, factory, rng.New(seed), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdenticalNamed(t, want, got, "reference", name)
+				if err := graph.VerifyMIS(g, got.InMIS); err != nil {
+					t.Fatalf("result is not a maximal independent set: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestRunValidation: Run rejects invalid options before touching the
+// round loop.
+func TestRunValidation(t *testing.T) {
+	g := graph.Path(4)
+	factory, _, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Options{
+		{BeepLoss: -0.1},
+		{BeepLoss: 1},
+		{Shards: -1},
+		{MemoryBudget: -1},
+		{Engine: Engine(99)},
+		{WakeAt: []int{1, 1}}, // wrong length for n=4
+		{CrashAtRound: map[int][]int{1: {99}}},
+	}
+	for i, opts := range bad {
+		if _, err := Run(g, factory, rng.New(1), opts); err == nil {
+			t.Errorf("case %d: invalid options %+v did not error", i, opts)
+		}
+	}
+}
+
+// TestBeepLossNodeBound: beep loss packs node ids into 21 bits of its
+// stream ids, like channel noise, so a lossy run on a wider graph is
+// refused up front with the bound named — and a loss-free run on the
+// same graph is not.
+func TestBeepLossNodeBound(t *testing.T) {
+	b := graph.NewCSRBuilder(fault.MaxChannelNodes + 1)
+	if err := b.FinishCounts(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Finish(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(g, factory, rng.New(1), Options{BeepLoss: 0.1, Bulk: bulk})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(fault.MaxChannelNodes)) {
+		t.Fatalf("beep loss on %d nodes: err %v, want the %d-node bound named", g.N(), err, fault.MaxChannelNodes)
+	}
+	if _, err := Run(g, factory, rng.New(1), Options{MaxRounds: 1, Bulk: bulk}); err != nil && !errors.Is(err, ErrTooManyRounds) {
+		t.Fatalf("loss-free run on %d nodes: %v", g.N(), err)
 	}
 }

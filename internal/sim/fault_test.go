@@ -48,10 +48,15 @@ func faultSpecs() []struct {
 // that makes the fault layer a semantic knob rather than an engine
 // feature.
 func TestEngineEquivalenceFaults(t *testing.T) {
+	configModel, err := graph.ConfigModelCSR(150, 900, 2.5, rng.New(33), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := []struct {
 		name string
 		g    *graph.Graph
 	}{
+		{"configmodel-150", configModel},
 		{"gnp-150", graph.GNP(150, 0.3, rng.New(1))},
 		{"gnp-sparse-200", graph.GNP(200, 0.03, rng.New(2))},
 		{"grid-9x9", graph.Grid(9, 9)},

@@ -17,9 +17,10 @@
 // state (or through an adapter over its per-node automata), and both
 // exchanges are sharded across cores. Two engines choose the adjacency
 // representation it reads: the dense packed matrix (EngineColumnar, 64
-// listeners per machine operation) or the CSR edge arrays
-// (EngineSparse, memory linear in the edges). Options.Engine selects
-// one; EngineAuto (the default) picks by graph density and size.
+// listeners per machine operation) or the graph's own compressed
+// sparse rows (EngineSparse, memory linear in the edges).
+// Options.Engine selects one; EngineAuto (the default) picks by graph
+// density and size.
 // Engines are bit-identical in their results — only the wall clock and
 // the memory differ.
 package sim
@@ -177,9 +178,11 @@ func (r *Result) MeanBeepsPerNode() float64 {
 
 // Run simulates factory's algorithm on g, drawing node randomness from
 // per-node streams of master so the execution is a pure function of
-// (g, factory, master seed, opts). It returns an error wrapping
-// ErrTooManyRounds if the round cap is hit; the partial Result is still
-// returned alongside it for inspection.
+// (g, factory, master seed, opts). The columnar engine reads g's packed
+// matrix (g.Matrix, built once per graph); the sparse engine reads g's
+// rows directly. It returns an error wrapping ErrTooManyRounds if the
+// round cap is hit; the partial Result is still returned alongside it
+// for inspection.
 func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options) (*Result, error) {
 	r, err := prepare(g, factory, master, opts)
 	if err != nil {
@@ -188,33 +191,15 @@ func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options)
 	if r.engine == EngineColumnar {
 		return runColumnar(r, g.Matrix())
 	}
-	return runColumnar(r, g.CSR())
+	return runColumnar(r, g)
 }
-
-// topology is the graph view the round loop reads at setup: a node
-// count, per-node degrees, the maximum degree, and (for engine
-// selection) the edge count. Both *graph.Graph and *graph.CSR satisfy
-// it, which is what lets RunCSR run a direct-to-CSR graph without a
-// backing Graph — everything else the loop touches goes through the
-// bulkPropagator.
-type topology interface {
-	N() int
-	M() int
-	Degree(v int) int
-	MaxDegree() int
-}
-
-var (
-	_ topology = (*graph.Graph)(nil)
-	_ topology = (*graph.CSR)(nil)
-)
 
 // preparedRun is a run whose options have passed validation: the
 // engine resolved, wake schedules resolved into opts.WakeAt, the fault
 // spec compiled into a plan, and a bulk kernel chosen. Only the
 // adjacency representation is left for the caller to supply.
 type preparedRun struct {
-	g         topology
+	g         *graph.Graph
 	master    *rng.Source
 	opts      Options
 	engine    Engine // EngineColumnar or EngineSparse
@@ -224,12 +209,11 @@ type preparedRun struct {
 	plan      *faultPlan
 }
 
-// prepare is the prelude Run and RunCSR share: it validates opts
-// against g — beep loss, shards, budget, the engine, WakeAt, crashes
-// and the fault spec — resolves the engine and any declarative wake
-// schedule, and substitutes the per-node adapter when the algorithm
-// has no kernel.
-func prepare(g topology, factory beep.Factory, master *rng.Source, opts Options) (*preparedRun, error) {
+// prepare is Run's prelude: it validates opts against g — beep loss,
+// shards, budget, the engine, WakeAt, crashes and the fault spec —
+// resolves the engine and any declarative wake schedule, and
+// substitutes the per-node adapter when the algorithm has no kernel.
+func prepare(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options) (*preparedRun, error) {
 	n := g.N()
 	loss, err := fault.NewBeepLoss(opts.BeepLoss, n)
 	if err != nil {

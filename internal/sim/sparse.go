@@ -14,9 +14,10 @@ import (
 // ones the round loop reads — with the destination word range
 // partitioned across up to `shards` goroutines. Both adjacency
 // representations satisfy it: *graph.AdjacencyMatrix (dense packed
-// rows, the columnar engine) always pushes, *graph.CSR (sorted edge
-// arrays, the sparse engine) chooses push or pull per exchange. Both
-// are bit-identical within targets for every shard count.
+// rows, the columnar engine) always pushes, and *graph.Graph itself
+// (sorted compressed rows, the sparse engine) chooses push or pull per
+// exchange. Both are bit-identical within targets for every shard
+// count.
 type bulkPropagator interface {
 	PropagateToTargets(dst, targets, emitters graph.Bitset, shards int)
 	// PlanExchange and ExchangeRange split one PropagateToTargets call
@@ -32,7 +33,7 @@ type bulkPropagator interface {
 
 var (
 	_ bulkPropagator  = (*graph.AdjacencyMatrix)(nil)
-	_ bulkPropagator  = (*graph.CSR)(nil)
+	_ bulkPropagator  = (*graph.Graph)(nil)
 	_ beep.BulkRanger = (*perNodeBulk)(nil)
 )
 

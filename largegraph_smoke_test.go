@@ -10,11 +10,12 @@ import (
 )
 
 // TestTenMillionEdgeScenario is the pipeline's scale acceptance test: a
-// Graph500-skewed R-MAT with a >10^7-edge budget must construct
-// direct-to-CSR, fit the default engine memory budget, and complete a
-// verifier-clean sparse-engine scenario. Everything upstream (two-pass
-// builder, chunked generators, CSR-native engine entry) is exercised at
-// the scale the pipeline was built for; the unit tests only prove the
+// Graph500-skewed R-MAT with a >10^7-edge budget must construct through
+// the streamed two-pass builder, fit the default engine memory budget,
+// and complete a verifier-clean sparse-engine scenario. Everything
+// upstream (two-pass builder, chunked generators, the sparse engine
+// over the graph's rows) is exercised at the scale the pipeline was
+// built for; the unit tests only prove the
 // pieces agree at toy sizes.
 func TestTenMillionEdgeScenario(t *testing.T) {
 	if testing.Short() {

@@ -15,10 +15,10 @@
 #      multi-core scaling record EXPERIMENTS.md reads its table from.
 #   4. The perf-gate grid: small pinned workloads CI re-runs with
 #      `misbench -bench -compare <this file>` (see ci.yml perf-gate).
-#   5. Construction throughput (PR 7): the direct-to-CSR pipeline on
-#      RMAT, configmodel, and Batagelj–Brandes G(n,p) workloads — the
-#      records' build_ns / edges_per_sec fields are the pipeline's own
-#      trajectory, alongside a sparse-engine run over each built graph.
+#   5. Construction throughput (PR 7): the streamed builder on RMAT and
+#      configmodel, and graph.GNP on G(n,p) — the records' build_ns /
+#      edges_per_sec fields are construction's own trajectory,
+#      alongside a sparse-engine run over each built graph.
 #   6. Service-level load (PR 10): misload against a live misd with an
 #      autoscaling job pool — a closed-loop burst and an open-loop
 #      Poisson run over the load-tiny scenario. These records carry
@@ -104,10 +104,10 @@ for shards in 1 2; do
 done
 
 # --- Stage 5: construction throughput --------------------------------
-# The direct-to-CSR pipeline at the scale it exists for: ~10^7-edge
-# RMAT and configmodel graphs plus the Batagelj–Brandes G(n,p) fast
-# path, generated once per record and timed (build_ns, edges_per_sec),
-# then a single sparse-engine run over each. Shards are pinned to 1 so
+# Graph construction at the scale the streamed builder exists for:
+# ~10^7-edge RMAT and configmodel graphs (two CSRBuilder passes each)
+# plus graph.GNP's G(n,p), generated once per record and timed
+# (build_ns, edges_per_sec), then a single sparse-engine run over each. Shards are pinned to 1 so
 # the keys are machine-independent; construction workers default to
 # GOMAXPROCS, which the record's gomaxprocs field stamps.
 GOMAXPROCS=1 "$bin" -bench -json -engine sparse -shards 1 -benchruns 1 \
