@@ -15,7 +15,7 @@
 #      multi-core scaling record EXPERIMENTS.md reads its table from.
 #   4. The perf-gate grid: small pinned workloads CI re-runs with
 #      `misbench -bench -compare <this file>` (see ci.yml perf-gate).
-#   5. Construction throughput (PR 7): the streamed builder on RMAT and
+#   5. Construction throughput: the streamed builder on RMAT and
 #      configmodel, and graph.GNP on G(n,p) — the records' build_ns /
 #      edges_per_sec fields are construction's own trajectory,
 #      alongside a sparse-engine run over each built graph.
