@@ -25,14 +25,14 @@ var goldenExperimentDigests = map[string]string{
 	"fig3":          "589af2ebce8601d95e07729578496dfef76ea55a9594d715dc3191d405488b69",
 	"fig5":          "21617b259abf17ade14caf22feb3b0d77fc6c8e92c2916f3cd0f431e151b3020",
 	"luby":          "5358f2531113f031169de508f805b4a6fd19bc86a808f2748b1a164673069cfe",
-	"thm1":          "f245ab777c82ebb7e1d891888d34cd42569759dc2bbc0159d7b7b762a89157bc",
+	"thm1":          "6d036a406c8cf694085921c76b173cfe392bf74206345fb3f781eb58e194e5f3",
 	"thm6":          "db1d50b75b0f867e7038aa23e6a7a3520620fb2aefcdabca1157ed5f7e3a3375",
 	"wakeup":        "86dde44c40623bf9b6782b3b7c338c81a674ebd6a6b545ab33fcd577fe5b706d",
 }
 
 // goldenAllExperimentsDigest is the SHA-256 of the whole misbench
 // output: the documents above joined by blank lines.
-const goldenAllExperimentsDigest = "d3b286988049c8ce4ec9ee1bb46e307550371d4c27c86e6b5bb969cbaa9bb1bd"
+const goldenAllExperimentsDigest = "08f99198bdf82c5a863fab64c90e9e3ed336d86744054cff2d3377a7284ad252"
 
 func TestGoldenExperimentDigests(t *testing.T) {
 	var all bytes.Buffer

@@ -197,22 +197,12 @@ var _ beep.BulkRanger = (*afekBulk)(nil)
 // schedule, interchangeable with NewAfekOriginal.
 func NewAfekOriginalBulk(cfg AfekOriginalConfig) beep.BulkFactory {
 	return func(net beep.NetworkInfo) beep.BulkAutomaton {
-		perLvl := cfg.StepsPerLevel
-		if perLvl <= 0 {
-			perLvl = int(math.Ceil(math.Log2(float64(net.N + 1))))
-			if perLvl < 1 {
-				perLvl = 1
-			}
-		}
-		d := net.MaxDegree
-		if d < 1 {
-			d = 1
-		}
+		perLvl, initial := afekParams(cfg, net.N, net.MaxDegree)
 		k := &afekBulk{
 			p:       make([]float64, net.N),
 			counter: make([]int32, net.N),
 			perLvl:  int32(perLvl),
-			initial: 1 / float64(d+1),
+			initial: initial,
 		}
 		for v := range k.p {
 			k.p[v] = k.initial
@@ -237,12 +227,9 @@ func (k *afekBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out gra
 			v := base + int(b)
 			p := k.p[v]
 			k.counter[v]++
-			if k.counter[v] >= k.perLvl && k.p[v] < 0.5 {
+			if k.counter[v] >= k.perLvl {
 				k.counter[v] = 0
-				k.p[v] *= 2
-				if k.p[v] > 0.5 {
-					k.p[v] = 0.5
-				}
+				k.p[v] = nextAfekLevel(p, k.initial)
 			}
 			if streams[v].Bernoulli(p) {
 				beeps |= 1 << b

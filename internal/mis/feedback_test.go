@@ -191,8 +191,9 @@ func TestAfekOriginalSchedule(t *testing.T) {
 	f := NewAfekOriginal(AfekOriginalConfig{StepsPerLevel: 2})
 	a := f(beep.NodeInfo{N: 16, MaxDegree: 7})
 	src := rng.New(3)
-	// p starts at 1/8, doubles every 2 steps: 1/8,1/8, 1/4,1/4, 1/2,...
-	want := []float64{0.125, 0.125, 0.25, 0.25, 0.5, 0.5, 0.5}
+	// p starts at 1/8 and doubles every 2 steps; after one level at 1/2
+	// the ramp restarts at 1/8.
+	want := []float64{0.125, 0.125, 0.25, 0.25, 0.5, 0.5, 0.125, 0.125, 0.25}
 	for i, w := range want {
 		got := probOf(t, a)
 		if got != w {

@@ -55,12 +55,17 @@ type AfekOriginalConfig struct {
 	StepsPerLevel int
 }
 
-// afekNode starts at p = 1/(D+1) and doubles p every StepsPerLevel steps
-// up to 1/2, then stays there. This reproduces the Science'11 scheme of
-// "gradually increasing" globally-computed probabilities.
+// afekNode runs the globally-computed schedule of Afek et al., "A
+// biological solution to a fundamental distributed computing problem"
+// (Science 331, 2011): p starts at 1/(D+1) and doubles every
+// StepsPerLevel steps up to 1/2. After one level at 1/2 the ramp
+// restarts at 1/(D+1), so the schedule cycles like the DISC'11 sweep
+// and ends with probability 1. (Holding p at 1/2 instead would leave a
+// dense graph whose nodes are all still active at the top of the ramp
+// with a join chance of about 2^-(n/2+1) per round.)
 type afekNode struct {
 	p       float64
-	level   int
+	initial float64 // 1/(D+1), where every ramp starts
 	perLvl  int
 	counter int
 }
@@ -73,14 +78,20 @@ func (a *afekNode) BeepProbability() float64 { return a.p }
 func (a *afekNode) Beep(r *rng.Source) bool {
 	p := a.p
 	a.counter++
-	if a.counter >= a.perLvl && a.p < 0.5 {
+	if a.counter >= a.perLvl {
 		a.counter = 0
-		a.p *= 2
-		if a.p > 0.5 {
-			a.p = 0.5
-		}
+		a.p = nextAfekLevel(a.p, a.initial)
 	}
 	return r.Bernoulli(p)
+}
+
+// nextAfekLevel is the probability of the level after p: double it, up
+// to 1/2, and restart the ramp at initial after the level at 1/2.
+func nextAfekLevel(p, initial float64) float64 {
+	if p >= 0.5 {
+		return initial
+	}
+	return min(2*p, 0.5)
 }
 
 func (a *afekNode) Observe(beep.Outcome) {} // global schedule: feedback unused
@@ -88,19 +99,19 @@ func (a *afekNode) Observe(beep.Outcome) {} // global schedule: feedback unused
 // NewAfekOriginal returns a factory for the Science'11 schedule.
 func NewAfekOriginal(cfg AfekOriginalConfig) beep.Factory {
 	return func(info beep.NodeInfo) beep.Automaton {
-		perLvl := cfg.StepsPerLevel
-		if perLvl <= 0 {
-			perLvl = int(math.Ceil(math.Log2(float64(info.N + 1))))
-			if perLvl < 1 {
-				perLvl = 1
-			}
-		}
-		d := info.MaxDegree
-		if d < 1 {
-			d = 1
-		}
-		return &afekNode{p: 1 / float64(d+1), perLvl: perLvl}
+		perLvl, initial := afekParams(cfg, info.N, info.MaxDegree)
+		return &afekNode{p: initial, initial: initial, perLvl: perLvl}
 	}
+}
+
+// afekParams resolves the schedule's steps per level (ceil(log2(n+1))
+// unless cfg pins it) and its starting probability 1/(D+1).
+func afekParams(cfg AfekOriginalConfig, n, maxDegree int) (perLvl int, initial float64) {
+	perLvl = cfg.StepsPerLevel
+	if perLvl <= 0 {
+		perLvl = max(1, int(math.Ceil(math.Log2(float64(n+1)))))
+	}
+	return perLvl, 1 / float64(max(maxDegree, 1)+1)
 }
 
 // fixedNode beeps with a constant probability forever: the simplest

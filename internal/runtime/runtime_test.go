@@ -140,3 +140,41 @@ func TestRunSingleNode(t *testing.T) {
 		t.Fatal("lone node must join")
 	}
 }
+
+// TestEngineEquivalenceAfekRestart runs the Science'11 schedule past
+// the end of its first ramp, where it restarts at 1/(D+1), on both the
+// goroutine runtime and the simulator: the restart must happen in the
+// same step on each.
+func TestEngineEquivalenceAfekRestart(t *testing.T) {
+	g := graph.GNP(200, 0.5, rng.New(4))
+	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameAfek, Afek: mis.AfekOriginalConfig{StepsPerLevel: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One level for each probability from 1/(D+1) doubling up to 1/2.
+	cycle := 1
+	for p := 1 / float64(g.MaxDegree()+1); p < 0.5; p = min(2*p, 0.5) {
+		cycle++
+	}
+	for seed := uint64(0); seed < 3; seed++ {
+		simRes, err := sim.Run(g, factory, rng.New(seed), sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtRes, err := Run(g, factory, rng.New(seed), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simRes.Rounds <= cycle {
+			t.Fatalf("seed %d: %d rounds do not cross the restart after one %d-round cycle", seed, simRes.Rounds, cycle)
+		}
+		if simRes.Rounds != rtRes.Rounds || simRes.TotalBeeps != rtRes.TotalBeeps {
+			t.Fatalf("seed %d: rounds %d/%d, beeps %d/%d", seed, simRes.Rounds, rtRes.Rounds, simRes.TotalBeeps, rtRes.TotalBeeps)
+		}
+		for v := range simRes.InMIS {
+			if simRes.InMIS[v] != rtRes.InMIS[v] {
+				t.Fatalf("seed %d: node %d membership differs", seed, v)
+			}
+		}
+	}
+}

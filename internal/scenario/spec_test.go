@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -534,5 +536,30 @@ func TestFamiliesAllBuildable(t *testing.T) {
 				t.Fatalf("family %s produced an unverified MIS", family)
 			}
 		})
+	}
+}
+
+// TestAfekSweepSeedTerminates replays the fresh-seed copy of
+// sweep-algorithms.json whose afek unit once never ended: unit 8
+// (afek, n=100) trial 5 had all 100 nodes still active after 50000
+// rounds, because the schedule held p at 1/2 after its ramp. The
+// schedule now restarts its ramp, and the whole sweep finishes.
+func TestAfekSweepSeedTerminates(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "sweep-algorithms.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustParse(t, string(doc))
+	s.Seed, s.Workers, s.MaxRounds = 1455082022531897818, 1, 50000
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), c, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := rep.Units[8]; u.Algorithm != "afek" || u.N != 100 || !u.Verified {
+		t.Fatalf("unit 8 = %s n=%d verified=%v, want a verified afek n=100 unit", u.Algorithm, u.N, u.Verified)
 	}
 }
