@@ -232,6 +232,12 @@ func TestJSONRequiresBench(t *testing.T) {
 	}
 }
 
+func TestMembudgetRequiresBench(t *testing.T) {
+	if err := run([]string{"-exp", "fig5", "-trials", "1", "-maxn", "25", "-membudget", "1048576"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("-membudget without -bench accepted")
+	}
+}
+
 // TestShardsFlagInvariance runs one experiment at two shard settings and
 // requires byte-identical output — the CLI face of the
 // determinism-under-sharding contract.

@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		engine    = fs.String("engine", "auto", "simulation engine: auto, columnar, or sparse; the legacy scalar and bitset run sparse and columnar (results are seed-identical)")
 		workers   = fs.Int("workers", 0, "trial worker pool size (0 = all cores; results are identical for any value)")
 		shards    = fs.Int("shards", 0, "propagation goroutines per run (0 = all cores, 1 = serial; results are identical for any value)")
-		memBudget = fs.Int64("membudget", 0, "auto-engine adjacency memory budget in bytes (0 = 2 GiB default; engine choice only, never results)")
+		memBudget = fs.Int64("membudget", 0, "with -bench: auto-engine adjacency memory budget in bytes (0 = 2 GiB default; engine choice only, never results)")
 		bench     = fs.Bool("bench", false, "run the per-engine wall-clock benchmark instead of an experiment")
 		benchN    = fs.Int("benchn", 20000, "bench graph size n for G(n,p)")
 		benchP    = fs.Float64("benchp", 0.5, "bench edge probability p for G(n,p)")
@@ -115,9 +115,12 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if *memBudget < 0 {
 		return fmt.Errorf("-membudget %d negative (0 = default)", *memBudget)
 	}
-	cfg := experiment.Config{Seed: *seed, Trials: *trials, MaxN: *maxN, Workers: *workers, Engine: eng, Shards: *shards, MemoryBudget: *memBudget, Faults: faults}
+	cfg := experiment.Config{Seed: *seed, Trials: *trials, MaxN: *maxN, Workers: *workers, Engine: eng, Shards: *shards, Faults: faults}
 	if *asJSON && !*bench {
 		return fmt.Errorf("-json applies to -bench output (experiments have -format json)")
+	}
+	if *memBudget != 0 && !*bench {
+		return fmt.Errorf("-membudget applies to -bench workloads")
 	}
 	w := stdout
 	if *out != "" {

@@ -86,8 +86,9 @@ func run() error {
 	// The paper's robustness claim in its biological setting: development
 	// still works when the feedback strength varies between cells (here,
 	// per-cell initial signalling tendencies).
-	hetero, err := mis.NewFeedbackHeterogeneous(mis.FeedbackConfig{}, func(id int) float64 {
-		return 1 / float64(2+(id%7)) // tendencies from 1/2 down to 1/8
+	hetero, err := mis.NewFeedback(mis.FeedbackConfig{
+		// Cell v's tendency is 1/(2 + v mod 7): from 1/2 down to 1/8.
+		InitialPByID: []float64{1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5, 1.0 / 6, 1.0 / 7, 1.0 / 8},
 	})
 	if err != nil {
 		return err

@@ -1,9 +1,14 @@
 // Package experiment regenerates every figure and table of the paper's
-// evaluation as a named, parameterised experiment. Each experiment
-// produces a Result holding one series per algorithm (mean ± standard
-// deviation per point, as in the paper's error bars) plus notes with
-// fitted growth coefficients, and can render itself as an aligned text
-// table, CSV, or an ASCII plot.
+// evaluation as a named, parameterised experiment. Each beeping
+// experiment is a list of scenario specs built from a Config and run by
+// the scenario runner — the code path misrun and misd serve, so every
+// point is the report of a content-hashed spec — and this package is
+// the presentation over the returned unit reports: one series per
+// algorithm or variant (mean ± standard deviation per point, as in the
+// paper's error bars), reference curves, fitted growth coefficients and
+// other notes, rendered as an aligned text table, CSV, JSON, or an
+// ASCII plot. Only the message-passing baselines of the luby and bits
+// experiments run outside the scenario runner, on its trial pool.
 //
 // The per-experiment index lives in DESIGN.md; measured-vs-paper numbers
 // are recorded in EXPERIMENTS.md.
@@ -15,44 +20,38 @@ import (
 	"sort"
 	"strings"
 
-	"beepmis/internal/beep"
 	"beepmis/internal/fault"
 	"beepmis/internal/plot"
+	"beepmis/internal/scenario"
 	"beepmis/internal/sim"
 )
 
 // Config scales an experiment run. The zero value reproduces the paper's
-// trial counts and sizes.
+// trial counts and sizes. Seed, Trials, Workers, Engine, Shards and
+// Faults become the fields of the same name of every spec the
+// experiment runs.
 type Config struct {
-	// Seed is the master seed; runs with equal seeds are identical.
+	// Seed is the master seed; runs with equal seeds are identical. As
+	// in a scenario spec, 0 means 1.
 	Seed uint64
 	// Trials overrides the paper's per-point trial count when > 0 (use
 	// a small value for quick smoke runs).
 	Trials int
-	// MaxN caps the largest workload size when > 0, shrinking the sweep
+	// MaxN caps the largest node count when > 0, shrinking the sweep
 	// for quick runs.
 	MaxN int
 	// Workers bounds the per-point trial worker pool; 0 means
-	// GOMAXPROCS. Results are bit-identical for any worker count — each
-	// trial draws from its own rng streams and aggregation happens in
-	// trial order.
+	// GOMAXPROCS. Results are bit-identical for any worker count.
 	Workers int
 	// Engine selects the simulation engine for every trial (the zero
 	// value is sim.EngineAuto). Results are bit-identical for every
 	// engine.
 	Engine sim.Engine
 	// Shards bounds the columnar and sparse engines' propagation
-	// goroutines per trial; 0 means GOMAXPROCS, 1 keeps propagation
-	// serial. Results are bit-identical for any value. With many
-	// parallel trial workers already saturating the cores, 1 is usually
-	// the right choice — which is what the trial pool defaults to when
-	// Workers exceeds 1.
+	// goroutines per trial; 0 means GOMAXPROCS, except that a parallel
+	// trial pool collapses it to serial propagation. Results are
+	// bit-identical for any value.
 	Shards int
-	// MemoryBudget caps the adjacency-representation bytes the auto
-	// engine selection may spend per trial (see sim.Options); 0 means
-	// the 2 GiB default. Purely a selection knob — results are
-	// bit-identical whichever engine the budget admits.
-	MemoryBudget int64
 	// Faults overlays every trial with a fault model (channel noise,
 	// adversarial wake-up, outages — see internal/fault). Unlike the
 	// knobs above this one changes results; it exists so misbench can
@@ -60,22 +59,13 @@ type Config struct {
 	Faults *fault.Spec
 
 	// roundCap, when > 0, caps every trial whose experiment sets no
-	// round cap of its own. Unexported: tests use it to force censoring.
+	// round cap of its own. Unexported: tests use it to force a trial
+	// to its cap.
 	roundCap int
-}
-
-// simOpts assembles the sim.Options shared by every trial of an
-// experiment: the engine pin, the shard bound, and the algorithm's bulk
-// kernel (nil for algorithms without one). When the trial pool itself
-// runs many workers, sharding propagation on top would oversubscribe
-// the cores, so an unset Shards collapses to serial propagation unless
-// the pool is serial.
-func (c Config) simOpts(bulk beep.BulkFactory) sim.Options {
-	shards := c.Shards
-	if shards == 0 && c.EffectiveWorkers() > 1 {
-		shards = 1
-	}
-	return sim.Options{MaxRounds: c.roundCap, Engine: c.Engine, Bulk: bulk, Shards: shards, MemoryBudget: c.MemoryBudget, Faults: c.Faults}
+	// onReport, when non-nil, sees every report the experiment's specs
+	// produce. Unexported: tests use it to read the units behind the
+	// points.
+	onReport func(*scenario.Report)
 }
 
 // Point is one x position of a series.
@@ -121,8 +111,9 @@ type descriptor struct {
 	run   Runner
 }
 
-// registry is populated in runners.go. It is written once during package
-// initialisation and read-only afterwards.
+// registry is populated by the register calls beside each runner. It
+// is written once during package initialisation and read-only
+// afterwards.
 var registry = map[string]descriptor{}
 
 // register adds an experiment; it is called only from this package's

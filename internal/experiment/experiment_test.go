@@ -2,8 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"beepmis/internal/scenario"
+	"beepmis/internal/sim"
 )
 
 // quickCfg keeps experiment smoke tests fast: 2 trials, small sweeps.
@@ -63,7 +68,13 @@ func TestAllExperimentsSmoke(t *testing.T) {
 					t.Fatalf("series %q empty", s.Name)
 				}
 				for _, p := range s.Points {
-					if p.Mean < 0 {
+					// wakeup's excess series is completion minus the
+					// window W; completion itself must be non-negative.
+					mean := p.Mean
+					if s.Name == "completion − W" {
+						mean += p.X
+					}
+					if mean < 0 {
 						t.Fatalf("series %q has negative mean %v", s.Name, p.Mean)
 					}
 				}
@@ -197,5 +208,116 @@ func TestTrimFloat(t *testing.T) {
 	}
 	if trimFloat(0.25) != "0.25" {
 		t.Fatal(trimFloat(0.25))
+	}
+}
+
+// TestWorkerCountInvariance is the parallel runner's core contract:
+// the same experiment with the same seed must produce bit-identical
+// results for any worker count.
+func TestWorkerCountInvariance(t *testing.T) {
+	base := Config{Seed: 3, Trials: 4, MaxN: 150}
+	for _, id := range []string{"fig3", "thm1", "wakeup", "luby", "bits"} {
+		var first *Result
+		for _, workers := range []int{1, 4} {
+			cfg := base
+			cfg.Workers = workers
+			res, err := Run(id, cfg)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", id, workers, err)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if !reflect.DeepEqual(first, res) {
+				t.Fatalf("%s: results differ between 1 and %d workers", id, workers)
+			}
+		}
+	}
+}
+
+// TestEngineInvariance pins experiment outputs across simulation
+// engines and trial pools: every registered experiment must print the
+// same JSON bytes under every engine spelling — the legacy scalar and
+// bitset pins included — at one and at three trial workers.
+func TestEngineInvariance(t *testing.T) {
+	for _, id := range IDs() {
+		var want []byte
+		for _, engine := range []sim.Engine{sim.EngineAuto, sim.EngineColumnar, sim.EngineSparse, sim.EngineScalar, sim.EngineBitset} {
+			for _, workers := range []int{1, 3} {
+				res, err := Run(id, Config{Seed: 5, Trials: 3, MaxN: 120, Engine: engine, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s engine=%v workers=%d: %v", id, engine, workers, err)
+				}
+				var b bytes.Buffer
+				if err := res.WriteJSON(&b); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = b.Bytes()
+				} else if !bytes.Equal(b.Bytes(), want) {
+					t.Fatalf("%s: engine=%v workers=%d output differs from engine=auto workers=1", id, engine, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestCappedTrialFailsExperiment forces every trial past a tiny round
+// cap: the experiment must fail with the scenario runner's error, which
+// wraps sim.ErrTooManyRounds and names the unit and trial — for fig5,
+// whose beeps series once dropped censored trials silently, and for
+// ablate-loss, which once recorded capped trials as data.
+func TestCappedTrialFailsExperiment(t *testing.T) {
+	for _, id := range []string{"fig5", "ablate-loss"} {
+		_, err := Run(id, Config{Seed: 1, Trials: 2, MaxN: 100, roundCap: 2})
+		if !errors.Is(err, sim.ErrTooManyRounds) {
+			t.Fatalf("%s: err %v, want one wrapping sim.ErrTooManyRounds", id, err)
+		}
+		if !strings.Contains(err.Error(), "trial 0") {
+			t.Errorf("%s: error %q does not name the trial", id, err)
+		}
+	}
+}
+
+// TestNodeAxesAreNodeCounts pins the clique-family fix: thm1 plots the
+// node counts of the graphs it runs, k²(k+1)/2 for k = 4..16 (it once
+// labelled each point with the n it passed to graph.CliqueFamily, whose
+// graph had far fewer nodes). On every experiment whose x axis is n,
+// each non-reference point sits at the node count of a unit the
+// experiment ran.
+func TestNodeAxesAreNodeCounts(t *testing.T) {
+	res, err := Run("thm1", Config{Seed: 1, Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{40, 126, 288, 550, 936, 1470, 2176}
+	for _, s := range res.Series {
+		if got := s.xs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("thm1 %s: X = %v, want %v", s.Name, got, want)
+		}
+	}
+	for _, id := range IDs() {
+		nodes := map[float64]bool{}
+		cfg := quickCfg
+		cfg.onReport = func(rep *scenario.Report) {
+			for _, u := range rep.Units {
+				nodes[float64(u.Nodes)] = true
+			}
+		}
+		res, err := Run(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.XLabel != "n" {
+			continue
+		}
+		for _, s := range res.Series {
+			for _, p := range s.Points {
+				if !s.Reference && !nodes[p.X] {
+					t.Errorf("%s %s: point at n=%v, but no unit has %v nodes", id, s.Name, p.X, p.X)
+				}
+			}
+		}
 	}
 }

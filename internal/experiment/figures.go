@@ -4,22 +4,16 @@ import (
 	"fmt"
 	"math"
 
-	"beepmis/internal/graph"
 	"beepmis/internal/mis"
-	"beepmis/internal/rng"
-	"beepmis/internal/sim"
+	"beepmis/internal/scenario"
 	"beepmis/internal/stats"
 )
 
-// roundsMetric measures the paper's Figure 3 quantity.
-func roundsMetric(res *sim.Result, _ *graph.Graph) float64 { return float64(res.Rounds) }
-
-// beepsMetric measures the paper's Figure 5 quantity.
-func beepsMetric(res *sim.Result, _ *graph.Graph) float64 { return res.MeanBeepsPerNode() }
-
-// gnpHalf builds the paper's workload G(n, 1/2).
-func gnpHalf(n int) func(src *rng.Source) *graph.Graph {
-	return func(src *rng.Source) *graph.Graph { return graph.GNP(n, 0.5, src) }
+// fig3Spec is Figure 3's workload: the global sweeping schedule and the
+// feedback algorithm on G(n,1/2) for n = 100..1000, 100 trials each.
+// scenarios/paper/fig3.json is this spec at seed 1.
+func fig3Spec(cfg Config) scenario.Spec {
+	return cfg.spec(sweep(gnp(0.5), cfg.sizes(intRange(100, 1000, 100)), mis.NameGlobalSweep, mis.NameFeedback), 100)
 }
 
 // runFig3 regenerates Figure 3: mean number of time steps over 100
@@ -28,39 +22,21 @@ func gnpHalf(n int) func(src *rng.Source) *graph.Graph {
 // ≈ 2.5·log₂n). The dashed reference curves of the figure are emitted as
 // Reference series.
 func runFig3(cfg Config) (*Result, error) {
-	ns := cfg.sizes(intRange(100, 1000, 100))
-	trials := cfg.trials(100)
-	master := rng.New(cfg.Seed)
-
+	rep, err := cfg.run(fig3Spec(cfg), nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:     "fig3",
 		Title:  "mean time steps on G(n,1/2)",
 		XLabel: "n",
 		YLabel: "time steps",
+		Series: []Series{
+			nodeSeries("globalsweep", unitsOf(rep, mis.NameGlobalSweep), rounds),
+			nodeSeries("feedback", unitsOf(rep, mis.NameFeedback), rounds),
+		},
 	}
-	algos := []struct {
-		name string
-		spec mis.Spec
-	}{
-		{"globalsweep", mis.Spec{Name: mis.NameGlobalSweep}},
-		{"feedback", mis.Spec{Name: mis.NameFeedback}},
-	}
-	for ai, algo := range algos {
-		factory, bulk, err := mis.NewFactories(algo.spec)
-		if err != nil {
-			return nil, err
-		}
-		series := Series{Name: algo.name}
-		for si, n := range ns {
-			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", algo.name, n), master, ai*1000+si, trials, 0, factory, bulk, gnpHalf(n), roundsMetric)
-			if err != nil {
-				return nil, err
-			}
-			pt.X = float64(n)
-			series.Points = append(series.Points, pt)
-		}
-		res.Series = append(res.Series, series)
-	}
+	ns := res.Series[0].xs()
 	res.Series = append(res.Series,
 		referenceCurve("log2²n (paper's upper dashed line)", ns, func(n float64) float64 {
 			l := math.Log2(n)
@@ -74,72 +50,62 @@ func runFig3(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// fig5Spec is Figure 5's workload: the global sweep, the feedback
+// algorithm and the Science'11 schedule on G(n,1/2) for n = 25..200,
+// 200 trials each. scenarios/paper/fig5.json is this spec at seed 1.
+func fig5Spec(cfg Config) scenario.Spec {
+	return cfg.spec(sweep(gnp(0.5), cfg.sizes(intRange(25, 200, 25)), mis.NameGlobalSweep, mis.NameFeedback, mis.NameAfek), 200)
+}
+
 // runFig5 regenerates Figure 5: mean number of beeps per node over 200
 // trials on G(n,1/2) for n = 25..200. The paper reports the feedback
 // algorithm flat around 1.1 beeps per node and the sweeping schedule
 // growing with n.
 func runFig5(cfg Config) (*Result, error) {
-	ns := cfg.sizes(intRange(25, 200, 25))
-	trials := cfg.trials(200)
-	master := rng.New(cfg.Seed)
-
+	rep, err := cfg.run(fig5Spec(cfg), nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:     "fig5",
 		Title:  "mean beeps per node on G(n,1/2)",
 		XLabel: "n",
 		YLabel: "beeps/node",
+		Series: []Series{
+			nodeSeries("globalsweep", unitsOf(rep, mis.NameGlobalSweep), beeps),
+			nodeSeries("feedback", unitsOf(rep, mis.NameFeedback), beeps),
+			nodeSeries("afek-original", unitsOf(rep, mis.NameAfek), beeps),
+		},
 	}
-	algos := []struct {
-		name string
-		spec mis.Spec
-	}{
-		{"globalsweep", mis.Spec{Name: mis.NameGlobalSweep}},
-		{"feedback", mis.Spec{Name: mis.NameFeedback}},
-		{"afek-original", mis.Spec{Name: mis.NameAfek}},
-	}
-	for ai, algo := range algos {
-		factory, bulk, err := mis.NewFactories(algo.spec)
-		if err != nil {
-			return nil, err
-		}
-		series := Series{Name: algo.name}
-		for si, n := range ns {
-			pt, err := sweepPoint(cfg, res, fmt.Sprintf("%s n=%d", algo.name, n), master, ai*1000+si, trials, 0, factory, bulk, gnpHalf(n), beepsMetric)
-			if err != nil {
-				return nil, err
-			}
-			pt.X = float64(n)
-			series.Points = append(series.Points, pt)
-		}
-		res.Series = append(res.Series, series)
-	}
-	if af, ok := findSeries(res, "afek-original"); ok {
-		maxMean := 0.0
-		for _, p := range af.Points {
-			if p.Mean > maxMean {
-				maxMean = p.Mean
-			}
-		}
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"afek-original beeps/node max over sweep = %.3f (§5: bounded by a constant when probabilities derive from n and D)", maxMean))
-	}
-	if fb, ok := findSeries(res, "feedback"); ok {
-		maxMean := 0.0
-		for _, p := range fb.Points {
-			if p.Mean > maxMean {
-				maxMean = p.Mean
-			}
-		}
-		res.Notes = append(res.Notes, fmt.Sprintf("feedback beeps/node max over sweep = %.3f (paper: ≈1.1, constant)", maxMean))
-	}
+	res.Notes = append(res.Notes,
+		fmt.Sprintf("afek-original beeps/node max over sweep = %.3f (§5: bounded by a constant when probabilities derive from n and D)", res.Series[2].maxMean()),
+		fmt.Sprintf("feedback beeps/node max over sweep = %.3f (paper: ≈1.1, constant)", res.Series[1].maxMean()))
 	return res, nil
 }
 
+// xs returns the series' X coordinates.
+func (s Series) xs() []float64 {
+	xs := make([]float64, len(s.Points))
+	for i, p := range s.Points {
+		xs[i] = p.X
+	}
+	return xs
+}
+
+// maxMean returns the largest point mean of the series (0 if empty).
+func (s Series) maxMean() float64 {
+	m := 0.0
+	for _, p := range s.Points {
+		m = max(m, p.Mean)
+	}
+	return m
+}
+
 // referenceCurve builds an analytic Reference series over the sweep.
-func referenceCurve(name string, ns []int, f func(n float64) float64) Series {
+func referenceCurve(name string, ns []float64, f func(n float64) float64) Series {
 	s := Series{Name: name, Reference: true}
 	for _, n := range ns {
-		s.Points = append(s.Points, Point{X: float64(n), Mean: f(float64(n))})
+		s.Points = append(s.Points, Point{X: n, Mean: f(n)})
 	}
 	return s
 }
@@ -163,10 +129,9 @@ func appendFitNotes(r *Result, names ...string) {
 		if !ok || len(s.Points) < 2 {
 			continue
 		}
-		xs := make([]float64, len(s.Points))
+		xs := s.xs()
 		ys := make([]float64, len(s.Points))
 		for i, p := range s.Points {
-			xs[i] = p.X
 			ys[i] = p.Mean
 		}
 		logFit, err1 := stats.FitLogN(xs, ys)

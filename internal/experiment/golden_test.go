@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"beepmis/internal/scenario"
 )
 
 // goldenExperimentDigests pins the SHA-256 of every registered
@@ -14,25 +18,25 @@ import (
 // Engines, shards and trial pools may change how they work; none of
 // them may change a byte of a table.
 var goldenExperimentDigests = map[string]string{
-	"ablate-factor": "265775c60ae00c089a1d992bd59fa529e52daaccc27b6c6a18b57bdd0fe13db7",
-	"ablate-floor":  "b1372f8f857ed0fd08fe92160059f0642574e5eac2a07aa7c81580f258d74aff",
-	"ablate-init":   "e2a4700ca12c2521b9cfd6ded724bcf1c912e56d0fabd9b68c8ffe30abf59bfe",
-	"ablate-jitter": "6d2755e6b88197e9aa19c8cfc85a9b18610bfe552117001253045625d6ca73ba",
-	"ablate-loss":   "852ebd111af871f2509acb5d63deede91bf71e12f60d547b562ef4205a11c413",
-	"ablate-noise":  "e95fa29f412c47bc7b54d78b3c580ace833622e64ef77c1e32d48a5b6ff7cd6f",
+	"ablate-factor": "e4dac50f0f52baf047a673c66cb2f9661bb13fe45ce0fbd0ac00f7e6d0932a42",
+	"ablate-floor":  "c38b4040213093b0ce7e3cc1b07c803238f63d27a358f394e9a0517b93d3a5db",
+	"ablate-init":   "e3b4e68994bdba041dcc501999038132eebdaaceba2603f9f71477aade453201",
+	"ablate-jitter": "2d84cc93fe67ce6dc11154dc8cb6e73eae9f072d355198e63b070ed2b4c9c684",
+	"ablate-loss":   "2c780fe24f01ca706e8da800f75a9e266854d69435eb56273a938c7bc314419a",
+	"ablate-noise":  "4d60f7e2fd0efea9b596b82116ac11c7f090c36f102bdde7cf8fa8c1fce7882b",
 	"bits":          "af08d33a609fcd501f0b379ab591976814e0e010107a66d8f0c02f9f6a2338ec",
-	"families":      "0b9f10eaa21f5c0998e3d74b466f9b79ea3e97a68669f6bc65eefe828d758e24",
-	"fig3":          "589af2ebce8601d95e07729578496dfef76ea55a9594d715dc3191d405488b69",
-	"fig5":          "21617b259abf17ade14caf22feb3b0d77fc6c8e92c2916f3cd0f431e151b3020",
-	"luby":          "5358f2531113f031169de508f805b4a6fd19bc86a808f2748b1a164673069cfe",
-	"thm1":          "6d036a406c8cf694085921c76b173cfe392bf74206345fb3f781eb58e194e5f3",
-	"thm6":          "db1d50b75b0f867e7038aa23e6a7a3520620fb2aefcdabca1157ed5f7e3a3375",
-	"wakeup":        "86dde44c40623bf9b6782b3b7c338c81a674ebd6a6b545ab33fcd577fe5b706d",
+	"families":      "f03fc50188a19030fa653eebfb028d625212d0381ef5c27fe19341ba5bfdf357",
+	"fig3":          "318ac25ef6fa5b2954c24f17e9b254603f0d6fc78340fb241ba0ce8929f39ced",
+	"fig5":          "505ee3c9004bc2d04b32befca005741ca7afd7cb4ab843bd177f6792a0c34a9e",
+	"luby":          "0082257db525a36d946b188de2c754c1422621e684d2c594224fad5c4b14dd41",
+	"thm1":          "f1d8005e96a99e276ddd45609de8e4cd76db79b67614dd93cc2cff3af79d81ae",
+	"thm6":          "ed04b12ded9d6427035f5dd6e96586d308ae3a855c5863cf80820c6b3ad2bd95",
+	"wakeup":        "d61a4f55cab52a53747532ea73a74c00bf25618871323b3f1026bd0ebbc87822",
 }
 
 // goldenAllExperimentsDigest is the SHA-256 of the whole misbench
 // output: the documents above joined by blank lines.
-const goldenAllExperimentsDigest = "08f99198bdf82c5a863fab64c90e9e3ed336d86744054cff2d3377a7284ad252"
+const goldenAllExperimentsDigest = "76bd9e9518703727db2d134a3f758310d5ad477cec0d1880f6ebceeea5fb6a90"
 
 func TestGoldenExperimentDigests(t *testing.T) {
 	var all bytes.Buffer
@@ -60,5 +64,34 @@ func TestGoldenExperimentDigests(t *testing.T) {
 	sum := sha256.Sum256(all.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != goldenAllExperimentsDigest {
 		t.Errorf("all experiments: sha256 %s, want %s", got, goldenAllExperimentsDigest)
+	}
+}
+
+// TestPaperScenarioFiles pins scenarios/paper: each committed file is
+// the spec its experiment runs at Config{Seed: 1}, so misrun and misd
+// reproduce the paper-scale figure from it, and its content hash is the
+// experiment's.
+func TestPaperScenarioFiles(t *testing.T) {
+	for file, build := range map[string]func(Config) scenario.Spec{
+		"fig3.json": fig3Spec,
+		"fig5.json": fig5Spec,
+		"thm1.json": thm1Spec,
+	} {
+		doc, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "paper", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := scenario.ParseCompiledBytes(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		spec := build(Config{Seed: 1})
+		want, err := spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Hash != want {
+			t.Errorf("%s hashes to %s; its experiment's spec at seed 1 hashes to %s", file, c.Hash, want)
+		}
 	}
 }

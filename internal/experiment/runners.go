@@ -1,14 +1,11 @@
 package experiment
 
 import (
-	"errors"
-	"fmt"
+	"context"
 
-	"beepmis/internal/beep"
 	"beepmis/internal/graph"
-	"beepmis/internal/rng"
+	"beepmis/internal/scenario"
 	"beepmis/internal/sim"
-	"beepmis/internal/stats"
 )
 
 // Registration of every experiment. The blank assignments run at package
@@ -51,6 +48,30 @@ func (c Config) sizes(all []int) []int {
 	return out
 }
 
+// size caps one workload size by MaxN.
+func (c Config) size(n int) int {
+	if c.MaxN > 0 && c.MaxN < n {
+		return c.MaxN
+	}
+	return n
+}
+
+// cliqueSizes returns, for the ks whose union of cliques MaxN admits,
+// the n = k³ that make the cliques family build k copies of each of
+// K_1..K_k: k²(k+1)/2 nodes (math.Cbrt is exact on these cubes). The ks
+// ascend, so sizes keeps a prefix of them.
+func (c Config) cliqueSizes(ks []int) []int {
+	nodes := make([]int, len(ks))
+	for i, k := range ks {
+		nodes[i] = k * k * (k + 1) / 2
+	}
+	ns := make([]int, len(c.sizes(nodes)))
+	for i := range ns {
+		ns[i] = ks[i] * ks[i] * ks[i]
+	}
+	return ns
+}
+
 // intRange returns lo, lo+step, ..., hi.
 func intRange(lo, hi, step int) []int {
 	var out []int
@@ -60,67 +81,98 @@ func intRange(lo, hi, step int) []int {
 	return out
 }
 
-// trialKeys derives disjoint rng stream keys for (size index, trial,
-// purpose).
-func trialKey(sizeIdx, trial, purpose int) uint64 {
-	return uint64(sizeIdx)<<40 | uint64(trial)<<8 | uint64(purpose)
+// gnp is the G(n, p) family; the sweep or the unit supplies n.
+func gnp(p float64) scenario.GraphSpec { return scenario.GraphSpec{Family: "gnp", P: p} }
+
+// sweep runs algos on family g at each node count of ns: units in the
+// order algorithms × n.
+func sweep(g scenario.GraphSpec, ns []int, algos ...string) scenario.Spec {
+	return scenario.Spec{Graph: g, Algorithm: algos[0], Sweep: &scenario.SweepSpec{N: ns, Algorithms: algos}}
 }
 
-// sweepPoint runs `trials` simulations at one sweep position on the
-// bounded worker pool and aggregates metric over them. gen builds the
-// trial's graph; metric maps the simulation result to the measured
-// quantity; bulk is the factory's columnar kernel (nil when the
-// algorithm has none, falling back to the per-node adapter). maxRounds
-// caps each run (0 means cfg's cap, else the simulator default); a run
-// that hits it is recorded at the cap, and noteCensored reports the
-// count into res under label, which also prefixes any error. Each
-// trial draws from rng streams keyed by its index and writes into its
-// own slot, so the aggregate is bit-identical for any worker count.
-func sweepPoint(
-	cfg Config,
-	res *Result,
-	label string,
-	master *rng.Source,
-	sizeIdx, trials, maxRounds int,
-	factory beep.Factory,
-	bulk beep.BulkFactory,
-	gen func(src *rng.Source) *graph.Graph,
-	metric func(res *sim.Result, g *graph.Graph) float64,
-) (Point, error) {
-	vals := make([]float64, trials)
-	capped := make([]bool, trials)
-	opts := cfg.simOpts(bulk)
-	if maxRounds > 0 {
-		opts.MaxRounds = maxRounds
+// spec stamps s with the experiment's seed and trial count (the paper's
+// unless Trials overrides it) and with the engine, pool, shard and
+// fault settings of c. Every spec of an experiment runs at the same
+// seed, so units at the same index share graph and run streams: the
+// variants of an experiment are paired.
+func (c Config) spec(s scenario.Spec, paperTrials int) scenario.Spec {
+	s.Seed = c.Seed
+	s.Trials = c.trials(paperTrials)
+	s.Engine = c.Engine.String()
+	s.Workers = c.Workers
+	s.Shards = c.Shards
+	if s.Faults == nil {
+		s.Faults = c.Faults
 	}
-	err := ForTrials(cfg.EffectiveWorkers(), trials, func(trial int) error {
-		g := gen(master.Stream(trialKey(sizeIdx, trial, 1)))
-		res, err := sim.Run(g, factory, master.Stream(trialKey(sizeIdx, trial, 2)), opts)
-		if err != nil {
-			if !errors.Is(err, sim.ErrTooManyRounds) {
-				return err
-			}
-			capped[trial] = true
-		}
-		vals[trial] = metric(res, g)
-		return nil
-	})
+	if s.MaxRounds == 0 {
+		s.MaxRounds = c.roundCap
+	}
+	return s
+}
+
+// trialHook is scenario.RunOptions.OnTrial.
+type trialHook = func(unit, trial int, g *graph.Graph, res *sim.Result, violations int)
+
+// run compiles and runs a spec built by Config.spec. A trial that
+// reaches its round cap fails the run with the scenario runner's error,
+// which wraps sim.ErrTooManyRounds.
+func (c Config) run(s scenario.Spec, onTrial trialHook) (*scenario.Report, error) {
+	comp, err := s.Compile()
 	if err != nil {
-		return Point{}, fmt.Errorf("%s: %w", label, err)
+		return nil, err
 	}
-	res.noteCensored(label, countTrue(capped), trials)
-	return Point{
-		Mean:   stats.Mean(vals),
-		Std:    stats.StdDev(vals),
-		Trials: trials,
-	}, nil
+	rep, err := scenario.Run(context.Background(), comp, scenario.RunOptions{OnTrial: onTrial})
+	if err != nil {
+		return nil, err
+	}
+	if c.onReport != nil {
+		c.onReport(rep)
+	}
+	return rep, nil
 }
 
-// noteCensored reports in r's notes how many of a point's trials hit
-// the round cap and were recorded at it. Every sweep point reports
-// through here, so a capped trial can never pass silently as data.
-func (r *Result) noteCensored(label string, censored, trials int) {
-	if censored > 0 {
-		r.Notes = append(r.Notes, fmt.Sprintf("%s: %d/%d trials censored at the round cap", label, censored, trials))
+// runAll runs specs in order, each stamped by Config.spec, and returns
+// their units in that order.
+func (c Config) runAll(specs []scenario.Spec, paperTrials int) ([]scenario.UnitReport, error) {
+	var units []scenario.UnitReport
+	for _, s := range specs {
+		rep, err := c.run(c.spec(s, paperTrials), nil)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, rep.Units...)
 	}
+	return units, nil
 }
+
+// unitsOf returns the units of rep that run algo, in sweep order.
+func unitsOf(rep *scenario.Report, algo string) []scenario.UnitReport {
+	var units []scenario.UnitReport
+	for _, u := range rep.Units {
+		if u.Algorithm == algo {
+			units = append(units, u)
+		}
+	}
+	return units
+}
+
+// nodeSeries is one point per unit, at X = the unit's node count, of
+// the aggregate metric picks.
+func nodeSeries(name string, units []scenario.UnitReport, metric func(scenario.UnitReport) scenario.Agg) Series {
+	s := Series{Name: name}
+	for _, u := range units {
+		s.Points = append(s.Points, aggPoint(float64(u.Nodes), metric(u), u.Trials))
+	}
+	return s
+}
+
+// aggPoint is a point at x with an aggregate's mean and deviation.
+func aggPoint(x float64, a scenario.Agg, trials int) Point {
+	return Point{X: x, Mean: a.Mean, Std: a.Std, Trials: trials}
+}
+
+// rounds measures the paper's Figure 3 quantity.
+func rounds(u scenario.UnitReport) scenario.Agg { return u.Rounds }
+
+// beeps measures the paper's Figure 5 quantity.
+func beeps(u scenario.UnitReport) scenario.Agg { return u.Beeps }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"beepmis/internal/graph"
 	"beepmis/internal/mis"
-	"beepmis/internal/rng"
-	"beepmis/internal/sim"
+	"beepmis/internal/scenario"
 )
 
 // Check is one headline-claim verification.
@@ -22,101 +20,38 @@ type Check struct {
 
 // Verdict runs a scaled-down measurement of every headline claim of the
 // paper and reports pass/fail per claim — the one-command answer to
-// "does the reproduction still reproduce?". With the zero Config it uses
-// moderate trial counts (≈15 s total); Trials/MaxN shrink it further.
+// "does the reproduction still reproduce?". It runs four single-unit
+// specs at the experiment seed: feedback and the global sweep on
+// G(n,1/2), and both again on the union-of-cliques family. Specs at one
+// seed share graph streams, so each pair runs on the same instances.
+// With the zero Config it uses moderate trial counts (≈15 s total);
+// Trials/MaxN shrink it further.
 func Verdict(cfg Config) ([]Check, error) {
-	trials := cfg.trials(20)
-	n := 400
-	if cfg.MaxN > 0 && cfg.MaxN < n {
-		n = cfg.MaxN
-	}
-	master := rng.New(cfg.Seed)
-
-	feedback, feedbackBulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
-	if err != nil {
-		return nil, err
-	}
-	sweep, sweepBulk, err := mis.NewFactories(mis.Spec{Name: mis.NameGlobalSweep})
-	if err != nil {
-		return nil, err
-	}
-
-	type gnpTrial struct {
-		fbRounds, swRounds, fbBeeps float64
-		invalid                     bool
-	}
-	gnpTrials := make([]gnpTrial, trials)
-	err = ForTrials(cfg.EffectiveWorkers(), trials, func(trial int) error {
-		g := graph.GNP(n, 0.5, master.Stream(trialKey(1, trial, 1)))
-		fb, err := sim.Run(g, feedback, master.Stream(trialKey(1, trial, 2)), cfg.simOpts(feedbackBulk))
+	n := cfg.size(400)
+	// k = 9: the 405-node union of k copies of K_1..K_k.
+	cliques := scenario.GraphSpec{Family: "cliques", N: 9 * 9 * 9}
+	var units [4]scenario.UnitReport
+	for i, s := range []scenario.Spec{
+		{Graph: scenario.GraphSpec{Family: "gnp", N: n, P: 0.5}, Algorithm: mis.NameFeedback},
+		{Graph: scenario.GraphSpec{Family: "gnp", N: n, P: 0.5}, Algorithm: mis.NameGlobalSweep},
+		{Graph: cliques, Algorithm: mis.NameFeedback},
+		{Graph: cliques, Algorithm: mis.NameGlobalSweep},
+	} {
+		rep, err := cfg.run(cfg.spec(s, 20), nil)
 		if err != nil {
-			return fmt.Errorf("verdict feedback: %w", err)
+			return nil, fmt.Errorf("verdict %s on %s: %w", s.Algorithm, s.Graph.Family, err)
 		}
-		sw, err := sim.Run(g, sweep, master.Stream(trialKey(1, trial, 3)), cfg.simOpts(sweepBulk))
-		if err != nil {
-			return fmt.Errorf("verdict sweep: %w", err)
-		}
-		gnpTrials[trial] = gnpTrial{
-			fbRounds: float64(fb.Rounds),
-			swRounds: float64(sw.Rounds),
-			fbBeeps:  fb.MeanBeepsPerNode(),
-			invalid:  graph.VerifyMIS(g, fb.InMIS) != nil,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		units[i] = rep.Units[0]
 	}
-	var (
-		fbRounds, swRounds, fbBeeps float64
-		invalid                     int
-	)
-	for _, tr := range gnpTrials {
-		fbRounds += tr.fbRounds
-		swRounds += tr.swRounds
-		fbBeeps += tr.fbBeeps
-		if tr.invalid {
-			invalid++
-		}
-	}
-	fbRounds /= float64(trials)
-	swRounds /= float64(trials)
-	fbBeeps /= float64(trials)
+	fb, sw, cfFb, cfSw := units[0], units[1], units[2], units[3]
 	logN := math.Log2(float64(n))
-
-	// Theorem 1 family gap at a fixed size.
-	cf := graph.CliqueFamily(936)
-	cfFbSlots := make([]float64, trials)
-	cfSwSlots := make([]float64, trials)
-	err = ForTrials(cfg.EffectiveWorkers(), trials, func(trial int) error {
-		a, err := sim.Run(cf, feedback, master.Stream(trialKey(2, trial, 1)), cfg.simOpts(feedbackBulk))
-		if err != nil {
-			return err
-		}
-		b, err := sim.Run(cf, sweep, master.Stream(trialKey(2, trial, 2)), cfg.simOpts(sweepBulk))
-		if err != nil {
-			return err
-		}
-		cfFbSlots[trial] = float64(a.Rounds)
-		cfSwSlots[trial] = float64(b.Rounds)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var cfFb, cfSw float64
-	for trial := 0; trial < trials; trial++ {
-		cfFb += cfFbSlots[trial]
-		cfSw += cfSwSlots[trial]
-	}
-	cfFb /= float64(trials)
-	cfSw /= float64(trials)
+	fbRounds, swRounds := fb.Rounds.Mean, sw.Rounds.Mean
 
 	checks := []Check{
 		{
 			Name:   "correctness: every feedback run yields a verified MIS",
-			Pass:   invalid == 0,
-			Detail: fmt.Sprintf("%d/%d runs invalid on G(%d,1/2)", invalid, trials, n),
+			Pass:   fb.Verified,
+			Detail: fmt.Sprintf("%s over %d runs on G(%d,1/2)", verifiedWord(fb.Verified), fb.Trials, n),
 		},
 		{
 			Name:   "Corollary 5: feedback rounds ≈ 2.5·log2 n (within [1.5, 4]·log2 n)",
@@ -125,8 +60,8 @@ func Verdict(cfg Config) ([]Check, error) {
 		},
 		{
 			Name:   "Theorem 6: feedback beeps/node ≈ 1.1 (below 2)",
-			Pass:   fbBeeps < 2,
-			Detail: fmt.Sprintf("mean %.2f beeps/node on G(%d,1/2)", fbBeeps, n),
+			Pass:   fb.Beeps.Mean < 2,
+			Detail: fmt.Sprintf("mean %.2f beeps/node on G(%d,1/2)", fb.Beeps.Mean, n),
 		},
 		{
 			Name:   "§1 ordering: global sweep ≥ 2× feedback rounds on G(n,1/2)",
@@ -135,8 +70,8 @@ func Verdict(cfg Config) ([]Check, error) {
 		},
 		{
 			Name:   "Theorem 1: preset schedule slower than feedback on the clique family",
-			Pass:   cfSw > cfFb*1.3,
-			Detail: fmt.Sprintf("sweep %.1f vs feedback %.1f rounds on CliqueFamily(936)", cfSw, cfFb),
+			Pass:   cfSw.Rounds.Mean > cfFb.Rounds.Mean*1.3,
+			Detail: fmt.Sprintf("sweep %.1f vs feedback %.1f rounds on the %d-node union of cliques", cfSw.Rounds.Mean, cfFb.Rounds.Mean, cfFb.Nodes),
 		},
 	}
 	return checks, nil

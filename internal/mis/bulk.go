@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -33,10 +34,14 @@ var _ beep.BulkRanger = (*feedbackBulk)(nil)
 // NewFeedbackBulk returns the columnar kernel of the feedback algorithm
 // configured like NewFeedback(cfg). The two are interchangeable beyond
 // speed: for any seed the kernel reproduces the per-node automata
-// bit-for-bit.
+// bit-for-bit. A configuration with per-step factor draws or per-node
+// initial probabilities has no kernel.
 func NewFeedbackBulk(cfg FeedbackConfig) (beep.BulkFactory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.perNode() {
+		return nil, fmt.Errorf("mis: the feedback kernel has no per-step factor draws or per-node initial probabilities (run the per-node automata)")
 	}
 	cfg = cfg.withDefaults()
 	start := cfg.InitialP

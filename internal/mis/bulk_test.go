@@ -124,9 +124,11 @@ func TestBulkKernelsMatchAutomata(t *testing.T) {
 		trials = 2
 	}
 	for _, spec := range bulkSpecs() {
+		// Kernel configurations set none of the per-node feedback
+		// fields, so the name lists the four scalar ones.
 		name := spec.Name
-		if spec.Feedback != (FeedbackConfig{}) || spec.Afek != (AfekOriginalConfig{}) {
-			name = fmt.Sprintf("%s/%+v%+v", spec.Name, spec.Feedback, spec.Afek)
+		if fb := spec.Feedback; fb.InitialP != 0 || fb.Factor != 0 || fb.MaxP != 0 || fb.MinP != 0 || spec.Afek != (AfekOriginalConfig{}) {
+			name = fmt.Sprintf("%s/{InitialP:%v Factor:%v MaxP:%v MinP:%v}%+v", spec.Name, fb.InitialP, fb.Factor, fb.MaxP, fb.MinP, spec.Afek)
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, n := range sizes {

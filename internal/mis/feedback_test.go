@@ -141,27 +141,22 @@ func TestFeedbackBeepRate(t *testing.T) {
 }
 
 func TestFeedbackHeterogeneous(t *testing.T) {
-	f, err := NewFeedbackHeterogeneous(FeedbackConfig{}, func(id int) float64 {
-		return 1 / float64(id+2)
-	})
+	list := []float64{1.0 / 2, 1.0 / 3, 1.0 / 4}
+	f, err := NewFeedback(FeedbackConfig{InitialPByID: list})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0 := f(beep.NodeInfo{ID: 0})
-	a2 := f(beep.NodeInfo{ID: 2})
-	if p := probOf(t, a0); p != 0.5 {
-		t.Fatalf("node 0 p = %v", p)
+	ref := heterogeneousReference(FeedbackConfig{}, func(id int) float64 { return list[id%len(list)] })
+	for id := range 7 {
+		a, b := f(beep.NodeInfo{ID: id}), ref(beep.NodeInfo{ID: id})
+		if got, want := probOf(t, a), list[id%len(list)]; got != want || probOf(t, b) != want {
+			t.Fatalf("node %d: p = %v, reference %v, want %v", id, got, probOf(t, b), want)
+		}
 	}
-	if p := probOf(t, a2); p != 0.25 {
-		t.Fatalf("node 2 p = %v", p)
-	}
-	// Non-positive initial falls back to the config default.
-	fz, err := NewFeedbackHeterogeneous(FeedbackConfig{}, func(int) float64 { return -1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := probOf(t, fz(beep.NodeInfo{})); p != 0.5 {
-		t.Fatalf("fallback p = %v", p)
+	// The list's caller owns it: later edits reach no automaton.
+	list[0] = 0.01
+	if p := probOf(t, f(beep.NodeInfo{ID: 0})); p != 0.5 {
+		t.Fatalf("node 0 p = %v after the caller edited its list, want 0.5", p)
 	}
 }
 

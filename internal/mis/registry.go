@@ -38,15 +38,16 @@ func NewFactory(spec Spec) (beep.Factory, error) {
 // NewFactories builds both execution forms of spec's algorithm: the
 // per-node automaton factory (every engine) and the columnar bulk kernel
 // (the columnar engine's fast path). The bulk factory is nil for
-// algorithms without a kernel — currently the fixed-probability strawman
+// algorithms without a kernel — the fixed-probability strawman, and
+// feedback with per-step factor draws or per-node initial probabilities
 // — in which case engines fall back to per-node automata. Both forms are
 // bit-identical for any seed.
 func NewFactories(spec Spec) (beep.Factory, beep.BulkFactory, error) {
 	switch spec.Name {
 	case NameFeedback:
 		factory, err := NewFeedback(spec.Feedback)
-		if err != nil {
-			return nil, nil, err
+		if err != nil || spec.Feedback.perNode() {
+			return factory, nil, err
 		}
 		bulk, err := NewFeedbackBulk(spec.Feedback)
 		if err != nil {

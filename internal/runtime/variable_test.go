@@ -15,10 +15,10 @@ import (
 // engines call Beep/Observe in exactly the same per-node order. A
 // divergence here would silently skew the ablate-jitter experiment.
 func TestEngineEquivalenceVariableFactors(t *testing.T) {
-	factory, err := mis.NewFeedbackVariable(mis.VariableConfig{
-		FactorLo: 1.3,
-		FactorHi: 4,
-		PerNode:  func(id int) float64 { return 1 / float64(2+id%4) },
+	factory, err := mis.NewFeedback(mis.FeedbackConfig{
+		Factor:       1.3,
+		FactorMax:    4,
+		InitialPByID: []float64{1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,8 @@ func FuzzParse(f *testing.F) {
 		[]byte(`{"graph":{"family":"gnp","n":20,"p":0.5},"algorithm":"feedback","faults":{"outages":[{"node":3,"from":2,"for":4,"reset":true}]}}`),
 		[]byte(`{"graph":{"family":"gnp","n":20,"p":0.5},"algorithm":"feedback","faults":{"loss":-1}}`),
 		[]byte(`{"graph":{"family":"gnp","n":20,"p":0.5},"algorithm":"feedback","wake_window":3,"faults":{"wake":{"kind":"degree","window":2}}}`),
+		[]byte(`{"graph":{"family":"gnp","n":20,"p":0.5},"algorithm":"feedback","feedback":{"factor":1.5,"factor_max":3,"initial_p_by_id":[0.5,0.25]}}`),
+		[]byte(`{"graph":{"family":"gnp","n":20,"p":0.5},"algorithm":"feedback","feedback":{"factor":3,"factor_max":2,"initial_p_by_id":[]}}`),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -87,8 +89,8 @@ func (b *contractBytes) frac() float64 { return float64(b.next()) / 255 }
 
 // contractSpec maps fuzz bytes onto a small spec: any family with at
 // most 200 nodes (the file family reads testdata/tiny.el), at most 4
-// trials, any algorithm, and optional faults, crash, wake, beep-loss
-// and sweep blocks. The spec may still be one Compile rejects.
+// trials, any algorithm, and optional faults, crash, wake, beep-loss,
+// feedback and sweep blocks. The spec may still be one Compile rejects.
 func contractSpec(data []byte) *Spec {
 	b := contractBytes(data)
 	names := Families()
@@ -161,6 +163,17 @@ func contractSpec(data []byte) *Spec {
 	if flags&8 != 0 {
 		s.BeepLoss = 0.3 * b.frac()
 	}
+	if flags&32 != 0 {
+		// The per-node feedback fields: a factor range that may be empty
+		// or one point, and a list that may be empty or exceed max_p.
+		fb := &FeedbackSpec{Factor: 1.25 + b.frac(), MaxP: 0.25 + b.frac()/2}
+		fb.FactorMax = fb.Factor + b.frac() - 0.125
+		fb.InitialPByID = make([]float64, b.intn(6))
+		for i := range fb.InitialPByID {
+			fb.InitialPByID[i] = b.frac()
+		}
+		s.Feedback = fb
+	}
 	if flags&16 != 0 {
 		sw := &SweepSpec{Algorithms: []string{s.Algorithm, algos[b.intn(len(algos))]}}
 		switch {
@@ -174,10 +187,11 @@ func contractSpec(data []byte) *Spec {
 	return s
 }
 
-// specContractSeeds holds one input per family, in Families() order.
-// The optional blocks are spread across them: faults (with each wake
-// kind and with outages), crashes, wake windows, beep loss, and sweeps
-// over n, p and the algorithm.
+// specContractSeeds holds one input per family, in Families() order,
+// then one for the feedback block's per-node fields. The optional
+// blocks are spread across them: faults (with each wake kind and with
+// outages), crashes, wake windows, beep loss, sweeps over n, p and the
+// algorithm, and the feedback factor range and initial_p_by_id list.
 func specContractSeeds() [][]byte {
 	return [][]byte{
 		{0, 119, 1, 0, 1, 2, 5, 0, 9, 20, 10, 1, 5, 0, 40},                 // barabasialbert, faults (uniform wake), beep loss
@@ -198,6 +212,7 @@ func specContractSeeds() [][]byte {
 		{15, 149, 1, 10, 3, 1, 33, 0, 2, 4, 2},                             // tree, crash
 		{16, 149, 30, 0, 1, 1, 35, 0, 24, 50, 3, 99},                       // unitdisk, beep loss, sweep over n
 		{17, 99, 1, 51, 0, 0, 2, 37, 0, 1, 0, 0, 2, 7, 1, 0, 2, 1, 0},      // wattsstrogatz, faults (degree wake, outage)
+		{7, 99, 60, 0, 1, 3, 31, 0, 32, 64, 255, 255, 3, 128, 64, 32},      // gnp, feedback factor range and per-node initials
 	}
 }
 
@@ -214,6 +229,14 @@ func TestSpecContractSeedsCover(t *testing.T) {
 		if _, err := s.Compile(); err != nil {
 			t.Errorf("seed %d (%s): %v", i, family, err)
 		}
+	}
+	last := contractSpec(seeds[len(seeds)-1])
+	c, err := last.Compile()
+	if err != nil {
+		t.Fatalf("feedback seed: %v", err)
+	}
+	if fb := c.Spec.Feedback; fb == nil || fb.FactorMax <= fb.Factor || len(fb.InitialPByID) == 0 {
+		t.Fatalf("feedback seed compiles to feedback block %+v, want a factor range and per-node initials", fb)
 	}
 }
 

@@ -7,14 +7,20 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"beepmis/internal/graph"
+	"beepmis/internal/sim"
 )
 
 // goldenReportDigests pins the SHA-256 of scenario.Run's report bytes
-// for every committed spec, checked at two trial-pool sizes. Graph
-// construction, trial storage reuse, the trial pool and the engine
-// behind each unit are all free to change how they work; none of them
-// may change a byte of a report. The two large sparse specs are skipped
+// for every committed spec, checked at two trial-pool sizes, the larger
+// one under a recording OnTrial hook. Graph construction, trial storage
+// reuse, the trial pool and the engine behind each unit are all free to
+// change how they work; none of them may change a byte of a report.
+// The two large sparse specs and the paper-scale Figure 3 are skipped
 // under -short.
 var goldenReportDigests = map[string]string{
 	"crash-wake.json":       "2bb43b2168fbf7976a8c8fd215bb9a51a1d885c5b989417eefd342cf6dd569b9",
@@ -22,13 +28,16 @@ var goldenReportDigests = map[string]string{
 	"large-sparse.json":     "7eeefa23b3ff7dfa7f381fc1ded6cd70dbbe70ec87f10efe4eb380b885fb7740",
 	"load-tiny.json":        "19f79af899cc5fbc92c054ed3f2437d613bd3d688faf28e833aa8c4fc0ee94ad",
 	"noisy-async.json":      "20b7d6341a4ba3356c006b4fb83bd5ef4bf6081d97a313fd496fedb1604d62ca",
+	"paper/fig3.json":       "c770899ee12569a3dabdded10500caaa26a68b07d805d227dcc7ef5dea798709",
+	"paper/fig5.json":       "681042b0905a4ecb2aed709bcbfdc5c542e0d21cfbdb60d87f725b284a2af243",
+	"paper/thm1.json":       "96d14a2f36ec02ea3559b179859675ab1c42ed15a5fd9b3f41ccc079177672c8",
 	"quickstart.json":       "8958a8f8b9763ffb2b54c8993b1cc07ba680cf86ad93acead1a974417a7b93a3",
 	"rmat-sparse.json":      "227b008d09f02689d056ad61ec8084efc8cbfd347d5f7c8f032d7aa0a0e70e26",
 	"sweep-algorithms.json": "e4c95a0c129e7290321aecf2b7e318e24bb38444879a92f899e9e13722e5a0da",
 }
 
 // goldenLargeScenarios are the committed specs too slow for -short.
-var goldenLargeScenarios = map[string]bool{"large-sparse.json": true, "rmat-sparse.json": true}
+var goldenLargeScenarios = map[string]bool{"large-sparse.json": true, "rmat-sparse.json": true, "paper/fig3.json": true}
 
 // goldenInlineSpecs pins report digests of inline specs that exercise
 // each way a unit can reach the round loop: a sparse G(n, p) above the
@@ -36,9 +45,10 @@ var goldenLargeScenarios = map[string]bool{"large-sparse.json": true, "rmat-spar
 // both again under each of the "scalar" and "bitset" pins, crash and
 // wake schedules on a sparse graph, and per-edge beep loss. Engine pins
 // are stripped from the canonical spec, so a pinned spec's report must
-// match its unpinned twin byte for byte. The rest pin one spec for each
-// family no committed scenario uses, each with its own algorithm or
-// fault feature.
+// match its unpinned twin byte for byte. The family rows pin one spec
+// for each family no committed scenario uses, each with its own
+// algorithm or fault feature; the last two pin the feedback block's
+// per-step factor range and per-node initial probabilities.
 var goldenInlineSpecs = []struct {
 	name, doc, digest string
 }{
@@ -105,15 +115,44 @@ var goldenInlineSpecs = []struct {
 	{"configmodel",
 		`{"graph":{"family":"configmodel","n":300,"edges":1500},"algorithm":"feedback","trials":3,"seed":23,"faults":{"outages":[{"node":0,"from":2,"for":3,"reset":true}]}}`,
 		"c177153c8da13aeb83f7a3ac8add0553c46bd4f9f17e41982521b304ff675790"},
+	{"feedback-factor-max",
+		`{"graph":{"family":"gnp","n":200,"p":0.3},"algorithm":"feedback","feedback":{"factor":1.5,"factor_max":3},"trials":3,"seed":24}`,
+		"1fbe81f973bbd4ccb9d3f9b6d9c7091ce52602c098350d674d374f970c6911b3"},
+	{"feedback-initial-p-by-id",
+		`{"graph":{"family":"grid","rows":12,"cols":12},"algorithm":"feedback","feedback":{"initial_p_by_id":[0.5,0.25,0.125]},"trials":3,"seed":25,"faults":{"outages":[{"node":5,"from":2,"for":3,"reset":true}]}}`,
+		"4a12ccc1d7cf8abe910099f6d671000ef6f830abbac52da9f939f4e6302618bb"},
 }
 
 // reportDigest runs c at the given trial-pool size and returns the
-// SHA-256 of its report bytes.
+// SHA-256 of its report bytes. At four workers it runs c under a
+// recording OnTrial hook, which must see every (unit, trial) exactly
+// once and leave every report byte as it is.
 func reportDigest(t *testing.T, c *Compiled, workers int) string {
 	t.Helper()
-	rep, err := Run(context.Background(), c, RunOptions{Workers: workers})
+	opts := RunOptions{Workers: workers}
+	var calls sync.Map // [2]int{unit, trial} → *atomic.Int32
+	if workers == 4 {
+		opts.OnTrial = func(unit, trial int, g *graph.Graph, res *sim.Result, _ int) {
+			if g == nil || res == nil || len(res.InMIS) != g.N() {
+				t.Errorf("unit %d trial %d: hook saw graph %v and result %v", unit, trial, g != nil, res != nil)
+			}
+			n, _ := calls.LoadOrStore([2]int{unit, trial}, new(atomic.Int32))
+			n.(*atomic.Int32).Add(1)
+		}
+	}
+	rep, err := Run(context.Background(), c, opts)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	if opts.OnTrial != nil {
+		for unit := range c.Units {
+			for trial := range c.Spec.Trials {
+				n, ok := calls.Load([2]int{unit, trial})
+				if !ok || n.(*atomic.Int32).Load() != 1 {
+					t.Fatalf("OnTrial ran for unit %d trial %d %v times, want once", unit, trial, n)
+				}
+			}
+		}
 	}
 	b, err := rep.JSON()
 	if err != nil {

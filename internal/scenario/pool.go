@@ -1,4 +1,4 @@
-package experiment
+package scenario
 
 import (
 	"runtime"
@@ -6,22 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// EffectiveWorkers resolves Config.Workers to the effective trial pool
-// size (GOMAXPROCS when unset). Exported for the scenario runner, which
-// shares the pool.
-func (c Config) EffectiveWorkers() int {
-	if c.Workers > 0 {
-		return c.Workers
+// poolSize resolves a trial pool bound: workers when positive, else
+// GOMAXPROCS.
+func poolSize(workers int) int {
+	if workers > 0 {
+		return workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
 // ForTrials runs fn(trial) for every trial in [0, trials) on a bounded
-// pool of workers goroutines. On failure it stops handing out new trials
-// and returns the lowest-indexed error among the trials that ran. It is
-// exported because it is the repo's one trial pool: the scenario runner
-// (internal/scenario) executes declarative workloads on it with exactly
-// the determinism contract below.
+// pool of workers goroutines (workers ≤ 0 means GOMAXPROCS). On failure
+// it stops handing out new trials and returns the lowest-indexed error
+// among the trials that ran. It is the repository's one trial pool: the
+// scenario runner executes every unit's trials on it, and
+// internal/experiment runs its message-passing baselines on it.
 //
 // Determinism contract: trials are embarrassingly parallel because every
 // trial draws from its own rng streams (derived from the master seed and
@@ -33,10 +32,8 @@ func ForTrials(workers, trials int, fn func(trial int) error) error {
 	if trials <= 0 {
 		return nil
 	}
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
+	workers = min(poolSize(workers), trials)
+	if workers == 1 {
 		for trial := 0; trial < trials; trial++ {
 			if err := fn(trial); err != nil {
 				return err
@@ -71,30 +68,4 @@ func ForTrials(workers, trials int, fn func(trial int) error) error {
 		}
 	}
 	return nil
-}
-
-// countTrue counts set flags in a per-trial slot array — the
-// parallel-safe equivalent of incrementing a counter inside a
-// sequential trial loop.
-func countTrue(flags []bool) int {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
-// collectOK gathers, in trial order, the slot values whose ok flag is
-// set — the parallel-safe equivalent of conditionally appending inside a
-// sequential trial loop.
-func collectOK(slots []float64, ok []bool) []float64 {
-	vals := make([]float64, 0, len(slots))
-	for i, v := range slots {
-		if ok[i] {
-			vals = append(vals, v)
-		}
-	}
-	return vals
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"beepmis/internal/beep"
-	"beepmis/internal/experiment"
 	"beepmis/internal/fault"
 	"beepmis/internal/graph"
 	"beepmis/internal/obs"
@@ -20,8 +19,7 @@ import (
 
 // Stream slots of the per-(unit, trial) rng key. Graph generation, the
 // simulation run, and wake-time draws are independent streams so adding
-// or removing one never perturbs the others — the same discipline the
-// experiment runners use.
+// or removing one never perturbs the others.
 const (
 	slotGraph = 1
 	slotRun   = 2
@@ -84,6 +82,15 @@ type RunOptions struct {
 	// never perturbs results, so the report bytes — and therefore the
 	// service's cache soundness — are unchanged.
 	Metrics *obs.EngineMetrics
+	// OnTrial, when non-nil, is called once per finished trial, from the
+	// goroutine that ran it, before the trial's graph storage is reused:
+	// it receives the unit and trial index, the trial's graph and
+	// result, and the independence breaches fault.Verifier counted. It
+	// must be safe for concurrent use and must neither modify nor retain
+	// g or res. It is how the experiments measure per-trial quantities
+	// the report does not carry; it runs after the trial's report slot
+	// is filled, so it cannot change a report byte.
+	OnTrial func(unit, trial int, g *graph.Graph, res *sim.Result, violations int)
 }
 
 // Agg is a deterministic aggregate over a unit's trials. Values are
@@ -187,7 +194,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // Run executes a compiled scenario: units sequentially, each unit's
-// trials on internal/experiment's bounded pool. ctx is checked between
+// trials on the bounded pool of ForTrials. ctx is checked between
 // trials (a running simulation is not interrupted mid-round); on
 // cancellation Run returns ctx.Err().
 func Run(ctx context.Context, c *Compiled, opts RunOptions) (*Report, error) {
@@ -196,7 +203,6 @@ func Run(ctx context.Context, c *Compiled, opts RunOptions) (*Report, error) {
 	if opts.Workers > 0 {
 		workers = opts.Workers
 	}
-	cfg := experiment.Config{Workers: workers}
 	// emit stays nil without a Progress callback so the runner (and the
 	// simulator's OnRound hook machinery) skips event work entirely.
 	var emit func(Event)
@@ -218,7 +224,7 @@ func Run(ctx context.Context, c *Compiled, opts RunOptions) (*Report, error) {
 		if emit != nil {
 			emit(Event{Type: EventUnitStart, Unit: u.Index, Algorithm: u.Algorithm, N: u.N, P: u.P})
 		}
-		ur, err := runUnit(ctx, u, c.engine, master, cfg, emit, opts.Metrics)
+		ur, err := runUnit(ctx, u, c.engine, master, poolSize(workers), emit, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -244,15 +250,12 @@ type trialResult struct {
 	verified   bool
 }
 
-func runUnit(ctx context.Context, u *Unit, engine sim.Engine, master *rng.Source, cfg experiment.Config, emit func(Event), metrics *obs.EngineMetrics) (*UnitReport, error) {
+func runUnit(ctx context.Context, u *Unit, engine sim.Engine, master *rng.Source, poolWorkers int, emit func(Event), runOpts RunOptions) (*UnitReport, error) {
 	spec := u.spec
 	trials := spec.Trials
 	slots := make([]trialResult, trials)
 
-	// Engine options shared by every trial. Like the experiment
-	// harness, an unset shard bound collapses to serial propagation
-	// when the trial pool itself is parallel — sharding on top of
-	// many workers oversubscribes the cores.
+	// Engine options shared by every trial.
 	simOpts := sim.Options{
 		MaxRounds: spec.MaxRounds,
 		Engine:    engine,
@@ -260,13 +263,12 @@ func runUnit(ctx context.Context, u *Unit, engine sim.Engine, master *rng.Source
 		Shards:    spec.Shards,
 		BeepLoss:  spec.BeepLoss,
 		Faults:    spec.Faults,
-		Metrics:   metrics,
+		Metrics:   runOpts.Metrics,
 	}
 	// A parallel trial pool claims the cores, so an unset shard bound
 	// collapses to serial propagation — but only when there really are
 	// multiple trials; a single-trial unit should keep the columnar
 	// engine's sharded fan-out.
-	poolWorkers := cfg.EffectiveWorkers()
 	if simOpts.Shards == 0 && poolWorkers > 1 && trials > 1 {
 		simOpts.Shards = 1
 	}
@@ -305,7 +307,7 @@ func runUnit(ctx context.Context, u *Unit, engine sim.Engine, master *rng.Source
 		}
 	}
 
-	err := experiment.ForTrials(poolWorkers, trials, func(trial int) error {
+	err := ForTrials(poolWorkers, trials, func(trial int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -379,6 +381,9 @@ func runUnit(ctx context.Context, u *Unit, engine sim.Engine, master *rng.Source
 			edges:      g.M(),
 			maxDeg:     g.MaxDegree(),
 			verified:   graph.VerifyMIS(g, res.InMIS) == nil,
+		}
+		if runOpts.OnTrial != nil {
+			runOpts.OnTrial(u.Index, trial, g, res, slots[trial].violations)
 		}
 		if emit != nil {
 			emit(Event{

@@ -18,8 +18,13 @@
 //     identically — the service's cache key.
 //   - Execution is deterministic. Every trial draws from rng streams
 //     derived from (seed, unit, trial), aggregation happens in trial
-//     order on internal/experiment's pool, and the Report JSON is a pure
-//     function of the canonical spec. Equal hashes ⇒ byte-equal reports.
+//     order on the package's trial pool (ForTrials), and the Report JSON
+//     is a pure function of the canonical spec. Equal hashes ⇒
+//     byte-equal reports.
+//
+// The paper's experiments (internal/experiment) are lists of specs run
+// here, so every figure point is the report of a spec that misrun and
+// misd can run too.
 package scenario
 
 import (
@@ -29,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,14 +122,18 @@ type GraphSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// FeedbackSpec mirrors mis.FeedbackConfig for the JSON surface; zero
-// fields mean the paper defaults (p₀ = 1/2, halve/double, cap 1/2, no
-// floor).
+// FeedbackSpec mirrors mis.FeedbackConfig field for field for the JSON
+// surface; zero fields mean the paper defaults (p₀ = 1/2, halve/double,
+// cap 1/2, no floor). FactorMax makes each adjustment draw its factor
+// uniformly from [factor, factor_max]; InitialPByID starts node v at
+// initial_p_by_id[v mod len] (1 to 64 entries, each in (0, max_p]).
 type FeedbackSpec struct {
-	InitialP float64 `json:"initial_p,omitempty"`
-	Factor   float64 `json:"factor,omitempty"`
-	MaxP     float64 `json:"max_p,omitempty"`
-	MinP     float64 `json:"min_p,omitempty"`
+	InitialP     float64   `json:"initial_p,omitempty"`
+	Factor       float64   `json:"factor,omitempty"`
+	MaxP         float64   `json:"max_p,omitempty"`
+	MinP         float64   `json:"min_p,omitempty"`
+	FactorMax    float64   `json:"factor_max,omitempty"`
+	InitialPByID []float64 `json:"initial_p_by_id,omitempty"`
 }
 
 // SweepSpec turns one spec into a grid of units: the cross product of
@@ -324,6 +334,7 @@ func (s *Spec) Normalized() *Spec {
 		fb := FeedbackSpec{InitialP: 0.5, Factor: 2, MaxP: 0.5}
 		if s.Feedback != nil {
 			fb = *s.Feedback
+			fb.InitialPByID = slices.Clone(fb.InitialPByID)
 			if fb.InitialP == 0 {
 				fb.InitialP = 0.5
 			}
@@ -332,6 +343,10 @@ func (s *Spec) Normalized() *Spec {
 			}
 			if fb.MaxP == 0 {
 				fb.MaxP = 0.5
+			}
+			// A one-point factor range is the fixed step.
+			if fb.FactorMax == fb.Factor {
+				fb.FactorMax = 0
 			}
 		}
 		n.Feedback = &fb

@@ -83,6 +83,14 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"faults wake vs wake_window", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","wake_window":4,"faults":{"wake":{"kind":"uniform","window":3}}}`, "pick one"},
 		{"faults outage vs crash", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","crash_at_round":{"2":[3]},"faults":{"outages":[{"node":3,"from":4,"for":1}]}}`, "node 3"},
 		{"faults sweep node range", `{"graph":{"family":"gnp","p":0.5},"algorithm":"feedback","sweep":{"n":[64,8]},"faults":{"outages":[{"node":20,"from":1,"for":2}]}}`, "outside"},
+		{"factor_max below factor", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"factor":3,"factor_max":2}}`, "factor range"},
+		{"factor_max below default factor", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"factor_max":1.5}}`, "factor range"},
+		{"initial_p_by_id empty", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"initial_p_by_id":[]}}`, "initial_p_by_id has 0 entries"},
+		{"initial_p_by_id too long", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"initial_p_by_id":[` + strings.Repeat("0.5,", 64) + `0.5]}}`, "initial_p_by_id has 65 entries"},
+		{"initial_p_by_id zero", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"initial_p_by_id":[0.5,0]}}`, "initial_p_by_id[1]"},
+		{"initial_p_by_id negative", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"initial_p_by_id":[-0.25]}}`, "initial_p_by_id[0]"},
+		{"initial_p_by_id above max_p", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"max_p":0.25,"initial_p_by_id":[0.125,0.5]}}`, "initial_p_by_id[1]"},
+		{"initial_p_by_id 64 entries", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","feedback":{"initial_p_by_id":[` + strings.Repeat("0.5,", 63) + `0.5]}}`, ""},
 		{"faults outage past round cap", `{"graph":{"family":"gnp","n":10,"p":0.5},"algorithm":"feedback","max_rounds":40,"faults":{"outages":[{"node":3,"from":50,"for":5,"reset":true}]}}`, "round cap"},
 	}
 	for _, tc := range cases {
@@ -224,6 +232,51 @@ func TestHashIgnoresPerformanceKnobs(t *testing.T) {
 		if got == want {
 			t.Errorf("spec %s hashed like the base spec; semantic fields must split the cache", doc)
 		}
+	}
+}
+
+// TestFeedbackFieldsInContentHash pins the two per-node feedback
+// fields' place in the hash: absent, they leave every existing hash as
+// it was; a factor range of one point is the fixed factor; the list is
+// copied, so editing the caller's slice after Compile changes nothing;
+// and each field, set, changes the hash.
+func TestFeedbackFieldsInContentHash(t *testing.T) {
+	hash := func(doc string) string {
+		t.Helper()
+		h, err := mustParse(t, doc).Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	plain := hash(`{"graph":{"family":"gnp","n":50,"p":0.5},"algorithm":"feedback","feedback":{"factor":3}}`)
+	if got := hash(`{"graph":{"family":"gnp","n":50,"p":0.5},"algorithm":"feedback","feedback":{"factor":3,"factor_max":3}}`); got != plain {
+		t.Fatalf("factor_max equal to factor hashed %s, without it %s", got, plain)
+	}
+	if hash(`{"graph":{"family":"gnp","n":50,"p":0.5},"algorithm":"feedback","feedback":{"factor_max":2}}`) !=
+		hash(`{"graph":{"family":"gnp","n":50,"p":0.5},"algorithm":"feedback"}`) {
+		t.Fatal("factor_max equal to the default factor split the cache")
+	}
+	for _, doc := range []string{
+		`{"graph":{"family":"gnp","n":50,"p":0.5},"algorithm":"feedback","feedback":{"factor":3,"factor_max":4}}`,
+		`{"graph":{"family":"gnp","n":50,"p":0.5},"algorithm":"feedback","feedback":{"factor":3,"initial_p_by_id":[0.5]}}`,
+	} {
+		if hash(doc) == plain {
+			t.Errorf("spec %s hashed like the plain factor-3 spec", doc)
+		}
+	}
+	list := []float64{0.5, 0.25}
+	s := &Spec{Graph: GraphSpec{Family: "gnp", N: 50, P: 0.5}, Algorithm: "feedback", Feedback: &FeedbackSpec{InitialPByID: list}}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	list[0] = 0.125
+	if c.Spec.Feedback.InitialPByID[0] != 0.5 {
+		t.Fatal("the compiled spec shares its initial_p_by_id list with the caller")
+	}
+	if h, _ := s.Hash(); h == c.Hash {
+		t.Fatal("editing the list did not change the spec's hash")
 	}
 }
 
