@@ -17,11 +17,11 @@ var _ = register("bits", "§5 quantified: message bits per channel — feedback 
 // Métivier's algorithm, which are not beeping automata and so have no
 // scenario — on fresh G(n,1/2) instances on the scenario trial pool.
 // Trial t at sweep position key builds its graph from stream (key, t, 1)
-// of rng.New(cfg.Seed) and runs from stream (key, t, 2): the keys these
-// series have always used. run stores the trial's measurements in its
-// own slots.
+// of the master seed's source and runs from stream (key, t, 2): the
+// keys these series have always used. run stores the trial's
+// measurements in its own slots.
 func baseline(cfg Config, key, n, trials int, run func(trial int, g *graph.Graph, src *rng.Source) error) error {
-	master := rng.New(cfg.Seed)
+	master := rng.New(max(cfg.Seed, 1)) // seed 0 means 1, as in the specs
 	return scenario.ForTrials(cfg.Workers, trials, func(trial int) error {
 		g := graph.GNP(n, 0.5, master.Stream(baselineKey(key, trial, 1)))
 		return run(trial, g, master.Stream(baselineKey(key, trial, 2)))

@@ -321,3 +321,31 @@ func TestNodeAxesAreNodeCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestPerChannelSkipsEdgelessTrials: bits per channel average only the
+// trials whose graph had an edge, in trial order, but the point still
+// reports every trial run.
+func TestPerChannelSkipsEdgelessTrials(t *testing.T) {
+	p := perChannel(7, []float64{1, 2, 3, 5}, []bool{true, false, true, false}, 4)
+	if p.X != 7 || p.Mean != 2 || p.Trials != 4 {
+		t.Fatalf("perChannel = %+v, want x 7, mean 2 over the kept trials, 4 trials", p)
+	}
+}
+
+// TestSeedZeroMeansOne: as in a scenario spec, seed 0 is seed 1 — for
+// the spec-run series and the message-passing baselines alike.
+func TestSeedZeroMeansOne(t *testing.T) {
+	for _, id := range []string{"luby", "bits"} {
+		a, err := Run(id, Config{Seed: 0, Trials: 2, MaxN: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(id, Config{Seed: 1, Trials: 2, MaxN: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: seed 0 and seed 1 differ", id)
+		}
+	}
+}

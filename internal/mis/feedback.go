@@ -19,7 +19,7 @@ import (
 // proves O(log n) expected time for halving/doubling (Factor = 2) with
 // InitialP = MaxP = 1/2, and its conclusion notes the analysis tolerates a
 // wide range of factors and initial values, which "may vary between
-// nodes and over time" — which the ablation experiments sweep.
+// nodes and over time"; the ablation experiments sweep them.
 type FeedbackConfig struct {
 	// InitialP is the starting beep probability. Default 1/2.
 	InitialP float64
@@ -45,8 +45,8 @@ type FeedbackConfig struct {
 	InitialPByID []float64
 }
 
-// MaxInitialPByID bounds the length of FeedbackConfig.InitialPByID.
-const MaxInitialPByID = 64
+// maxInitialPByID bounds the length of FeedbackConfig.InitialPByID.
+const maxInitialPByID = 64
 
 func (c FeedbackConfig) withDefaults() FeedbackConfig {
 	if c.InitialP == 0 {
@@ -87,8 +87,8 @@ func (c FeedbackConfig) Validate() error {
 	if c.MinP < 0 || c.MinP > c.MaxP {
 		return fmt.Errorf("mis: feedback min probability %v outside [0, MaxP]", c.MinP)
 	}
-	if c.InitialPByID != nil && (len(c.InitialPByID) == 0 || len(c.InitialPByID) > MaxInitialPByID) {
-		return fmt.Errorf("mis: feedback initial_p_by_id has %d entries (want 1 to %d)", len(c.InitialPByID), MaxInitialPByID)
+	if c.InitialPByID != nil && (len(c.InitialPByID) == 0 || len(c.InitialPByID) > maxInitialPByID) {
+		return fmt.Errorf("mis: feedback initial_p_by_id has %d entries (want 1 to %d)", len(c.InitialPByID), maxInitialPByID)
 	}
 	for i, p := range c.InitialPByID {
 		if !(p > 0 && p <= c.MaxP) {

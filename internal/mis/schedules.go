@@ -115,8 +115,8 @@ func afekParams(cfg AfekOriginalConfig, n, maxDegree int) (perLvl int, initial f
 }
 
 // fixedNode beeps with a constant probability forever: the simplest
-// member of the globally-preset class, useful as a floor in the Theorem 1
-// experiment.
+// member of the globally-preset class that Theorem 1 bounds, available
+// to scenario specs as the "fixed" algorithm.
 type fixedNode struct{ p float64 }
 
 var _ beep.Automaton = (*fixedNode)(nil)

@@ -81,7 +81,7 @@ func TestVariableConfigValidate(t *testing.T) {
 		{Factor: 2, FactorMax: 2},
 		{FactorMax: 5},
 		{InitialPByID: []float64{0.25}},
-		{InitialPByID: make([]float64, MaxInitialPByID), InitialP: 0.1},
+		{InitialPByID: make([]float64, maxInitialPByID), InitialP: 0.1},
 		{MaxP: 0.25, InitialPByID: []float64{0.25, 0.125}},
 	}
 	for v := range good[5].InitialPByID {
@@ -97,7 +97,7 @@ func TestVariableConfigValidate(t *testing.T) {
 		{FactorMax: 1.5},
 		{Factor: 1, FactorMax: 2},
 		{InitialPByID: []float64{}},
-		{InitialPByID: make([]float64, MaxInitialPByID+1)},
+		{InitialPByID: make([]float64, maxInitialPByID+1)},
 		{InitialPByID: []float64{0.25, 0}},
 		{InitialPByID: []float64{-0.5}},
 		{InitialPByID: []float64{0.75}},
