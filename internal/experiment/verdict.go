@@ -24,8 +24,8 @@ type Check struct {
 // specs at the experiment seed: feedback and the global sweep on
 // G(n,1/2), and both again on the union-of-cliques family. Specs at one
 // seed share graph streams, so each pair runs on the same instances.
-// With the zero Config it uses moderate trial counts (≈15 s total);
-// Trials/MaxN shrink it further.
+// With the zero Config it runs 20 trials per spec at n = 400, well
+// under a second of work; Trials/MaxN shrink it further.
 func Verdict(cfg Config) ([]Check, error) {
 	n := cfg.size(400)
 	// k = 9: the 405-node union of k copies of K_1..K_k.
