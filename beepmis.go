@@ -289,9 +289,10 @@ func WithEngine(e Engine) Option {
 // WithShards bounds the goroutines the columnar and sparse engines fan
 // beep propagation out to; 0 (the default) uses all cores and 1 keeps
 // propagation serial. Results are bit-identical for every value — shard
-// workers own disjoint destination word ranges — so this is purely a
-// performance knob, and every simulator engine honours it. Combining a
-// non-zero value with WithConcurrentEngine is an error.
+// workers write disjoint words or buffers of their own, and OR is
+// order-independent — so this is purely a performance knob, and every
+// simulator engine honours it. Combining a non-zero value with
+// WithConcurrentEngine is an error.
 func WithShards(shards int) Option {
 	return func(o *solveOptions) { o.shards = shards }
 }

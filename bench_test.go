@@ -188,6 +188,13 @@ var (
 	gnp100k     *graph.Graph
 	gnp20kOnce  sync.Once
 	gnp20k      *graph.Graph
+
+	sparse100kOnce sync.Once
+	sparse100k     *graph.Graph
+	sparse1MOnce   sync.Once
+	sparse1M       *graph.Graph
+	rmatOnce       sync.Once
+	rmat           *graph.Graph
 )
 
 // gnp100kGraph is G(10⁵, 0.05): 2.5·10⁸ edges, average degree 5000 —
@@ -205,6 +212,26 @@ func gnp20kDenseGraph() *graph.Graph {
 	return gnp20k
 }
 
+// sparseGNPGraph is G(n, 10/n), average degree 10: the sparse regime
+// the CSR engine exists for, and solve-sparse's workload at n = 10⁵.
+func sparseGNPGraph(once *sync.Once, g **graph.Graph, n int) *graph.Graph {
+	once.Do(func() { *g = graph.GNP(n, 10/float64(n), rng.New(12)) })
+	return *g
+}
+
+// rmatGraph is R-MAT with 2¹⁷ vertices and 2²¹ sampled edges at the
+// Graph500 parameters: heavy-tailed degrees, with the hubs at low ids.
+func rmatGraph(b *testing.B) *graph.Graph {
+	rmatOnce.Do(func() {
+		g, err := graph.RMATCSR(1<<17, 1<<21, 0.57, 0.19, 0.19, 0.05, rng.New(13), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rmat = g
+	})
+	return rmat
+}
+
 func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int) {
 	b.Helper()
 	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
@@ -212,7 +239,9 @@ func benchEngine(b *testing.B, g *graph.Graph, engine sim.Engine, shards int) {
 		b.Fatal(err)
 	}
 	opts := sim.Options{Engine: engine, Bulk: bulk, Shards: shards}
-	g.Matrix() // build (and cache) the packed rows outside the timer
+	if engine == sim.EngineColumnar {
+		g.Matrix() // build (and cache) the packed rows outside the timer
+	}
 	var rounds float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -241,6 +270,33 @@ func BenchmarkEngineColumnarGNP20kDense(b *testing.B) {
 
 func BenchmarkEngineColumnarShardedGNP20kDense(b *testing.B) {
 	benchEngine(b, gnp20kDenseGraph(), sim.EngineColumnar, 0)
+}
+
+// The sparse engine on sparse graphs, serial and sharded: the sharded
+// variants fan each large push out by emitter range and merge the
+// shards' buffers.
+func BenchmarkEngineSparseGNP100k(b *testing.B) {
+	benchEngine(b, sparseGNPGraph(&sparse100kOnce, &sparse100k, 100000), sim.EngineSparse, 1)
+}
+
+func BenchmarkEngineSparseShardedGNP100k(b *testing.B) {
+	benchEngine(b, sparseGNPGraph(&sparse100kOnce, &sparse100k, 100000), sim.EngineSparse, 0)
+}
+
+func BenchmarkEngineSparseGNP1M(b *testing.B) {
+	benchEngine(b, sparseGNPGraph(&sparse1MOnce, &sparse1M, 1000000), sim.EngineSparse, 1)
+}
+
+func BenchmarkEngineSparseShardedGNP1M(b *testing.B) {
+	benchEngine(b, sparseGNPGraph(&sparse1MOnce, &sparse1M, 1000000), sim.EngineSparse, 0)
+}
+
+func BenchmarkEngineSparseRMAT(b *testing.B) {
+	benchEngine(b, rmatGraph(b), sim.EngineSparse, 1)
+}
+
+func BenchmarkEngineSparseShardedRMAT(b *testing.B) {
+	benchEngine(b, rmatGraph(b), sim.EngineSparse, 0)
 }
 
 // Centralised baseline — the trivial sequential scan from §1.

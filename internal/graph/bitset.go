@@ -251,25 +251,11 @@ func (m *AdjacencyMatrix) orRowsRangeInto(dst, emitters Bitset, lo, hi int) {
 	}
 }
 
-// propagateMinWords is the word-OR workload below which PropagateInto
-// stays on one goroutine: fan-out costs a few microseconds per worker,
-// which only pays off once each worker has tens of thousands of word
-// operations to chew through.
+// propagateMinWords is the word-OR workload below which a matrix
+// exchange stays on one goroutine: fan-out costs a few microseconds
+// per worker, which only pays off once each worker has tens of
+// thousands of word operations to chew through.
 const propagateMinWords = 1 << 15
-
-// PropagateInto sets dst to the union of the adjacency rows of every
-// vertex in emitters — one beeping exchange: after the call, dst holds
-// exactly the vertices with at least one emitting neighbour. The
-// destination word range is partitioned into up to `shards` contiguous
-// chunks processed by independent goroutines. Each worker owns a
-// disjoint destination range and OR is commutative and associative, so
-// dst is bit-identical for every shard count (including the inline
-// shards <= 1 path); sharding changes only the wall clock. Small
-// workloads run inline regardless of shards.
-func (m *AdjacencyMatrix) PropagateInto(dst, emitters Bitset, shards int) {
-	plan := m.PlanExchange(nil, emitters, shards)
-	runExchange(m, plan, dst, nil, emitters, shards, m.words)
-}
 
 // PlanExchange decides how one exchange of emitters' rows should run:
 // the dense representation always pushes (a packed row OR already
@@ -294,14 +280,6 @@ func (m *AdjacencyMatrix) PlanExchange(_, emitters Bitset, shards int) ExchangeP
 //misvet:noalloc
 func (m *AdjacencyMatrix) ExchangeRange(_ ExchangePlan, dst, _, emitters Bitset, loWord, hiWord int) {
 	m.orRowsRangeInto(dst, emitters, loWord, hiWord)
-}
-
-// PropagateToTargets is the matrix form of Graph.PropagateToTargets,
-// planning and fanning out on ad-hoc goroutines. Callers with a
-// persistent worker pool use PlanExchange + ExchangeRange directly.
-func (m *AdjacencyMatrix) PropagateToTargets(dst, targets, emitters Bitset, shards int) {
-	plan := m.PlanExchange(targets, emitters, shards)
-	runExchange(m, plan, dst, targets, emitters, shards, m.words)
 }
 
 // HasEdge reports whether the edge {u, v} is present.

@@ -263,11 +263,12 @@ func TestOrRowRangeInto(t *testing.T) {
 	}
 }
 
-// TestPropagateIntoShardInvariance is the determinism-under-sharding
-// contract: for random graphs and emitter sets, PropagateInto yields
-// word-identical output for every shard count, equal to the serial
-// reference union of adjacency rows.
-func TestPropagateIntoShardInvariance(t *testing.T) {
+// TestMatrixExchangeShardInvariance is the determinism-under-sharding
+// contract of the matrix push: for random graphs and emitter sets, the
+// planned exchange run by destination range over every shard count
+// yields word-identical output, equal to the serial reference union of
+// adjacency rows.
+func TestMatrixExchangeShardInvariance(t *testing.T) {
 	src := rng.New(31)
 	for _, tc := range []struct {
 		name string
@@ -293,8 +294,8 @@ func TestPropagateIntoShardInvariance(t *testing.T) {
 			emitters.ForEach(func(v int) { m.OrRowInto(want, v) })
 			for _, shards := range []int{0, 1, 2, 3, 7, 64, 1000} {
 				got := NewBitset(n)
-				got.Fill(n) // PropagateInto must fully overwrite dst
-				m.PropagateInto(got, emitters, shards)
+				got.Fill(n) // the exchange must fully overwrite dst
+				exchangeSharded(m, m.PlanExchange(nil, emitters, shards), got, nil, emitters, shards)
 				for i := range want {
 					if want[i] != got[i] {
 						t.Fatalf("%s trial %d shards %d: word %d differs", tc.name, trial, shards, i)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // CSRBytes returns the memory an n-vertex, m-edge Graph's rows occupy,
 // without building it: 8·(n+1) bytes of offsets and 4·2m bytes of
@@ -29,73 +26,43 @@ func (g *Graph) NeighborsIn(v int, set Bitset) int {
 	return k
 }
 
-// orRowsVertexRangeInto sets dst's words [loWord, hiWord) to the union
-// of the emitters' adjacency rows restricted to destination vertices
-// [loWord·64, hiWord·64). Rows are sorted, so each emitter contributes
-// the binary-searched sub-slice of its row that lands in the range —
-// the per-emitter cost is O(log deg + hits), not O(deg).
+// scatterRowsInto overwrites all of dst with the union of the
+// adjacency rows of the emitters packed in emitters' words [loWord,
+// hiWord): one shard's part of an emitter-partitioned push, or, over
+// the full word range, the whole push. Each emitter's row is walked
+// once, start to end, so a range's cost is the degree sum of its own
+// emitters plus one pass over dst; shards that split the emitter words
+// each scatter into a full-width buffer of their own, and the caller
+// ORs those buffers together (MergeRange).
 //
 // Saturation early-exit: once the entries written since the last check
-// could have covered every bit of the range, the range is tested for
-// saturation (all representable bits set) and the walk stops if so —
-// further ORs cannot change a saturated union, so the result is exactly
-// the full union either way. Gating the test on written volume (rather
-// than a fixed row cadence, which the matrix walk uses) keeps its cost
+// could have covered every bit of dst, dst is tested for saturation
+// (all representable bits set) and the walk stops if so — further ORs
+// cannot change a saturated union, so the result is exactly the full
+// union either way. Gating the test on written volume (rather than a
+// fixed row cadence, which the matrix walk uses) keeps its cost
 // amortized O(1) per written entry: CSR rows are short on exactly the
 // graphs this representation exists for, and an every-k-rows scan of
-// the whole range would cost more than the writes it tries to save.
+// the whole bitset would cost more than the writes it tries to save.
 //
 //misvet:noalloc
-func (g *Graph) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) {
-	for i := loWord; i < hiWord; i++ {
-		dst[i] = 0
-	}
-	capacity := (hiWord - loWord) << 6
+func (g *Graph) scatterRowsInto(dst, emitters Bitset, loWord, hiWord int) {
+	clear(dst)
+	capacity := len(dst) << 6
 	written := 0
-	if loWord == 0 && capacity >= g.n {
-		// Full-range (serial) fast path: every row entry lands in range,
-		// so the inner loop needs no boundary comparisons.
-		for wi, w := range emitters {
-			base := wi << 6
-			for w != 0 {
-				v := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				row := g.Neighbors(v)
-				for _, t := range row {
-					dst[t>>6] |= 1 << (uint(t) & 63)
-				}
-				written += len(row)
-				if written >= capacity {
-					if rangeSaturated(dst, g.n, loWord, hiWord) {
-						return
-					}
-					written = 0
-				}
-			}
-		}
-		return
-	}
-	loVert := int32(loWord << 6)
-	hiVert := int64(hiWord) << 6 // may exceed n; rows never do
-	for wi, w := range emitters {
+	for wi := loWord; wi < hiWord; wi++ {
+		w := emitters[wi]
 		base := wi << 6
 		for w != 0 {
 			v := base + bits.TrailingZeros64(w)
 			w &= w - 1
 			row := g.Neighbors(v)
-			start := 0
-			if loVert > 0 {
-				//misvet:allow(noalloc) the predicate closure does not escape sort.Search, so it stays on the stack
-				start = sort.Search(len(row), func(i int) bool { return row[i] >= loVert })
-			}
-			i := start
-			for ; i < len(row) && int64(row[i]) < hiVert; i++ {
-				t := row[i]
+			for _, t := range row {
 				dst[t>>6] |= 1 << (uint(t) & 63)
 			}
-			written += i - start
+			written += len(row)
 			if written >= capacity {
-				if rangeSaturated(dst, g.n, loWord, hiWord) {
+				if rangeSaturated(dst, g.n, 0, len(dst)) {
 					return
 				}
 				written = 0
@@ -104,8 +71,8 @@ func (g *Graph) orRowsVertexRangeInto(dst, emitters Bitset, loWord, hiWord int) 
 	}
 }
 
-// PullRangeInto computes the same exchange as orRowsVertexRangeInto in
-// the opposite direction: instead of scattering every emitter's row, it
+// PullRangeInto computes the same exchange as scatterRowsInto in the
+// opposite direction: instead of scattering every emitter's row, it
 // probes each *listener* in targets ∩ [loWord·64, hiWord·64) for an
 // emitting neighbour, stopping at the first hit. For crowded exchanges
 // — a constant fraction of each neighbourhood emitting, as in the
@@ -163,84 +130,59 @@ func rangeSaturated(dst Bitset, n, lo, hi int) bool {
 	return true
 }
 
-// propagateMinDegreeSum is the emitter-degree workload below which
-// Graph.PropagateInto stays on one goroutine: fan-out costs a few
-// microseconds per worker plus a per-emitter binary search per shard,
-// which only pays once each worker has real scatter work to do.
-const propagateMinDegreeSum = 1 << 14
-
-// PropagateInto sets dst to the union of the adjacency rows of every
-// vertex in emitters — one beeping exchange: after the call, dst holds
-// exactly the vertices with at least one emitting neighbour. The
-// destination word range is partitioned into up to `shards` contiguous
-// chunks processed by independent goroutines. Each worker owns a
-// disjoint destination word range and OR-ing set bits is commutative
-// and associative, so dst is bit-identical for every shard count
-// (including the inline shards <= 1 path); sharding changes only the
-// wall clock. Small workloads run inline regardless of shards.
-func (g *Graph) PropagateInto(dst, emitters Bitset, shards int) {
-	plan := g.planPush(emitters, shards)
-	runExchange(g, plan, dst, nil, emitters, shards, bitsetWords(g.n))
-}
-
-// planPush is the push-only half of PlanExchange: serial when the
-// emitter degree sum is below the fan-out threshold. The degree sum is
-// only worth computing when fan-out is even possible.
-//
-//misvet:noalloc
-func (g *Graph) planPush(emitters Bitset, shards int) ExchangePlan {
-	serial := shards <= 1
-	if !serial {
-		sum := 0
-		for wi, w := range emitters {
-			base := wi << 6
-			for w != 0 {
-				sum += g.Degree(base + bits.TrailingZeros64(w))
-				w &= w - 1
-			}
-		}
-		serial = sum < propagateMinDegreeSum
-	}
-	return ExchangePlan{Serial: serial}
-}
+// exchangeMinWork is the estimated exchange workload (row entries a
+// push writes, or probes a pull makes) below which an exchange stays on
+// one goroutine: each pool phase costs a few microseconds of hand-off,
+// which only pays once every shard has real work to do.
+const exchangeMinWork = 1 << 14
 
 // PlanExchange decides how one exchange should run: pushing the
 // emitters' rows (cost Σ deg(emitters)) or pulling each target's first
 // emitting neighbour (cost |targets| · expected probes), and whether
-// the chosen direction's workload justifies goroutine fan-out. The
-// choice depends only on deterministic mask counts, so dst restricted
-// to targets is bit-identical for every shard count and either
-// direction. Pull probes pay a bitset read each and touch every
-// target's row, so the plan demands a clear margin before abandoning
-// push; measured on G(10⁶, 10/n) the pull direction fires exactly in
-// the crowded opening exchange (half the graph emitting), where it
-// halves the exchange cost, and leaves the sparse-frontier tail to
-// push.
+// the chosen direction's workload justifies goroutine fan-out. Both
+// costs are estimated from mask counts and the average degree, so the
+// plan is deterministic and costs two popcounts, not a walk of the
+// emitters' degrees; either direction leaves dst restricted to targets
+// bit-identical for every shard count. Pull probes pay a bitset read
+// each and touch every target's row, so the plan demands a clear margin
+// before abandoning push: pull must cost under 0.75 of push. With that
+// margin the pull direction fires exactly in the crowded opening
+// exchanges (half the graph emitting), where it halves the exchange
+// cost, and leaves the sparse-frontier tail to push. Measured against
+// the emitter-range push on G(10⁵, 10/n) and G(10⁶, 10/n), margins of
+// 0.5 and 1.0 did no better.
+//
+// A fanned push scatters by emitter range (Scatter): on top of its row
+// walks it zeroes and merges one full-width buffer per shard, so it
+// stays serial until the estimated degree sum also covers those
+// shards · ⌈n/64⌉ words — a small exchange on a huge graph never fans
+// out.
 //
 //misvet:noalloc
 func (g *Graph) PlanExchange(targets, emitters Bitset, shards int) ExchangePlan {
 	e := emitters.Count()
-	if e > 0 && len(g.cols) > 0 {
-		t := targets.Count()
-		avgDeg := float64(len(g.cols)) / float64(g.n)
-		probes := float64(g.n) / float64(e) // expected probes to hit an emitter
-		if probes > avgDeg {
-			probes = avgDeg
-		}
-		pullCost := float64(t) * probes
-		pushCost := float64(e) * avgDeg
-		if pullCost < pushCost*0.75 {
-			return ExchangePlan{Pull: true, Serial: shards <= 1 || pullCost < propagateMinDegreeSum}
-		}
+	if e == 0 || len(g.cols) == 0 {
+		return ExchangePlan{Scatter: true, Serial: true}
 	}
-	return g.planPush(emitters, shards)
+	avgDeg := float64(len(g.cols)) / float64(g.n)
+	pushCost := float64(e) * avgDeg
+	probes := min(float64(g.n)/float64(e), avgDeg) // expected probes to hit an emitter
+	pullCost := float64(targets.Count()) * probes
+	if pullCost < pushCost*0.75 {
+		return ExchangePlan{Pull: true, Serial: shards <= 1 || pullCost < exchangeMinWork}
+	}
+	mergeWords := float64(shards) * float64(bitsetWords(g.n))
+	return ExchangePlan{Scatter: true, Serial: shards <= 1 || pushCost < max(exchangeMinWork, mergeWords)}
 }
 
-// ExchangeRange executes a planned exchange restricted to destination
-// words [loWord, hiWord), in the plan's direction. Workers own
-// disjoint ranges, so any partition of the full range produces the
-// same dst (at the bits in targets, for pull plans) as one serial
-// pass.
+// ExchangeRange executes one shard's part of a planned exchange. A pull
+// plan partitions destinations: it writes dst's words [loWord, hiWord)
+// and no others (see PullRangeInto), so pull shards share one dst. A
+// push plan (Scatter) partitions emitters: it overwrites all of dst
+// with the rows of the emitters in emitters' words [loWord, hiWord)
+// (see scatterRowsInto), so each push shard needs a full-width dst of
+// its own, merged afterwards by MergeRange. Over the full word range
+// either is the whole exchange.
 //
 //misvet:noalloc
 func (g *Graph) ExchangeRange(p ExchangePlan, dst, targets, emitters Bitset, loWord, hiWord int) {
@@ -248,18 +190,7 @@ func (g *Graph) ExchangeRange(p ExchangePlan, dst, targets, emitters Bitset, loW
 		g.PullRangeInto(dst, targets, emitters, loWord, hiWord)
 		return
 	}
-	g.orRowsVertexRangeInto(dst, emitters, loWord, hiWord)
-}
-
-// PropagateToTargets is the direction-optimizing exchange: it fills dst
-// like PropagateInto, but is only required to be correct at the bits in
-// targets. It plans with PlanExchange and fans out on ad-hoc
-// goroutines; callers with a persistent worker pool (the simulator's
-// round loop) use PlanExchange + ExchangeRange directly and skip the
-// per-exchange spawns.
-func (g *Graph) PropagateToTargets(dst, targets, emitters Bitset, shards int) {
-	plan := g.PlanExchange(targets, emitters, shards)
-	runExchange(g, plan, dst, targets, emitters, shards, bitsetWords(g.n))
+	g.scatterRowsInto(dst, emitters, loWord, hiWord)
 }
 
 // CSR returns g itself.

@@ -67,74 +67,41 @@ func TestCSRBytes(t *testing.T) {
 
 // TestCSRPropagateMatchesMatrix cross-checks sparse propagation against
 // the dense matrix implementation for every shard count, including
-// emitter sets dense enough to trigger the saturation early-exit.
+// emitter sets dense enough to trigger the saturation early-exit: the
+// planned exchange run as the round loop's pool would run it must agree
+// with the serial matrix push within targets (everywhere when it
+// pushes), and so must the push and the pull forced.
 func TestCSRPropagateMatchesMatrix(t *testing.T) {
 	for name, g := range buildCSRGraphs() {
 		n := g.N()
-		c := g
+		words := bitsetWords(n)
 		mat := g.Matrix()
 		src := rng.New(7)
 		for trial := 0; trial < 8; trial++ {
-			emitters := NewBitset(n)
-			if n > 0 {
-				switch trial % 3 {
-				case 0: // a few emitters
-					for i := 0; i < 3; i++ {
-						emitters.Set(src.Intn(n))
-					}
-				case 1: // half the nodes
-					for v := 0; v < n; v++ {
-						if src.Bernoulli(0.5) {
-							emitters.Set(v)
-						}
-					}
-				case 2: // everyone — saturates dense graphs
-					emitters.Fill(n)
-				}
-			}
+			targets, emitters := randomMasks(n, trial, src)
 			want := NewBitset(n)
-			mat.PropagateInto(want, emitters, 1)
-			targets := NewBitset(n)
-			for v := 0; v < n; v++ {
-				if src.Bernoulli(0.7) {
-					targets.Set(v)
-				}
-			}
+			mat.ExchangeRange(ExchangePlan{Serial: true}, want, nil, emitters, 0, words)
 			for _, shards := range []int{1, 2, 3, 7, 64} {
-				got := NewBitset(n)
-				// Pre-soil the destination: PropagateInto owns it fully.
-				for i := range got {
-					got[i] = ^uint64(0)
-				}
-				c.PropagateInto(got, emitters, shards)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s trial %d shards %d: word %d = %x, want %x",
-							name, trial, shards, i, got[i], want[i])
-					}
-				}
-				// The direction-optimizing form must agree within the
-				// targets mask whichever direction it picked.
-				for i := range got {
-					got[i] = ^uint64(0)
-				}
-				c.PropagateToTargets(got, targets, emitters, shards)
-				for i := range want {
-					if got[i]&targets[i] != want[i]&targets[i] {
-						t.Fatalf("%s trial %d shards %d: PropagateToTargets word %d = %x, want %x (∧ targets %x)",
-							name, trial, shards, i, got[i], want[i], targets[i])
-					}
-				}
-				// The pull direction, forced, must also agree within targets.
-				words := bitsetWords(n)
-				for i := range got {
-					got[i] = ^uint64(0)
-				}
-				c.PullRangeInto(got, targets, emitters, 0, words)
-				for i := range want {
-					if got[i]&targets[i] != want[i]&targets[i] {
-						t.Fatalf("%s trial %d: PullRangeInto word %d = %x, want %x (∧ targets %x)",
-							name, trial, i, got[i], want[i], targets[i])
+				for _, tc := range []struct {
+					name string
+					plan ExchangePlan
+				}{
+					{"planned", g.PlanExchange(targets, emitters, shards)},
+					{"push", ExchangePlan{Scatter: true}},
+					{"pull", ExchangePlan{Pull: true}},
+				} {
+					got := soiled(n)
+					exchangeSharded(g, tc.plan, got, targets, emitters, shards)
+					for i := range want {
+						gw, ww := got[i], want[i]
+						if tc.plan.Pull {
+							gw &= targets[i]
+							ww &= targets[i]
+						}
+						if gw != ww {
+							t.Fatalf("%s trial %d shards %d %s (plan %+v): word %d = %x, want %x (targets %x)",
+								name, trial, shards, tc.name, tc.plan, i, got[i], want[i], targets[i])
+						}
 					}
 				}
 			}

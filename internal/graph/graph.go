@@ -21,9 +21,10 @@ import (
 // vertices. Graph is immutable once built and safe for concurrent
 // readers.
 //
-// Rows are sorted, so a destination-range worker can binary-search the
-// slice of a row that lands in its range; that is the building block of
-// the sparse engine's sharded exchanges (see PropagateInto).
+// Rows are sorted, so HasEdge is a binary search. The sparse engine's
+// exchanges walk whole rows: a push scatters each emitter's row once,
+// a pull probes each listener's row (see PlanExchange and
+// ExchangeRange).
 type Graph struct {
 	n       int
 	offsets []int64 // len n+1, or nil when n == 0; row v is cols[offsets[v]:offsets[v+1]]

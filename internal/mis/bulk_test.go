@@ -184,7 +184,7 @@ func TestBulkKernelsOnGraphs(t *testing.T) {
 						t.Fatalf("%s g=%d round %d node %d: beep divergence", spec.Name, gseed, round, v)
 					}
 				}
-				mat.PropagateInto(heard, beeped, 1)
+				mat.ExchangeRange(graph.ExchangePlan{Serial: true}, heard, nil, beeped, 0, mat.Words())
 				// Observe the active nodes, then retire a random subset
 				// to emulate joins/dominations shrinking the active set.
 				copy(observed, active)

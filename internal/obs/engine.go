@@ -81,6 +81,9 @@ type EngineMetrics struct {
 	PushExchanges   Counter
 	PullExchanges   Counter
 	SerialExchanges Counter
+	// ScatterExchanges counts the pushes fanned out by emitter range:
+	// the sparse engine's scatter-and-merge (see graph.ExchangePlan).
+	ScatterExchanges Counter
 	// ShardSpreadNs records, for each phase execution fanned out on the
 	// shard pool, the spread (slowest minus fastest shard wall time) —
 	// the imbalance signal: a spread rivalling the phase duration means
@@ -125,5 +128,6 @@ func (m *EngineMetrics) Register(r *Registry) {
 	r.RegisterCounter("beepmis_engine_exchange_push_total", "", "Exchanges planned in the push direction.", &m.PushExchanges)
 	r.RegisterCounter("beepmis_engine_exchange_pull_total", "", "Exchanges planned in the pull direction.", &m.PullExchanges)
 	r.RegisterCounter("beepmis_engine_exchange_serial_total", "", "Exchanges the plan kept on one goroutine.", &m.SerialExchanges)
+	r.RegisterCounter("beepmis_engine_exchange_scatter_total", "", "Pushes fanned out by emitter range and merged.", &m.ScatterExchanges)
 	r.RegisterHistogram("beepmis_engine_shard_spread_ns", "", "Slowest-minus-fastest shard wall time per pooled phase execution.", &m.ShardSpreadNs)
 }

@@ -67,6 +67,13 @@ func measureRunAllocs(t *testing.T, g *graph.Graph, spec mis.Spec, opts Options)
 // lets a node of this graph beep alone, so the run stalls with every
 // node eligible, and capping it at 160 vs 460 rounds adds ~300 rounds
 // that each count emitters and draw loss for thousands of listeners.
+//
+// The scatter rows stall the same way on a denser graph at a lower
+// pinned p, so that the sparse engine's first exchange fans out as an
+// emitter-range scatter and merge in every extra round: p = 1/16 at
+// degree ~250 never lets a node beep alone, and ~310 emitters against
+// 5000 listeners make the push beat the pull. The metered row checks
+// that the extra rounds did scatter.
 func TestRoundLoopAllocations(t *testing.T) {
 	const (
 		n          = 5000
@@ -87,6 +94,8 @@ func TestRoundLoopAllocations(t *testing.T) {
 	noise := &fault.Spec{Loss: 0.02, Spurious: 0.01}
 	feedback := mis.Spec{Name: mis.NameFeedback}
 	stalled := mis.Spec{Name: mis.NameFeedback, Feedback: mis.FeedbackConfig{InitialP: 0.5, MinP: 0.5}}
+	dense := graph.GNP(n, 0.05, rng.New(8))
+	scattering := mis.Spec{Name: mis.NameFeedback, Feedback: mis.FeedbackConfig{InitialP: 1.0 / 16, MinP: 1.0 / 16, MaxP: 1.0 / 16}}
 	for _, tc := range []struct {
 		name    string
 		engine  Engine
@@ -110,6 +119,8 @@ func TestRoundLoopAllocations(t *testing.T) {
 		{"columnar/shards=4/metrics", EngineColumnar, 4, nil, true},
 		{"sparse/shards=4/metrics", EngineSparse, 4, nil, true},
 		{"sparse/shards=4/noisy/metrics", EngineSparse, 4, noise, true},
+		{"sparse/shards=4/scatter", EngineSparse, 4, nil, false},
+		{"sparse/shards=4/scatter/metrics", EngineSparse, 4, nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Engine: tc.engine, Shards: tc.shards, Faults: tc.faults}
@@ -117,13 +128,30 @@ func TestRoundLoopAllocations(t *testing.T) {
 				opts.Metrics = &obs.EngineMetrics{}
 			}
 			var short, long float64
-			if strings.HasSuffix(tc.name, "/beep-loss") {
+			switch {
+			case strings.HasSuffix(tc.name, "/beep-loss"):
 				opts.BeepLoss = 0.2
 				opts.MaxRounds = shortWake
 				short = measureRunAllocs(t, g, stalled, opts)
 				opts.MaxRounds = longWake
 				long = measureRunAllocs(t, g, stalled, opts)
-			} else {
+			case strings.Contains(tc.name, "/scatter"):
+				opts.MaxRounds = shortWake
+				short = measureRunAllocs(t, dense, scattering, opts)
+				var shortScatters uint64
+				if tc.metrics {
+					shortScatters = opts.Metrics.ScatterExchanges.Value()
+				}
+				opts.MaxRounds = longWake
+				long = measureRunAllocs(t, dense, scattering, opts)
+				if tc.metrics {
+					// The bundle has counted the short runs and then the
+					// long ones, as many of each.
+					if extra := opts.Metrics.ScatterExchanges.Value() - 2*shortScatters; extra < longWake-shortWake {
+						t.Fatalf("the long runs scattered only %d more times than the short ones, want at least one per extra round", extra)
+					}
+				}
+			default:
 				opts.WakeAt = wake(shortWake)
 				short = measureRunAllocs(t, g, feedback, opts)
 				opts.WakeAt = wake(longWake)

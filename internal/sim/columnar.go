@@ -55,11 +55,18 @@ type columnarLoop struct {
 
 	shardBeeps []int // per-shard beep tallies, summed after the draw phase
 
+	// scatter[k-1] is shard k's private full-width buffer for Scatter
+	// plans (the sparse engine's fanned push); shard 0 scatters into
+	// the exchange's dst itself. Allocated with the pool; the columnar
+	// engine's plans never scatter and leave them unused.
+	scatter []graph.Bitset
+
 	// Method values for the pool, created once (a method value
 	// evaluated inline would allocate its closure on every round).
 	beepFn     func(shard, lo, hi int)
 	observeFn  func(shard, lo, hi int)
 	exchangeFn func(shard, lo, hi int)
+	mergeFn    func(shard, lo, hi int)
 
 	// Instrumentation (all nil/zero when metrics are off). timedFn wraps
 	// inner with per-shard wall timing into shardNs so runPool can record
@@ -90,9 +97,14 @@ func newColumnarLoop(prop bulkPropagator, bulk beep.BulkAutomaton, streams []*rn
 	l.pool = newShardPool(len(beeped), shards)
 	if l.pool != nil {
 		l.shardBeeps = make([]int, l.pool.shards())
+		l.scatter = make([]graph.Bitset, l.pool.shards()-1)
+		for k := range l.scatter {
+			l.scatter[k] = make(graph.Bitset, len(beeped))
+		}
 		l.beepFn = l.beepShard
 		l.observeFn = l.observeShard
 		l.exchangeFn = l.exchangeShard
+		l.mergeFn = l.mergeShard
 		if metrics != nil {
 			l.timedFn = l.timedShard
 			l.shardNs = make([]int64, l.pool.shards())
@@ -218,19 +230,39 @@ func (l *columnarLoop) drawBeeps(eligible graph.Bitset, active int) int {
 	return l.tallyRange(0, len(l.beeped))
 }
 
+// exchangeShard runs one shard's range of the current plan: a
+// destination range of the exchange's dst, or, for a Scatter plan, an
+// emitter range into the shard's own buffer (shard 0's is dst).
+//
 //misvet:noalloc
-func (l *columnarLoop) exchangeShard(_, lo, hi int) {
-	l.prop.ExchangeRange(l.xplan, l.xdst, l.eligible, l.xemit, lo, hi)
+func (l *columnarLoop) exchangeShard(shard, lo, hi int) {
+	dst := l.xdst
+	if l.xplan.Scatter && shard > 0 {
+		dst = l.scatter[shard-1]
+	}
+	l.prop.ExchangeRange(l.xplan, dst, l.eligible, l.xemit, lo, hi)
+}
+
+// mergeShard ORs the scatter buffers' words [lo, hi) into the
+// exchange's dst, finishing a Scatter exchange.
+//
+//misvet:noalloc
+func (l *columnarLoop) mergeShard(_, lo, hi int) {
+	graph.MergeRange(l.xdst, l.scatter, lo, hi)
 }
 
 // exchange delivers one beeping exchange: dst becomes the union of the
 // emitters' neighbourhoods, correct at least at the bits in eligible.
-// The propagator plans the direction and whether fan-out pays; fanned
-// exchanges run on the persistent pool instead of spawning goroutines.
+// The propagator plans the direction, the partition and whether
+// fan-out pays; fanned exchanges run on the persistent pool instead of
+// spawning goroutines. A Scatter plan takes two pool phases: every
+// shard scatters its emitter range's rows into its own buffer, then
+// every shard merges the buffers over its destination range.
 //
 //misvet:noalloc
 func (l *columnarLoop) exchange(dst, eligible, emitters graph.Bitset) {
 	plan := l.prop.PlanExchange(eligible, emitters, l.shards)
+	fanned := l.pool != nil && !plan.Serial
 	if l.metrics != nil {
 		if plan.Pull {
 			l.metrics.PullExchanges.Inc()
@@ -240,12 +272,18 @@ func (l *columnarLoop) exchange(dst, eligible, emitters graph.Bitset) {
 		if plan.Serial {
 			l.metrics.SerialExchanges.Inc()
 		}
+		if fanned && plan.Scatter {
+			l.metrics.ScatterExchanges.Inc()
+		}
 	}
-	if l.pool == nil || plan.Serial {
-		l.prop.ExchangeRange(plan, dst, eligible, emitters, 0, len(dst))
-	} else {
+	if fanned {
 		l.xplan, l.xdst, l.eligible, l.xemit = plan, dst, eligible, emitters
 		l.runPool(l.exchangeFn)
+		if plan.Scatter {
+			l.runPool(l.mergeFn)
+		}
+	} else {
+		l.prop.ExchangeRange(plan, dst, eligible, emitters, 0, len(dst))
 	}
 	if l.metrics != nil {
 		l.metrics.PropagateBits.Add(uint64(dst.Count()))
@@ -296,13 +334,13 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 // packed words: node lifecycle masks are bitsets, beeps are drawn by
 // the algorithm's bulk kernel (or the per-node adapter) over
 // struct-of-arrays state, joins are one AndNot (beeped &^ heard), and
-// both exchanges are sharded destination-range OR passes over prop's
-// adjacency representation — the packed matrix for EngineColumnar, the
-// graph's own sorted rows for EngineSparse. Per round it does O(n/64) word
-// operations plus one rng draw per eligible node, and the kernel draws
-// from the per-node streams in node order, so the result is a pure
-// function of (graph, algorithm, seed, options) whatever the engine or
-// shard count.
+// both exchanges are sharded OR passes over prop's adjacency
+// representation — the packed matrix for EngineColumnar, the graph's
+// own sorted rows for EngineSparse (see exchange). Per round it does
+// O(n/64) word operations plus one rng draw per eligible node, and the
+// kernel draws from the per-node streams in node order, so the result
+// is a pure function of (graph, algorithm, seed, options) whatever the
+// engine or shard count.
 //
 // All shardable phases (draws, tallies, exchanges, observes) run on
 // one persistent worker pool created at setup, and every buffer the

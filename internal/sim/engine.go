@@ -51,11 +51,12 @@ const (
 	EngineColumnar
 	// EngineSparse runs the round loop over the O(n + m) CSR
 	// representation instead: per exchange it walks only the CSR rows
-	// of the current emitters into the heard bitset (or pulls from the
-	// listeners' rows when that is cheaper), sharded by destination
-	// vertex range across Options.Shards goroutines. The engine whose
-	// memory scales with edges rather than n², so it is how
-	// million-node graphs run.
+	// of the current emitters into the heard bitset, sharded across
+	// Options.Shards goroutines by emitter range into per-shard
+	// buffers that are then merged by destination range (or it pulls
+	// from the listeners' rows, sharded by destination range, when
+	// that is cheaper). The engine whose memory scales with edges
+	// rather than n², so it is how million-node graphs run.
 	EngineSparse
 )
 

@@ -8,6 +8,7 @@ import (
 	"beepmis/internal/fault"
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
+	"beepmis/internal/obs"
 	"beepmis/internal/rng"
 )
 
@@ -19,7 +20,11 @@ import (
 // divide the word count evenly; 2×GOMAXPROCS oversubscribes the
 // cores). The graphs are big enough (n > drawShardMinNodes) that the
 // sharded eligible-draw and observe paths run, not just the sharded
-// exchanges. CI runs this under -race.
+// exchanges. The sparse rows at 3 shards share one metrics bundle per
+// graph, which must show a push fanned out by emitter range, so the
+// matrix cannot silently stay serial (wake schedules keep some
+// variants' exchanges small enough to stay serial throughout, so the
+// check is per graph, not per variant). CI runs this under -race.
 func TestEngineEquivalenceMultiCore(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -56,6 +61,10 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 	}
 
 	for _, tg := range graphs {
+		// Plans do not depend on the shard count here, so one metered
+		// sparse shard count stands for all of them; the others keep the
+		// unmetered pool path raced.
+		metered := &obs.EngineMetrics{}
 		for _, variant := range variants {
 			t.Run(tg.name+"/"+variant.name, func(t *testing.T) {
 				factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
@@ -72,6 +81,10 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 						opts.Engine = engine
 						opts.Shards = shards
 						opts.Bulk = bulk
+						opts.Metrics = nil
+						if engine == EngineSparse && shards == 3 {
+							opts.Metrics = metered
+						}
 						name := fmt.Sprintf("%v/shards=%d", engine, shards)
 						res, err := Run(tg.g, factory, rng.New(5), opts)
 						if err != nil {
@@ -81,6 +94,10 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 					}
 				}
 			})
+		}
+		if metered.ScatterExchanges.Value() == 0 {
+			t.Fatalf("%s: no sparse push fanned out (%d push, %d pull, %d serial exchanges)", tg.name,
+				metered.PushExchanges.Value(), metered.PullExchanges.Value(), metered.SerialExchanges.Value())
 		}
 	}
 }

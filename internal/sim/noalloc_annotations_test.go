@@ -28,6 +28,7 @@ var noallocAnnotated = []string{
 	"*columnarLoop.exchange",
 	"*columnarLoop.exchangeShard",
 	"*columnarLoop.loseBeeps",
+	"*columnarLoop.mergeShard",
 	"*columnarLoop.observe",
 	"*columnarLoop.observeShard",
 	"*columnarLoop.runPool",

@@ -9,13 +9,14 @@ package sim
 // created once per run and fed over channels instead — a phase call
 // allocates nothing.
 //
-// Determinism: every phase body touches only per-node state (packed
-// kernel arrays, per-node rng streams, destination words) of the nodes
-// inside its word range, and the ranges partition [0, words). Workers
-// therefore never touch shared state, and the result of a phase is
-// bit-identical to one serial sweep for every shard count — the same
-// argument that already made destination-sharded propagation
-// deterministic.
+// Determinism: every phase body writes only state its shard owns —
+// per-node state (packed kernel arrays, per-node rng streams,
+// destination words) of the nodes inside its word range, or, in the
+// sparse push's scatter phase, a full-width buffer of the shard's own
+// that only the following merge phase reads — and the ranges partition
+// [0, words). Workers therefore never write shared state, and the
+// result of a phase is bit-identical to one serial sweep for every
+// shard count.
 type shardPool struct {
 	bounds []int // len workers+1; worker i owns words [bounds[i], bounds[i+1])
 	fn     func(shard, lo, hi int)

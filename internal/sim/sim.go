@@ -82,10 +82,10 @@ type Options struct {
 	// every engine; the kernel is only faster.
 	Bulk beep.BulkFactory
 	// Shards bounds the goroutines the columnar and sparse engines fan
-	// propagation out to, partitioned by destination word ranges. 0
-	// means GOMAXPROCS; 1 keeps propagation on the calling goroutine.
-	// Results are bit-identical for every value — workers own disjoint
-	// destination words and OR is order-independent.
+	// their round phases out to, partitioned by word ranges. 0 means
+	// GOMAXPROCS; 1 keeps every phase on the calling goroutine. Results
+	// are bit-identical for every value — workers write disjoint words
+	// or buffers of their own, and OR is order-independent.
 	Shards int
 	// MemoryBudget caps the bytes EngineAuto will spend on the packed
 	// matrix: it is taken only when it fits, and the CSR otherwise. 0

@@ -9,21 +9,19 @@ import (
 )
 
 // bulkPropagator delivers one exchange for the round loop: dst
-// becomes the union of the adjacency rows of every vertex in emitters
-// — required to be correct at least at the bits in targets, the only
-// ones the round loop reads — with the destination word range
-// partitioned across up to `shards` goroutines. Both adjacency
-// representations satisfy it: *graph.AdjacencyMatrix (dense packed
-// rows, the columnar engine) always pushes, and *graph.Graph itself
-// (sorted compressed rows, the sparse engine) chooses push or pull per
-// exchange. Both are bit-identical within targets for every shard
-// count.
+// becomes the union of the adjacency rows of every vertex in emitters —
+// required to be correct at least at the bits in targets, the only
+// ones the round loop reads. PlanExchange decides the direction, how
+// ExchangeRange's word ranges partition the work and whether fan-out
+// pays; the loop then runs the plan's ranges on its persistent shard
+// pool. Both adjacency representations satisfy it:
+// *graph.AdjacencyMatrix (dense packed rows, the columnar engine)
+// always pushes by destination range, and *graph.Graph itself (sorted
+// compressed rows, the sparse engine) pulls by destination range or
+// pushes by emitter range (a Scatter plan), each shard into a buffer of
+// its own that the loop then merges. Both are bit-identical within
+// targets for every shard count.
 type bulkPropagator interface {
-	PropagateToTargets(dst, targets, emitters graph.Bitset, shards int)
-	// PlanExchange and ExchangeRange split one PropagateToTargets call
-	// into a per-exchange decision and range-restricted execution, so
-	// the round loop can fan the exchange out on its persistent shard
-	// pool instead of paying goroutine spawns per exchange per round.
 	PlanExchange(targets, emitters graph.Bitset, shards int) graph.ExchangePlan
 	ExchangeRange(p graph.ExchangePlan, dst, targets, emitters graph.Bitset, loWord, hiWord int)
 	// NeighborsIn counts v's neighbours in set — the emitter count k
