@@ -152,7 +152,7 @@ const (
 	EngineColumnar = sim.EngineColumnar
 	// EngineSparse runs the round loop over the O(n + m) CSR
 	// representation instead, walking only the adjacency rows of
-	// current emitters (sharded by destination range, see WithShards).
+	// current emitters (sharded by emitter range, see WithShards).
 	// Memory scales with edges rather than n², which is how sparse and
 	// million-node graphs run.
 	EngineSparse = sim.EngineSparse

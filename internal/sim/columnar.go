@@ -27,10 +27,12 @@ const drawShardMinNodes = 1 << 12
 // phase bodies can be method values created once at setup and fed to
 // the persistent shard pool with zero allocations per round. The three
 // shardable phases — eligible draws + beep tally, the two exchanges,
-// and the observe sweep — each touch only per-node state (packed
+// and the observe sweep — each write only per-node state (packed
 // kernel arrays, per-node rng streams, destination mask words) of the
-// nodes in their word range, so any partition of the word space is
-// bit-identical to one serial sweep.
+// nodes in their word range, or, in the sparse push's scatter phase, a
+// full-width buffer of their own that the merge phase then folds in by
+// word range, so any partition of the word space is bit-identical to
+// one serial sweep.
 type columnarLoop struct {
 	prop    bulkPropagator
 	bulk    beep.BulkAutomaton
