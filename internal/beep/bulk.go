@@ -6,13 +6,12 @@ import (
 )
 
 // NetworkInfo is the static information available to a bulk automaton at
-// start-up: the whole-network counterpart of NodeInfo. Degrees is indexed
-// by node id and must not be modified.
+// start-up: the whole-network counterpart of NodeInfo, without the
+// per-node fields (a kernel that needed a node's degree would read it
+// from the graph, not from a per-run copy).
 type NetworkInfo struct {
 	// N is the number of nodes in the network.
 	N int
-	// Degrees holds each node's degree.
-	Degrees []int
 	// MaxDegree is the maximum degree of the network.
 	MaxDegree int
 }
@@ -25,47 +24,33 @@ type NetworkInfo struct {
 // the values the per-node Beep would draw, in the same per-stream order,
 // and applies exactly the per-node Observe update. The engine equivalence
 // tests enforce this bit-for-bit.
-type BulkAutomaton interface {
-	// BeepAll decides this step's beeps for every node in active,
-	// visiting nodes in increasing id order and drawing node v's
-	// randomness from streams[v]. It sets out's bit for each beeper.
-	// out is zeroed by the caller and has active's capacity; nodes
-	// outside active must not be touched and must draw nothing.
-	BeepAll(active graph.Bitset, streams []*rng.Source, out graph.Bitset)
-	// ObserveAll delivers the step's outcome to every node in observed:
-	// node v beeped iff beeped contains v and heard a neighbour iff
-	// heard contains v. Nodes outside observed must not be updated.
-	// (The engine owns the join rule, so an observed node never has a
-	// joining neighbour — the NeighborJoined field of the per-node
-	// Outcome is always false here.)
-	ObserveAll(observed, beeped, heard graph.Bitset)
-}
-
-// BulkRanger is optionally implemented by bulk automata whose draw and
-// observe sweeps can be restricted to a word range of the node-id
-// space: BeepRange and ObserveRange are BeepAll and ObserveAll limited
-// to the nodes packed in mask words [loWord, hiWord). The simulator's
-// round loop uses it to shard the eligible-draw and observe phases
-// across cores: per-node state and per-node rng streams make every
-// node's draw independent of every other node's, so disjoint word
-// ranges processed concurrently produce bit-identical results to one
-// serial sweep — the same argument that makes destination-sharded
-// propagation deterministic.
 //
-// The contract mirrors BulkAutomaton's: within its range a call visits
-// nodes in increasing id order, draws node v's randomness only from
-// streams[v], touches only node v's packed state, and writes only the
-// out/observed words inside [loWord, hiWord). Nodes outside the range
-// must not be read, drawn for, or updated. A kernel whose per-node
-// updates share mutable state across nodes cannot satisfy this and
-// must not implement the interface; the round loop then falls back to
-// the serial BeepAll/ObserveAll path.
-type BulkRanger interface {
-	// BeepRange is BeepAll restricted to the nodes in active's words
-	// [loWord, hiWord).
-	BeepRange(active graph.Bitset, streams []*rng.Source, out graph.Bitset, loWord, hiWord int)
-	// ObserveRange is ObserveAll restricted to the nodes in observed's
-	// words [loWord, hiWord).
+// Both methods work on the nodes packed in mask words [loWord, hiWord);
+// the round loop calls them over [0, words) on its serial path and over
+// its shard pool's word partition when it fans out. Per-node state and
+// per-node rng streams make every node's draw independent of every other
+// node's, so disjoint word ranges processed concurrently give results
+// bit-identical to one serial sweep — the same argument that makes
+// range-sharded propagation deterministic. Within its range a call
+// visits nodes in increasing id order, draws node v's randomness only
+// from streams[v], touches only node v's packed state, and writes only
+// the out words inside [loWord, hiWord). Nodes outside the range must not
+// be read, drawn for, or updated.
+type BulkAutomaton interface {
+	// BeepRange decides this step's beeps for every node in active's
+	// words [loWord, hiWord), drawing node v's randomness from
+	// streams[v] — the run's contiguous per-node stream store. It sets
+	// out's bit for each beeper. out's words in range are zeroed by the
+	// caller; nodes outside active must not be touched and must draw
+	// nothing.
+	BeepRange(active graph.Bitset, streams []rng.Source, out graph.Bitset, loWord, hiWord int)
+	// ObserveRange delivers the step's outcome to every node in
+	// observed's words [loWord, hiWord): node v beeped iff beeped
+	// contains v and heard a neighbour iff heard contains v. Nodes
+	// outside observed must not be updated. (The engine owns the join
+	// rule, so an observed node never has a joining neighbour — the
+	// NeighborJoined field of the per-node Outcome is always false
+	// here.)
 	ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int)
 }
 
@@ -74,7 +59,7 @@ type BulkRanger interface {
 // Snapshot.Probabilities exactly like the per-node ProbabilityReporter.
 type BulkProbabilityReporter interface {
 	// BeepProbabilities fills dst[v] with the probability that node v's
-	// next BeepAll draw returns true. dst has one entry per node.
+	// next BeepRange draw returns true. dst has one entry per node.
 	BeepProbabilities(dst []float64)
 }
 

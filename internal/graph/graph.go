@@ -139,7 +139,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // MaxDegree returns the maximum degree, or 0 for an empty graph. It is
-// an O(n) scan; the simulator calls it once per run.
+// an O(n) scan, so a caller that hands it to every node (the concurrent
+// runtime, the TCP coordinator's handshakes) computes it once per run.
+// The simulator finds it in its sharded setup pass instead.
 func (g *Graph) MaxDegree() int {
 	maxDeg := 0
 	for v := 0; v < g.n; v++ {

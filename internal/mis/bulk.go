@@ -29,7 +29,6 @@ type feedbackBulk struct {
 var _ beep.BulkAutomaton = (*feedbackBulk)(nil)
 var _ beep.BulkProbabilityReporter = (*feedbackBulk)(nil)
 var _ beep.BulkResetter = (*feedbackBulk)(nil)
-var _ beep.BulkRanger = (*feedbackBulk)(nil)
 
 // NewFeedbackBulk returns the columnar kernel of the feedback algorithm
 // configured like NewFeedback(cfg). The two are interchangeable beyond
@@ -63,12 +62,8 @@ func (k *feedbackBulk) ResetNodes(nodes []int) {
 	}
 }
 
-func (k *feedbackBulk) BeepAll(active graph.Bitset, streams []*rng.Source, out graph.Bitset) {
-	k.BeepRange(active, streams, out, 0, len(active))
-}
-
 //misvet:noalloc
-func (k *feedbackBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out graph.Bitset, loWord, hiWord int) {
+func (k *feedbackBulk) BeepRange(active graph.Bitset, streams []rng.Source, out graph.Bitset, loWord, hiWord int) {
 	for wi := loWord; wi < hiWord; wi++ {
 		w := active[wi]
 		base := wi << 6
@@ -82,10 +77,6 @@ func (k *feedbackBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out
 		}
 		out[wi] |= beeps
 	}
-}
-
-func (k *feedbackBulk) ObserveAll(observed, beeped, heard graph.Bitset) {
-	k.ObserveRange(observed, beeped, heard, 0, len(observed))
 }
 
 //misvet:noalloc
@@ -117,7 +108,7 @@ func (k *feedbackBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord
 func (k *feedbackBulk) BeepProbabilities(dst []float64) { copy(dst, k.p) }
 
 // sweepBulk is sweepNode over packed phase/step counters. Counters
-// advance only on BeepAll, so dormant (not yet woken) nodes hold their
+// advance only on BeepRange, so dormant (not yet woken) nodes hold their
 // schedule position exactly as per-node automata do.
 type sweepBulk struct {
 	phase, step []int32
@@ -126,7 +117,6 @@ type sweepBulk struct {
 var _ beep.BulkAutomaton = (*sweepBulk)(nil)
 var _ beep.BulkProbabilityReporter = (*sweepBulk)(nil)
 var _ beep.BulkResetter = (*sweepBulk)(nil)
-var _ beep.BulkRanger = (*sweepBulk)(nil)
 
 // NewGlobalSweepBulk returns the columnar kernel of the DISC'11 sweeping
 // schedule, interchangeable with NewGlobalSweep.
@@ -140,12 +130,8 @@ func NewGlobalSweepBulk() beep.BulkFactory {
 	}
 }
 
-func (k *sweepBulk) BeepAll(active graph.Bitset, streams []*rng.Source, out graph.Bitset) {
-	k.BeepRange(active, streams, out, 0, len(active))
-}
-
 //misvet:noalloc
-func (k *sweepBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out graph.Bitset, loWord, hiWord int) {
+func (k *sweepBulk) BeepRange(active graph.Bitset, streams []rng.Source, out graph.Bitset, loWord, hiWord int) {
 	for wi := loWord; wi < hiWord; wi++ {
 		w := active[wi]
 		base := wi << 6
@@ -168,9 +154,7 @@ func (k *sweepBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out gr
 	}
 }
 
-func (k *sweepBulk) ObserveAll(observed, beeped, heard graph.Bitset) {} // global schedule: feedback unused
-
-func (k *sweepBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int) {}
+func (k *sweepBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int) {} // global schedule: feedback unused
 
 func (k *sweepBulk) ResetNodes(nodes []int) {
 	for _, v := range nodes {
@@ -196,7 +180,6 @@ type afekBulk struct {
 var _ beep.BulkAutomaton = (*afekBulk)(nil)
 var _ beep.BulkProbabilityReporter = (*afekBulk)(nil)
 var _ beep.BulkResetter = (*afekBulk)(nil)
-var _ beep.BulkRanger = (*afekBulk)(nil)
 
 // NewAfekOriginalBulk returns the columnar kernel of the Science'11
 // schedule, interchangeable with NewAfekOriginal.
@@ -216,12 +199,8 @@ func NewAfekOriginalBulk(cfg AfekOriginalConfig) beep.BulkFactory {
 	}
 }
 
-func (k *afekBulk) BeepAll(active graph.Bitset, streams []*rng.Source, out graph.Bitset) {
-	k.BeepRange(active, streams, out, 0, len(active))
-}
-
 //misvet:noalloc
-func (k *afekBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out graph.Bitset, loWord, hiWord int) {
+func (k *afekBulk) BeepRange(active graph.Bitset, streams []rng.Source, out graph.Bitset, loWord, hiWord int) {
 	for wi := loWord; wi < hiWord; wi++ {
 		w := active[wi]
 		base := wi << 6
@@ -244,9 +223,7 @@ func (k *afekBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out gra
 	}
 }
 
-func (k *afekBulk) ObserveAll(observed, beeped, heard graph.Bitset) {} // global schedule: feedback unused
-
-func (k *afekBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int) {}
+func (k *afekBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int) {} // global schedule: feedback unused
 
 func (k *afekBulk) ResetNodes(nodes []int) {
 	for _, v := range nodes {

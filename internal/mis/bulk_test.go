@@ -25,8 +25,8 @@ func bulkSpecs() []Spec {
 	}
 }
 
-// driveKernelAndAutomata runs `rounds` steps of (BeepAll, ObserveAll)
-// against the per-node reference on arbitrary masks drawn from maskSrc,
+// driveKernelAndAutomata runs `rounds` steps of full-range (BeepRange,
+// ObserveRange) calls against the per-node reference on arbitrary masks drawn from maskSrc,
 // failing on the first divergence in beep decisions or reported
 // probabilities. The masks need not come from any actual graph — the
 // kernel contract is purely per-node, so ANY mask sequence a simulator
@@ -49,15 +49,15 @@ func driveKernelAndAutomata(t testing.TB, spec Spec, n, rounds int, seed uint64,
 	}
 	autos := make([]beep.Automaton, n)
 	autoStreams := make([]*rng.Source, n)
-	kernelStreams := make([]*rng.Source, n)
+	kernelStreams := make([]rng.Source, n)
 	for v := 0; v < n; v++ {
 		autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: degrees[v], MaxDegree: maxDeg})
 		// Two independent copies of the same per-node stream: the
 		// kernel must consume exactly what the automaton consumes.
 		autoStreams[v] = rng.New(seed).Stream(uint64(v))
-		kernelStreams[v] = rng.New(seed).Stream(uint64(v))
+		rng.New(seed).StreamInto(&kernelStreams[v], uint64(v))
 	}
-	kernel := bulkFactory(beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: maxDeg})
+	kernel := bulkFactory(beep.NetworkInfo{N: n, MaxDegree: maxDeg})
 
 	active := graph.NewBitset(n)
 	heard := graph.NewBitset(n)
@@ -79,7 +79,7 @@ func driveKernelAndAutomata(t testing.TB, spec Spec, n, rounds int, seed uint64,
 		randomMask(observed, active)
 
 		beeped.Zero()
-		kernel.BeepAll(active, kernelStreams, beeped)
+		kernel.BeepRange(active, kernelStreams, beeped, 0, len(active))
 		for v := 0; v < n; v++ {
 			if !active.Test(v) {
 				continue
@@ -95,7 +95,7 @@ func driveKernelAndAutomata(t testing.TB, spec Spec, n, rounds int, seed uint64,
 				autos[v].Observe(beep.Outcome{Beeped: beeped.Test(v), Heard: heard.Test(v)})
 			}
 		}
-		kernel.ObserveAll(observed, beeped, heard)
+		kernel.ObserveRange(observed, beeped, heard, 0, len(observed))
 
 		reporter, ok := kernel.(beep.BulkProbabilityReporter)
 		if !ok {
@@ -156,19 +156,16 @@ func TestBulkKernelsOnGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			degrees := make([]int, n)
-			for v := range degrees {
-				degrees[v] = g.Degree(v)
-			}
+			maxDeg := g.MaxDegree()
 			autos := make([]beep.Automaton, n)
 			autoStreams := make([]*rng.Source, n)
-			kernelStreams := make([]*rng.Source, n)
+			kernelStreams := make([]rng.Source, n)
 			for v := 0; v < n; v++ {
-				autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: g.MaxDegree()})
+				autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: maxDeg})
 				autoStreams[v] = rng.New(gseed).Stream(uint64(v))
-				kernelStreams[v] = rng.New(gseed).Stream(uint64(v))
+				rng.New(gseed).StreamInto(&kernelStreams[v], uint64(v))
 			}
-			kernel := bulkFactory(beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: g.MaxDegree()})
+			kernel := bulkFactory(beep.NetworkInfo{N: n, MaxDegree: maxDeg})
 
 			active := graph.NewBitset(n)
 			active.Fill(n)
@@ -178,7 +175,7 @@ func TestBulkKernelsOnGraphs(t *testing.T) {
 			dropSrc := rng.New(gseed + 77)
 			for round := 0; round < 25 && active.Any(); round++ {
 				beeped.Zero()
-				kernel.BeepAll(active, kernelStreams, beeped)
+				kernel.BeepRange(active, kernelStreams, beeped, 0, len(active))
 				for v := 0; v < n; v++ {
 					if active.Test(v) && autos[v].Beep(autoStreams[v]) != beeped.Test(v) {
 						t.Fatalf("%s g=%d round %d node %d: beep divergence", spec.Name, gseed, round, v)
@@ -193,7 +190,7 @@ func TestBulkKernelsOnGraphs(t *testing.T) {
 						autos[v].Observe(beep.Outcome{Beeped: beeped.Test(v), Heard: heard.Test(v)})
 					}
 				}
-				kernel.ObserveAll(observed, beeped, heard)
+				kernel.ObserveRange(observed, beeped, heard, 0, len(observed))
 				for v := 0; v < n; v++ {
 					if active.Test(v) && dropSrc.Intn(5) == 0 {
 						active.Clear(v)
@@ -226,14 +223,14 @@ func TestBulkKernelsResetMatchFreshAutomata(t *testing.T) {
 				maxDeg = degrees[v]
 			}
 		}
-		kernel := bulkFactory(beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: maxDeg})
+		kernel := bulkFactory(beep.NetworkInfo{N: n, MaxDegree: maxDeg})
 		resetter, ok := kernel.(beep.BulkResetter)
 		if !ok {
 			t.Fatalf("%s kernel does not implement beep.BulkResetter", spec.Name)
 		}
-		streams := make([]*rng.Source, n)
+		streams := make([]rng.Source, n)
 		for v := range streams {
-			streams[v] = rng.New(5).Stream(uint64(v))
+			rng.New(5).StreamInto(&streams[v], uint64(v))
 		}
 		// Advance every node's state for several rounds.
 		active := graph.NewBitset(n)
@@ -242,14 +239,14 @@ func TestBulkKernelsResetMatchFreshAutomata(t *testing.T) {
 		heard := graph.NewBitset(n)
 		for round := 0; round < 10; round++ {
 			beeped.Zero()
-			kernel.BeepAll(active, streams, beeped)
+			kernel.BeepRange(active, streams, beeped, 0, len(active))
 			heard.Zero()
 			for v := 0; v < n; v++ {
 				if maskSrc.Intn(2) == 1 {
 					heard.Set(v)
 				}
 			}
-			kernel.ObserveAll(active, beeped, heard)
+			kernel.ObserveRange(active, beeped, heard, 0, len(active))
 		}
 		before := make([]float64, n)
 		kernel.(beep.BulkProbabilityReporter).BeepProbabilities(before)

@@ -15,7 +15,7 @@ import (
 // running BeepRange/ObserveRange over an arbitrary partition of the
 // word space — visited in REVERSE order, the harshest legal schedule a
 // concurrent pool could produce — must be bit-identical to one
-// BeepAll/ObserveAll sweep on a twin kernel, including the reported
+// full-range sweep on a twin kernel, including the reported
 // probabilities. Per-node packed state and per-node streams make each
 // node's draw independent of every other's; this test is what keeps a
 // future kernel from quietly breaking that property.
@@ -38,27 +38,19 @@ func driveRangedAgainstFull(t *testing.T, spec Spec, n, parts, rounds int, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	degrees := make([]int, n)
 	maskSrc := rng.New(seed ^ 0xdecaf)
 	maxDeg := 0
-	for v := range degrees {
-		degrees[v] = maskSrc.Intn(n)
-		if degrees[v] > maxDeg {
-			maxDeg = degrees[v]
-		}
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, maskSrc.Intn(n))
 	}
-	net := beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: maxDeg}
+	net := beep.NetworkInfo{N: n, MaxDegree: maxDeg}
 	full := bulkFactory(net)
 	ranged := bulkFactory(net)
-	ranger, ok := ranged.(beep.BulkRanger)
-	if !ok {
-		t.Fatalf("kernel %T does not implement beep.BulkRanger", ranged)
-	}
-	fullStreams := make([]*rng.Source, n)
-	rangedStreams := make([]*rng.Source, n)
+	fullStreams := make([]rng.Source, n)
+	rangedStreams := make([]rng.Source, n)
 	for v := 0; v < n; v++ {
-		fullStreams[v] = rng.New(seed).Stream(uint64(v))
-		rangedStreams[v] = rng.New(seed).Stream(uint64(v))
+		rng.New(seed).StreamInto(&fullStreams[v], uint64(v))
+		rng.New(seed).StreamInto(&rangedStreams[v], uint64(v))
 	}
 
 	words := (n + 63) / 64
@@ -89,10 +81,10 @@ func driveRangedAgainstFull(t *testing.T, spec Spec, n, parts, rounds int, seed 
 		randomMask(observed, active)
 
 		beepedFull.Zero()
-		full.BeepAll(active, fullStreams, beepedFull)
+		full.BeepRange(active, fullStreams, beepedFull, 0, words)
 		beepedRanged.Zero()
 		for i := len(bounds) - 1; i >= 0; i-- {
-			ranger.BeepRange(active, rangedStreams, beepedRanged, bounds[i][0], bounds[i][1])
+			ranged.BeepRange(active, rangedStreams, beepedRanged, bounds[i][0], bounds[i][1])
 		}
 		for wi := 0; wi < words; wi++ {
 			if beepedFull[wi] != beepedRanged[wi] {
@@ -100,9 +92,9 @@ func driveRangedAgainstFull(t *testing.T, spec Spec, n, parts, rounds int, seed 
 			}
 		}
 
-		full.ObserveAll(observed, beepedFull, heard)
+		full.ObserveRange(observed, beepedFull, heard, 0, words)
 		for i := len(bounds) - 1; i >= 0; i-- {
-			ranger.ObserveRange(observed, beepedRanged, heard, bounds[i][0], bounds[i][1])
+			ranged.ObserveRange(observed, beepedRanged, heard, bounds[i][0], bounds[i][1])
 		}
 
 		full.(beep.BulkProbabilityReporter).BeepProbabilities(probsFull)

@@ -109,13 +109,14 @@ func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options)
 	}
 	statusCh := make(chan nodeStatus, 1)
 
+	maxDeg := g.MaxDegree()
 	var wg sync.WaitGroup
 	for v := 0; v < n; v++ {
 		v := v
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runNode(v, g, factory, master.Stream(uint64(v)), cmds[v], links[v], inbox[v], statusCh)
+			runNode(v, g, maxDeg, factory, master.Stream(uint64(v)), cmds[v], links[v], inbox[v], statusCh)
 		}()
 	}
 
@@ -158,13 +159,14 @@ func Run(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options)
 	return res, nil
 }
 
-// runNode is the per-node goroutine body. A node that reaches a terminal
-// state keeps participating in the exchanges (sending "no beep" /
-// "no join") so its neighbours' reads never block, until the coordinator
-// broadcasts stop.
+// runNode is the per-node goroutine body; maxDeg is g's maximum degree,
+// found once per run. A node that reaches a terminal state keeps
+// participating in the exchanges (sending "no beep" / "no join") so its
+// neighbours' reads never block, until the coordinator broadcasts stop.
 func runNode(
 	id int,
 	g *graph.Graph,
+	maxDeg int,
 	factory beep.Factory,
 	src *rng.Source,
 	cmd <-chan bool,
@@ -172,7 +174,7 @@ func runNode(
 	in []chan bool,
 	status chan<- nodeStatus,
 ) {
-	auto := factory(beep.NodeInfo{ID: id, N: g.N(), Degree: g.Degree(id), MaxDegree: g.MaxDegree()})
+	auto := factory(beep.NodeInfo{ID: id, N: g.N(), Degree: g.Degree(id), MaxDegree: maxDeg})
 	state := beep.StateActive
 	for <-cmd {
 		beeped := false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
+	"slices"
 	"time"
 
 	"beepmis/internal/beep"
@@ -13,38 +14,48 @@ import (
 	"beepmis/internal/rng"
 )
 
-// drawShardMinNodes is the active-population floor below which the
-// eligible-draw and observe sweeps stay on one goroutine. A sharded
-// sweep costs one channel round-trip per worker (~1µs each); per-node
-// draws cost tens of nanoseconds, so fan-out only pays once thousands
-// of nodes are drawing. The threshold reads the engine's running
-// active count — as a run converges below it, the loop drops back to
-// serial sweeps with bit-identical results (sharding never changes
-// output, only wall clock).
+// drawShardMinNodes is the node-count floor below which the per-node
+// sweeps — eligible draws, observe, and the run's setup and finish —
+// stay on one goroutine. A sharded sweep costs one channel round-trip
+// per worker (~1µs each); per-node work costs tens of nanoseconds, so
+// fan-out only pays once thousands of nodes take part. The draw and
+// observe sweeps read the engine's running active count — as a run
+// converges below it, the loop drops back to serial sweeps with
+// bit-identical results (sharding never changes output, only wall
+// clock) — and setup and finish read n.
 const drawShardMinNodes = 1 << 12
 
 // columnarLoop holds the per-run state the round phases share, so the
 // phase bodies can be method values created once at setup and fed to
 // the persistent shard pool with zero allocations per round. The three
-// shardable phases — eligible draws + beep tally, the two exchanges,
-// and the observe sweep — each write only per-node state (packed
-// kernel arrays, per-node rng streams, destination mask words) of the
-// nodes in their word range, or, in the sparse push's scatter phase, a
-// full-width buffer of their own that the merge phase then folds in by
-// word range, so any partition of the word space is bit-identical to
-// one serial sweep.
+// shardable round phases — eligible draws + beep tally, the two
+// exchanges, and the observe sweep — and the run's setup and finish
+// phases each write only per-node state (packed kernel arrays, per-node
+// rng streams, mask words, Result entries) of the nodes in their word
+// range, or, in the sparse push's scatter phase, a full-width buffer of
+// their own that the merge phase then folds in by word range, so any
+// partition of the word space is bit-identical to one serial sweep.
 type columnarLoop struct {
-	prop    bulkPropagator
-	bulk    beep.BulkAutomaton
-	ranger  beep.BulkRanger // nil when the kernel cannot range-shard
-	streams []*rng.Source
+	prop bulkPropagator
+	bulk beep.BulkAutomaton // set once setup has found the max degree
+	g    *graph.Graph
+	// streams holds every node's rng stream in one contiguous array: at
+	// 10⁶ nodes, a million separate Stream allocations are measurable in
+	// both time and GC pressure.
+	streams []rng.Source
 	pool    *shardPool // nil when the effective shard count is 1
 	shards  int
 	res     *Result
 
-	// Stable per-round masks, bound once at setup.
-	beeped graph.Bitset
-	heard  graph.Bitset
+	// Stable per-round masks, bound once at setup. hasNeighbors marks
+	// the nodes of nonzero degree (the join announcements counted).
+	beeped       graph.Bitset
+	heard        graph.Bitset
+	hasNeighbors graph.Bitset
+
+	// Setup and finish inputs, written before their pool.run.
+	master                  *rng.Source
+	activeB, inMIS, crashed graph.Bitset
 
 	// Per-phase parameters, written before each pool.run. The pool's
 	// work-channel send/receive orders these writes before the workers'
@@ -55,7 +66,10 @@ type columnarLoop struct {
 	xdst        graph.Bitset
 	xemit       graph.Bitset
 
-	shardBeeps []int // per-shard beep tallies, summed after the draw phase
+	// shardOut[k] is shard k's result of the current phase: its beep
+	// tally in the draw phase, its largest degree in the setup phase.
+	// One entry without a pool.
+	shardOut []int
 
 	// scatter[k-1] is shard k's private full-width buffer for Scatter
 	// plans (the sparse engine's fanned push); shard 0 scatters into
@@ -69,6 +83,8 @@ type columnarLoop struct {
 	observeFn  func(shard, lo, hi int)
 	exchangeFn func(shard, lo, hi int)
 	mergeFn    func(shard, lo, hi int)
+	setupFn    func(shard, lo, hi int)
+	finishFn   func(shard, lo, hi int)
 
 	// Instrumentation (all nil/zero when metrics are off). timedFn wraps
 	// inner with per-shard wall timing into shardNs so runPool can record
@@ -84,29 +100,37 @@ type columnarLoop struct {
 	lastTallyNs int64
 }
 
-func newColumnarLoop(prop bulkPropagator, bulk beep.BulkAutomaton, streams []*rng.Source, res *Result, beeped, heard graph.Bitset, shards int, metrics *obs.EngineMetrics) *columnarLoop {
+// newColumnarLoop creates a run's loop state and its shard pool. The
+// streams are left for setup to derive, and bulk for the caller to set
+// once setup has returned the max degree.
+func newColumnarLoop(prop bulkPropagator, g *graph.Graph, res *Result, shards int, metrics *obs.EngineMetrics) *columnarLoop {
+	n := g.N()
 	l := &columnarLoop{
-		prop:    prop,
-		bulk:    bulk,
-		streams: streams,
-		res:     res,
-		beeped:  beeped,
-		heard:   heard,
-		shards:  shards,
-		metrics: metrics,
+		prop:         prop,
+		g:            g,
+		streams:      make([]rng.Source, n),
+		res:          res,
+		beeped:       graph.NewBitset(n),
+		heard:        graph.NewBitset(n),
+		hasNeighbors: graph.NewBitset(n),
+		shardOut:     make([]int, 1),
+		shards:       shards,
+		metrics:      metrics,
 	}
-	l.ranger, _ = bulk.(beep.BulkRanger)
-	l.pool = newShardPool(len(beeped), shards)
+	words := len(l.beeped)
+	l.pool = newShardPool(words, shards)
 	if l.pool != nil {
-		l.shardBeeps = make([]int, l.pool.shards())
+		l.shardOut = make([]int, l.pool.shards())
 		l.scatter = make([]graph.Bitset, l.pool.shards()-1)
 		for k := range l.scatter {
-			l.scatter[k] = make(graph.Bitset, len(beeped))
+			l.scatter[k] = make(graph.Bitset, words)
 		}
 		l.beepFn = l.beepShard
 		l.observeFn = l.observeShard
 		l.exchangeFn = l.exchangeShard
 		l.mergeFn = l.mergeShard
+		l.setupFn = l.setupShard
+		l.finishFn = l.finishShard
 		if metrics != nil {
 			l.timedFn = l.timedShard
 			l.shardNs = make([]int64, l.pool.shards())
@@ -157,6 +181,71 @@ func (l *columnarLoop) close() {
 	}
 }
 
+// fans reports whether a per-node sweep over count nodes runs on the
+// pool: there is one, and count is at least drawShardMinNodes.
+func (l *columnarLoop) fans(count int) bool {
+	return l.pool != nil && count >= drawShardMinNodes
+}
+
+// setup derives every node's rng stream from master, marks the nodes
+// that have neighbours, and returns the graph's maximum degree — one
+// pass over the nodes, sharded over the pool's word partition when the
+// draw phase would be. StreamInto is a pure function of (master's seed,
+// v), and each shard writes only its own nodes' streams and mask words,
+// so any partition derives exactly the serial pass's state.
+func (l *columnarLoop) setup(master *rng.Source) int {
+	l.master = master
+	parts := l.shardOut[:1]
+	if l.fans(l.g.N()) {
+		l.pool.run(l.setupFn)
+		parts = l.shardOut
+	} else {
+		l.setupShard(0, 0, len(l.beeped))
+	}
+	return slices.Max(parts)
+}
+
+// setupShard is setup over the nodes packed in words [lo, hi); it
+// leaves their largest degree in shardOut[shard].
+//
+//misvet:noalloc
+func (l *columnarLoop) setupShard(shard, lo, hi int) {
+	n := l.g.N()
+	maxDeg := 0
+	for wi := lo; wi < hi; wi++ {
+		base, end := wi<<6, min(wi<<6+64, n)
+		var w uint64
+		for v := base; v < end; v++ {
+			l.master.StreamInto(&l.streams[v], uint64(v))
+			if d := l.g.Degree(v); d > 0 {
+				w |= 1 << uint(v-base)
+				maxDeg = max(maxDeg, d)
+			}
+		}
+		l.hasNeighbors[wi] = w
+	}
+	l.shardOut[shard] = maxDeg
+}
+
+// finish fills res.States and res.InMIS from the final lifecycle
+// masks, word by word, sharded under the same gate as setup. It must
+// run before close.
+func (l *columnarLoop) finish(activeB, inMIS, crashed graph.Bitset) {
+	l.activeB, l.inMIS, l.crashed = activeB, inMIS, crashed
+	if l.fans(l.g.N()) {
+		l.pool.run(l.finishFn)
+		return
+	}
+	l.finishShard(0, 0, len(activeB))
+}
+
+// finishShard is finish over the nodes packed in words [lo, hi).
+//
+//misvet:noalloc
+func (l *columnarLoop) finishShard(_, lo, hi int) {
+	materializeRange(l.res.States, l.res.InMIS, l.activeB, l.inMIS, l.crashed, lo, hi)
+}
+
 // tallyRange bumps res.Beeps for every beeper packed in beeped's words
 // [lo, hi) and returns how many there were. Each node's counter lives
 // in its own slot, so range-sharded tallies stay disjoint.
@@ -181,31 +270,30 @@ func (l *columnarLoop) beepShard(shard, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		l.beeped[i] = 0
 	}
-	l.ranger.BeepRange(l.eligible, l.streams, l.beeped, lo, hi)
+	l.bulk.BeepRange(l.eligible, l.streams, l.beeped, lo, hi)
 	if l.metrics != nil {
 		start := time.Now() //misvet:allow(determinism) telemetry only: times the tally, never steers results; TestMetricsDoNotPerturbResults pins bit-identity
-		l.shardBeeps[shard] = l.tallyRange(lo, hi)
+		l.shardOut[shard] = l.tallyRange(lo, hi)
 		l.tallyNs[shard] = time.Since(start).Nanoseconds() //misvet:allow(determinism) telemetry only: see the paired time.Now above
 		return
 	}
-	l.shardBeeps[shard] = l.tallyRange(lo, hi)
+	l.shardOut[shard] = l.tallyRange(lo, hi)
 }
 
 // drawBeeps zeroes the beeped mask, has the kernel draw this round's
 // beeps for every node in eligible, and tallies them into res.Beeps,
-// returning the round's beep count. With a pool, a range-capable
-// kernel, and enough active nodes to amortise the fan-out, the draw
-// and tally run sharded; per-node streams make every node's draw
-// independent of every other's, so the sharded sweep is bit-identical
-// to the serial one.
+// returning the round's beep count. With a pool and enough active
+// nodes to amortise the fan-out, the draw and tally run sharded;
+// per-node streams make every node's draw independent of every
+// other's, so the sharded sweep is bit-identical to the serial one.
 //
 //misvet:noalloc
 func (l *columnarLoop) drawBeeps(eligible graph.Bitset, active int) int {
-	if l.pool != nil && l.ranger != nil && active >= drawShardMinNodes {
+	if l.fans(active) {
 		l.eligible = eligible
 		l.runPool(l.beepFn)
 		total := 0
-		for _, c := range l.shardBeeps {
+		for _, c := range l.shardOut {
 			total += c
 		}
 		if l.metrics != nil {
@@ -222,7 +310,7 @@ func (l *columnarLoop) drawBeeps(eligible graph.Bitset, active int) int {
 		return total
 	}
 	l.beeped.Zero()
-	l.bulk.BeepAll(eligible, l.streams, l.beeped)
+	l.bulk.BeepRange(eligible, l.streams, l.beeped, 0, len(l.beeped))
 	if l.metrics != nil {
 		start := time.Now() //misvet:allow(determinism) telemetry only: times the tally, never steers results; TestMetricsDoNotPerturbResults pins bit-identity
 		total := l.tallyRange(0, len(l.beeped))
@@ -316,7 +404,7 @@ func (l *columnarLoop) loseBeeps(loss *fault.BeepLoss, master *rng.Source, round
 
 //misvet:noalloc
 func (l *columnarLoop) observeShard(_, lo, hi int) {
-	l.ranger.ObserveRange(l.observeMask, l.beeped, l.heard, lo, hi)
+	l.bulk.ObserveRange(l.observeMask, l.beeped, l.heard, lo, hi)
 }
 
 // observe delivers the step's outcome to every node in mask, sharded
@@ -324,12 +412,12 @@ func (l *columnarLoop) observeShard(_, lo, hi int) {
 //
 //misvet:noalloc
 func (l *columnarLoop) observe(mask graph.Bitset, active int) {
-	if l.pool != nil && l.ranger != nil && active >= drawShardMinNodes {
+	if l.fans(active) {
 		l.observeMask = mask
 		l.runPool(l.observeFn)
 		return
 	}
-	l.bulk.ObserveAll(mask, l.beeped, l.heard)
+	l.bulk.ObserveRange(mask, l.beeped, l.heard, 0, len(mask))
 }
 
 // runColumnar is the simulator's round loop. It executes entirely on
@@ -344,26 +432,24 @@ func (l *columnarLoop) observe(mask graph.Bitset, active int) {
 // is a pure function of (graph, algorithm, seed, options) whatever the
 // engine or shard count.
 //
-// All shardable phases (draws, tallies, exchanges, observes) run on
-// one persistent worker pool created at setup, and every buffer the
-// loop touches is allocated before round 1 — the steady-state round
-// path performs no heap allocations at any shard count (enforced by
-// TestRoundLoopAllocations).
+// All shardable phases (draws, tallies, exchanges, observes, and the
+// run's setup and finish) run on one persistent worker pool created
+// first, and every buffer the loop touches is allocated before round 1
+// — the steady-state round path performs no heap allocations at any
+// shard count (enforced by TestRoundLoopAllocations).
 func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 	g, master, opts, maxRounds, plan := r.g, r.master, r.opts, r.maxRounds, r.plan
 	n := g.N()
-	degrees := make([]int, n)
-	// Per-node streams live in one contiguous backing array: at 10⁶
-	// nodes, a million separate Stream allocations are measurable in
-	// both time and GC pressure.
-	streamStore := make([]rng.Source, n)
-	streams := make([]*rng.Source, n)
-	for v := 0; v < n; v++ {
-		degrees[v] = g.Degree(v)
-		master.StreamInto(&streamStore[v], uint64(v))
-		streams[v] = &streamStore[v]
+	res := &Result{
+		InMIS:  make([]bool, n),
+		States: make([]beep.State, n),
+		Beeps:  make([]int, n),
 	}
-	bulk := r.bulk(beep.NetworkInfo{N: n, Degrees: degrees, MaxDegree: g.MaxDegree()})
+	metrics := opts.Metrics
+	loop := newColumnarLoop(prop, g, res, EffectiveShards(opts.Shards), metrics)
+	defer loop.close()
+	bulk := r.bulk(beep.NetworkInfo{N: n, MaxDegree: loop.setup(master)})
+	loop.bulk = bulk
 	var resetter beep.BulkResetter
 	if plan != nil && plan.hasResets {
 		var ok bool
@@ -375,13 +461,6 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 			return nil, fmt.Errorf("sim: fault spec schedules reset outages but the bulk kernel (%T) does not implement beep.BulkResetter (leave Options.Bulk nil to run the per-node automata)", bulk)
 		}
 	}
-	shards := EffectiveShards(opts.Shards)
-
-	res := &Result{
-		InMIS:  make([]bool, n),
-		States: make([]beep.State, n),
-		Beeps:  make([]int, n),
-	}
 	active := n
 
 	// Lifecycle masks. A node is dominated iff it is in none of these
@@ -392,23 +471,13 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 	crashed := graph.NewBitset(n)
 
 	// Per-round masks and scratch.
-	beeped := graph.NewBitset(n)
-	heard := graph.NewBitset(n)
+	beeped, heard := loop.beeped, loop.heard
 	joined := graph.NewBitset(n)
 	neighborJoined := graph.NewBitset(n)
 	emit := graph.NewBitset(n)    // emitter/announcer union under wake-up
 	observe := graph.NewBitset(n) // nodes still active after the step
 	newDom := graph.NewBitset(n)  // nodes dominated this step
-	hasNeighbors := graph.NewBitset(n)
-	for v := 0; v < n; v++ {
-		if degrees[v] > 0 {
-			hasNeighbors.Set(v)
-		}
-	}
 
-	metrics := opts.Metrics
-	loop := newColumnarLoop(prop, bulk, streams, res, beeped, heard, shards, metrics)
-	defer loop.close()
 	clock := phaseClock{m: metrics}
 
 	// Wake-up schedule: awake accumulates as rounds pass; wakeAt[r]
@@ -566,7 +635,7 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 		// Join rule: beeped into silence — one word operation.
 		copy(joined, beeped)
 		joined.AndNot(heard)
-		res.JoinAnnouncements += joined.AndCount(hasNeighbors)
+		res.JoinAnnouncements += joined.AndCount(loop.hasNeighbors)
 		// Second exchange: join announcements (reliable); persistent
 		// MIS members re-announce so nodes arriving later get dominated.
 		announcers := joined
@@ -610,7 +679,7 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 				snapBeeped = make([]bool, n)
 				probs = make([]float64, n)
 			}
-			materializeStates(snapStates, activeB, inMIS, crashed)
+			materializeRange(snapStates, nil, activeB, inMIS, crashed, 0, len(activeB))
 			for v := range snapBeeped {
 				snapBeeped[v] = beeped.Test(v)
 			}
@@ -630,8 +699,7 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 		}
 	}
 
-	materializeStates(res.States, activeB, inMIS, crashed)
-	inMIS.ForEach(func(v int) { res.InMIS[v] = true })
+	loop.finish(activeB, inMIS, crashed)
 	res.Terminated = active == 0
 	if metrics != nil {
 		metrics.Runs.Inc()
@@ -642,19 +710,34 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 	return res, nil
 }
 
-// materializeStates expands the three lifecycle masks into the per-node
-// state view the Result and Snapshot types expose.
-func materializeStates(dst []beep.State, activeB, inMIS, crashed graph.Bitset) {
-	for v := range dst {
-		switch {
-		case activeB.Test(v):
-			dst[v] = beep.StateActive
-		case inMIS.Test(v):
-			dst[v] = beep.StateInMIS
-		case crashed.Test(v):
-			dst[v] = beep.StateCrashed
-		default:
-			dst[v] = beep.StateDominated
+// stateOf maps a node's lifecycle bits — active, MIS member and
+// crashed as bits 0, 1 and 2 — to its state. Active wins, then MIS
+// membership, then crashed; a node in none of the three masks is
+// dominated.
+var stateOf = [8]beep.State{
+	beep.StateDominated, beep.StateActive, beep.StateInMIS, beep.StateActive,
+	beep.StateCrashed, beep.StateActive, beep.StateInMIS, beep.StateActive,
+}
+
+// materializeRange expands the lifecycle masks' words [lo, hi) into the
+// per-node state view the Result and Snapshot types expose, and, when
+// member is non-nil, into the membership vector (member[v] iff v is in
+// inMIS). Each word's nodes are filled from three mask words, so
+// disjoint word ranges write disjoint entries.
+func materializeRange(states []beep.State, member []bool, activeB, inMIS, crashed graph.Bitset, lo, hi int) {
+	n := len(states)
+	for wi := lo; wi < hi; wi++ {
+		base := wi << 6
+		a, m, c := activeB[wi], inMIS[wi], crashed[wi]
+		st := states[base:min(base+64, n)]
+		for i := range st {
+			st[i] = stateOf[a>>i&1|(m>>i&1)<<1|(c>>i&1)<<2]
+		}
+		if member != nil {
+			in := member[base : base+len(st)]
+			for i := range in {
+				in[i] = m>>i&1 != 0
+			}
 		}
 	}
 }

@@ -20,11 +20,13 @@ import (
 // divide the word count evenly; 2×GOMAXPROCS oversubscribes the
 // cores). The graphs are big enough (n > drawShardMinNodes) that the
 // sharded eligible-draw and observe paths run, not just the sharded
-// exchanges. The sparse rows at 3 shards share one metrics bundle per
-// graph, which must show a push fanned out by emitter range, so the
-// matrix cannot silently stay serial (wake schedules keep some
-// variants' exchanges small enough to stay serial throughout, so the
-// check is per graph, not per variant). CI runs this under -race.
+// exchanges. The sparse rows at 3 shards are metered, one bundle per
+// variant: every variant must fan out at least one sparse exchange, so
+// no fault overlay can silently stay serial, and every graph must fan
+// out a push by emitter range. The sparse graph's mean degree of 32 is
+// what makes the wake-scheduled variants, whose frontiers stay small,
+// fan out: at mean degree 20 they planned every exchange serial. CI
+// runs this under -race.
 func TestEngineEquivalenceMultiCore(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -35,7 +37,7 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"gnp-5000-sparse", graph.GNP(5000, 0.004, rng.New(21))},
+		{"gnp-8000-sparse", graph.GNP(8000, 0.004, rng.New(21))},
 		{"gnp-4500-dense", graph.GNP(4500, 0.08, rng.New(22))},
 	}
 	crashes := map[int][]int{3: {7, 4400}, 9: {0, 1234, 2345}}
@@ -61,12 +63,13 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 	}
 
 	for _, tg := range graphs {
-		// Plans do not depend on the shard count here, so one metered
-		// sparse shard count stands for all of them; the others keep the
-		// unmetered pool path raced.
-		metered := &obs.EngineMetrics{}
+		var scatters uint64
 		for _, variant := range variants {
 			t.Run(tg.name+"/"+variant.name, func(t *testing.T) {
+				// Plans do not depend on the shard count here, so one
+				// metered sparse shard count stands for all of them; the
+				// others keep the unmetered pool path raced.
+				metered := &obs.EngineMetrics{}
 				factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
 				if err != nil {
 					t.Fatal(err)
@@ -93,11 +96,15 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 						assertIdenticalNamed(t, ref, res, "reference", name)
 					}
 				}
+				push, pull, serial := metered.PushExchanges.Value(), metered.PullExchanges.Value(), metered.SerialExchanges.Value()
+				if push+pull == serial {
+					t.Fatalf("no sparse exchange fanned out (%d push, %d pull, %d serial exchanges)", push, pull, serial)
+				}
+				scatters += metered.ScatterExchanges.Value()
 			})
 		}
-		if metered.ScatterExchanges.Value() == 0 {
-			t.Fatalf("%s: no sparse push fanned out (%d push, %d pull, %d serial exchanges)", tg.name,
-				metered.PushExchanges.Value(), metered.PullExchanges.Value(), metered.SerialExchanges.Value())
+		if scatters == 0 {
+			t.Fatalf("%s: no sparse push fanned out by emitter range", tg.name)
 		}
 	}
 }

@@ -13,13 +13,14 @@ import (
 )
 
 // noallocAnnotated is the curated set of this package's
-// //misvet:noalloc functions — exactly the steady-state code paths
-// TestRoundLoopAllocations and TestShardPoolRunAllocations exercise
-// dynamically. The two enforcement layers must not drift: annotating
-// a function the alloc tests never drive would let misvet vouch for a
-// path nothing measures, and dropping an annotation would leave a
-// measured path without compile-time coverage. Change this list only
-// together with the annotation and the alloc tests.
+// //misvet:noalloc functions — exactly the code paths
+// TestRoundLoopAllocations, TestShardPoolRunAllocations and
+// TestSetupPartitionMatchesSerial exercise dynamically. The two
+// enforcement layers must not drift: annotating a function the alloc
+// tests never drive would let misvet vouch for a path nothing
+// measures, and dropping an annotation would leave a measured path
+// without compile-time coverage. Change this list only together with
+// the annotation and the alloc tests.
 var noallocAnnotated = []string{
 	// round-loop phases, driven every round by runColumnar under both
 	// the columnar and sparse engines (loseBeeps by the beep-loss rows).
@@ -34,6 +35,11 @@ var noallocAnnotated = []string{
 	"*columnarLoop.runPool",
 	"*columnarLoop.tallyRange",
 	"*columnarLoop.timedShard",
+	// the run's setup and finish phase bodies, fanned out on the same
+	// pool once per run and held to zero allocations per call by
+	// TestSetupPartitionMatchesSerial.
+	"*columnarLoop.finishShard",
+	"*columnarLoop.setupShard",
 	// the persistent worker pool every sharded phase rides on.
 	"*shardPool.run",
 	"*shardPool.worker",

@@ -26,8 +26,9 @@ func referenceRun(g *graph.Graph, factory beep.Factory, master *rng.Source, opts
 	opts, plan, loss := r.opts, r.plan, r.loss
 	n := g.N()
 	wake := opts.WakeAt
+	maxDeg := g.MaxDegree()
 	build := func(v int) beep.Automaton {
-		return factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: g.MaxDegree()})
+		return factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: maxDeg})
 	}
 	autos := make([]beep.Automaton, n)
 	streams := make([]*rng.Source, n)

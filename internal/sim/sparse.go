@@ -30,29 +30,31 @@ type bulkPropagator interface {
 }
 
 var (
-	_ bulkPropagator  = (*graph.AdjacencyMatrix)(nil)
-	_ bulkPropagator  = (*graph.Graph)(nil)
-	_ beep.BulkRanger = (*perNodeBulk)(nil)
+	_ bulkPropagator     = (*graph.AdjacencyMatrix)(nil)
+	_ bulkPropagator     = (*graph.Graph)(nil)
+	_ beep.BulkAutomaton = (*perNodeBulk)(nil)
 )
 
 // perNodeBulk adapts per-node automata to the beep.BulkAutomaton
 // surface, so the round loop can run algorithms that have no columnar
 // kernel, on either engine. It is observationally identical to driving
-// each automaton directly: BeepAll visits active nodes in increasing
-// id order drawing from each node's own stream, and ObserveAll
+// each automaton directly: BeepRange visits active nodes in increasing
+// id order drawing from each node's own stream, and ObserveRange
 // delivers exactly the per-node Outcome (an observed node never has a
-// joining neighbour — the engine owns the join rule).
+// joining neighbour — the engine owns the join rule). Each automaton is
+// built with its node's degree read from g.
 type perNodeBulk struct {
 	autos   []beep.Automaton
 	factory beep.Factory
+	g       *graph.Graph
 	net     beep.NetworkInfo
 }
 
-// perNodeBulkFactory wraps a per-node factory as a bulk factory,
+// perNodeBulkFactory wraps a per-node factory as a bulk factory over g,
 // constructing each automaton with its node's NodeInfo.
-func perNodeBulkFactory(factory beep.Factory) beep.BulkFactory {
+func perNodeBulkFactory(factory beep.Factory, g *graph.Graph) beep.BulkFactory {
 	return func(net beep.NetworkInfo) beep.BulkAutomaton {
-		b := &perNodeBulk{autos: make([]beep.Automaton, net.N), factory: factory, net: net}
+		b := &perNodeBulk{autos: make([]beep.Automaton, net.N), factory: factory, g: g, net: net}
 		for v := range b.autos {
 			b.autos[v] = b.build(v)
 		}
@@ -61,7 +63,7 @@ func perNodeBulkFactory(factory beep.Factory) beep.BulkFactory {
 }
 
 func (b *perNodeBulk) build(v int) beep.Automaton {
-	return b.factory(beep.NodeInfo{ID: v, N: b.net.N, Degree: b.net.Degrees[v], MaxDegree: b.net.MaxDegree})
+	return b.factory(beep.NodeInfo{ID: v, N: b.net.N, Degree: b.g.Degree(v), MaxDegree: b.net.MaxDegree})
 }
 
 // ResetNodes implements beep.BulkResetter by rebuilding each node's
@@ -72,29 +74,21 @@ func (b *perNodeBulk) ResetNodes(nodes []int) {
 	}
 }
 
-func (b *perNodeBulk) BeepAll(active graph.Bitset, streams []*rng.Source, out graph.Bitset) {
-	b.BeepRange(active, streams, out, 0, len(active))
-}
-
-// BeepRange implements beep.BulkRanger. Factories hand every node its
+// BeepRange implements beep.BulkAutomaton. Factories hand every node its
 // own automaton and every automaton draws only from its own stream, so
 // disjoint node ranges touch disjoint state and the adapter satisfies
-// the ranger contract for exactly the same reason the packed kernels
+// the range contract for exactly the same reason the packed kernels
 // do. (An automaton that shared mutable state across nodes would
 // already violate the simulator's determinism contract.)
-func (b *perNodeBulk) BeepRange(active graph.Bitset, streams []*rng.Source, out graph.Bitset, loWord, hiWord int) {
+func (b *perNodeBulk) BeepRange(active graph.Bitset, streams []rng.Source, out graph.Bitset, loWord, hiWord int) {
 	active.ForEachRange(loWord, hiWord, func(v int) {
-		if b.autos[v].Beep(streams[v]) {
+		if b.autos[v].Beep(&streams[v]) {
 			out.Set(v)
 		}
 	})
 }
 
-func (b *perNodeBulk) ObserveAll(observed, beeped, heard graph.Bitset) {
-	b.ObserveRange(observed, beeped, heard, 0, len(observed))
-}
-
-// ObserveRange implements beep.BulkRanger; see BeepRange.
+// ObserveRange implements beep.BulkAutomaton; see BeepRange.
 func (b *perNodeBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int) {
 	observed.ForEachRange(loWord, hiWord, func(v int) {
 		b.autos[v].Observe(beep.Outcome{Beeped: beeped.Test(v), Heard: heard.Test(v)})

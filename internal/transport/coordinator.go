@@ -87,6 +87,9 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		}
 	}()
 
+	// Every welcome carries the max degree, an O(n) scan: find it once.
+	maxDeg := c.g.MaxDegree()
+
 	// Accept and handshake until every vertex is claimed. Connections
 	// that fail before a well-formed hello (port scanners, health
 	// probes, dropped dials) are tolerated and simply closed; protocol
@@ -124,7 +127,7 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 			_ = raw.Close()
 			return nil, err
 		}
-		welcome := u32Payload(uint32(n), uint32(c.g.Degree(id)), uint32(c.g.MaxDegree()))
+		welcome := u32Payload(uint32(n), uint32(c.g.Degree(id)), uint32(maxDeg))
 		if err := fc.Send(Frame{Type: TypeWelcome, Payload: welcome}); err != nil {
 			_ = raw.Close()
 			return nil, fmt.Errorf("handshake welcome: %w", err)
