@@ -63,9 +63,10 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 	}
 
 	for _, tg := range graphs {
-		var scatters uint64
+		var ran, scatters uint64
 		for _, variant := range variants {
 			t.Run(tg.name+"/"+variant.name, func(t *testing.T) {
+				ran++
 				// Plans do not depend on the shard count here, so one
 				// metered sparse shard count stands for all of them; the
 				// others keep the unmetered pool path raced.
@@ -103,7 +104,7 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 				scatters += metered.ScatterExchanges.Value()
 			})
 		}
-		if scatters == 0 {
+		if ran > 0 && scatters == 0 {
 			t.Fatalf("%s: no sparse push fanned out by emitter range", tg.name)
 		}
 	}
