@@ -23,7 +23,7 @@ import (
 // exchanges. The sparse rows at 3 shards are metered, one bundle per
 // variant: every variant must fan out at least one sparse exchange, so
 // no fault overlay can silently stay serial, and every graph must fan
-// out a push by emitter range. The sparse graph's mean degree of 32 is
+// out a push by emitter range. The sparse graph's mean degree of 60 is
 // what makes the wake-scheduled variants, whose frontiers stay small,
 // fan out: at mean degree 20 they planned every exchange serial. CI
 // runs this under -race.
@@ -37,7 +37,7 @@ func TestEngineEquivalenceMultiCore(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"gnp-8000-sparse", graph.GNP(8000, 0.004, rng.New(21))},
+		{"gnp-5000-sparse", graph.GNP(5000, 0.012, rng.New(21))},
 		{"gnp-4500-dense", graph.GNP(4500, 0.08, rng.New(22))},
 	}
 	crashes := map[int][]int{3: {7, 4400}, 9: {0, 1234, 2345}}
