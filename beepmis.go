@@ -2,8 +2,8 @@
 // independent set (MIS) algorithms of Scott, Jeavons & Xu, "Feedback from
 // nature: an optimal distributed algorithm for maximal independent set
 // selection" (PODC 2013), together with the baselines the paper compares
-// against and the simulation/runtime substrates needed to reproduce its
-// evaluation.
+// against and the simulation and message-passing substrates needed to
+// reproduce its evaluation.
 //
 // The headline algorithm runs in the beeping model: nodes broadcast
 // anonymous one-bit "beeps" and adapt their beep probability from local
@@ -32,8 +32,8 @@ import (
 	"beepmis/internal/mis"
 	"beepmis/internal/obs"
 	"beepmis/internal/rng"
-	"beepmis/internal/runtime"
 	"beepmis/internal/sim"
+	"beepmis/internal/transport"
 )
 
 // Graph is an immutable simple undirected graph on vertices 0..N()-1,
@@ -281,7 +281,7 @@ func WithFeedbackConfig(cfg FeedbackConfig) Option {
 // every engine on a given seed; pinning matters only for performance
 // work and for tests that cross-check the engines against each other.
 // Combining a pin with WithConcurrentEngine is an error — the
-// goroutine-per-node runtime has no simulator engine to pin.
+// message-passing protocol has no simulator engine to pin.
 func WithEngine(e Engine) Option {
 	return func(o *solveOptions) { o.engine = e }
 }
@@ -314,7 +314,7 @@ func WithMemoryBudget(bytes int64) Option {
 // engine and shard count for a given seed — and the returned Result
 // carries a RobustnessReport from the per-round verifier. Combining a
 // non-trivial spec with WithConcurrentEngine is an error: the
-// goroutine-per-node runtime has no fault layer.
+// message-passing protocol has no fault layer.
 func WithFaults(spec FaultSpec) Option {
 	return func(o *solveOptions) { o.faults = &spec }
 }
@@ -325,15 +325,18 @@ func WithFaults(spec FaultSpec) Option {
 // zero-allocation round loop are untouched — so the same m can be
 // shared across runs to accumulate a workload profile. Only the
 // simulator engines record; the non-beeping baselines and the
-// goroutine-per-node runtime leave m unchanged.
+// message-passing protocol leave m unchanged.
 func WithMetrics(m *EngineMetrics) Option {
 	return func(o *solveOptions) { o.metrics = m }
 }
 
-// WithConcurrentEngine runs beeping algorithms on the goroutine-per-node
-// engine instead of the sequential simulator. Results are identical for
-// a given seed; the concurrent engine exists to demonstrate (and test)
-// the algorithms as real message-passing processes.
+// WithConcurrentEngine runs beeping algorithms as message passing
+// instead of on the sequential simulator: the TCP deployment's
+// coordinator and one node loop per vertex, in this process, over
+// in-memory connections. Results are identical for a given seed; the
+// path exists to demonstrate (and test) the algorithms as real
+// message-passing processes, not for speed: it is orders of magnitude
+// slower than the simulator.
 func WithConcurrentEngine() Option {
 	return func(o *solveOptions) { o.concurrent = true }
 }
@@ -369,19 +372,19 @@ func Solve(g *Graph, algo Algorithm, opts ...Option) (*Result, error) {
 		}
 		if o.concurrent {
 			if o.engine != EngineAuto {
-				return nil, fmt.Errorf("beepmis: WithEngine(%v) conflicts with WithConcurrentEngine (the goroutine-per-node runtime has no simulator engine)", o.engine)
+				return nil, fmt.Errorf("beepmis: WithEngine(%v) conflicts with WithConcurrentEngine (the message-passing protocol has no simulator engine)", o.engine)
 			}
 			if o.shards != 0 {
-				return nil, fmt.Errorf("beepmis: WithShards(%d) conflicts with WithConcurrentEngine (sharded propagation belongs to the columnar simulator engine)", o.shards)
+				return nil, fmt.Errorf("beepmis: WithShards(%d) conflicts with WithConcurrentEngine (sharded propagation belongs to the simulator engines)", o.shards)
 			}
 			if o.faults.Enabled() {
-				return nil, fmt.Errorf("beepmis: WithFaults conflicts with WithConcurrentEngine (the goroutine-per-node runtime has no fault layer)")
+				return nil, fmt.Errorf("beepmis: WithFaults conflicts with WithConcurrentEngine (the message-passing protocol has no fault layer)")
 			}
-			rr, err := runtime.Run(g, factory, rng.New(o.seed), runtime.Options{MaxRounds: o.maxRounds})
+			cr, err := transport.RunInProcess(g, factory, rng.New(o.seed), transport.CoordinatorOptions{MaxRounds: o.maxRounds})
 			if err != nil {
 				return nil, err
 			}
-			return &Result{InMIS: rr.InMIS, Rounds: rr.Rounds, TotalBeeps: rr.TotalBeeps}, nil
+			return &Result{InMIS: cr.InMIS, Rounds: cr.Rounds, TotalBeeps: cr.TotalBeeps}, nil
 		}
 		simOpts := sim.Options{
 			MaxRounds:    o.maxRounds,

@@ -15,7 +15,6 @@ import (
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
 	"beepmis/internal/rng"
-	"beepmis/internal/runtime"
 	"beepmis/internal/sim"
 )
 
@@ -148,7 +147,7 @@ func BenchmarkAblateLoss10(b *testing.B) {
 }
 
 // Engine comparison — the same execution through the sequential
-// simulator and the goroutine-per-node runtime.
+// simulator and the in-process message-passing protocol.
 func BenchmarkEngineSimulator(b *testing.B) {
 	g := graph.GNP(128, 0.5, rng.New(7))
 	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
@@ -165,13 +164,9 @@ func BenchmarkEngineSimulator(b *testing.B) {
 
 func BenchmarkEngineConcurrent(b *testing.B) {
 	g := graph.GNP(128, 0.5, rng.New(7))
-	factory, err := mis.NewFactory(mis.Spec{Name: mis.NameFeedback})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runtime.Run(g, factory, rng.New(uint64(i)), runtime.Options{}); err != nil {
+		if _, err := Solve(g, AlgorithmFeedback, WithSeed(uint64(i)), WithConcurrentEngine()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,13 +59,14 @@ func TestRunConcurrentEngine(t *testing.T) {
 	}
 }
 
-// TestRunEnginePins drives the simulator engine pins through the CLI:
-// every pin must verify, and the per-seed results must agree with the
-// default auto selection (the engine-equivalence contract through the
-// -engine flag).
+// TestRunEnginePins drives every -engine spelling through the CLI: each
+// run must verify, and the per-seed results must agree with the
+// simulator's default auto selection (the engine-equivalence contract
+// through the -engine flag, the in-process message-passing run
+// included).
 func TestRunEnginePins(t *testing.T) {
 	outputs := map[string]string{}
-	for _, engine := range []string{"sim", "auto", "scalar", "bitset", "columnar", "sparse"} {
+	for _, engine := range []string{"sim", "auto", "scalar", "bitset", "columnar", "sparse", "concurrent"} {
 		var out bytes.Buffer
 		if err := run([]string{"-graph", "gnp", "-n", "60", "-algo", "feedback", "-seed", "5", "-engine", engine}, &out); err != nil {
 			t.Fatalf("-engine %s: %v", engine, err)

@@ -5,8 +5,8 @@ import "testing"
 // TestEngineEquivalence asserts the public seed-equivalence contract:
 // for every beeping algorithm, graph family, seed, and shard count, the
 // columnar and sparse simulator engines produce the Results of the
-// goroutine-per-node runtime (WithConcurrentEngine), an independent
-// implementation of the same time step. The families mirror the
+// message-passing protocol run in process (WithConcurrentEngine), an
+// independent implementation of the same time step. The families mirror the
 // repository's generator catalogue; sizes straddle 64-bit word
 // boundaries so packing bugs cannot hide.
 func TestEngineEquivalence(t *testing.T) {
@@ -75,8 +75,8 @@ func TestEngineEquivalence(t *testing.T) {
 // contract to the fault layer: for every fault-spec combination —
 // channel noise, adversarial wake-up, transient outages with resets —
 // both simulator engines at several shard counts, and the legacy pins,
-// produce identical Results and RobustnessReports. (The goroutine
-// runtime has no fault layer; the serial columnar run is the baseline.)
+// produce identical Results and RobustnessReports. (The message-passing
+// protocol has no fault layer; the serial columnar run is the baseline.)
 // The trace-level matrix against the per-node reference loop lives in
 // internal/sim.
 func TestEngineEquivalenceUnderFaults(t *testing.T) {
@@ -152,9 +152,9 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 }
 
 // TestShardsConflicts pins the explicit rejection of WithShards under
-// the goroutine runtime, which has no sharded propagation to configure,
-// and that shards compose with auto and with every simulator engine
-// pin — the legacy scalar pin included, which used to be refused.
+// the message-passing protocol, which has no sharded propagation to
+// configure, and that shards compose with auto and with every simulator
+// engine pin — the legacy scalar pin included, which used to be refused.
 func TestShardsConflicts(t *testing.T) {
 	g := GNP(40, 0.3, 2)
 	if _, err := Solve(g, AlgorithmFeedback, WithSeed(1), WithShards(4), WithConcurrentEngine()); err == nil {
@@ -168,7 +168,7 @@ func TestShardsConflicts(t *testing.T) {
 }
 
 // TestEnginePinConflictsWithConcurrent asserts the explicit rejection of
-// an engine pin combined with the concurrent runtime, which has no
+// an engine pin combined with the message-passing protocol, which has no
 // simulator engine to pin.
 func TestEnginePinConflictsWithConcurrent(t *testing.T) {
 	g := GNP(40, 0.3, 2)

@@ -13,7 +13,7 @@
 //     nodes hearing such an announcement become inactive as dominated
 //     neighbours.
 //
-// The engine (internal/sim or internal/runtime) owns the join rule —
+// The engine (internal/sim or internal/transport) owns the join rule —
 // "beeped and heard no beep ⇒ join" — which is common to the whole
 // algorithm class. An Automaton only chooses when to beep and updates its
 // internal state from the step's outcome. This keeps every schedule
@@ -78,8 +78,8 @@ type Outcome struct {
 // Automaton is a node's algorithm: the probability schedule of the
 // beeping MIS process. Implementations must be deterministic functions of
 // their construction parameters, the provided randomness, and the
-// sequence of Outcomes — the simulator and the concurrent runtime rely on
-// this to produce identical executions from identical seeds.
+// sequence of Outcomes — the simulator and the message-passing protocol
+// rely on this to produce identical executions from identical seeds.
 //
 // The engine calls Beep exactly once per time step while the node is
 // active, then Observe exactly once with that step's outcome (unless the

@@ -1,9 +1,10 @@
 // Package rng provides small, fast, deterministic random number generation
-// for the simulator and the concurrent runtime.
+// for the simulator and the message-passing protocol.
 //
 // Reproducibility is load-bearing here: the synchronous simulator and the
-// goroutine-per-node runtime must make exactly the same random choices when
-// started from the same seed, so that executions can be cross-validated.
+// message-passing protocol (internal/transport) must make exactly the same
+// random choices when started from the same seed, so that executions can
+// be cross-validated.
 // Each node draws from its own independent stream derived from the master
 // seed, which makes the draws insensitive to scheduling order.
 //

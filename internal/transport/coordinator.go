@@ -11,20 +11,27 @@ import (
 	"beepmis/internal/graph"
 )
 
-// DefaultIOTimeout bounds each blocking network operation of the
-// coordinator and node so a dead peer fails the run instead of hanging
-// it.
+// DefaultIOTimeout bounds a round's network operations, and each
+// connection's handshake, at the coordinator and at a node, so a dead
+// peer fails the run instead of hanging it.
 const DefaultIOTimeout = 30 * time.Second
 
-// ErrVertexClaimed indicates two connections claimed the same vertex.
-var ErrVertexClaimed = errors.New("transport: vertex already claimed")
+// Errors matched by callers.
+var (
+	// ErrVertexClaimed indicates two connections claimed the same vertex.
+	ErrVertexClaimed = errors.New("transport: vertex already claimed")
+	// ErrTooManyRounds is wrapped in the error Serve returns when the
+	// round cap is reached before every vertex terminates.
+	ErrTooManyRounds = errors.New("transport: round limit reached before termination")
+)
 
 // CoordinatorOptions configures Serve.
 type CoordinatorOptions struct {
 	// MaxRounds caps the number of time steps; 0 means no cap beyond
 	// 2^20.
 	MaxRounds int
-	// IOTimeout bounds each network read/write; 0 means
+	// IOTimeout bounds each round's network operations, all five
+	// exchanges together, and each connection's handshake; 0 means
 	// DefaultIOTimeout.
 	IOTimeout time.Duration
 }
@@ -35,6 +42,11 @@ type CoordinatorResult struct {
 	InMIS []bool
 	// Rounds is the number of time steps executed.
 	Rounds int
+	// Beeps counts each vertex's first-exchange beeps, read from the
+	// beep frames it sent.
+	Beeps []int
+	// TotalBeeps is the sum of Beeps.
+	TotalBeeps int
 }
 
 // Coordinator accepts one connection per vertex of its graph and drives
@@ -136,7 +148,7 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		claimed++
 	}
 
-	res := &CoordinatorResult{InMIS: make([]bool, n)}
+	res := &CoordinatorResult{InMIS: make([]bool, n), Beeps: make([]int, n)}
 	states := make([]beep.State, n)
 	for v := range states {
 		states[v] = beep.StateActive
@@ -144,18 +156,19 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 	active := n
 	beeped := make([]bool, n)
 	joined := make([]bool, n)
+	neighborJoined := make([]bool, n)
 
 	// broadcast sends a frame to every vertex concurrently; gather reads
 	// one expected frame from every vertex concurrently. Concurrency
 	// matters here: with sequential I/O a slow peer would serialise the
 	// whole round.
 	broadcast := func(mk func(v int) Frame) error {
-		return c.forAll(conns, timeout, func(v int, vc *vertexConn) error {
+		return forAll(conns, func(v int, vc *vertexConn) error {
 			return vc.fc.Send(mk(v))
 		})
 	}
 	gatherBool := func(want uint8, into []bool) error {
-		return c.forAll(conns, timeout, func(v int, vc *vertexConn) error {
+		return forAll(conns, func(v int, vc *vertexConn) error {
 			f, err := vc.fc.Expect(want)
 			if err != nil {
 				return err
@@ -172,6 +185,12 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 	round := 0
 	for active > 0 && round < maxRounds {
 		round++
+		// One deadline per round, as each node sets: the round's five
+		// exchanges share it, and so does the stop frame after the last.
+		deadline := time.Now().Add(timeout)
+		for _, vc := range conns {
+			_ = vc.conn.SetDeadline(deadline)
+		}
 		if err := broadcast(func(int) Frame {
 			return Frame{Type: TypeRound, Payload: u32Payload(uint32(round))}
 		}); err != nil {
@@ -180,6 +199,12 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		// First exchange.
 		if err := gatherBool(TypeBeep, beeped); err != nil {
 			return nil, fmt.Errorf("round %d beeps: %w", round, err)
+		}
+		for v, b := range beeped {
+			if b {
+				res.Beeps[v]++
+				res.TotalBeeps++
+			}
 		}
 		if err := broadcast(func(v int) Frame {
 			heard := false
@@ -193,37 +218,13 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		}); err != nil {
 			return nil, fmt.Errorf("round %d heard: %w", round, err)
 		}
-		// Second exchange.
+		// Second exchange. The coordinator settles the step once, before
+		// announcing it: every vertex's neighbour-joined bit, and the
+		// transitions of the active ones.
 		if err := gatherBool(TypeJoin, joined); err != nil {
 			return nil, fmt.Errorf("round %d joins: %w", round, err)
 		}
-		if err := broadcast(func(v int) Frame {
-			neighborJoined := false
-			for _, w := range c.g.Neighbors(v) {
-				if joined[w] {
-					neighborJoined = true
-					break
-				}
-			}
-			st := states[v]
-			if st == beep.StateActive {
-				switch {
-				case joined[v]:
-					st = beep.StateInMIS
-				case neighborJoined:
-					st = beep.StateDominated
-				}
-			}
-			return Frame{Type: TypeOutcome, Payload: []byte{byte(st), boolByte(neighborJoined)[0]}}
-		}); err != nil {
-			return nil, fmt.Errorf("round %d outcome: %w", round, err)
-		}
-		// Apply transitions locally (the authoritative copy mirrors what
-		// was just announced to the nodes).
-		for v := 0; v < n; v++ {
-			if states[v] != beep.StateActive {
-				continue
-			}
+		for v, st := range states {
 			nj := false
 			for _, w := range c.g.Neighbors(v) {
 				if joined[w] {
@@ -231,15 +232,17 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 					break
 				}
 			}
-			switch {
-			case joined[v]:
-				states[v] = beep.StateInMIS
-				res.InMIS[v] = true
-				active--
-			case nj:
-				states[v] = beep.StateDominated
+			neighborJoined[v] = nj
+			if next := nextState(st, joined[v], nj); next != st {
+				states[v] = next
+				res.InMIS[v] = next == beep.StateInMIS
 				active--
 			}
+		}
+		if err := broadcast(func(v int) Frame {
+			return Frame{Type: TypeOutcome, Payload: []byte{byte(states[v]), boolByte(neighborJoined[v])[0]}}
+		}); err != nil {
+			return nil, fmt.Errorf("round %d outcome: %w", round, err)
 		}
 	}
 	res.Rounds = round
@@ -247,22 +250,20 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		return nil, fmt.Errorf("stop broadcast: %w", err)
 	}
 	if active > 0 {
-		return res, fmt.Errorf("transport: %d vertices still active after %d rounds", active, maxRounds)
+		return res, fmt.Errorf("%w: %d vertices still active after %d rounds", ErrTooManyRounds, active, maxRounds)
 	}
 	return res, nil
 }
 
 // forAll runs fn for each vertex connection concurrently and returns the
 // first error (if any) after all goroutines finish.
-func (c *Coordinator) forAll(conns []*vertexConn, timeout time.Duration, fn func(v int, vc *vertexConn) error) error {
+func forAll(conns []*vertexConn, fn func(v int, vc *vertexConn) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(conns))
 	for v, vc := range conns {
-		v, vc := v, vc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = vc.conn.SetDeadline(time.Now().Add(timeout))
 			errs[v] = fn(v, vc)
 		}()
 	}

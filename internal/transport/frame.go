@@ -1,14 +1,19 @@
 // Package transport provides a framed binary wire protocol and the
-// coordinator/node roles that run the beeping MIS algorithms as an actual
-// distributed system over TCP (or any net.Conn, including in-memory pipes
-// for tests).
+// coordinator/node roles that run the beeping MIS algorithms as message
+// passing: across processes over TCP (NewCoordinator, RunNode, and
+// cmd/misnode), or in one process over in-memory net.Pipe connections
+// (RunInProcess, behind beepmis.WithConcurrentEngine). Both run the same
+// handshake, round loop and node loop.
 //
-// Topology and round synchronisation live in a coordinator process: it
-// knows the graph, accepts one connection per vertex, and per time step
-// relays "did any neighbour beep" / "did any neighbour join" bits —
-// exactly the information the beeping model grants a node. All
-// algorithmic state and randomness stay at the nodes, so the coordinator
-// is a stand-in for the radio medium, not for the algorithm.
+// Topology and round synchronisation live in a coordinator: it knows the
+// graph, accepts one connection per vertex, and per time step relays
+// "did any neighbour beep" / "did any neighbour join" bits — exactly the
+// information the beeping model grants a node. All algorithmic state and
+// randomness stay at the nodes, so the coordinator is a stand-in for the
+// shared beeping medium of Afek et al. (DISC 2011), not for the
+// algorithm. Each vertex draws from master.Stream(vertex), the stream the
+// simulator gives it, so a run reproduces internal/sim's execution bit
+// for bit.
 package transport
 
 import (
@@ -103,8 +108,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if length < 1 {
 		return Frame{}, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
 	}
-	if length > MaxFrameSize {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
+	if length-1 > MaxFrameSize {
+		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length-1)
 	}
 	f := Frame{Type: hdr[4]}
 	if length > 1 {
@@ -116,6 +121,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
+// connBufferSize sizes each Conn's read and write buffers. Every frame
+// but a reject is 5–17 bytes on the wire, so 64 bytes holds any of them
+// whole; a longer frame passes through bufio in several reads or writes.
+// A coordinator holds one Conn per vertex, so bufio's 4 KiB default
+// would cost it 8 KiB per vertex.
+const connBufferSize = 64
+
 // Conn wraps an io.ReadWriter with buffering and frame helpers. It is not
 // safe for concurrent use.
 type Conn struct {
@@ -125,7 +137,7 @@ type Conn struct {
 
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+	return &Conn{r: bufio.NewReaderSize(rw, connBufferSize), w: bufio.NewWriterSize(rw, connBufferSize)}
 }
 
 // Send writes a frame and flushes it.

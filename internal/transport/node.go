@@ -11,7 +11,8 @@ import (
 
 // NodeOptions configures RunNode.
 type NodeOptions struct {
-	// IOTimeout bounds each network operation; 0 means DefaultIOTimeout.
+	// IOTimeout bounds each round's network operations; 0 means
+	// DefaultIOTimeout.
 	IOTimeout time.Duration
 }
 
@@ -33,15 +34,22 @@ type NodeResult struct {
 // stream master.Stream(vertexID) to make a distributed run reproduce the
 // simulator's execution.
 func RunNode(addr string, vertexID int, factory beep.Factory, src *rng.Source, opts NodeOptions) (*NodeResult, error) {
-	timeout := opts.IOTimeout
-	if timeout <= 0 {
-		timeout = DefaultIOTimeout
-	}
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("node dial: %w", err)
 	}
 	defer func() { _ = raw.Close() }()
+	return runNode(raw, vertexID, factory, src, opts)
+}
+
+// runNode runs vertexID's side of the protocol on an open connection to
+// the coordinator: the handshake, then one time step per round frame
+// until stop. The caller owns raw and closes it.
+func runNode(raw net.Conn, vertexID int, factory beep.Factory, src *rng.Source, opts NodeOptions) (*NodeResult, error) {
+	timeout := opts.IOTimeout
+	if timeout <= 0 {
+		timeout = DefaultIOTimeout
+	}
 	_ = raw.SetDeadline(time.Now().Add(timeout))
 	fc := NewConn(raw)
 
@@ -120,11 +128,34 @@ func RunNode(addr string, vertexID int, factory beep.Factory, src *rng.Source, o
 		if len(outcome.Payload) != 2 {
 			return nil, fmt.Errorf("%w: outcome payload %d bytes", ErrBadFrame, len(outcome.Payload))
 		}
-		newState := beep.State(outcome.Payload[0])
+		// The node knows its own join bit, so the neighbour-joined bit
+		// alone fixes its next state; a state byte that disagrees is a
+		// corrupt or hostile frame, not a transition to take.
 		neighborJoined := outcome.Payload[1] != 0
-		if res.State == beep.StateActive && newState == beep.StateActive {
+		next := nextState(res.State, join, neighborJoined)
+		if got := beep.State(outcome.Payload[0]); got != next {
+			return nil, fmt.Errorf("%w: outcome state %v, the node's own step gives %v", ErrBadFrame, got, next)
+		}
+		if next == beep.StateActive {
 			auto.Observe(beep.Outcome{Beeped: beeped, Heard: heard, NeighborJoined: neighborJoined})
 		}
-		res.State = newState
+		res.State = next
 	}
+}
+
+// nextState is a vertex's state after a time step, which the coordinator
+// announces and the node checks: an active vertex that joined enters the
+// set, an active one with a joined neighbour is dominated, and any other
+// state stands.
+func nextState(st beep.State, joined, neighborJoined bool) beep.State {
+	if st != beep.StateActive {
+		return st
+	}
+	switch {
+	case joined:
+		return beep.StateInMIS
+	case neighborJoined:
+		return beep.StateDominated
+	}
+	return st
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"beepmis/internal/beep"
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
 	"beepmis/internal/rng"
@@ -72,6 +75,47 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
+// TestConnRoundTripOverPipe sends frames longer than a Conn's buffers —
+// a MaxFrameSize payload and a long reject reason — through Conns on
+// both ends of a pipe.
+func TestConnRoundTripOverPipe(t *testing.T) {
+	big := bytes.Repeat([]byte{0xA5}, MaxFrameSize)
+	reason := []byte(strings.Repeat("vertex 7 already hosted; ", 40))
+	frames := []Frame{
+		{Type: TypeBeep, Payload: big},
+		{Type: TypeReject, Payload: reason},
+		{Type: TypeStop},
+	}
+	a, b := net.Pipe()
+	defer func() { _ = a.Close() }()
+	defer func() { _ = b.Close() }()
+	sendErr := make(chan error, 1)
+	go func() {
+		fc := NewConn(a)
+		for _, f := range frames {
+			if err := fc.Send(f); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	fc := NewConn(b)
+	for i, want := range frames {
+		got, err := fc.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d: type %d with %d payload bytes, want type %d with %d",
+				i, got.Type, len(got.Payload), want.Type, len(want.Payload))
+		}
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPayloadHelpers(t *testing.T) {
 	if b, err := payloadBool(Frame{Payload: []byte{1}}); err != nil || !b {
 		t.Fatalf("payloadBool: %v %v", b, err)
@@ -89,9 +133,9 @@ func TestPayloadHelpers(t *testing.T) {
 }
 
 // runDistributed runs a full coordinator + per-vertex-goroutine
-// deployment over loopback TCP and returns the coordinator result and
-// each node's view.
-func runDistributed(t *testing.T, g *graph.Graph, seed uint64) (*CoordinatorResult, []*NodeResult) {
+// deployment over loopback TCP, checks every node's view of the run
+// against the coordinator's, and returns the coordinator result.
+func runDistributed(t *testing.T, g *graph.Graph, factory beep.Factory, seed uint64) *CoordinatorResult {
 	t.Helper()
 	coord, err := NewCoordinator(g, "127.0.0.1:0")
 	if err != nil {
@@ -99,28 +143,17 @@ func runDistributed(t *testing.T, g *graph.Graph, seed uint64) (*CoordinatorResu
 	}
 	defer func() { _ = coord.Close() }()
 
-	factory, err := mis.NewFeedback(mis.FeedbackConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	master := rng.New(seed)
-
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex
 		nodeRes  = make([]*NodeResult, g.N())
 		nodeErrs = make([]error, g.N())
 	)
 	for v := 0; v < g.N(); v++ {
-		v := v
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := RunNode(coord.Addr(), v, factory, master.Stream(uint64(v)), NodeOptions{})
-			mu.Lock()
-			defer mu.Unlock()
-			nodeRes[v] = res
-			nodeErrs[v] = err
+			nodeRes[v], nodeErrs[v] = RunNode(coord.Addr(), v, factory, master.Stream(uint64(v)), NodeOptions{})
 		}()
 	}
 	coordRes, err := coord.Serve(CoordinatorOptions{})
@@ -132,62 +165,358 @@ func runDistributed(t *testing.T, g *graph.Graph, seed uint64) (*CoordinatorResu
 		if err != nil {
 			t.Fatalf("node %d: %v", v, err)
 		}
-	}
-	return coordRes, nodeRes
-}
-
-func TestDistributedRunProducesMIS(t *testing.T) {
-	g := graph.GNP(30, 0.3, rng.New(1))
-	coordRes, nodeRes := runDistributed(t, g, 99)
-	if err := graph.VerifyMIS(g, coordRes.InMIS); err != nil {
-		t.Fatal(err)
-	}
-	for v, nr := range nodeRes {
+		nr := nodeRes[v]
 		if nr.InMIS != coordRes.InMIS[v] {
 			t.Fatalf("vertex %d: node view %v, coordinator view %v", v, nr.InMIS, coordRes.InMIS[v])
 		}
 		if nr.Rounds != coordRes.Rounds {
 			t.Fatalf("vertex %d rounds %d, coordinator %d", v, nr.Rounds, coordRes.Rounds)
 		}
+		if nr.Beeps != coordRes.Beeps[v] {
+			t.Fatalf("vertex %d beeps %d, coordinator counted %d", v, nr.Beeps, coordRes.Beeps[v])
+		}
 		if !nr.State.Terminal() {
 			t.Fatalf("vertex %d ended non-terminal", v)
 		}
 	}
+	return coordRes
+}
+
+// runProtocol runs factory on g from master seed seed, over loopback TCP
+// or in process, and fails the test if the run does not finish.
+func runProtocol(t *testing.T, g *graph.Graph, factory beep.Factory, seed uint64, tcp bool) *CoordinatorResult {
+	t.Helper()
+	if tcp {
+		return runDistributed(t, g, factory, seed)
+	}
+	res, err := RunInProcess(g, factory, rng.New(seed), CoordinatorOptions{})
+	if err != nil {
+		t.Fatalf("in-process run: %v", err)
+	}
+	return res
+}
+
+func mustFeedback(t *testing.T, cfg mis.FeedbackConfig) beep.Factory {
+	t.Helper()
+	f, err := mis.NewFeedback(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestDistributedRunProducesMIS(t *testing.T) {
+	f := mustFeedback(t, mis.FeedbackConfig{})
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		seed uint64
+		tcp  bool
+	}{
+		{"tcp-gnp", graph.GNP(30, 0.3, rng.New(1)), 99, true},
+		{"gnp", graph.GNP(60, 0.5, rng.New(1)), 9, false},
+		{"complete", graph.Complete(20), 9, false},
+		{"grid", graph.Grid(6, 6), 9, false},
+		{"star", graph.Star(15), 9, false},
+		{"path", graph.Path(25), 9, false},
+		{"edgeless", graph.Empty(8), 9, false},
+		{"zero", graph.Empty(0), 9, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := runProtocol(t, c.g, f, c.seed, c.tcp)
+			if err := graph.VerifyMIS(c.g, res.InMIS); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestDistributedMatchesSimulator is the strongest transport test: the
-// TCP deployment must reproduce the simulator's execution exactly, since
-// the per-vertex randomness streams are identical.
+// protocol, over TCP and in process, must reproduce the simulator's
+// execution exactly — same rounds, same per-vertex beeps, same MIS —
+// since the per-vertex randomness streams are identical. The rows cover
+// every beeping schedule on the generator families, the Science'11
+// schedule past its restart, and the jittered feedback variant, which
+// draws its per-step factors inside Observe and so diverges unless both
+// sides call Beep and Observe in the same per-node order.
 func TestDistributedMatchesSimulator(t *testing.T) {
-	g := graph.GNP(25, 0.4, rng.New(2))
-	const seed = 1234
-	factory, err := mis.NewFeedback(mis.FeedbackConfig{})
+	type simCase struct {
+		name      string
+		g         *graph.Graph
+		factory   beep.Factory
+		seed      uint64
+		tcp       bool // over loopback TCP instead of in process
+		minRounds int  // the run must take more rounds than this
+	}
+	cases := []simCase{{
+		name: "tcp-gnp-25/feedback", g: graph.GNP(25, 0.4, rng.New(2)),
+		factory: mustFeedback(t, mis.FeedbackConfig{}), seed: 1234, tcp: true,
+	}}
+
+	src := rng.New(2)
+	gnpHalf := graph.GNP(80, 0.5, src)
+	gnpSparse := graph.GNP(150, 0.03, src)
+	families := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp-half", gnpHalf},
+		{"gnp-sparse", gnpSparse},
+		{"complete", graph.Complete(30)},
+		{"grid", graph.Grid(7, 8)},
+		{"cliques", graph.CliqueFamily(300)},
+		{"star", graph.Star(40)},
+	}
+	for _, fam := range families {
+		for _, algo := range []string{mis.NameFeedback, mis.NameGlobalSweep, mis.NameAfek} {
+			factory, err := mis.NewFactory(mis.Spec{Name: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(100); seed < 103; seed++ {
+				cases = append(cases, simCase{name: fam.name + "/" + algo, g: fam.g, factory: factory, seed: seed})
+			}
+		}
+	}
+
+	// The Science'11 schedule with one step per level restarts at
+	// 1/(D+1) after one level per probability from 1/(D+1) doubling up
+	// to 1/2; every seed's run must cross that restart.
+	restartG := graph.GNP(200, 0.5, rng.New(4))
+	restart, err := mis.NewFactory(mis.Spec{Name: mis.NameAfek, Afek: mis.AfekOriginalConfig{StepsPerLevel: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes, err := sim.Run(g, factory, rng.New(seed), sim.Options{})
-	if err != nil {
-		t.Fatal(err)
+	cycle := 1
+	for p := 1 / float64(restartG.MaxDegree()+1); p < 0.5; p = min(2*p, 0.5) {
+		cycle++
 	}
-	coordRes, nodeRes := runDistributed(t, g, seed)
-	if coordRes.Rounds != simRes.Rounds {
-		t.Fatalf("rounds: tcp %d, sim %d", coordRes.Rounds, simRes.Rounds)
+	for seed := uint64(0); seed < 3; seed++ {
+		cases = append(cases, simCase{name: "gnp-200-half/afek-restart", g: restartG, factory: restart, seed: seed, minRounds: cycle})
 	}
-	for v := range simRes.InMIS {
-		if coordRes.InMIS[v] != simRes.InMIS[v] {
-			t.Fatalf("vertex %d membership differs from simulator", v)
+
+	jittered := mustFeedback(t, mis.FeedbackConfig{
+		Factor:       1.3,
+		FactorMax:    4,
+		InitialPByID: []float64{1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5},
+	})
+	for _, fam := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp-70", graph.GNP(70, 0.4, rng.New(1))},
+		{"cliques", graph.CliqueFamily(300)},
+		{"grid-6x8", graph.Grid(6, 8)},
+	} {
+		for seed := uint64(40); seed < 43; seed++ {
+			cases = append(cases, simCase{name: fam.name + "/feedback-jittered", g: fam.g, factory: jittered, seed: seed})
 		}
-		if nodeRes[v].Beeps != simRes.Beeps[v] {
-			t.Fatalf("vertex %d beeps tcp %d, sim %d", v, nodeRes[v].Beeps, simRes.Beeps[v])
-		}
+	}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			simRes, err := sim.Run(c.g, c.factory, rng.New(c.seed), sim.Options{})
+			if err != nil {
+				t.Fatalf("seed %d sim: %v", c.seed, err)
+			}
+			if err := graph.VerifyMIS(c.g, simRes.InMIS); err != nil {
+				t.Fatalf("seed %d: %v", c.seed, err)
+			}
+			if simRes.Rounds <= c.minRounds {
+				t.Fatalf("seed %d: %d rounds, want more than %d", c.seed, simRes.Rounds, c.minRounds)
+			}
+			res := runProtocol(t, c.g, c.factory, c.seed, c.tcp)
+			if res.Rounds != simRes.Rounds || res.TotalBeeps != simRes.TotalBeeps {
+				t.Fatalf("seed %d: rounds %d, sim %d; beeps %d, sim %d",
+					c.seed, res.Rounds, simRes.Rounds, res.TotalBeeps, simRes.TotalBeeps)
+			}
+			for v := range simRes.InMIS {
+				if res.InMIS[v] != simRes.InMIS[v] {
+					t.Fatalf("seed %d: vertex %d membership differs from simulator", c.seed, v)
+				}
+				if res.Beeps[v] != simRes.Beeps[v] {
+					t.Fatalf("seed %d: vertex %d beeps %d, sim %d", c.seed, v, res.Beeps[v], simRes.Beeps[v])
+				}
+			}
+		})
 	}
 }
 
 func TestDistributedSingleVertex(t *testing.T) {
-	g := graph.Empty(1)
-	coordRes, _ := runDistributed(t, g, 5)
-	if !coordRes.InMIS[0] {
-		t.Fatal("lone vertex must join")
+	f := mustFeedback(t, mis.FeedbackConfig{})
+	for _, tcp := range []bool{true, false} {
+		if res := runProtocol(t, graph.Empty(1), f, 5, tcp); !res.InMIS[0] {
+			t.Fatalf("tcp=%v: lone vertex must join", tcp)
+		}
+	}
+}
+
+func TestInProcessDeterministic(t *testing.T) {
+	g := graph.GNP(50, 0.4, rng.New(4))
+	f := mustFeedback(t, mis.FeedbackConfig{})
+	a := runProtocol(t, g, f, 5, false)
+	b := runProtocol(t, g, f, 5, false)
+	if a.Rounds != b.Rounds || a.TotalBeeps != b.TotalBeeps {
+		t.Fatalf("rounds %d/%d, beeps %d/%d for one seed", a.Rounds, b.Rounds, a.TotalBeeps, b.TotalBeeps)
+	}
+	for v := range a.InMIS {
+		if a.InMIS[v] != b.InMIS[v] || a.Beeps[v] != b.Beeps[v] {
+			t.Fatalf("vertex %d differs across invocations", v)
+		}
+	}
+}
+
+// stallingNode sleeps through its first beep decision, past the
+// coordinator's round deadline.
+type stallingNode struct{}
+
+func (stallingNode) Beep(*rng.Source) bool { time.Sleep(stallSleep); return false }
+func (stallingNode) Observe(beep.Outcome)  {}
+
+// A stalled node sleeps stallSleep, ten times the coordinator's
+// stallTimeout, and the goroutine check waits at most goroutineGrace:
+// a run that returned without joining its sleeping nodes fails it.
+const (
+	stallTimeout   = 100 * time.Millisecond
+	stallSleep     = 10 * stallTimeout
+	goroutineGrace = stallSleep / 2
+)
+
+// TestInProcessEndings runs the in-process protocol to each way a run
+// ends — finished, capped, and failed, early or mid-round — and checks
+// the error it returns and that every goroutine it started is gone.
+func TestInProcessEndings(t *testing.T) {
+	fixed, err := mis.NewFixedProb(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalling := func(beep.NodeInfo) beep.Automaton { return stallingNode{} }
+	cases := []struct {
+		name       string
+		g          *graph.Graph
+		factory    beep.Factory
+		opts       CoordinatorOptions
+		wantErr    error // nil: the run finishes
+		anyErr     bool  // the run fails, at whichever exchange first
+		wantRounds int   // checked when non-zero
+	}{
+		{name: "finished", g: graph.GNP(60, 0.5, rng.New(1)), factory: mustFeedback(t, mis.FeedbackConfig{})},
+		{name: "round cap", g: graph.Complete(30), factory: fixed, opts: CoordinatorOptions{MaxRounds: 50},
+			wantErr: ErrTooManyRounds, wantRounds: 50},
+		{name: "stalled node", g: graph.GNP(20, 0.3, rng.New(2)), factory: stalling,
+			opts: CoordinatorOptions{IOTimeout: stallTimeout}, wantErr: os.ErrDeadlineExceeded},
+		{name: "expired deadlines", g: graph.GNP(30, 0.3, rng.New(3)), factory: mustFeedback(t, mis.FeedbackConfig{}),
+			opts: CoordinatorOptions{IOTimeout: time.Nanosecond}, anyErr: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			res, err := RunInProcess(c.g, c.factory, rng.New(3), c.opts)
+			switch {
+			case c.anyErr:
+				if err == nil {
+					t.Fatal("run succeeded")
+				}
+			case !errors.Is(err, c.wantErr):
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if c.wantErr == nil && !c.anyErr {
+				if err := graph.VerifyMIS(c.g, res.InMIS); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.wantRounds != 0 && res.Rounds != c.wantRounds {
+				t.Fatalf("rounds = %d, want %d", res.Rounds, c.wantRounds)
+			}
+			// RunInProcess has joined its goroutines; give the last of
+			// them the moment they need to exit after signalling that.
+			deadline := time.Now().Add(goroutineGrace)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// silentNode never beeps, so its join bit is always false.
+type silentNode struct{}
+
+func (silentNode) Beep(*rng.Source) bool { return false }
+func (silentNode) Observe(beep.Outcome)  {}
+
+// TestNodeRejectsInconsistentOutcome plays the coordinator to a node
+// that never beeps, over a pipe, and answers its first step with one
+// outcome frame: the node takes the state its own join bit and the
+// frame's neighbour-joined bit give, and refuses any other.
+func TestNodeRejectsInconsistentOutcome(t *testing.T) {
+	cases := []struct {
+		name    string
+		outcome []byte // state code, neighbour-joined bit
+		want    beep.State
+		wantErr bool
+	}{
+		{"still active", []byte{byte(beep.StateActive), 0}, beep.StateActive, false},
+		{"dominated by a joined neighbour", []byte{byte(beep.StateDominated), 1}, beep.StateDominated, false},
+		{"unknown state code", []byte{9, 0}, 0, true},
+		{"in-mis without a join", []byte{byte(beep.StateInMIS), 0}, 0, true},
+		{"dominated without a neighbour join", []byte{byte(beep.StateDominated), 0}, 0, true},
+	}
+	silent := func(beep.NodeInfo) beep.Automaton { return silentNode{} }
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			coordEnd, nodeEnd := net.Pipe()
+			defer func() { _ = coordEnd.Close() }()
+			type nodeRun struct {
+				res *NodeResult
+				err error
+			}
+			done := make(chan nodeRun, 1)
+			go func() {
+				defer func() { _ = nodeEnd.Close() }()
+				res, err := runNode(nodeEnd, 0, silent, rng.New(1), NodeOptions{IOTimeout: 10 * time.Second})
+				done <- nodeRun{res, err}
+			}()
+			fc := NewConn(coordEnd)
+			step := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := fc.Expect(TypeHello)
+			step(err)
+			step(fc.Send(Frame{Type: TypeWelcome, Payload: u32Payload(1, 0, 0)}))
+			step(fc.Send(Frame{Type: TypeRound, Payload: u32Payload(1)}))
+			_, err = fc.Expect(TypeBeep)
+			step(err)
+			step(fc.Send(Frame{Type: TypeHeard, Payload: boolByte(false)}))
+			_, err = fc.Expect(TypeJoin)
+			step(err)
+			step(fc.Send(Frame{Type: TypeOutcome, Payload: c.outcome}))
+			if c.wantErr {
+				// A node that took the frame reads EOF next, not a hang.
+				_ = coordEnd.Close()
+			} else {
+				step(fc.Send(Frame{Type: TypeStop}))
+			}
+			got := <-done
+			if c.wantErr {
+				if !errors.Is(got.err, ErrBadFrame) {
+					t.Fatalf("err = %v, want ErrBadFrame", got.err)
+				}
+				return
+			}
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			if got.res.State != c.want {
+				t.Fatalf("state %v, want %v", got.res.State, c.want)
+			}
+		})
 	}
 }
 
