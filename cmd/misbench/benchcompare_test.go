@@ -184,15 +184,23 @@ func TestBenchCompareGoldenDiff(t *testing.T) {
 	}
 }
 
-// TestBenchCompareEndToEnd drives the real CLI path: a -bench -json run
-// records the baseline, a second identical run must pass -compare
+// TestBenchCompareEndToEnd drives the real CLI path: -bench -json runs
+// record the baseline, a further identical run must pass -compare
 // against it, and the same baseline with an injected 2× slowdown (the
-// baseline's times halved) must fail.
+// baseline's times halved) must fail. One run of this workload takes
+// about 0.1 ms of wall clock on a shared machine, so each record times
+// 30 runs, and the baseline holds the records of ten invocations, of
+// which -compare keys each to its fastest: the slowdown then passes
+// the gate only if the fresh run beats the fastest of ten readings by
+// a quarter.
 func TestBenchCompareEndToEnd(t *testing.T) {
+	const e2eRuns = "30"
 	var out bytes.Buffer
-	args := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "1", "-shards", "1", "-json"}
-	if err := run(args, &out); err != nil {
-		t.Fatal(err)
+	args := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", e2eRuns, "-shards", "1", "-json"}
+	for range 10 {
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var records []benchRecord
 	dec := json.NewDecoder(&out)
@@ -209,7 +217,7 @@ func TestBenchCompareEndToEnd(t *testing.T) {
 	path := writeBaseline(t, records)
 	// Same machine, same workload, generous tolerance: must pass.
 	var diffOut bytes.Buffer
-	pass := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "1", "-shards", "1", "-compare", path, "-tolerance", "25"}
+	pass := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", e2eRuns, "-shards", "1", "-compare", path, "-tolerance", "25"}
 	if err := run(pass, &diffOut); err != nil {
 		t.Fatalf("self-compare at huge tolerance failed: %v\n%s", err, diffOut.String())
 	}
@@ -220,7 +228,7 @@ func TestBenchCompareEndToEnd(t *testing.T) {
 	}
 	slowPath := writeBaseline(t, records)
 	diffOut.Reset()
-	fail := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", "1", "-shards", "1", "-compare", slowPath, "-tolerance", "0.5"}
+	fail := []string{"-bench", "-benchn", "300", "-benchp", "0.5", "-benchruns", e2eRuns, "-shards", "1", "-compare", slowPath, "-tolerance", "0.5"}
 	err := run(fail, &diffOut)
 	if err == nil {
 		t.Fatalf("injected 2× slowdown passed the gate:\n%s", diffOut.String())

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -205,28 +206,41 @@ func mustFeedback(t *testing.T, cfg mis.FeedbackConfig) beep.Factory {
 	return f
 }
 
+// TestDistributedRunProducesMIS runs the protocol to a verified MIS over
+// loopback TCP and, on every graph family including the edgeless and
+// zero-vertex graphs, in process.
 func TestDistributedRunProducesMIS(t *testing.T) {
 	f := mustFeedback(t, mis.FeedbackConfig{})
-	cases := []struct {
+	type misCase struct {
 		name string
 		g    *graph.Graph
-		seed uint64
-		tcp  bool
-	}{
-		{"tcp-gnp", graph.GNP(30, 0.3, rng.New(1)), 99, true},
-		{"gnp", graph.GNP(60, 0.5, rng.New(1)), 9, false},
-		{"complete", graph.Complete(20), 9, false},
-		{"grid", graph.Grid(6, 6), 9, false},
-		{"star", graph.Star(15), 9, false},
-		{"path", graph.Path(25), 9, false},
-		{"edgeless", graph.Empty(8), 9, false},
-		{"zero", graph.Empty(0), 9, false},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			res := runProtocol(t, c.g, f, c.seed, c.tcp)
-			if err := graph.VerifyMIS(c.g, res.InMIS); err != nil {
-				t.Fatal(err)
+	groups := []struct {
+		name  string
+		tcp   bool
+		seed  uint64
+		cases []misCase
+	}{
+		{name: "tcp", tcp: true, seed: 99, cases: []misCase{{"gnp", graph.GNP(30, 0.3, rng.New(1))}}},
+		{name: "in-process", seed: 9, cases: []misCase{
+			{"gnp", graph.GNP(60, 0.5, rng.New(1))},
+			{"complete", graph.Complete(20)},
+			{"grid", graph.Grid(6, 6)},
+			{"star", graph.Star(15)},
+			{"path", graph.Path(25)},
+			{"edgeless", graph.Empty(8)},
+			{"zero", graph.Empty(0)},
+		}},
+	}
+	for _, grp := range groups {
+		t.Run(grp.name, func(t *testing.T) {
+			for _, c := range grp.cases {
+				t.Run(c.name, func(t *testing.T) {
+					res := runProtocol(t, c.g, f, grp.seed, grp.tcp)
+					if err := graph.VerifyMIS(c.g, res.InMIS); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		})
 	}
@@ -235,25 +249,26 @@ func TestDistributedRunProducesMIS(t *testing.T) {
 // TestDistributedMatchesSimulator is the strongest transport test: the
 // protocol, over TCP and in process, must reproduce the simulator's
 // execution exactly — same rounds, same per-vertex beeps, same MIS —
-// since the per-vertex randomness streams are identical. The rows cover
-// every beeping schedule on the generator families, the Science'11
-// schedule past its restart, and the jittered feedback variant, which
-// draws its per-step factors inside Observe and so diverges unless both
-// sides call Beep and Observe in the same per-node order.
+// since the per-vertex randomness streams are identical. Its groups are
+// the loopback-TCP run; every beeping schedule on the generator
+// families; the Science'11 schedule past its restart; and the jittered
+// feedback variant, which draws its per-step factors inside Observe and
+// so diverges unless both sides call Beep and Observe in the same
+// per-node order.
 func TestDistributedMatchesSimulator(t *testing.T) {
 	type simCase struct {
 		name      string
 		g         *graph.Graph
 		factory   beep.Factory
 		seed      uint64
-		tcp       bool // over loopback TCP instead of in process
-		minRounds int  // the run must take more rounds than this
+		minRounds int // the run must take more rounds than this
 	}
-	cases := []simCase{{
-		name: "tcp-gnp-25/feedback", g: graph.GNP(25, 0.4, rng.New(2)),
-		factory: mustFeedback(t, mis.FeedbackConfig{}), seed: 1234, tcp: true,
+	tcpCases := []simCase{{
+		name: "gnp-25/feedback", g: graph.GNP(25, 0.4, rng.New(2)),
+		factory: mustFeedback(t, mis.FeedbackConfig{}), seed: 1234,
 	}}
 
+	var schedules []simCase
 	src := rng.New(2)
 	gnpHalf := graph.GNP(80, 0.5, src)
 	gnpSparse := graph.GNP(150, 0.03, src)
@@ -275,7 +290,8 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			for seed := uint64(100); seed < 103; seed++ {
-				cases = append(cases, simCase{name: fam.name + "/" + algo, g: fam.g, factory: factory, seed: seed})
+				schedules = append(schedules, simCase{name: fmt.Sprintf("%s/%s/seed-%d", fam.name, algo, seed),
+					g: fam.g, factory: factory, seed: seed})
 			}
 		}
 	}
@@ -283,6 +299,7 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 	// The Science'11 schedule with one step per level restarts at
 	// 1/(D+1) after one level per probability from 1/(D+1) doubling up
 	// to 1/2; every seed's run must cross that restart.
+	var restarts []simCase
 	restartG := graph.GNP(200, 0.5, rng.New(4))
 	restart, err := mis.NewFactory(mis.Spec{Name: mis.NameAfek, Afek: mis.AfekOriginalConfig{StepsPerLevel: 1}})
 	if err != nil {
@@ -293,9 +310,11 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		cycle++
 	}
 	for seed := uint64(0); seed < 3; seed++ {
-		cases = append(cases, simCase{name: "gnp-200-half/afek-restart", g: restartG, factory: restart, seed: seed, minRounds: cycle})
+		restarts = append(restarts, simCase{name: fmt.Sprintf("gnp-200-half/seed-%d", seed),
+			g: restartG, factory: restart, seed: seed, minRounds: cycle})
 	}
 
+	var jitteredCases []simCase
 	jittered := mustFeedback(t, mis.FeedbackConfig{
 		Factor:       1.3,
 		FactorMax:    4,
@@ -310,34 +329,49 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		{"grid-6x8", graph.Grid(6, 8)},
 	} {
 		for seed := uint64(40); seed < 43; seed++ {
-			cases = append(cases, simCase{name: fam.name + "/feedback-jittered", g: fam.g, factory: jittered, seed: seed})
+			jitteredCases = append(jitteredCases, simCase{name: fmt.Sprintf("%s/seed-%d", fam.name, seed),
+				g: fam.g, factory: jittered, seed: seed})
 		}
 	}
 
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			simRes, err := sim.Run(c.g, c.factory, rng.New(c.seed), sim.Options{})
-			if err != nil {
-				t.Fatalf("seed %d sim: %v", c.seed, err)
-			}
-			if err := graph.VerifyMIS(c.g, simRes.InMIS); err != nil {
-				t.Fatalf("seed %d: %v", c.seed, err)
-			}
-			if simRes.Rounds <= c.minRounds {
-				t.Fatalf("seed %d: %d rounds, want more than %d", c.seed, simRes.Rounds, c.minRounds)
-			}
-			res := runProtocol(t, c.g, c.factory, c.seed, c.tcp)
-			if res.Rounds != simRes.Rounds || res.TotalBeeps != simRes.TotalBeeps {
-				t.Fatalf("seed %d: rounds %d, sim %d; beeps %d, sim %d",
-					c.seed, res.Rounds, simRes.Rounds, res.TotalBeeps, simRes.TotalBeeps)
-			}
-			for v := range simRes.InMIS {
-				if res.InMIS[v] != simRes.InMIS[v] {
-					t.Fatalf("seed %d: vertex %d membership differs from simulator", c.seed, v)
-				}
-				if res.Beeps[v] != simRes.Beeps[v] {
-					t.Fatalf("seed %d: vertex %d beeps %d, sim %d", c.seed, v, res.Beeps[v], simRes.Beeps[v])
-				}
+	groups := []struct {
+		name  string
+		tcp   bool // over loopback TCP instead of in process
+		cases []simCase
+	}{
+		{"tcp", true, tcpCases},
+		{"engine-equivalence", false, schedules},
+		{"afek-restart", false, restarts},
+		{"variable-factors", false, jitteredCases},
+	}
+	for _, grp := range groups {
+		t.Run(grp.name, func(t *testing.T) {
+			for _, c := range grp.cases {
+				t.Run(c.name, func(t *testing.T) {
+					simRes, err := sim.Run(c.g, c.factory, rng.New(c.seed), sim.Options{})
+					if err != nil {
+						t.Fatalf("sim: %v", err)
+					}
+					if err := graph.VerifyMIS(c.g, simRes.InMIS); err != nil {
+						t.Fatal(err)
+					}
+					if simRes.Rounds <= c.minRounds {
+						t.Fatalf("%d rounds, want more than %d", simRes.Rounds, c.minRounds)
+					}
+					res := runProtocol(t, c.g, c.factory, c.seed, grp.tcp)
+					if res.Rounds != simRes.Rounds || res.TotalBeeps != simRes.TotalBeeps {
+						t.Fatalf("rounds %d, sim %d; beeps %d, sim %d",
+							res.Rounds, simRes.Rounds, res.TotalBeeps, simRes.TotalBeeps)
+					}
+					for v := range simRes.InMIS {
+						if res.InMIS[v] != simRes.InMIS[v] {
+							t.Fatalf("vertex %d membership differs from simulator", v)
+						}
+						if res.Beeps[v] != simRes.Beeps[v] {
+							t.Fatalf("vertex %d beeps %d, sim %d", v, res.Beeps[v], simRes.Beeps[v])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -345,10 +379,16 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 
 func TestDistributedSingleVertex(t *testing.T) {
 	f := mustFeedback(t, mis.FeedbackConfig{})
-	for _, tcp := range []bool{true, false} {
-		if res := runProtocol(t, graph.Empty(1), f, 5, tcp); !res.InMIS[0] {
-			t.Fatalf("tcp=%v: lone vertex must join", tcp)
-		}
+	for _, c := range []struct {
+		name string
+		tcp  bool
+		seed uint64
+	}{{"tcp", true, 5}, {"in-process", false, 6}} {
+		t.Run(c.name, func(t *testing.T) {
+			if res := runProtocol(t, graph.Empty(1), f, c.seed, c.tcp); !res.InMIS[0] {
+				t.Fatal("lone vertex must join")
+			}
+		})
 	}
 }
 
