@@ -7,6 +7,9 @@
 //	misbench -exp fig5 -trials 20 -format plot
 //	misbench -exp all -trials 5 -maxn 300   # quick pass over everything
 //	misbench -exp fig3 -format csv -out fig3.csv
+//	misbench -exp all -format json -out base.json
+//	misbench -exp all -compare base.json -z 4
+//	                                        # every point within 4 standard errors of the baseline's
 //	misbench -exp fig3 -workers 4           # bound the trial worker pool
 //	misbench -exp fig3 -engine columnar     # pin the simulation engine
 //	misbench -exp fig3 -shards 8            # bound columnar/sparse propagation goroutines
@@ -43,6 +46,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,6 +77,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		compare   = fs.String("compare", "", "compare against a baseline JSON file: experiment results (written with -format json), or with -bench a BENCH_*.json record trajectory; drift/regression beyond -tolerance fails")
 		tol       = fs.Float64("tolerance", 0.2, "relative drift tolerance for -compare (with -bench: allowed ns_per_round slowdown per record)")
+		zScore    = fs.Float64("z", 0, "compare experiment results statistically instead: a point drifts when its means differ by more than this many standard errors, |Δmean|/√(s₁²/t₁+s₂²/t₂); points with zero std on both sides must match exactly (0 = use -tolerance)")
 		engine    = fs.String("engine", "auto", "simulation engine: auto, columnar, or sparse; the legacy scalar and bitset run sparse and columnar (results are seed-identical)")
 		workers   = fs.Int("workers", 0, "trial worker pool size (0 = all cores; results are identical for any value)")
 		shards    = fs.Int("shards", 0, "propagation goroutines per run (0 = all cores, 1 = serial; results are identical for any value)")
@@ -121,6 +126,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 	if *memBudget != 0 && !*bench {
 		return fmt.Errorf("-membudget applies to -bench workloads")
+	}
+	if !(*zScore >= 0) || *zScore != 0 && (*bench || *compare == "") {
+		return fmt.Errorf("-z takes a positive number of standard errors and applies to -compare on experiment results")
 	}
 	w := stdout
 	if *out != "" {
@@ -172,14 +180,16 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if *exp == "all" {
 		ids = experiment.IDs()
 	}
+	// A compare reports every experiment before it fails.
+	var drifted error
 	for i, id := range ids {
 		res, err := experiment.Run(id, cfg)
 		if err != nil {
 			return err
 		}
 		if *compare != "" {
-			if err := compareBaseline(w, res, *compare, *tol); err != nil {
-				return err
+			if err := compareBaseline(w, res, *compare, *tol, *zScore); err != nil {
+				drifted = errors.Join(drifted, err)
 			}
 			continue
 		}
@@ -207,24 +217,36 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			return fmt.Errorf("unknown format %q (want table, csv, json, or plot)", *format)
 		}
 	}
-	return nil
+	return drifted
 }
 
-// compareBaseline diffs res against a saved JSON baseline and errors on
-// drift beyond tolerance.
-func compareBaseline(w io.Writer, res *experiment.Result, path string, tolerance float64) error {
+// compareBaseline diffs res against the result of the same experiment
+// in a saved JSON baseline (one result, or the stream -exp all writes)
+// and errors on drift beyond tolerance or, when z > 0, beyond z standard
+// errors.
+func compareBaseline(w io.Writer, res *experiment.Result, path string, tolerance, z float64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("open baseline: %w", err)
 	}
 	defer func() { _ = f.Close() }()
-	baseline, err := experiment.ReadJSON(f)
+	all, err := experiment.ReadAllJSON(f)
 	if err != nil {
 		return err
 	}
-	findings := experiment.Compare(baseline, res, tolerance)
+	baseline := all[0]
+	for _, b := range all {
+		if b.ID == res.ID {
+			baseline = b
+			break
+		}
+	}
+	findings, within := experiment.Compare(baseline, res, tolerance), fmt.Sprintf("%.0f%%", 100*tolerance)
+	if z > 0 {
+		findings, within = experiment.CompareZ(baseline, res, z), fmt.Sprintf("z = %g", z)
+	}
 	if len(findings) == 0 {
-		fmt.Fprintf(w, "%s: matches baseline %s within %.0f%%\n", res.ID, path, 100*tolerance)
+		fmt.Fprintf(w, "%s: matches baseline %s within %s\n", res.ID, path, within)
 		return nil
 	}
 	for _, finding := range findings {

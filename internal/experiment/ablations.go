@@ -166,22 +166,24 @@ func runAblateLoss(cfg Config) (*Result, error) {
 		}
 		u := rep.Units[0]
 		roundsSeries.Points = append(roundsSeries.Points, aggPoint(loss, u.Rounds, u.Trials))
-		violSeries.Points = append(violSeries.Points, Point{X: loss, Mean: percentTrue(violated), Trials: u.Trials})
+		violSeries.Points = append(violSeries.Points, percentPoint(loss, violated))
 	}
 	res.Series = append(res.Series, roundsSeries, violSeries)
 	res.Notes = append(res.Notes, "loss on the first exchange only; join announcements reliable (see DESIGN.md)")
 	return res, nil
 }
 
-// percentTrue is the percentage of set flags.
-func percentTrue(flags []bool) float64 {
-	set := 0
-	for _, f := range flags {
+// percentPoint is the point at x of the percentage of set flags, one per
+// trial, with the sample std of the per-trial 0-or-100 values, so a
+// statistical compare can scale its differences as it scales a mean's.
+func percentPoint(x float64, flags []bool) Point {
+	values := make([]float64, len(flags))
+	for i, f := range flags {
 		if f {
-			set++
+			values[i] = 100
 		}
 	}
-	return 100 * float64(set) / float64(len(flags))
+	return Point{X: x, Mean: stats.Mean(values), Std: stats.StdDev(values), Trials: len(flags)}
 }
 
 // runAblateNoise is the fault-layer counterpart of runAblateLoss: loss
@@ -232,7 +234,7 @@ func runAblateNoise(cfg Config) (*Result, error) {
 		roundsSeries.Points = append(roundsSeries.Points, aggPoint(loss, u.Rounds, u.Trials))
 		stableSeries.Points = append(stableSeries.Points, aggPoint(loss, u.StableRounds, u.Trials))
 		violSeries.Points = append(violSeries.Points, Point{X: loss, Mean: stats.Mean(breaches), Std: stats.StdDev(breaches), Trials: u.Trials})
-		cleanSeries.Points = append(cleanSeries.Points, Point{X: loss, Mean: percentTrue(clean), Trials: u.Trials})
+		cleanSeries.Points = append(cleanSeries.Points, percentPoint(loss, clean))
 		tail := u.RoundsTail
 		res.Notes = append(res.Notes, fmt.Sprintf("loss %v: rounds p50=%.0f p95=%.0f p99=%.0f", loss, tail.P50, tail.P95, tail.P99))
 	}

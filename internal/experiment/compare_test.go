@@ -80,3 +80,41 @@ func TestCompareAgainstSelfRun(t *testing.T) {
 		t.Fatalf("identical runs differ: %v", f)
 	}
 }
+
+// TestCompareZ covers the statistical mode point by point: the standard
+// error of a difference of means scales the shift, zero spread on both
+// sides demands equality, and missing series and points are findings.
+func TestCompareZ(t *testing.T) {
+	pt := func(mean, std float64, trials int) []Series {
+		return []Series{{Name: "s", Points: []Point{{X: 100, Mean: mean, Std: std, Trials: trials}}}}
+	}
+	base := &Result{ID: "x", Series: pt(20, 4, 16)} // standard error 1 per side
+	cases := []struct {
+		name string
+		base *Result
+		cur  []Series
+		want string // substring of the one finding, "" for none
+	}{
+		{"equal points", base, pt(20, 4, 16), ""},
+		// se = √(1 + 1): a shift of 5 is z = 3.54, one of 6 is z = 4.24.
+		{"shift within z", base, pt(25, 4, 16), ""},
+		{"shifted mean", base, pt(26, 4, 16), "z = 4.24 > 4"},
+		{"spread on one side only", base, pt(23.9, 0, 16), ""},
+		{"zero std, equal", &Result{ID: "x", Series: pt(7, 0, 5)}, pt(7, 0, 5), ""},
+		{"zero std, different", &Result{ID: "x", Series: pt(7, 0, 5)}, pt(7.001, 0, 5), "zero std on both sides"},
+		{"missing point", base, []Series{{Name: "s", Points: []Point{{X: 200, Mean: 20, Std: 4, Trials: 16}}}}, "point x=100 missing"},
+		{"missing series", base, []Series{{Name: "t", Points: []Point{{X: 100, Mean: 20, Std: 4, Trials: 16}}}}, `series "s" missing`},
+		{"other experiment", &Result{ID: "y", Series: pt(20, 4, 16)}, pt(20, 4, 16), "id differs"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := CompareZ(c.base, &Result{ID: "x", Series: c.cur}, 4)
+			switch {
+			case c.want == "" && len(f) != 0:
+				t.Fatalf("findings %v, want none", f)
+			case c.want != "" && (len(f) != 1 || !strings.Contains(f[0], c.want)):
+				t.Fatalf("findings %v, want one containing %q", f, c.want)
+			}
+		})
+	}
+}

@@ -18,25 +18,25 @@ import (
 // Engines, shards and trial pools may change how they work; none of
 // them may change a byte of a table.
 var goldenExperimentDigests = map[string]string{
-	"ablate-factor": "e4dac50f0f52baf047a673c66cb2f9661bb13fe45ce0fbd0ac00f7e6d0932a42",
+	"ablate-factor": "ec89cd369f040c3870cbff40833f7db5f5fcdfb0a7d8dbb6f17daec68727fdf3",
 	"ablate-floor":  "c38b4040213093b0ce7e3cc1b07c803238f63d27a358f394e9a0517b93d3a5db",
-	"ablate-init":   "e3b4e68994bdba041dcc501999038132eebdaaceba2603f9f71477aade453201",
-	"ablate-jitter": "2d84cc93fe67ce6dc11154dc8cb6e73eae9f072d355198e63b070ed2b4c9c684",
-	"ablate-loss":   "2c780fe24f01ca706e8da800f75a9e266854d69435eb56273a938c7bc314419a",
-	"ablate-noise":  "4d60f7e2fd0efea9b596b82116ac11c7f090c36f102bdde7cf8fa8c1fce7882b",
-	"bits":          "af08d33a609fcd501f0b379ab591976814e0e010107a66d8f0c02f9f6a2338ec",
-	"families":      "f03fc50188a19030fa653eebfb028d625212d0381ef5c27fe19341ba5bfdf357",
-	"fig3":          "318ac25ef6fa5b2954c24f17e9b254603f0d6fc78340fb241ba0ce8929f39ced",
-	"fig5":          "505ee3c9004bc2d04b32befca005741ca7afd7cb4ab843bd177f6792a0c34a9e",
-	"luby":          "0082257db525a36d946b188de2c754c1422621e684d2c594224fad5c4b14dd41",
+	"ablate-init":   "25e8ffd1bbf05fe2557a2dcd2a8262e4c60e0bfd4a848528eb3d8c5eca7afc6d",
+	"ablate-jitter": "eca8222cc40b520c6327b4f2e46838cb0f9af3c485ae90252653668bdd4babc1",
+	"ablate-loss":   "d7d33a6cee0f323d11a87619b36441261cb180e8f43c59beaf7eb461a8b67c38",
+	"ablate-noise":  "d919b38af9e3c68bab51d9198592675b1a2c2fb927c0c6c891653ed15f91ffc2",
+	"bits":          "48939bc97b0cea6717f194e78cc726bb8bf42d09a59528cd6c28be7504fdb7dd",
+	"families":      "1b5768955bc27bc37181815bbe2001a7b4f47c2b4738d0287e85690f373cf1bc",
+	"fig3":          "6d1db0d45b4d8afaec0853702cbd0c6095f1785122378807936941dab90932ec",
+	"fig5":          "bd65ec8abe5c65bde0af8f8d86d1eb87bbfcce12a2d9b6c1e994e61b049c8c2e",
+	"luby":          "d638a19b454312dbe69276f6735ff2945fdbbad8c3fabad4ef75c9b0e9b1150a",
 	"thm1":          "f1d8005e96a99e276ddd45609de8e4cd76db79b67614dd93cc2cff3af79d81ae",
-	"thm6":          "ed04b12ded9d6427035f5dd6e96586d308ae3a855c5863cf80820c6b3ad2bd95",
-	"wakeup":        "d61a4f55cab52a53747532ea73a74c00bf25618871323b3f1026bd0ebbc87822",
+	"thm6":          "a67a2535c99d0c2fdf5d0ec45de9c53a022373bcccce346435a5a439029d05fe",
+	"wakeup":        "1ac97ac1c5ce35639a9b43d7212c489f7604c614f342aeaa27dbba07de5b5045",
 }
 
 // goldenAllExperimentsDigest is the SHA-256 of the whole misbench
 // output: the documents above joined by blank lines.
-const goldenAllExperimentsDigest = "76bd9e9518703727db2d134a3f758310d5ad477cec0d1880f6ebceeea5fb6a90"
+const goldenAllExperimentsDigest = "6c255a4ee941454e615c275f7fcdece555382c3624cf6682c9cec3e3e3332df4"
 
 func TestGoldenExperimentDigests(t *testing.T) {
 	var all bytes.Buffer

@@ -58,8 +58,29 @@ func (r *Result) WriteJSON(w io.Writer) error {
 // ReadJSON parses a result previously written by WriteJSON, for tooling
 // that post-processes saved runs.
 func ReadJSON(r io.Reader) (*Result, error) {
-	var in jsonResult
+	return decodeResult(json.NewDecoder(r))
+}
+
+// ReadAllJSON parses every result in a stream of WriteJSON documents,
+// such as the output of misbench -exp all -format json.
+func ReadAllJSON(r io.Reader) ([]*Result, error) {
 	dec := json.NewDecoder(r)
+	var out []*Result
+	for dec.More() {
+		res, err := decodeResult(dec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("decode result json: no result")
+	}
+	return out, nil
+}
+
+func decodeResult(dec *json.Decoder) (*Result, error) {
+	var in jsonResult
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("decode result json: %w", err)
 	}

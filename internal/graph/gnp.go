@@ -2,15 +2,18 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"beepmis/internal/rng"
 )
 
-// gnpSkipBelow is the edge probability below which GNP samples by
-// geometric skipping instead of testing every pair. It decides which
-// draws make which graph, so moving it changes every seeded G(n,p).
-const gnpSkipBelow = 0.1
+// gnpPlanesFrom is the edge probability from which GNP decides pairs 64
+// at a time by bit planes instead of skipping geometric gaps between
+// edges (BenchmarkGNPRegimes measures both sides). It decides which
+// draws make which graph, so moving it changes every seeded G(n,p)
+// between its old and new value.
+const gnpPlanesFrom = 0.1
 
 // GNP returns an Erdős–Rényi random graph G(n, p): each of the n(n-1)/2
 // possible edges is present independently with probability p. This is the
@@ -65,15 +68,15 @@ func (s *Scratch) gnp(n int, p float64, src *rng.Source) *Graph {
 }
 
 // halfRows fills s.half and s.hoff with one half of every row of
-// G(n, p), consuming src exactly as the Builder-based generator this
-// replaced did:
+// G(n, p). The draws, in their order, define the graph:
 //
-//   - p < gnpSkipBelow: Batagelj–Brandes geometric skipping walks the
+//   - p < gnpPlanesFrom: Batagelj–Brandes geometric skipping walks the
 //     pairs (u, v), v < u, in row-major order and emits row u's lower
-//     neighbours v ascending.
-//   - otherwise: one Bernoulli(p) draw per pair (u, v), v > u, in
-//     row-major order emits row u's upper neighbours ascending (p ≥ 1
-//     keeps every pair and draws nothing).
+//     neighbours v ascending (skipRows).
+//   - otherwise: one rng.BernoulliWord per 64 pairs (u, v), v > u, in
+//     row-major order, each row starting a new word, emits row u's
+//     upper neighbours ascending (planeRows). p ≥ 1 keeps every pair
+//     and draws nothing.
 func (s *Scratch) halfRows(n int, p float64, src *rng.Source) {
 	s.hoff = resize(s.hoff, n+1)
 	half := s.half[:0]
@@ -87,64 +90,71 @@ func (s *Scratch) halfRows(n int, p float64, src *rng.Source) {
 	q := min(p, 1)
 	mean := q * float64(n) * float64(n-1) / 2
 	half = slices.Grow(half, int(mean+4*math.Sqrt(mean))+n)
-
-	if p < gnpSkipBelow {
-		lq := math.Log(1 - p)
-		s.hoff[0], s.hoff[1] = 0, 0
-		u, v := 1, -1
-		for u < n {
-			r := src.Float64()
-			v += 1 + int(math.Log(1-r)/lq)
-			for v >= u && u < n {
-				v -= u
-				u++
-				s.hoff[u] = int64(len(half)) // row u-1 is complete
-			}
-			// v < 0 only after the skip overflowed int (p below ~4e-18);
-			// the replaced generator's range check dropped that edge too.
-			if u < n && v >= 0 {
-				half = append(half, int32(v))
-			}
-		}
-		s.half = half
-		return
+	if p < gnpPlanesFrom {
+		s.half = skipRows(half, s.hoff, n, p, src)
+	} else {
+		s.half = planeRows(half, s.hoff, n, p, src)
 	}
+}
 
-	all := p >= 1
+// skipRows appends the lower half rows of G(n, p) for 0 < p < 1 to half
+// and records their offsets in hoff. Each gap between consecutive edges
+// in the row-major walk is geometric: ⌊E/λ⌋ pairs for an exponential E
+// and λ = −ln(1−p), so P(gap ≥ k) = (1−p)^k. A gap outside [0, n²) is
+// set to n², past the last pair, before its int conversion, whose
+// result Go leaves to the implementation for NaN and ±Inf: a p too
+// small for 1 − p to differ from 1 gives λ = 0, every gap is infinite
+// or NaN, and the graph has no edge.
+func skipRows(half []int32, hoff []int64, n int, p float64, src *rng.Source) []int32 {
+	lambda := -rng.Log(1 - p)
+	end := float64(n) * float64(n)
+	hoff[0], hoff[1] = 0, 0
+	u, v := 1, -1
+	for u < n {
+		gap := src.ExpFloat64() / lambda
+		if !(gap >= 0 && gap < end) {
+			gap = end
+		}
+		v += 1 + int(gap)
+		for v >= u && u < n {
+			v -= u
+			u++
+			hoff[u] = int64(len(half)) // row u-1 is complete
+		}
+		if u < n {
+			half = append(half, int32(v))
+		}
+	}
+	return half
+}
+
+// planeRows appends the upper half rows of G(n, p) for p ≥ gnpPlanesFrom
+// to half and records their offsets in hoff. Row u's candidates u+1, …,
+// n−1 are decided 64 to a word by src.BernoulliWord, the last word
+// masked to the row's end, and each word's set bits are written in
+// ascending order.
+func planeRows(half []int32, hoff []int64, n int, p float64, src *rng.Source) []int32 {
 	for u := 0; u < n; u++ {
-		s.hoff[u] = int64(len(half))
+		hoff[u] = int64(len(half))
 		width := n - 1 - u
 		half = slices.Grow(half, width)
 		row := half[len(half) : len(half)+width]
-		k := width
-		if all {
-			for i := range row {
-				row[i] = int32(u + 1 + i)
+		k := 0
+		for first := 0; first < width; first += 64 {
+			lanes := ^uint64(0)
+			if rest := width - first; rest < 64 {
+				lanes = 1<<rest - 1
 			}
-		} else {
-			k = sampleRow(row, int32(u+1), p, src)
+			base := int32(u + 1 + first)
+			for word := src.BernoulliWord(p, lanes); word != 0; word &= word - 1 {
+				row[k] = base + int32(bits.TrailingZeros64(word))
+				k++
+			}
 		}
 		half = half[:len(half)+k]
 	}
-	s.hoff[n] = int64(len(half))
-	s.half = half
-}
-
-// sampleRow draws one Bernoulli(p) per candidate first, first+1, …,
-// first+len(row)-1, in order, packs the accepted ones at the front of
-// row, and returns how many were accepted. It is branch-free: every
-// candidate is written and the write index advances by the draw's
-// outcome. At p = 1/2 a branch on the draw would mispredict on every
-// other pair.
-func sampleRow(row []int32, first int32, p float64, src *rng.Source) int {
-	k := 0
-	for i := range row {
-		row[k] = first + int32(i)
-		if src.Float64() < p {
-			k++
-		}
-	}
-	return k
+	hoff[n] = int64(len(half))
+	return half
 }
 
 // mirror completes the half rows into full rows in s.off and s.cols.

@@ -90,15 +90,19 @@ func (s *Source) StreamInto(dst *Source, id uint64) {
 }
 
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**).
+// Working on a local copy of the state keeps it within the compiler's
+// inlining budget.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	s.s = [4]uint64{s0, s1, s2, s3}
 	return result
 }
 
@@ -180,18 +184,104 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1,
-// via inverse transform sampling. Used by workload generators.
-func (s *Source) ExpFloat64() float64 {
-	// 1 - Float64() is in (0, 1], so the log argument is never zero.
-	return -log(1 - s.Float64())
+// BernoulliWord returns a word whose bit i, for each bit i set in lanes,
+// is set with probability P(Float64() < p), independently, and whose
+// other bits are clear. p ≤ 0 or NaN sets no bit and p ≥ 1 every lane
+// bit; neither draws.
+//
+// It decides the lanes together, most significant bit first (Knuth &
+// Yao, "The complexity of nonuniform random number generation", 1976).
+// Float64() < p is U < T for the 53-bit integer U under Float64() and
+// T = ⌈p·2⁵³⌉. Lane i's U is read from plane words drawn one Uint64
+// each: bit i of the k-th word is U's bit 52−k. A lane is decided at the
+// first plane where its bit differs from T's, won if T's bit is the set
+// one. The draws stop once every lane is decided or T has no set bit
+// below the planes drawn, which leaves the undecided lanes at U ≥ T:
+// one plane at p = ½, about seven for 64 lanes at a p whose expansion
+// does not end.
+func (s *Source) BernoulliWord(p float64, lanes uint64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return lanes
+	}
+	x := p * (1 << 53) // exact: a power-of-two scaling
+	t := uint64(x)
+	if float64(t) < x {
+		t++
+	}
+	// The state stays in registers across the planes.
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	var won uint64
+	open := lanes
+	for rest := t << 11; open != 0 && rest != 0; rest <<= 1 {
+		w := bits.RotateLeft64(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = bits.RotateLeft64(s3, 45)
+		// tbit is all ones if T's bit on this plane is set. Then open
+		// lanes with a clear bit win and those with a set bit stay open;
+		// otherwise those with a set bit lose.
+		tbit := -(rest >> 63)
+		won |= open &^ w & tbit
+		open &^= w ^ tbit
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
+	return won
 }
 
-// log is a minimal natural logarithm for positive arguments, implemented
-// with frexp-style range reduction and an atanh series, so the package
-// avoids importing math (keeping it trivially portable) — and precise to
-// ~1e-15 relative error, far better than the simulation needs.
-func log(x float64) float64 {
+// ExpFloat64 returns an exponentially distributed float64 with rate 1.
+// It is a 256-layer ziggurat (Marsaglia & Tsang, 2000; see the tables in
+// ziggurat.go): one Uint64 picks a layer by its low 8 bits and a point
+// in it by its top 53, and is returned as is about 98% of the time. The
+// rest take a tail or wedge step through Log, so every value has the
+// same bits on every machine.
+func (s *Source) ExpFloat64() float64 {
+	u := s.Uint64()
+	i, j := u&0xff, u>>11
+	if j < zigK[i] {
+		return float64(j) * zigW[i]
+	}
+	return s.expSlow(i, j)
+}
+
+// expSlow finishes an ExpFloat64 draw that left the fast path in layer
+// i at the 53-bit point j, drawing afresh until a point is accepted.
+func (s *Source) expSlow(i, j uint64) float64 {
+	for {
+		x := float64(j) * zigW[i]
+		if j < zigK[i] {
+			return x
+		}
+		if i == 0 {
+			// Past zigR the base layer holds the tail, itself zigR plus an
+			// exponential; 1 − Float64() is in (0, 1].
+			return zigR - Log(1-s.Float64())
+		}
+		// The wedge: a uniform height y in layer i's band, accepted under
+		// the density, y < e^(−x). The product is rounded on its own so
+		// no compiler fuses it into the sum.
+		y := zigF[i] + float64(s.Float64()*(zigF[i-1]-zigF[i]))
+		if -Log(y) > x {
+			return x
+		}
+		u := s.Uint64()
+		i, j = u&0xff, u>>11
+	}
+}
+
+// Log is the natural logarithm of a positive x, with frexp-style range
+// reduction and an atanh series, precise to ~1e-15 relative error. It
+// does not use package math, whose Log is assembly on some
+// architectures only: Log gives the same bits on every machine, which
+// the draw paths of ExpFloat64 and G(n, p) rely on. It panics for
+// x ≤ 0, a caller's bug.
+func Log(x float64) float64 {
 	if x <= 0 {
 		panic("rng: log of non-positive value")
 	}
@@ -215,5 +305,8 @@ func log(x float64) float64 {
 		sum += term / float64(k)
 	}
 	const ln2 = 0.6931471805599453
-	return 2*sum + float64(e)*ln2
+	// The explicit conversion keeps e·ln2 rounded on its own, so no
+	// compiler fuses it into the sum as one multiply-add. (2·sum is
+	// exact, so fusing it would change nothing.)
+	return 2*sum + float64(float64(e)*ln2)
 }

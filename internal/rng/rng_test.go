@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -246,10 +247,10 @@ func TestExpFloat64Mean(t *testing.T) {
 
 func TestLogAgreesWithMath(t *testing.T) {
 	for _, x := range []float64{1e-9, 0.001, 0.5, 0.9999, 1, 1.0001, 2, math.E, 10, 12345.678, 1e12} {
-		got := log(x)
+		got := Log(x)
 		want := math.Log(x)
 		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("log(%v) = %v, want %v", x, got, want)
+			t.Fatalf("Log(%v) = %v, want %v", x, got, want)
 		}
 	}
 }
@@ -257,10 +258,10 @@ func TestLogAgreesWithMath(t *testing.T) {
 func TestLogPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("log(0) did not panic")
+			t.Fatal("Log(0) did not panic")
 		}
 	}()
-	log(0)
+	Log(0)
 }
 
 // Property: Intn(n) is always within range for any positive n.
@@ -309,4 +310,160 @@ func BenchmarkBernoulliExp2(b *testing.B) {
 		sink = s.BernoulliExp2(3)
 	}
 	_ = sink
+}
+
+// TestBernoulliWordLanes rebuilds every lane's 53-bit uniform U from the
+// plane words BernoulliWord draws, read from a clone of its source, and
+// checks each decision against U < T for T = ⌈p·2⁵³⌉, the bits outside
+// the lanes clear, and the number of words drawn against the early-exit
+// rule: stop once every lane differs from T on some plane, or T has no
+// set bit left. The masks include partial words, as a row's last word
+// is, and one p has bits below 2⁻⁵³, so p·2⁵³ rounds up to T.
+func TestBernoulliWordLanes(t *testing.T) {
+	const planes = 53
+	for _, p := range []float64{0.1, 0.3, 0.5, 0.9, 1 - 0x1p-53, 0.25 + 0x1p-54} {
+		T := uint64(math.Ceil(p * (1 << planes)))
+		for _, lanes := range []uint64{^uint64(0), 1, 1<<37 - 1, 1<<63 | 1, 0xf0f0} {
+			src := New(uint64(1000*p) + lanes)
+			for trial := range 300 {
+				before := *src
+				got := src.BernoulliWord(p, lanes)
+				clone := before
+				var words [planes]uint64
+				for k := range words {
+					words[k] = clone.Uint64()
+				}
+				// The draws stop once T has no set bit left, or once the
+				// last lane is decided, whichever comes first.
+				drawn := planes - bits.TrailingZeros64(T)
+				decided := 0
+				for i := range 64 {
+					if lanes>>i&1 == 0 {
+						continue
+					}
+					var u uint64
+					first := planes // the first plane where U and T differ
+					for k, w := range words {
+						b := w >> i & 1
+						u |= b << (planes - 1 - k)
+						if first == planes && b != T>>(planes-1-k)&1 {
+							first = k
+						}
+					}
+					if want := u < T; (got>>i&1 == 1) != want {
+						t.Fatalf("p=%v lanes=%#x trial %d: lane %d decided %v with U=%d, T=%d", p, lanes, trial, i, !want, u, T)
+					}
+					decided = max(decided, first+1)
+				}
+				if got&^lanes != 0 {
+					t.Fatalf("p=%v lanes=%#x trial %d: bits %#x set outside the lanes", p, lanes, trial, got&^lanes)
+				}
+				drawn = min(drawn, decided)
+				ref := before
+				for range drawn {
+					ref.Uint64()
+				}
+				if ref != *src {
+					t.Fatalf("p=%v lanes=%#x trial %d: did not draw exactly %d plane words", p, lanes, trial, drawn)
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliWordEdges pins the draws that need no plane: an empty
+// mask, p ≤ 0 or NaN, and p ≥ 1.
+func TestBernoulliWordEdges(t *testing.T) {
+	for _, tc := range []struct {
+		p           float64
+		lanes, want uint64
+	}{
+		{0.5, 0, 0},
+		{0, ^uint64(0), 0},
+		{-1, ^uint64(0), 0},
+		{math.NaN(), ^uint64(0), 0},
+		{1, 0xff, 0xff},
+		{math.Inf(1), 0xff, 0xff},
+	} {
+		src := New(1)
+		if got := src.BernoulliWord(tc.p, tc.lanes); got != tc.want {
+			t.Errorf("BernoulliWord(%v, %#x) = %#x, want %#x", tc.p, tc.lanes, got, tc.want)
+		}
+		if *src != *New(1) {
+			t.Errorf("BernoulliWord(%v, %#x) drew from its source", tc.p, tc.lanes)
+		}
+	}
+}
+
+// TestZigguratTables recomputes ExpFloat64's literal tables with package
+// math from zigR and zigV, and checks the fast-path bounds exactly
+// against the literal widths they are derived from.
+func TestZigguratTables(t *testing.T) {
+	if got := (zigR + 1) * math.Exp(-zigR); math.Abs(got-zigV) > 1e-15*zigV {
+		t.Fatalf("zigV = %v, (zigR+1)·e^(−zigR) = %v", zigV, got)
+	}
+	var x [256]float64
+	x[255] = zigR
+	for i := 255; i >= 2; i-- {
+		x[i-1] = -math.Log(zigV/x[i] + math.Exp(-x[i]))
+	}
+	// The top layer must close at x_0 = 0: its area is zigV too.
+	if top := x[1] * (1 - math.Exp(-x[1])); math.Abs(top-zigV) > 1e-12*zigV {
+		t.Fatalf("top layer area %v, want %v", top, zigV)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-14*math.Abs(want) }
+	q := zigV / math.Exp(-zigR)
+	if !near(zigW[0], q/(1<<53)) || zigF[0] != 1 {
+		t.Fatalf("base layer: zigW[0] = %v, want %v; zigF[0] = %v, want 1", zigW[0], q/(1<<53), zigF[0])
+	}
+	if want := uint64(zigR / (zigW[0] * (1 << 53)) * (1 << 53)); zigK[0] != want {
+		t.Fatalf("zigK[0] = %#x, want %#x", zigK[0], want)
+	}
+	if zigK[1] != 0 {
+		t.Fatalf("zigK[1] = %#x, want 0", zigK[1])
+	}
+	for i := 1; i < 256; i++ {
+		if !near(zigW[i], x[i]/(1<<53)) || !near(zigF[i], math.Exp(-x[i])) {
+			t.Fatalf("layer %d: zigW = %v, zigF = %v; recomputed %v, %v", i, zigW[i], zigF[i], x[i]/(1<<53), math.Exp(-x[i]))
+		}
+		if i >= 2 {
+			if want := uint64(zigW[i-1] / zigW[i] * (1 << 53)); zigK[i] != want {
+				t.Fatalf("zigK[%d] = %#x, want %#x", i, zigK[i], want)
+			}
+		}
+	}
+}
+
+// TestExpFloat64Distribution bins 10⁶ ziggurat draws, from a fixed seed,
+// by the exponential's own quantiles and checks them by χ², and checks
+// the tail past zigR, which only the base layer's slow step reaches.
+func TestExpFloat64Distribution(t *testing.T) {
+	const draws, bins = 1_000_000, 100
+	s := New(21)
+	var counts [bins]int
+	tail := 0
+	for range draws {
+		x := s.ExpFloat64()
+		if x < 0 || math.IsInf(x, 0) || math.IsNaN(x) {
+			t.Fatalf("ExpFloat64() = %v", x)
+		}
+		// Bin b holds the quantiles [b/bins, (b+1)/bins).
+		counts[min(int((1-math.Exp(-x))*bins), bins-1)]++
+		if x > zigR {
+			tail++
+		}
+	}
+	chi2 := 0.0
+	for _, c := range counts {
+		d := float64(c) - draws/bins
+		chi2 += d * d / (draws / bins)
+	}
+	// df = 99: mean 99, sd 14; 99 + 5 sd.
+	if chi2 > 99+5*14 {
+		t.Errorf("χ² = %.1f over %d quantile bins, want ≤ 169", chi2, bins)
+	}
+	want := draws * math.Exp(-zigR)
+	if z := (float64(tail) - want) / math.Sqrt(want); math.Abs(z) > 4 {
+		t.Errorf("%d draws past zigR, want %.0f (z = %.2f)", tail, want, z)
+	}
 }

@@ -25,15 +25,15 @@ import (
 var goldenReportDigests = map[string]string{
 	"crash-wake.json":       "2bb43b2168fbf7976a8c8fd215bb9a51a1d885c5b989417eefd342cf6dd569b9",
 	"file-ingest.json":      "4fa4f753666d71b05d1d01efcbd54092c9d56978042eeef547d76fabcdbc4cd9",
-	"large-sparse.json":     "7eeefa23b3ff7dfa7f381fc1ded6cd70dbbe70ec87f10efe4eb380b885fb7740",
-	"load-tiny.json":        "19f79af899cc5fbc92c054ed3f2437d613bd3d688faf28e833aa8c4fc0ee94ad",
+	"large-sparse.json":     "7c488f8c8c761d6ae391d1bb41fd2793674f5d9341f038f3745db9bef57690e4",
+	"load-tiny.json":        "d963a53c58bc781bdf1d957c0d56447a6764bab2cb5d60aadfe1f9416ded6a43",
 	"noisy-async.json":      "20b7d6341a4ba3356c006b4fb83bd5ef4bf6081d97a313fd496fedb1604d62ca",
-	"paper/fig3.json":       "c770899ee12569a3dabdded10500caaa26a68b07d805d227dcc7ef5dea798709",
-	"paper/fig5.json":       "681042b0905a4ecb2aed709bcbfdc5c542e0d21cfbdb60d87f725b284a2af243",
+	"paper/fig3.json":       "569a6bfe11517c5bf6d367a8df9b61e1ac0bcc219ca6a2ab2ac72b7042d41f31",
+	"paper/fig5.json":       "c99dd8a3d66a12bd07ee83e69877f026118bea9cee3d7f11a41dce38c162e708",
 	"paper/thm1.json":       "96d14a2f36ec02ea3559b179859675ab1c42ed15a5fd9b3f41ccc079177672c8",
-	"quickstart.json":       "8958a8f8b9763ffb2b54c8993b1cc07ba680cf86ad93acead1a974417a7b93a3",
+	"quickstart.json":       "e23b4e1fa859425c458bc6cb7388723d094fdeb80177d8a4b1b63950979ab50c",
 	"rmat-sparse.json":      "227b008d09f02689d056ad61ec8084efc8cbfd347d5f7c8f032d7aa0a0e70e26",
-	"sweep-algorithms.json": "e4c95a0c129e7290321aecf2b7e318e24bb38444879a92f899e9e13722e5a0da",
+	"sweep-algorithms.json": "4f1e975f0be3639bf69ede59e99cd00692ca2ac1813ba8204c618ac5c4f5f5ff",
 }
 
 // goldenLargeScenarios are the committed specs too slow for -short.
@@ -54,28 +54,28 @@ var goldenInlineSpecs = []struct {
 }{
 	{"sparse-auto",
 		`{"graph":{"family":"gnp","n":3000,"p":0.002},"algorithm":"feedback","trials":4,"seed":5}`,
-		"43440f57c0d8443f9f88d0d446c594f5198dcc7115f6db702884f04acab40484"},
+		"a8806672512bf36a62b4e409f41e3ae04bc8e6920768a4cb5b6f106099164592"},
 	{"sparse-scalar",
 		`{"graph":{"family":"gnp","n":3000,"p":0.002},"algorithm":"feedback","trials":4,"seed":5,"engine":"scalar"}`,
-		"43440f57c0d8443f9f88d0d446c594f5198dcc7115f6db702884f04acab40484"},
+		"a8806672512bf36a62b4e409f41e3ae04bc8e6920768a4cb5b6f106099164592"},
 	{"fixed-dense-auto",
 		`{"graph":{"family":"gnp","n":300,"p":0.5},"algorithm":"fixed","fixed_p":0.02,"trials":4,"seed":5}`,
-		"dec4d9aadf4a434e068a539142cd8248939f47db08ca5e15eea792182f17abbe"},
+		"09ce051a4b366f9bc326b81d3823631da57d37334008189fef911780e0624194"},
 	{"fixed-dense-bitset",
 		`{"graph":{"family":"gnp","n":300,"p":0.5},"algorithm":"fixed","fixed_p":0.02,"trials":4,"seed":5,"engine":"bitset"}`,
-		"dec4d9aadf4a434e068a539142cd8248939f47db08ca5e15eea792182f17abbe"},
+		"09ce051a4b366f9bc326b81d3823631da57d37334008189fef911780e0624194"},
 	{"sparse-bitset",
 		`{"graph":{"family":"gnp","n":3000,"p":0.002},"algorithm":"feedback","trials":4,"seed":5,"engine":"bitset"}`,
-		"43440f57c0d8443f9f88d0d446c594f5198dcc7115f6db702884f04acab40484"},
+		"a8806672512bf36a62b4e409f41e3ae04bc8e6920768a4cb5b6f106099164592"},
 	{"fixed-dense-scalar",
 		`{"graph":{"family":"gnp","n":300,"p":0.5},"algorithm":"fixed","fixed_p":0.02,"trials":4,"seed":5,"engine":"scalar"}`,
-		"dec4d9aadf4a434e068a539142cd8248939f47db08ca5e15eea792182f17abbe"},
+		"09ce051a4b366f9bc326b81d3823631da57d37334008189fef911780e0624194"},
 	{"crash-wake-sparse",
 		`{"graph":{"family":"gnp","n":3000,"p":0.002},"algorithm":"feedback","trials":3,"seed":9,"wake_window":10,"crash_at_round":{"2":[1,2,3],"4":[100]}}`,
-		"1b6edb176d77a21b5cb5665fae0216c1e5e2517d08c7a110e4e80b314dc66758"},
+		"70a250d519c142ce4790757a652dad177ca5e80ae8e0d9d38d61259418b3e693"},
 	{"beep-loss",
 		`{"graph":{"family":"gnp","n":200,"p":0.1},"algorithm":"feedback","trials":4,"seed":3,"beep_loss":0.05}`,
-		"8ce83b91093a68692dff13086a41698e40aaad5ea1c1cce0e5d8df676b417570"},
+		"2c52f74856bdff07ebcd9da4eeb9c2fa782f262cd0fc16e84e8c7f61b56a5a13"},
 	{"complete",
 		`{"graph":{"family":"complete","n":60},"algorithm":"feedback","trials":3,"seed":11}`,
 		"9d577559a1544513b3b74e4bdb6ea5a5914984d88dd000cc84e962143ed3c42a"},
@@ -117,7 +117,7 @@ var goldenInlineSpecs = []struct {
 		"c177153c8da13aeb83f7a3ac8add0553c46bd4f9f17e41982521b304ff675790"},
 	{"feedback-factor-max",
 		`{"graph":{"family":"gnp","n":200,"p":0.3},"algorithm":"feedback","feedback":{"factor":1.5,"factor_max":3},"trials":3,"seed":24}`,
-		"1fbe81f973bbd4ccb9d3f9b6d9c7091ce52602c098350d674d374f970c6911b3"},
+		"36184bb02cdd73ec3efe2960d1891fef234d70bda5addc5c0486e771989fe378"},
 	{"feedback-initial-p-by-id",
 		`{"graph":{"family":"grid","rows":12,"cols":12},"algorithm":"feedback","feedback":{"initial_p_by_id":[0.5,0.25,0.125]},"trials":3,"seed":25,"faults":{"outages":[{"node":5,"from":2,"for":3,"reset":true}]}}`,
 		"4a12ccc1d7cf8abe910099f6d671000ef6f830abbac52da9f939f4e6302618bb"},

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"beepmis/internal/graph"
+	"beepmis/internal/sim"
 )
 
 func mustParse(t *testing.T, doc string) *Spec {
@@ -614,5 +617,27 @@ func TestAfekSweepSeedTerminates(t *testing.T) {
 	}
 	if u := rep.Units[8]; u.Algorithm != "afek" || u.N != 100 || !u.Verified {
 		t.Fatalf("unit 8 = %s n=%d verified=%v, want a verified afek n=100 unit", u.Algorithm, u.N, u.Verified)
+	}
+}
+
+// TestGNPTinyPSpec runs a G(n, p) spec whose p is too small for 1 − p to
+// differ from 1. Admission prices it at about zero expected edges, so it
+// compiles; the sampler then has to build it with no edge at all, where
+// the old skip loop's overflowed gaps made about every second of its
+// 5·10⁹ pairs an edge.
+func TestGNPTinyPSpec(t *testing.T) {
+	c, err := ParseCompiledBytes([]byte(`{"graph":{"family":"gnp","n":100000,"p":1e-300},"algorithm":"feedback","trials":1,"seed":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := -1
+	rep, err := Run(context.Background(), c, RunOptions{Workers: 1, OnTrial: func(_, _ int, g *graph.Graph, _ *sim.Result, _ int) {
+		edges = g.M()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := rep.Units[0]; edges != 0 || u.N != 100000 || !u.Verified {
+		t.Fatalf("G(100000, 1e-300): m=%d, unit n=%d verified=%v; want m=0 on a verified 100000-node unit", edges, u.N, u.Verified)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,6 +156,7 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 	}
 	active := n
 	beeped := make([]bool, n)
+	heard := make([]bool, n)
 	joined := make([]bool, n)
 	neighborJoined := make([]bool, n)
 
@@ -200,29 +202,38 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		if err := gatherBool(TypeBeep, beeped); err != nil {
 			return nil, fmt.Errorf("round %d beeps: %w", round, err)
 		}
+		// Only an active vertex beeps. A bit the protocol forbids is a
+		// faulty or hostile node, and taking it could certify a set
+		// that is not independent.
 		for v, b := range beeped {
+			if b && states[v] != beep.StateActive {
+				return nil, fmt.Errorf("%w: round %d: vertex %d beeped while %v", ErrBadFrame, round, v, states[v])
+			}
 			if b {
 				res.Beeps[v]++
 				res.TotalBeeps++
 			}
 		}
+		for v := range heard {
+			heard[v] = slices.ContainsFunc(c.g.Neighbors(v), func(w int32) bool { return beeped[w] })
+		}
 		if err := broadcast(func(v int) Frame {
-			heard := false
-			for _, w := range c.g.Neighbors(v) {
-				if beeped[w] {
-					heard = true
-					break
-				}
-			}
-			return Frame{Type: TypeHeard, Payload: boolByte(heard)}
+			return Frame{Type: TypeHeard, Payload: boolByte(heard[v])}
 		}); err != nil {
 			return nil, fmt.Errorf("round %d heard: %w", round, err)
 		}
-		// Second exchange. The coordinator settles the step once, before
-		// announcing it: every vertex's neighbour-joined bit, and the
-		// transitions of the active ones.
+		// Second exchange. Only an active vertex that beeped and heard
+		// nothing joins; a beep already implies an active vertex. The
+		// coordinator then settles the step once, before announcing it:
+		// every vertex's neighbour-joined bit, and the transitions of the
+		// active ones.
 		if err := gatherBool(TypeJoin, joined); err != nil {
 			return nil, fmt.Errorf("round %d joins: %w", round, err)
+		}
+		for v, j := range joined {
+			if j && (!beeped[v] || heard[v]) {
+				return nil, fmt.Errorf("%w: round %d: vertex %d joined while %v, beeped %v, heard %v", ErrBadFrame, round, v, states[v], beeped[v], heard[v])
+			}
 		}
 		for v, st := range states {
 			nj := false

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -555,6 +556,101 @@ func TestNodeRejectsInconsistentOutcome(t *testing.T) {
 			}
 			if got.res.State != c.want {
 				t.Fatalf("state %v, want %v", got.res.State, c.want)
+			}
+		})
+	}
+}
+
+// step is one round of a scripted vertex: the beep and join bits it
+// sends, whatever the protocol allows.
+type step struct{ beep, join bool }
+
+// serveScripted serves a Coordinator for g over pipes whose other ends
+// are scripted vertices: vertex v hellos, then sends script[v][r]'s bits
+// in round r, reading every frame the coordinator sends, until its
+// script or the connection ends. It returns what Serve returns, once
+// every scripted vertex has stopped.
+func serveScripted(g *graph.Graph, script [][]step) (*CoordinatorResult, error) {
+	ln := &pipeListener{conns: make([]net.Conn, g.N())}
+	var wg sync.WaitGroup
+	for v := range ln.conns {
+		coordEnd, nodeEnd := net.Pipe()
+		ln.conns[v] = coordEnd
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { _ = nodeEnd.Close() }()
+			fc := NewConn(nodeEnd)
+			if fc.Send(Frame{Type: TypeHello, Payload: u32Payload(uint32(v))}) != nil {
+				return
+			}
+			if _, err := fc.Expect(TypeWelcome); err != nil {
+				return
+			}
+			for _, st := range script[v] {
+				if _, err := fc.Expect(TypeRound); err != nil {
+					return
+				}
+				if fc.Send(Frame{Type: TypeBeep, Payload: boolByte(st.beep)}) != nil {
+					return
+				}
+				if _, err := fc.Expect(TypeHeard); err != nil {
+					return
+				}
+				if fc.Send(Frame{Type: TypeJoin, Payload: boolByte(st.join)}) != nil {
+					return
+				}
+				if _, err := fc.Expect(TypeOutcome); err != nil {
+					return
+				}
+			}
+			_, _ = fc.Expect(TypeStop)
+		}()
+	}
+	res, err := (&Coordinator{g: g, ln: ln}).Serve(CoordinatorOptions{IOTimeout: 10 * time.Second})
+	for _, conn := range ln.conns {
+		_ = conn.Close()
+	}
+	wg.Wait()
+	return res, err
+}
+
+// TestCoordinatorRejectsForbiddenBits plays scripted vertices to a
+// Coordinator over pipes. Only an active vertex may beep, and only an
+// active vertex that beeped and heard nothing may join: any other bit
+// fails the run with ErrBadFrame naming the round and the vertex,
+// instead of a result such as two adjacent members of the set.
+func TestCoordinatorRejectsForbiddenBits(t *testing.T) {
+	silent, joins := step{false, false}, step{true, true}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		script  [][]step
+		wantErr string // "" for a run that succeeds
+		inMIS   []bool
+	}{
+		{"allowed bits", graph.Path(2), [][]step{{joins}, {silent}}, "", []bool{true, false}},
+		{"join without a beep", graph.Path(2), [][]step{{joins}, {{false, true}}}, "round 1: vertex 1", nil},
+		{"join after hearing a beep", graph.Path(2), [][]step{{{true, false}}, {joins}}, "round 1: vertex 1", nil},
+		// Round 1 dominates vertex 1 and leaves vertex 2 active.
+		{"join while dominated", graph.Path(3), [][]step{{joins, silent}, {silent, {false, true}}, {silent, silent}}, "round 2: vertex 1", nil},
+		{"beep while dominated", graph.Path(3), [][]step{{joins, silent}, {silent, {true, false}}, {silent, silent}}, "round 2: vertex 1", nil},
+		{"beep while in the set", graph.Path(3), [][]step{{joins, {true, false}}, {silent, silent}, {silent, silent}}, "round 2: vertex 0", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := serveScripted(c.g, c.script)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.InMIS, c.inMIS) {
+					t.Fatalf("InMIS %v, want %v", res.InMIS, c.inMIS)
+				}
+				return
+			}
+			if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Serve = %v, %v; want an ErrBadFrame naming %q", res, err, c.wantErr)
 			}
 		})
 	}
