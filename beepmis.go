@@ -332,11 +332,11 @@ func WithMetrics(m *EngineMetrics) Option {
 
 // WithConcurrentEngine runs beeping algorithms as message passing
 // instead of on the sequential simulator: the TCP deployment's
-// coordinator and one node loop per vertex, in this process, over
-// in-memory connections. Results are identical for a given seed; the
-// path exists to demonstrate (and test) the algorithms as real
-// message-passing processes, not for speed: it is orders of magnitude
-// slower than the simulator.
+// coordinator and one node loop per GOMAXPROCS, each stepping a
+// contiguous vertex set, in this process, over in-memory connections.
+// Results are identical for a given seed; the path exists to demonstrate
+// (and test) the algorithms as real message-passing processes, not for
+// speed: it is about an order of magnitude slower than the simulator.
 func WithConcurrentEngine() Option {
 	return func(o *solveOptions) { o.concurrent = true }
 }

@@ -1,7 +1,8 @@
 // Command misnode runs the beeping MIS protocol as a real distributed
 // system over TCP: one coordinator process (which knows the topology and
 // relays "heard a beep" bits, standing in for the shared radio medium)
-// and one or more node processes, each hosting one or more vertices.
+// and one or more node processes, each hosting a set of vertices over
+// one connection.
 //
 // Usage:
 //
@@ -32,7 +33,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
@@ -119,36 +119,15 @@ func runNodes(stdout io.Writer, addr string, ids []int, seed uint64, algo string
 	if err != nil {
 		return err
 	}
-	master := rng.New(seed)
-	var wg sync.WaitGroup
-	errs := make([]error, len(ids))
-	results := make([]*transport.NodeResult, len(ids))
+	res, err := transport.RunNode(addr, ids, factory, rng.New(seed), transport.NodeOptions{})
+	if err != nil {
+		return err
+	}
 	for i, v := range ids {
-		i, v := i, v
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := transport.RunNode(addr, v, factory, master.Stream(uint64(v)), transport.NodeOptions{})
-			results[i] = res
-			errs[i] = err
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("vertex %d: %w", ids[i], err)
-		}
-	}
-	for i, res := range results {
-		fmt.Fprintf(stdout, "vertex %d: state=%s beeps=%d rounds=%d\n", ids[i], res.State, res.Beeps, res.Rounds)
+		fmt.Fprintf(stdout, "vertex %d: state=%s beeps=%d rounds=%d\n", v, res.States[i], res.Beeps[i], res.Rounds)
 	}
 	return nil
 }
-
-// maxVerticesPerProcess bounds one process's goroutine fan-out; larger
-// deployments should split across processes (that is the point of the
-// tool).
-const maxVerticesPerProcess = 1 << 16
 
 // parseVertices expands the -vertices flag into the sorted vertex ids
 // this process hosts. It accepts a comma-separated list of single ids
@@ -174,8 +153,8 @@ func parseVertices(s string) ([]int, error) {
 		}
 		// Bound before expanding: a typo like 0-2000000000 must print
 		// this error, not allocate gigabytes trying to.
-		if len(ids)+(hi-lo+1) > maxVerticesPerProcess {
-			return nil, fmt.Errorf("-vertices %q expands to more than %d vertices; split across node processes", s, maxVerticesPerProcess)
+		if len(ids)+(hi-lo+1) > transport.MaxClaim {
+			return nil, fmt.Errorf("-vertices %q expands to more than %d vertices; split across node processes", s, transport.MaxClaim)
 		}
 		for v := lo; v <= hi; v++ {
 			if prev, dup := seen[v]; dup {

@@ -1,6 +1,7 @@
 // Distributed: the beeping MIS protocol as real networked processes —
-// a TCP coordinator (standing in for the shared radio medium) plus one
-// client per vertex, all inside this process for a self-contained demo.
+// a TCP coordinator (standing in for the shared radio medium) plus two
+// node clients, one hosting the even vertices and one the odd, each over
+// its own connection, all inside this process for a self-contained demo.
 // The same binary roles are available as separate OS processes via
 // cmd/misnode.
 //
@@ -48,18 +49,16 @@ func run() error {
 	master := rng.New(seed)
 
 	var wg sync.WaitGroup
-	nodeErrs := make([]error, g.N())
-	beeps := make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
+	nodeErrs := make([]error, 2)
+	for parity := range 2 {
+		var vertices []int
+		for v := parity; v < g.N(); v += 2 {
+			vertices = append(vertices, v)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := transport.RunNode(coord.Addr(), v, factory, master.Stream(uint64(v)), transport.NodeOptions{})
-			nodeErrs[v] = err
-			if err == nil {
-				beeps[v] = res.Beeps
-			}
+			_, nodeErrs[parity] = transport.RunNode(coord.Addr(), vertices, factory, master, transport.NodeOptions{})
 		}()
 	}
 	coordRes, err := coord.Serve(transport.CoordinatorOptions{})
@@ -67,27 +66,23 @@ func run() error {
 		return fmt.Errorf("coordinator: %w", err)
 	}
 	wg.Wait()
-	for v, err := range nodeErrs {
+	for parity, err := range nodeErrs {
 		if err != nil {
-			return fmt.Errorf("vertex %d: %w", v, err)
+			return fmt.Errorf("node %d: %w", parity, err)
 		}
 	}
 	if err := graph.VerifyMIS(g, coordRes.InMIS); err != nil {
 		return fmt.Errorf("distributed MIS invalid: %w", err)
 	}
-	totalBeeps := 0
-	for _, b := range beeps {
-		totalBeeps += b
-	}
 	fmt.Printf("TCP run: %d rounds, MIS size %d, %d total beeps — verified ✓\n",
-		coordRes.Rounds, len(graph.SetToList(coordRes.InMIS)), totalBeeps)
+		coordRes.Rounds, len(graph.SetToList(coordRes.InMIS)), coordRes.TotalBeeps)
 
 	// Replay in the simulator from the same seed.
 	simRes, err := sim.Run(g, factory, rng.New(seed), sim.Options{})
 	if err != nil {
 		return err
 	}
-	match := simRes.Rounds == coordRes.Rounds && simRes.TotalBeeps == totalBeeps
+	match := simRes.Rounds == coordRes.Rounds && simRes.TotalBeeps == coordRes.TotalBeeps
 	for v := range simRes.InMIS {
 		match = match && simRes.InMIS[v] == coordRes.InMIS[v]
 	}

@@ -112,8 +112,6 @@ type NodeInfo struct {
 	ID int
 	// N is the number of nodes in the network.
 	N int
-	// Degree is the node's own degree.
-	Degree int
 	// MaxDegree is the maximum degree of the network.
 	MaxDegree int
 }

@@ -201,7 +201,7 @@ func unitDiskFromPoints(xs, ys []float64, r float64) *Graph {
 						continue
 					}
 					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
-					if ddx*ddx+ddy*ddy <= r2 {
+					if float64(ddx*ddx)+float64(ddy*ddy) <= r2 {
 						_ = b.AddEdge(i, j)
 					}
 				}

@@ -51,7 +51,7 @@ func driveKernelAndAutomata(t testing.TB, spec Spec, n, rounds int, seed uint64,
 	autoStreams := make([]*rng.Source, n)
 	kernelStreams := make([]rng.Source, n)
 	for v := 0; v < n; v++ {
-		autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: degrees[v], MaxDegree: maxDeg})
+		autos[v] = factory(beep.NodeInfo{ID: v, N: n, MaxDegree: maxDeg})
 		// Two independent copies of the same per-node stream: the
 		// kernel must consume exactly what the automaton consumes.
 		autoStreams[v] = rng.New(seed).Stream(uint64(v))
@@ -161,7 +161,7 @@ func TestBulkKernelsOnGraphs(t *testing.T) {
 			autoStreams := make([]*rng.Source, n)
 			kernelStreams := make([]rng.Source, n)
 			for v := 0; v < n; v++ {
-				autos[v] = factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: maxDeg})
+				autos[v] = factory(beep.NodeInfo{ID: v, N: n, MaxDegree: maxDeg})
 				autoStreams[v] = rng.New(gseed).Stream(uint64(v))
 				rng.New(gseed).StreamInto(&kernelStreams[v], uint64(v))
 			}
@@ -258,7 +258,7 @@ func TestBulkKernelsResetMatchFreshAutomata(t *testing.T) {
 		isReset := make(map[int]bool, len(resetNodes))
 		for _, v := range resetNodes {
 			isReset[v] = true
-			fresh := factory(beep.NodeInfo{ID: v, N: n, Degree: degrees[v], MaxDegree: maxDeg})
+			fresh := factory(beep.NodeInfo{ID: v, N: n, MaxDegree: maxDeg})
 			if want := fresh.(beep.ProbabilityReporter).BeepProbability(); after[v] != want {
 				t.Fatalf("%s: reset node %d reports p=%v, fresh automaton %v", spec.Name, v, after[v], want)
 			}

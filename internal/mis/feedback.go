@@ -124,7 +124,7 @@ func (f *feedbackNode) Beep(r *rng.Source) bool {
 func (f *feedbackNode) Observe(o beep.Outcome) {
 	factor := f.cfg.Factor
 	if f.cfg.FactorMax > factor && f.src != nil {
-		factor += (f.cfg.FactorMax - factor) * f.src.Float64()
+		factor += float64((f.cfg.FactorMax - factor) * f.src.Float64())
 	}
 	if o.Heard {
 		f.p /= factor

@@ -14,7 +14,7 @@ func mustFeedback(t *testing.T, cfg FeedbackConfig) beep.Automaton {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f(beep.NodeInfo{ID: 0, N: 10, Degree: 3, MaxDegree: 5})
+	return f(beep.NodeInfo{ID: 0, N: 10, MaxDegree: 5})
 }
 
 func probOf(t *testing.T, a beep.Automaton) float64 {

@@ -28,7 +28,7 @@ func referenceRun(g *graph.Graph, factory beep.Factory, master *rng.Source, opts
 	wake := opts.WakeAt
 	maxDeg := g.MaxDegree()
 	build := func(v int) beep.Automaton {
-		return factory(beep.NodeInfo{ID: v, N: n, Degree: g.Degree(v), MaxDegree: maxDeg})
+		return factory(beep.NodeInfo{ID: v, N: n, MaxDegree: maxDeg})
 	}
 	autos := make([]beep.Automaton, n)
 	streams := make([]*rng.Source, n)

@@ -264,7 +264,7 @@ func prepare(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Opti
 	}
 	bulk := opts.Bulk
 	if bulk == nil {
-		bulk = perNodeBulkFactory(factory, g)
+		bulk = perNodeBulkFactory(factory)
 	}
 	return &preparedRun{g: g, master: master, opts: opts, engine: engine, maxRounds: maxRounds, bulk: bulk, loss: loss, plan: newFaultPlan(fs)}, nil
 }

@@ -41,20 +41,18 @@ var (
 // each automaton directly: BeepRange visits active nodes in increasing
 // id order drawing from each node's own stream, and ObserveRange
 // delivers exactly the per-node Outcome (an observed node never has a
-// joining neighbour — the engine owns the join rule). Each automaton is
-// built with its node's degree read from g.
+// joining neighbour — the engine owns the join rule).
 type perNodeBulk struct {
 	autos   []beep.Automaton
 	factory beep.Factory
-	g       *graph.Graph
 	net     beep.NetworkInfo
 }
 
-// perNodeBulkFactory wraps a per-node factory as a bulk factory over g,
+// perNodeBulkFactory wraps a per-node factory as a bulk factory,
 // constructing each automaton with its node's NodeInfo.
-func perNodeBulkFactory(factory beep.Factory, g *graph.Graph) beep.BulkFactory {
+func perNodeBulkFactory(factory beep.Factory) beep.BulkFactory {
 	return func(net beep.NetworkInfo) beep.BulkAutomaton {
-		b := &perNodeBulk{autos: make([]beep.Automaton, net.N), factory: factory, g: g, net: net}
+		b := &perNodeBulk{autos: make([]beep.Automaton, net.N), factory: factory, net: net}
 		for v := range b.autos {
 			b.autos[v] = b.build(v)
 		}
@@ -63,7 +61,7 @@ func perNodeBulkFactory(factory beep.Factory, g *graph.Graph) beep.BulkFactory {
 }
 
 func (b *perNodeBulk) build(v int) beep.Automaton {
-	return b.factory(beep.NodeInfo{ID: v, N: b.net.N, Degree: b.g.Degree(v), MaxDegree: b.net.MaxDegree})
+	return b.factory(beep.NodeInfo{ID: v, N: b.net.N, MaxDegree: b.net.MaxDegree})
 }
 
 // ResetNodes implements beep.BulkResetter by rebuilding each node's

@@ -1,11 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
-	"slices"
-	"sync"
 	"time"
 
 	"beepmis/internal/beep"
@@ -31,8 +31,8 @@ type CoordinatorOptions struct {
 	// MaxRounds caps the number of time steps; 0 means no cap beyond
 	// 2^20.
 	MaxRounds int
-	// IOTimeout bounds each round's network operations, all five
-	// exchanges together, and each connection's handshake; 0 means
+	// IOTimeout bounds each round's network operations, all four
+	// frames together, and each connection's handshake; 0 means
 	// DefaultIOTimeout.
 	IOTimeout time.Duration
 }
@@ -50,8 +50,9 @@ type CoordinatorResult struct {
 	TotalBeeps int
 }
 
-// Coordinator accepts one connection per vertex of its graph and drives
-// the synchronous beeping rounds over the network.
+// Coordinator accepts one connection per node process, each claiming a
+// set of its graph's vertices, and drives the synchronous beeping rounds
+// over the network.
 type Coordinator struct {
 	g  *graph.Graph
 	ln net.Listener
@@ -73,14 +74,16 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // Close releases the listener.
 func (c *Coordinator) Close() error { return c.ln.Close() }
 
-// vertexConn is a connected, vertex-claimed peer.
-type vertexConn struct {
-	conn net.Conn
-	fc   *Conn
+// peer is a connected node process and the vertices its hello claimed,
+// in claim order.
+type peer struct {
+	conn  net.Conn
+	fc    *Conn
+	claim []int
 }
 
-// Serve accepts g.N() vertex connections, runs the protocol to
-// completion, and returns the MIS. It must be called once.
+// Serve accepts connections until every vertex of g is claimed, runs the
+// protocol to completion, and returns the MIS. It must be called once.
 func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error) {
 	timeout := opts.IOTimeout
 	if timeout <= 0 {
@@ -91,24 +94,21 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 		maxRounds = 1 << 20
 	}
 	n := c.g.N()
-	conns := make([]*vertexConn, n)
+	var peers []*peer
 	defer func() {
-		for _, vc := range conns {
-			if vc != nil {
-				_ = vc.conn.Close()
-			}
+		for _, p := range peers {
+			_ = p.conn.Close()
 		}
 	}()
-
-	// Every welcome carries the max degree, an O(n) scan: find it once.
-	maxDeg := c.g.MaxDegree()
+	welcome := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(n)), uint32(c.g.MaxDegree()))
 
 	// Accept and handshake until every vertex is claimed. Connections
-	// that fail before a well-formed hello (port scanners, health
-	// probes, dropped dials) are tolerated and simply closed; protocol
-	// violations after a valid hello — duplicate or out-of-range vertex
-	// claims — indicate misconfiguration and abort the run.
-	for claimed := 0; claimed < n; {
+	// that fail before a hello (port scanners, health probes, dropped
+	// dials) are tolerated and simply closed; a hello whose claim is
+	// malformed, out of range or overlaps another indicates
+	// misconfiguration and aborts the run.
+	claimed := graph.NewBitset(n)
+	for left := n; left > 0; {
 		raw, err := c.ln.Accept()
 		if err != nil {
 			return nil, fmt.Errorf("coordinator accept: %w", err)
@@ -120,169 +120,152 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 			_ = raw.Close()
 			continue
 		}
-		ids, err := payloadU32s(hello, 1)
+		claim, err := readClaim(hello.Payload, n, claimed)
+		if err == nil {
+			err = fc.Send(Frame{Type: TypeWelcome, Payload: welcome})
+		}
 		if err != nil {
-			_ = raw.Close()
-			continue
-		}
-		id := int(ids[0])
-		if id < 0 || id >= n {
-			err := fmt.Errorf("%w: hello for vertex %d with n=%d", graph.ErrVertexRange, id, n)
 			_ = fc.Send(Frame{Type: TypeReject, Payload: []byte(err.Error())})
 			_ = raw.Close()
-			return nil, err
+			return nil, fmt.Errorf("handshake: %w", err)
 		}
-		if conns[id] != nil {
-			// Two node processes whose -vertices ranges overlap land
-			// here; tell the second one why before aborting the run.
-			err := fmt.Errorf("%w: vertex %d (another node process already hosts it — check -vertices ranges for overlap)", ErrVertexClaimed, id)
-			_ = fc.Send(Frame{Type: TypeReject, Payload: []byte(err.Error())})
-			_ = raw.Close()
-			return nil, err
-		}
-		welcome := u32Payload(uint32(n), uint32(c.g.Degree(id)), uint32(maxDeg))
-		if err := fc.Send(Frame{Type: TypeWelcome, Payload: welcome}); err != nil {
-			_ = raw.Close()
-			return nil, fmt.Errorf("handshake welcome: %w", err)
-		}
-		conns[id] = &vertexConn{conn: raw, fc: fc}
-		claimed++
+		peers = append(peers, &peer{conn: raw, fc: fc, claim: claim})
+		left -= len(claim)
 	}
 
 	res := &CoordinatorResult{InMIS: make([]bool, n), Beeps: make([]int, n)}
-	states := make([]beep.State, n)
-	for v := range states {
-		states[v] = beep.StateActive
+	active, inSet := graph.NewBitset(n), graph.NewBitset(n)
+	active.Fill(n)
+	beeped, heard, joined, neighborJoined := graph.NewBitset(n), graph.NewBitset(n), graph.NewBitset(n), graph.NewBitset(n)
+	silent := graph.NewBitset(n) // beeped and heard nothing: may join
+	// exchange sets dst, at least at the vertices of active, to those
+	// with a neighbour in emitters: the simulator's exchange, on one
+	// shard.
+	exchange := func(dst, emitters graph.Bitset) {
+		c.g.ExchangeRange(c.g.PlanExchange(active, emitters, 1), dst, active, emitters, 0, len(dst))
 	}
-	active := n
-	beeped := make([]bool, n)
-	heard := make([]bool, n)
-	joined := make([]bool, n)
-	neighborJoined := make([]bool, n)
-
-	// broadcast sends a frame to every vertex concurrently; gather reads
-	// one expected frame from every vertex concurrently. Concurrency
-	// matters here: with sequential I/O a slow peer would serialise the
-	// whole round.
-	broadcast := func(mk func(v int) Frame) error {
-		return forAll(conns, func(v int, vc *vertexConn) error {
-			return vc.fc.Send(mk(v))
-		})
-	}
-	gatherBool := func(want uint8, into []bool) error {
-		return forAll(conns, func(v int, vc *vertexConn) error {
-			f, err := vc.fc.Expect(want)
-			if err != nil {
-				return err
-			}
-			b, err := payloadBool(f)
-			if err != nil {
-				return err
-			}
-			into[v] = b
-			return nil
-		})
+	state := func(v int) beep.State {
+		switch {
+		case active.Test(v):
+			return beep.StateActive
+		case inSet.Test(v):
+			return beep.StateInMIS
+		}
+		return beep.StateDominated
 	}
 
 	round := 0
-	for active > 0 && round < maxRounds {
+	for active.Any() && round < maxRounds {
 		round++
-		// One deadline per round, as each node sets: the round's five
-		// exchanges share it, and so does the stop frame after the last.
+		// One deadline per round, as each node sets: the round's four
+		// exchanges share it. The welcome or the last outcome started
+		// the round, so the first exchange is the nodes' beeps.
 		deadline := time.Now().Add(timeout)
-		for _, vc := range conns {
-			_ = vc.conn.SetDeadline(deadline)
+		for _, p := range peers {
+			_ = p.conn.SetDeadline(deadline)
 		}
-		if err := broadcast(func(int) Frame {
-			return Frame{Type: TypeRound, Payload: u32Payload(uint32(round))}
-		}); err != nil {
-			return nil, fmt.Errorf("round %d start: %w", round, err)
-		}
-		// First exchange.
-		if err := gatherBool(TypeBeep, beeped); err != nil {
+		beeped.Zero()
+		if err := gatherBits(peers, TypeBeep, beeped); err != nil {
 			return nil, fmt.Errorf("round %d beeps: %w", round, err)
 		}
-		// Only an active vertex beeps. A bit the protocol forbids is a
-		// faulty or hostile node, and taking it could certify a set
-		// that is not independent.
-		for v, b := range beeped {
-			if b && states[v] != beep.StateActive {
-				return nil, fmt.Errorf("%w: round %d: vertex %d beeped while %v", ErrBadFrame, round, v, states[v])
-			}
-			if b {
-				res.Beeps[v]++
-				res.TotalBeeps++
-			}
+		// Only an active vertex beeps, and only an active vertex that
+		// beeped and heard nothing joins. A bit the protocol forbids is a
+		// faulty or hostile node, and taking it could certify a set that
+		// is not independent.
+		if v := firstNotIn(beeped, active); v >= 0 {
+			return nil, fmt.Errorf("%w: round %d: vertex %d beeped while %v", ErrBadFrame, round, v, state(v))
 		}
-		for v := range heard {
-			heard[v] = slices.ContainsFunc(c.g.Neighbors(v), func(w int32) bool { return beeped[w] })
-		}
-		if err := broadcast(func(v int) Frame {
-			return Frame{Type: TypeHeard, Payload: boolByte(heard[v])}
-		}); err != nil {
+		beeped.ForEach(func(v int) { res.Beeps[v]++ })
+		res.TotalBeeps += beeped.Count()
+		exchange(heard, beeped)
+		if err := broadcastBits(peers, TypeHeard, heard); err != nil {
 			return nil, fmt.Errorf("round %d heard: %w", round, err)
 		}
-		// Second exchange. Only an active vertex that beeped and heard
-		// nothing joins; a beep already implies an active vertex. The
-		// coordinator then settles the step once, before announcing it:
-		// every vertex's neighbour-joined bit, and the transitions of the
-		// active ones.
-		if err := gatherBool(TypeJoin, joined); err != nil {
+		joined.Zero()
+		if err := gatherBits(peers, TypeJoin, joined); err != nil {
 			return nil, fmt.Errorf("round %d joins: %w", round, err)
 		}
-		for v, j := range joined {
-			if j && (!beeped[v] || heard[v]) {
-				return nil, fmt.Errorf("%w: round %d: vertex %d joined while %v, beeped %v, heard %v", ErrBadFrame, round, v, states[v], beeped[v], heard[v])
-			}
+		copy(silent, beeped)
+		silent.AndNot(heard)
+		if v := firstNotIn(joined, silent); v >= 0 {
+			return nil, fmt.Errorf("%w: round %d: vertex %d joined while %v, beeped %v, heard %v", ErrBadFrame, round, v, state(v), beeped.Test(v), heard.Test(v))
 		}
-		for v, st := range states {
-			nj := false
-			for _, w := range c.g.Neighbors(v) {
-				if joined[w] {
-					nj = true
-					break
+		// Settle the step once, before announcing it: every active
+		// vertex's neighbour-joined bit, then the transitions, which are
+		// nextState's as one word operation each.
+		exchange(neighborJoined, joined)
+		inSet.Or(joined)
+		active.AndNot(joined)
+		active.AndNot(neighborJoined)
+		typ := TypeOutcome
+		if !active.Any() || round == maxRounds {
+			typ = TypeStop
+		}
+		for _, p := range peers {
+			outcome := make([]byte, len(p.claim))
+			for i, v := range p.claim {
+				outcome[i] = byte(state(v))
+				if neighborJoined.Test(v) {
+					outcome[i] |= neighborJoinedFlag
 				}
 			}
-			neighborJoined[v] = nj
-			if next := nextState(st, joined[v], nj); next != st {
-				states[v] = next
-				res.InMIS[v] = next == beep.StateInMIS
-				active--
+			if err := p.send(Frame{Type: typ, Payload: outcome}); err != nil {
+				return nil, fmt.Errorf("round %d outcome: %w", round, err)
 			}
-		}
-		if err := broadcast(func(v int) Frame {
-			return Frame{Type: TypeOutcome, Payload: []byte{byte(states[v]), boolByte(neighborJoined[v])[0]}}
-		}); err != nil {
-			return nil, fmt.Errorf("round %d outcome: %w", round, err)
 		}
 	}
 	res.Rounds = round
-	if err := broadcast(func(int) Frame { return Frame{Type: TypeStop} }); err != nil {
-		return nil, fmt.Errorf("stop broadcast: %w", err)
-	}
-	if active > 0 {
-		return res, fmt.Errorf("%w: %d vertices still active after %d rounds", ErrTooManyRounds, active, maxRounds)
+	inSet.ForEach(func(v int) { res.InMIS[v] = true })
+	if left := active.Count(); left > 0 {
+		return res, fmt.Errorf("%w: %d vertices still active after %d rounds", ErrTooManyRounds, left, maxRounds)
 	}
 	return res, nil
 }
 
-// forAll runs fn for each vertex connection concurrently and returns the
-// first error (if any) after all goroutines finish.
-func forAll(conns []*vertexConn, fn func(v int, vc *vertexConn) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(conns))
-	for v, vc := range conns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[v] = fn(v, vc)
-		}()
+// send sends f to p.
+func (p *peer) send(f Frame) error { return p.named(p.fc.Send(f)) }
+
+// named wraps a failure on p's connection, if any, with p's claim.
+func (p *peer) named(err error) error {
+	if err == nil {
+		return nil
 	}
-	wg.Wait()
-	for v, err := range errs {
+	return fmt.Errorf("peer claiming %d vertices from vertex %d: %w", len(p.claim), p.claim[0], err)
+}
+
+// gatherBits reads each peer's frame of type want and adds to set the
+// claimed vertices whose bits it sets.
+func gatherBits(peers []*peer, want uint8, set graph.Bitset) error {
+	for _, p := range peers {
+		f, err := p.fc.Expect(want)
+		if err == nil {
+			err = payloadBits(f, len(p.claim), func(i int) { set.Set(p.claim[i]) })
+		}
 		if err != nil {
-			return fmt.Errorf("vertex %d: %w", v, err)
+			return p.named(err)
 		}
 	}
 	return nil
+}
+
+// broadcastBits sends each peer a frame of type typ that carries set's
+// bits of its claimed vertices.
+func broadcastBits(peers []*peer, typ uint8, set graph.Bitset) error {
+	for _, p := range peers {
+		payload := bitsPayload(len(p.claim), func(i int) bool { return set.Test(p.claim[i]) })
+		if err := p.send(Frame{Type: typ, Payload: payload}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// firstNotIn returns the least element of a that b lacks, or -1.
+func firstNotIn(a, b graph.Bitset) int {
+	for i, w := range a {
+		if w &^= b[i]; w != 0 {
+			return 64*i + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }

@@ -6,14 +6,15 @@
 // handshake, round loop and node loop.
 //
 // Topology and round synchronisation live in a coordinator: it knows the
-// graph, accepts one connection per vertex, and per time step relays
-// "did any neighbour beep" / "did any neighbour join" bits — exactly the
-// information the beeping model grants a node. All algorithmic state and
-// randomness stay at the nodes, so the coordinator is a stand-in for the
-// shared beeping medium of Afek et al. (DISC 2011), not for the
-// algorithm. Each vertex draws from master.Stream(vertex), the stream the
-// simulator gives it, so a run reproduces internal/sim's execution bit
-// for bit.
+// graph, accepts one connection per node process, each claiming a set of
+// vertices, and per time step relays "did any neighbour beep" / "did any
+// neighbour join" bits — exactly the information the beeping model
+// grants a node — computed by the simulator's own exchange. All
+// algorithmic state and randomness stay at the nodes, so the coordinator
+// is a stand-in for the shared beeping medium of Afek et al. (DISC 2011),
+// not for the algorithm. Each vertex draws from master.Stream(vertex),
+// the stream the simulator gives it, so a run reproduces internal/sim's
+// execution bit for bit.
 package transport
 
 import (
@@ -22,44 +23,58 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"beepmis/internal/graph"
 )
 
 // MaxFrameSize bounds accepted frame payloads; anything larger indicates
 // a corrupt or hostile peer.
 const MaxFrameSize = 1 << 20
 
-// Frame type identifiers.
+// MaxClaim bounds the vertices one hello may claim, so a hello is at
+// most 256 KiB; a larger deployment splits across node processes.
+const MaxClaim = 1 << 16
+
+// Frame type identifiers. A node's hello claims k vertices; every later
+// frame's payload then carries one bit (or, for an outcome, one byte) per
+// claimed vertex, in claim order. Bit fields pack the i-th vertex's bit
+// as bit i%8 of byte i/8 and leave the padding bits of the last byte
+// clear. A time step is four frames per connection: beep, heard, join,
+// and an outcome that also starts the next step. The heard bit and the
+// neighbour-joined flag of a vertex that was not active at the step's
+// start carry no meaning.
 const (
-	// TypeHello is sent by a node to claim a vertex id. Payload:
-	// uint32 vertex id.
+	// TypeHello is sent by a node to claim its vertices. Payload: 1 to
+	// MaxClaim big-endian uint32 vertex ids.
 	TypeHello uint8 = iota + 1
-	// TypeWelcome is the coordinator's reply to a hello. Payload:
-	// uint32 n, uint32 degree, uint32 max degree.
+	// TypeWelcome is the coordinator's reply to a hello, and starts
+	// round 1. Payload: uint32 n, uint32 max degree.
 	TypeWelcome
-	// TypeRound starts a time step. Payload: uint32 round number.
-	TypeRound
-	// TypeBeep carries a node's first-exchange bit. Payload: 1 byte
-	// (0/1).
+	// TypeBeep carries a node's first-exchange bits.
 	TypeBeep
-	// TypeHeard carries the coordinator's "some neighbour beeped" bit.
-	// Payload: 1 byte.
+	// TypeHeard carries the coordinator's "some neighbour beeped" bits.
 	TypeHeard
-	// TypeJoin carries a node's second-exchange announcement bit.
-	// Payload: 1 byte.
+	// TypeJoin carries a node's second-exchange announcement bits.
 	TypeJoin
-	// TypeOutcome carries the coordinator's end-of-step verdict.
-	// Payload: 1 byte state code (see beep.State), 1 byte
-	// neighbour-joined bit.
+	// TypeOutcome carries the coordinator's end-of-step verdict and
+	// starts the next round. Payload: one byte per vertex, its state code
+	// (see beep.State), with neighborJoinedFlag set when a neighbour
+	// joined.
 	TypeOutcome
-	// TypeStop ends the protocol. Payload: empty.
+	// TypeStop is the outcome of the last round, and ends the protocol.
+	// Payload: as TypeOutcome.
 	TypeStop
-	// TypeReject is the coordinator's refusal of a hello — the vertex
-	// id was out of range or already claimed by another connection.
+	// TypeReject is the coordinator's refusal of a hello — a vertex id
+	// was out of range or already claimed, or the claim was malformed.
 	// Payload: UTF-8 reason. Sent best-effort before the coordinator
 	// closes the connection, so the misconfigured node process reports
 	// the actual problem instead of an opaque EOF.
 	TypeReject
 )
+
+// neighborJoinedFlag marks an outcome byte whose vertex has a neighbour
+// that joined the set this step.
+const neighborJoinedFlag = 1 << 7
 
 // Errors matched by callers.
 var (
@@ -121,13 +136,6 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// connBufferSize sizes each Conn's read and write buffers. Every frame
-// but a reject is 5–17 bytes on the wire, so 64 bytes holds any of them
-// whole; a longer frame passes through bufio in several reads or writes.
-// A coordinator holds one Conn per vertex, so bufio's 4 KiB default
-// would cost it 8 KiB per vertex.
-const connBufferSize = 64
-
 // Conn wraps an io.ReadWriter with buffering and frame helpers. It is not
 // safe for concurrent use.
 type Conn struct {
@@ -137,7 +145,7 @@ type Conn struct {
 
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{r: bufio.NewReaderSize(rw, connBufferSize), w: bufio.NewWriterSize(rw, connBufferSize)}
+	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
 }
 
 // Send writes a frame and flushes it.
@@ -166,39 +174,63 @@ func (c *Conn) Expect(want uint8) (Frame, error) {
 	return f, nil
 }
 
-// boolByte encodes a bool as a payload byte.
-func boolByte(b bool) []byte {
-	if b {
-		return []byte{1}
-	}
-	return []byte{0}
-}
-
-// payloadBool decodes a 1-byte bool payload.
-func payloadBool(f Frame) (bool, error) {
-	if len(f.Payload) != 1 {
-		return false, fmt.Errorf("%w: bool frame with %d payload bytes", ErrBadFrame, len(f.Payload))
-	}
-	return f.Payload[0] != 0, nil
-}
-
-// u32Payload encodes values as consecutive big-endian uint32s.
-func u32Payload(vals ...uint32) []byte {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint32(buf[4*i:], v)
+// bitsPayload packs one bit per claimed vertex: bit i is has(i).
+func bitsPayload(k int, has func(i int) bool) []byte {
+	buf := make([]byte, (k+7)/8)
+	for i := range k {
+		if has(i) {
+			buf[i/8] |= 1 << (i % 8)
+		}
 	}
 	return buf
 }
 
-// payloadU32s decodes a payload of exactly count uint32s.
-func payloadU32s(f Frame, count int) ([]uint32, error) {
-	if len(f.Payload) != 4*count {
-		return nil, fmt.Errorf("%w: expected %d uint32s, payload %d bytes", ErrBadFrame, count, len(f.Payload))
+// payloadBits calls set(i) for each bit i set in f, a frame of one bit
+// per claimed vertex, after checking its length and that its padding
+// bits are clear.
+func payloadBits(f Frame, k int, set func(i int)) error {
+	if len(f.Payload) != (k+7)/8 || k%8 != 0 && f.Payload[k/8]>>(k%8) != 0 {
+		return fmt.Errorf("%w: %d payload bytes for %d bits, or padding bits set", ErrBadFrame, len(f.Payload), k)
 	}
-	out := make([]uint32, count)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(f.Payload[4*i:])
+	for i := range k {
+		if f.Payload[i/8]>>(i%8)&1 != 0 {
+			set(i)
+		}
 	}
-	return out, nil
+	return nil
+}
+
+// claimPayload encodes a hello's claim.
+func claimPayload(vertices []int) []byte {
+	buf := make([]byte, 0, 4*len(vertices))
+	for _, v := range vertices {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(v))
+	}
+	return buf
+}
+
+// readClaim decodes a hello's claim, 1 to MaxClaim big-endian uint32
+// vertex ids, each below n and not yet in claimed, and marks them
+// claimed.
+func readClaim(payload []byte, n int, claimed graph.Bitset) ([]int, error) {
+	k := len(payload) / 4
+	if len(payload)%4 != 0 || k < 1 || k > MaxClaim {
+		return nil, fmt.Errorf("%w: hello of %d bytes, want 4 per vertex for 1 to %d vertices", ErrBadFrame, len(payload), MaxClaim)
+	}
+	claim := make([]int, k)
+	for i := range claim {
+		id := binary.BigEndian.Uint32(payload[4*i:])
+		if int64(id) >= int64(n) {
+			return nil, fmt.Errorf("%w: hello for vertex %d with n=%d", graph.ErrVertexRange, id, n)
+		}
+		v := int(id)
+		if claimed.Test(v) {
+			// Two node processes whose -vertices lists overlap land
+			// here; the reject tells the second one why.
+			return nil, fmt.Errorf("%w: vertex %d (a node process already hosts it — check -vertices lists for overlap)", ErrVertexClaimed, v)
+		}
+		claimed.Set(v)
+		claim[i] = v
+	}
+	return claim, nil
 }

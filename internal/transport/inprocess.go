@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"runtime"
 	"sync"
 
 	"beepmis/internal/beep"
@@ -10,26 +11,33 @@ import (
 )
 
 // RunInProcess runs the protocol inside this process: a Coordinator for
-// g serves one in-memory net.Pipe connection per vertex, and each
-// vertex's node loop runs on the other end in its own goroutine, drawing
-// from master.Stream(vertex). It opens no socket. Every goroutine it
-// starts has returned when it returns, on every path. During an exchange
-// a run holds about 2·g.N() of them, so a run under the race detector,
-// which stops at 8128 live goroutines, needs well under 4000 vertices.
+// g serves in-memory net.Pipe connections, one per contiguous vertex set,
+// and each set's node loop runs on the other end in its own goroutine,
+// vertex v drawing from master.Stream(v). There is one set per
+// GOMAXPROCS, and more where a set would pass MaxClaim, so a run holds
+// O(sets) goroutines, connections and deadline timers, not O(n). It
+// opens no socket. Every goroutine it starts has returned when it
+// returns, on every path.
 func RunInProcess(g *graph.Graph, factory beep.Factory, master *rng.Source, opts CoordinatorOptions) (*CoordinatorResult, error) {
-	ln := &pipeListener{conns: make([]net.Conn, g.N())}
+	n := g.N()
+	sets := min(n, max(runtime.GOMAXPROCS(0), (n+MaxClaim-1)/MaxClaim))
+	ln := &pipeListener{conns: make([]net.Conn, sets)}
 	nodeOpts := NodeOptions{IOTimeout: opts.IOTimeout}
 	var wg sync.WaitGroup
-	for v := range ln.conns {
+	for s := range ln.conns {
 		coordEnd, nodeEnd := net.Pipe()
-		ln.conns[v] = coordEnd
+		ln.conns[s] = coordEnd
+		vertices := make([]int, 0, n/sets+1)
+		for v := s * n / sets; v < (s+1)*n/sets; v++ {
+			vertices = append(vertices, v)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { _ = nodeEnd.Close() }()
 			// A node's failure reaches Serve as a failed exchange on this
 			// connection, so Serve's error reports the run.
-			_, _ = runNode(nodeEnd, v, factory, master.Stream(uint64(v)), nodeOpts)
+			_, _ = runNode(nodeEnd, vertices, factory, master, nodeOpts)
 		}()
 	}
 	res, err := (&Coordinator{g: g, ln: ln}).Serve(opts)

@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
 
 	"beepmis/internal/beep"
+	"beepmis/internal/graph"
 	"beepmis/internal/rng"
 )
 
@@ -16,36 +18,35 @@ type NodeOptions struct {
 	IOTimeout time.Duration
 }
 
-// NodeResult is a single vertex's view of a finished distributed run.
+// NodeResult is a node process's view of a finished distributed run. Its
+// slices are indexed like the vertices RunNode claimed.
 type NodeResult struct {
-	// InMIS reports whether this vertex joined the independent set.
-	InMIS bool
-	// State is the vertex's final lifecycle state.
-	State beep.State
-	// Rounds is the number of time steps this vertex participated in.
+	// States is each vertex's final lifecycle state.
+	States []beep.State
+	// Beeps counts each vertex's first-exchange beeps.
+	Beeps []int
+	// Rounds is the number of time steps the run took.
 	Rounds int
-	// Beeps is the number of first-exchange beeps this vertex emitted.
-	Beeps int
 }
 
-// RunNode dials the coordinator at addr, claims vertexID, and runs
-// factory's automaton for that vertex until the coordinator broadcasts
-// stop. Randomness is drawn from src, which should be the per-vertex
-// stream master.Stream(vertexID) to make a distributed run reproduce the
-// simulator's execution.
-func RunNode(addr string, vertexID int, factory beep.Factory, src *rng.Source, opts NodeOptions) (*NodeResult, error) {
+// RunNode dials the coordinator at addr, claims vertices (1 to MaxClaim
+// distinct ids), and runs factory's automaton for each of them until the
+// coordinator stops the run. Vertex v draws its randomness from
+// master.Stream(v), so a distributed run reproduces the simulator's
+// execution.
+func RunNode(addr string, vertices []int, factory beep.Factory, master *rng.Source, opts NodeOptions) (*NodeResult, error) {
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("node dial: %w", err)
 	}
 	defer func() { _ = raw.Close() }()
-	return runNode(raw, vertexID, factory, src, opts)
+	return runNode(raw, vertices, factory, master, opts)
 }
 
-// runNode runs vertexID's side of the protocol on an open connection to
-// the coordinator: the handshake, then one time step per round frame
-// until stop. The caller owns raw and closes it.
-func runNode(raw net.Conn, vertexID int, factory beep.Factory, src *rng.Source, opts NodeOptions) (*NodeResult, error) {
+// runNode runs the vertices' side of the protocol on an open connection
+// to the coordinator: the handshake, then one time step per welcome or
+// outcome frame until stop. The caller owns raw and closes it.
+func runNode(raw net.Conn, vertices []int, factory beep.Factory, master *rng.Source, opts NodeOptions) (*NodeResult, error) {
 	timeout := opts.IOTimeout
 	if timeout <= 0 {
 		timeout = DefaultIOTimeout
@@ -53,7 +54,7 @@ func runNode(raw net.Conn, vertexID int, factory beep.Factory, src *rng.Source, 
 	_ = raw.SetDeadline(time.Now().Add(timeout))
 	fc := NewConn(raw)
 
-	if err := fc.Send(Frame{Type: TypeHello, Payload: u32Payload(uint32(vertexID))}); err != nil {
+	if err := fc.Send(Frame{Type: TypeHello, Payload: claimPayload(vertices)}); err != nil {
 		return nil, fmt.Errorf("node hello: %w", err)
 	}
 	welcome, err := fc.Recv()
@@ -61,85 +62,78 @@ func runNode(raw net.Conn, vertexID int, factory beep.Factory, src *rng.Source, 
 		return nil, fmt.Errorf("node welcome: %w", err)
 	}
 	if welcome.Type == TypeReject {
-		return nil, fmt.Errorf("transport: coordinator rejected vertex %d: %s", vertexID, welcome.Payload)
+		return nil, fmt.Errorf("transport: coordinator rejected the hello: %s", welcome.Payload)
 	}
-	if welcome.Type != TypeWelcome {
-		return nil, fmt.Errorf("%w: got type %d awaiting welcome", ErrBadFrame, welcome.Type)
+	if welcome.Type != TypeWelcome || len(welcome.Payload) != 8 {
+		return nil, fmt.Errorf("%w: type %d with %d payload bytes awaiting welcome", ErrBadFrame, welcome.Type, len(welcome.Payload))
 	}
-	vals, err := payloadU32s(welcome, 3)
-	if err != nil {
-		return nil, fmt.Errorf("node welcome: %w", err)
-	}
-	info := beep.NodeInfo{
-		ID:        vertexID,
-		N:         int(vals[0]),
-		Degree:    int(vals[1]),
-		MaxDegree: int(vals[2]),
-	}
-	auto := factory(info)
+	n := int(binary.BigEndian.Uint32(welcome.Payload))
+	maxDeg := int(binary.BigEndian.Uint32(welcome.Payload[4:]))
 
-	res := &NodeResult{State: beep.StateActive}
+	k := len(vertices)
+	res := &NodeResult{States: make([]beep.State, k), Beeps: make([]int, k)}
+	autos := make([]beep.Automaton, k)
+	streams := make([]rng.Source, k)
+	for i, v := range vertices {
+		autos[i] = factory(beep.NodeInfo{ID: v, N: n, MaxDegree: maxDeg})
+		master.StreamInto(&streams[i], uint64(v))
+		res.States[i] = beep.StateActive
+	}
+	// Indexed by claim position, not vertex id.
+	beeped, heard, joined := graph.NewBitset(k), graph.NewBitset(k), graph.NewBitset(k)
 	for {
 		_ = raw.SetDeadline(time.Now().Add(timeout))
-		f, err := fc.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("node recv: %w", err)
-		}
-		switch f.Type {
-		case TypeStop:
-			res.InMIS = res.State == beep.StateInMIS
-			return res, nil
-		case TypeRound:
-			if _, err := payloadU32s(f, 1); err != nil {
-				return nil, fmt.Errorf("node round: %w", err)
-			}
-		default:
-			return nil, fmt.Errorf("%w: unexpected type %d awaiting round", ErrBadFrame, f.Type)
-		}
 		res.Rounds++
-
-		beeped := false
-		if res.State == beep.StateActive {
-			beeped = auto.Beep(src)
+		beeped.Zero()
+		for i, a := range autos {
+			if res.States[i] == beep.StateActive && a.Beep(&streams[i]) {
+				beeped.Set(i)
+				res.Beeps[i]++
+			}
 		}
-		if beeped {
-			res.Beeps++
-		}
-		if err := fc.Send(Frame{Type: TypeBeep, Payload: boolByte(beeped)}); err != nil {
+		if err := fc.Send(Frame{Type: TypeBeep, Payload: bitsPayload(k, beeped.Test)}); err != nil {
 			return nil, fmt.Errorf("node beep: %w", err)
 		}
-		heardFrame, err := fc.Expect(TypeHeard)
-		if err != nil {
-			return nil, fmt.Errorf("node heard: %w", err)
+		f, err := fc.Expect(TypeHeard)
+		if err == nil {
+			heard.Zero()
+			err = payloadBits(f, k, heard.Set)
 		}
-		heard, err := payloadBool(heardFrame)
 		if err != nil {
 			return nil, fmt.Errorf("node heard: %w", err)
 		}
 
-		join := res.State == beep.StateActive && beeped && !heard
-		if err := fc.Send(Frame{Type: TypeJoin, Payload: boolByte(join)}); err != nil {
+		// A vertex that beeped was active; it joins if it heard nothing.
+		copy(joined, beeped)
+		joined.AndNot(heard)
+		if err := fc.Send(Frame{Type: TypeJoin, Payload: bitsPayload(k, joined.Test)}); err != nil {
 			return nil, fmt.Errorf("node join: %w", err)
 		}
-		outcome, err := fc.Expect(TypeOutcome)
+		outcome, err := fc.Recv()
 		if err != nil {
 			return nil, fmt.Errorf("node outcome: %w", err)
 		}
-		if len(outcome.Payload) != 2 {
-			return nil, fmt.Errorf("%w: outcome payload %d bytes", ErrBadFrame, len(outcome.Payload))
+		if outcome.Type != TypeOutcome && outcome.Type != TypeStop || len(outcome.Payload) != k {
+			return nil, fmt.Errorf("%w: type %d with %d payload bytes awaiting an outcome for %d vertices", ErrBadFrame, outcome.Type, len(outcome.Payload), k)
 		}
-		// The node knows its own join bit, so the neighbour-joined bit
-		// alone fixes its next state; a state byte that disagrees is a
-		// corrupt or hostile frame, not a transition to take.
-		neighborJoined := outcome.Payload[1] != 0
-		next := nextState(res.State, join, neighborJoined)
-		if got := beep.State(outcome.Payload[0]); got != next {
-			return nil, fmt.Errorf("%w: outcome state %v, the node's own step gives %v", ErrBadFrame, got, next)
+		for i, b := range outcome.Payload {
+			// The node knows its own join bit, so the neighbour-joined
+			// flag alone fixes its next state; a state code that
+			// disagrees is a corrupt or hostile frame, not a transition
+			// to take.
+			neighborJoined := b&neighborJoinedFlag != 0
+			next := nextState(res.States[i], joined.Test(i), neighborJoined)
+			if got := beep.State(b &^ neighborJoinedFlag); got != next {
+				return nil, fmt.Errorf("%w: vertex %d: outcome state %v, the node's own step gives %v", ErrBadFrame, vertices[i], got, next)
+			}
+			if next == beep.StateActive {
+				autos[i].Observe(beep.Outcome{Beeped: beeped.Test(i), Heard: heard.Test(i), NeighborJoined: neighborJoined})
+			}
+			res.States[i] = next
 		}
-		if next == beep.StateActive {
-			auto.Observe(beep.Outcome{Beeped: beeped, Heard: heard, NeighborJoined: neighborJoined})
+		if outcome.Type == TypeStop {
+			return res, nil
 		}
-		res.State = next
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,10 +24,12 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	frames := []Frame{
-		{Type: TypeHello, Payload: u32Payload(42)},
+		{Type: TypeHello, Payload: claimPayload([]int{42, 7})},
+		{Type: TypeWelcome, Payload: []byte{0, 0, 0, 10, 0, 0, 0, 5}},
+		{Type: TypeBeep, Payload: []byte{0x05, 0x01}},
+		{Type: TypeOutcome, Payload: []byte{byte(beep.StateActive), byte(beep.StateDominated) | neighborJoinedFlag}},
+		{Type: TypeStop, Payload: []byte{byte(beep.StateInMIS)}},
 		{Type: TypeStop},
-		{Type: TypeBeep, Payload: []byte{1}},
-		{Type: TypeWelcome, Payload: u32Payload(10, 3, 5)},
 	}
 	for _, f := range frames {
 		if err := WriteFrame(&buf, f); err != nil {
@@ -77,12 +80,12 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
-// TestConnRoundTripOverPipe sends frames longer than a Conn's buffers —
-// a MaxFrameSize payload and a long reject reason — through Conns on
-// both ends of a pipe.
+// TestConnRoundTripOverPipe sends frames longer than a Conn's 4 KiB
+// buffers — a MaxFrameSize payload and a long reject reason — through
+// Conns on both ends of a pipe.
 func TestConnRoundTripOverPipe(t *testing.T) {
 	big := bytes.Repeat([]byte{0xA5}, MaxFrameSize)
-	reason := []byte(strings.Repeat("vertex 7 already hosted; ", 40))
+	reason := []byte(strings.Repeat("vertex 7 already hosted; ", 200))
 	frames := []Frame{
 		{Type: TypeBeep, Payload: big},
 		{Type: TypeReject, Payload: reason},
@@ -118,25 +121,49 @@ func TestConnRoundTripOverPipe(t *testing.T) {
 	}
 }
 
+// TestPayloadHelpers round-trips the payloads of the hello (a claim)
+// and of the bit frames (beep, heard and join), and feeds the bit
+// decoder frames of the wrong length or with padding bits set.
 func TestPayloadHelpers(t *testing.T) {
-	if b, err := payloadBool(Frame{Payload: []byte{1}}); err != nil || !b {
-		t.Fatalf("payloadBool: %v %v", b, err)
+	vertices := []int{9, 0, 3, 8}
+	claim, err := readClaim(claimPayload(vertices), 10, graph.NewBitset(10))
+	if err != nil || !slices.Equal(claim, vertices) {
+		t.Fatalf("claim round trip: %v %v, want %v", claim, err, vertices)
 	}
-	if _, err := payloadBool(Frame{Payload: []byte{1, 2}}); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("err = %v", err)
+	for _, k := range []int{1, 7, 8, 9, 64, 65, 1000} {
+		want := graph.NewBitset(k)
+		for i := 0; i < k; i += 3 {
+			want.Set(i)
+		}
+		want.Set(k - 1)
+		f := Frame{Type: TypeHeard, Payload: bitsPayload(k, want.Test)}
+		got := graph.NewBitset(k)
+		if err := payloadBits(f, k, got.Set); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("k=%d: bits round trip gave %v, %v", k, got, err)
+		}
 	}
-	vals, err := payloadU32s(Frame{Payload: u32Payload(7, 9)}, 2)
-	if err != nil || vals[0] != 7 || vals[1] != 9 {
-		t.Fatalf("payloadU32s: %v %v", vals, err)
-	}
-	if _, err := payloadU32s(Frame{Payload: []byte{0}}, 1); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("err = %v", err)
+	for _, c := range []struct {
+		name    string
+		k       int
+		payload []byte
+	}{
+		{"empty", 1, nil},
+		{"a byte too long", 8, []byte{0xFF, 0}},
+		{"a byte too short", 9, []byte{0xFF}},
+		{"padding bit set", 3, []byte{0x08}},
+		{"top padding bit set", 15, []byte{0, 0x80}},
+	} {
+		err := payloadBits(Frame{Type: TypeJoin, Payload: c.payload}, c.k, func(int) { t.Fatalf("%s: bit taken", c.name) })
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: err = %v, want ErrBadFrame", c.name, err)
+		}
 	}
 }
 
-// runDistributed runs a full coordinator + per-vertex-goroutine
-// deployment over loopback TCP, checks every node's view of the run
-// against the coordinator's, and returns the coordinator result.
+// runDistributed runs a full coordinator + node deployment over
+// loopback TCP, three node connections claiming the interleaved vertex
+// sets v mod 3, checks every node's view of the run against the
+// coordinator's, and returns the coordinator result.
 func runDistributed(t *testing.T, g *graph.Graph, factory beep.Factory, seed uint64) *CoordinatorResult {
 	t.Helper()
 	coord, err := NewCoordinator(g, "127.0.0.1:0")
@@ -145,17 +172,24 @@ func runDistributed(t *testing.T, g *graph.Graph, factory beep.Factory, seed uin
 	}
 	defer func() { _ = coord.Close() }()
 
-	master := rng.New(seed)
+	const sets = 3
 	var (
 		wg       sync.WaitGroup
-		nodeRes  = make([]*NodeResult, g.N())
-		nodeErrs = make([]error, g.N())
+		claims   [sets][]int
+		nodeRes  [sets]*NodeResult
+		nodeErrs [sets]error
 	)
-	for v := 0; v < g.N(); v++ {
+	for v := range g.N() {
+		claims[v%sets] = append(claims[v%sets], v)
+	}
+	for s := range sets {
+		if len(claims[s]) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nodeRes[v], nodeErrs[v] = RunNode(coord.Addr(), v, factory, master.Stream(uint64(v)), NodeOptions{})
+			nodeRes[s], nodeErrs[s] = RunNode(coord.Addr(), claims[s], factory, rng.New(seed), NodeOptions{})
 		}()
 	}
 	coordRes, err := coord.Serve(CoordinatorOptions{})
@@ -163,22 +197,27 @@ func runDistributed(t *testing.T, g *graph.Graph, factory beep.Factory, seed uin
 		t.Fatalf("coordinator: %v", err)
 	}
 	wg.Wait()
-	for v, err := range nodeErrs {
+	for s, err := range nodeErrs {
 		if err != nil {
-			t.Fatalf("node %d: %v", v, err)
+			t.Fatalf("node %d: %v", s, err)
 		}
-		nr := nodeRes[v]
-		if nr.InMIS != coordRes.InMIS[v] {
-			t.Fatalf("vertex %d: node view %v, coordinator view %v", v, nr.InMIS, coordRes.InMIS[v])
+		if len(claims[s]) == 0 {
+			continue
 		}
+		nr := nodeRes[s]
 		if nr.Rounds != coordRes.Rounds {
-			t.Fatalf("vertex %d rounds %d, coordinator %d", v, nr.Rounds, coordRes.Rounds)
+			t.Fatalf("node %d rounds %d, coordinator %d", s, nr.Rounds, coordRes.Rounds)
 		}
-		if nr.Beeps != coordRes.Beeps[v] {
-			t.Fatalf("vertex %d beeps %d, coordinator counted %d", v, nr.Beeps, coordRes.Beeps[v])
-		}
-		if !nr.State.Terminal() {
-			t.Fatalf("vertex %d ended non-terminal", v)
+		for i, v := range claims[s] {
+			if (nr.States[i] == beep.StateInMIS) != coordRes.InMIS[v] {
+				t.Fatalf("vertex %d: node view %v, coordinator view %v", v, nr.States[i], coordRes.InMIS[v])
+			}
+			if nr.Beeps[i] != coordRes.Beeps[v] {
+				t.Fatalf("vertex %d beeps %d, coordinator counted %d", v, nr.Beeps[i], coordRes.Beeps[v])
+			}
+			if !nr.States[i].Terminal() {
+				t.Fatalf("vertex %d ended non-terminal", v)
+			}
 		}
 	}
 	return coordRes
@@ -263,6 +302,7 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		factory   beep.Factory
 		seed      uint64
 		minRounds int // the run must take more rounds than this
+		procs     int // GOMAXPROCS for the run when non-zero
 	}
 	tcpCases := []simCase{{
 		name: "gnp-25/feedback", g: graph.GNP(25, 0.4, rng.New(2)),
@@ -296,6 +336,10 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 			}
 		}
 	}
+	// Two vertex sets of 10,000, so each outcome frame passes bufio's
+	// 4 KiB buffers at both ends.
+	schedules = append(schedules, simCase{name: "gnp-20000-sparse/feedback/seed-100",
+		g: graph.GNP(20000, 5.0/20000, rng.New(3)), factory: mustFeedback(t, mis.FeedbackConfig{}), seed: 100, procs: 2})
 
 	// The Science'11 schedule with one step per level restarts at
 	// 1/(D+1) after one level per probability from 1/(D+1) doubling up
@@ -349,6 +393,9 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		t.Run(grp.name, func(t *testing.T) {
 			for _, c := range grp.cases {
 				t.Run(c.name, func(t *testing.T) {
+					if c.procs > 0 {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+					}
 					simRes, err := sim.Run(c.g, c.factory, rng.New(c.seed), sim.Options{})
 					if err != nil {
 						t.Fatalf("sim: %v", err)
@@ -408,6 +455,53 @@ func TestInProcessDeterministic(t *testing.T) {
 	}
 }
 
+// goroutineProbe wraps an automaton and records the peak goroutine
+// count that any Beep call sees.
+type goroutineProbe struct {
+	beep.Automaton
+	peak *atomic.Int64
+}
+
+func (p goroutineProbe) Beep(r *rng.Source) bool {
+	for g := int64(runtime.NumGoroutine()); ; {
+		peak := p.peak.Load()
+		if g <= peak || p.peak.CompareAndSwap(peak, g) {
+			break
+		}
+	}
+	return p.Automaton.Beep(r)
+}
+
+// TestInProcessVertexSets runs one graph in process at GOMAXPROCS 1, 2
+// and 5, so one, two and five vertex sets: every run gives the same
+// result, and none holds more goroutines than one per set, beside the
+// caller's, while its automata run.
+func TestInProcessVertexSets(t *testing.T) {
+	g := graph.GNP(500, 0.02, rng.New(8))
+	f := mustFeedback(t, mis.FeedbackConfig{})
+	var first *CoordinatorResult
+	for _, procs := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var peak atomic.Int64
+			probe := func(info beep.NodeInfo) beep.Automaton { return goroutineProbe{f(info), &peak} }
+			baseline := runtime.NumGoroutine()
+			res := runProtocol(t, g, probe, 11, false)
+			if bound := int64(baseline + procs + 1); peak.Load() > bound {
+				t.Fatalf("%d goroutines during the run, want at most %d", peak.Load(), bound)
+			}
+			if first == nil {
+				first = res
+				return
+			}
+			if res.Rounds != first.Rounds || !slices.Equal(res.InMIS, first.InMIS) || !slices.Equal(res.Beeps, first.Beeps) {
+				t.Fatalf("%d rounds, %d beeps; GOMAXPROCS 1 gave %d rounds, %d beeps, or another set or beep count",
+					res.Rounds, res.TotalBeeps, first.Rounds, first.TotalBeeps)
+			}
+		})
+	}
+}
+
 // stallingNode sleeps through its first beep decision, past the
 // coordinator's round deadline.
 type stallingNode struct{}
@@ -432,7 +526,14 @@ func TestInProcessEndings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalling := func(beep.NodeInfo) beep.Automaton { return stallingNode{} }
+	// Vertex 0 stalls. Its set's node loop would serialise the sleeps of
+	// every stalling vertex in the set, so it is the only one.
+	stalling := func(info beep.NodeInfo) beep.Automaton {
+		if info.ID == 0 {
+			return stallingNode{}
+		}
+		return silentNode{}
+	}
 	cases := []struct {
 		name       string
 		g          *graph.Graph
@@ -490,21 +591,35 @@ func (silentNode) Beep(*rng.Source) bool { return false }
 func (silentNode) Observe(beep.Outcome)  {}
 
 // TestNodeRejectsInconsistentOutcome plays the coordinator to a node
-// that never beeps, over a pipe, and answers its first step with one
-// outcome frame: the node takes the state its own join bit and the
-// frame's neighbour-joined bit give, and refuses any other.
+// whose vertices never beep, over a pipe, and ends their first step with
+// one stop frame carrying their outcomes: each vertex takes the state its
+// own join bit and the frame's neighbour-joined flag give, and the node
+// refuses a frame of the wrong length, or any other state, as it refuses
+// a welcome of the wrong length.
 func TestNodeRejectsInconsistentOutcome(t *testing.T) {
+	const (
+		active    = byte(beep.StateActive)
+		dominated = byte(beep.StateDominated)
+		joined    = neighborJoinedFlag
+	)
 	cases := []struct {
-		name    string
-		outcome []byte // state code, neighbour-joined bit
-		want    beep.State
-		wantErr bool
+		name     string
+		vertices []int
+		welcome  []byte // nil: n = 8, max degree 0
+		outcome  []byte // one byte per vertex
+		want     []beep.State
+		wantErr  bool
 	}{
-		{"still active", []byte{byte(beep.StateActive), 0}, beep.StateActive, false},
-		{"dominated by a joined neighbour", []byte{byte(beep.StateDominated), 1}, beep.StateDominated, false},
-		{"unknown state code", []byte{9, 0}, 0, true},
-		{"in-mis without a join", []byte{byte(beep.StateInMIS), 0}, 0, true},
-		{"dominated without a neighbour join", []byte{byte(beep.StateDominated), 0}, 0, true},
+		{"still active", []int{0}, nil, []byte{active}, []beep.State{beep.StateActive}, false},
+		{"dominated by a joined neighbour", []int{0}, nil, []byte{dominated | joined}, []beep.State{beep.StateDominated}, false},
+		{"unknown state code", []int{0}, nil, []byte{9}, nil, true},
+		{"in-mis without a join", []int{0}, nil, []byte{byte(beep.StateInMIS)}, nil, true},
+		{"dominated without a neighbour join", []int{0}, nil, []byte{dominated}, nil, true},
+		{"outcome of the wrong length", []int{0}, nil, []byte{active, active}, nil, true},
+		{"welcome of the wrong length", []int{0}, []byte{0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, nil, nil, true},
+		{"several vertices", []int{3, 0, 7}, nil, []byte{active, dominated | joined, active},
+			[]beep.State{beep.StateActive, beep.StateDominated, beep.StateActive}, false},
+		{"several vertices, one inconsistent", []int{3, 0, 7}, nil, []byte{active, dominated, active}, nil, true},
 	}
 	silent := func(beep.NodeInfo) beep.Automaton { return silentNode{} }
 	for _, c := range cases {
@@ -518,31 +633,32 @@ func TestNodeRejectsInconsistentOutcome(t *testing.T) {
 			done := make(chan nodeRun, 1)
 			go func() {
 				defer func() { _ = nodeEnd.Close() }()
-				res, err := runNode(nodeEnd, 0, silent, rng.New(1), NodeOptions{IOTimeout: 10 * time.Second})
+				res, err := runNode(nodeEnd, c.vertices, silent, rng.New(1), NodeOptions{IOTimeout: 10 * time.Second})
 				done <- nodeRun{res, err}
 			}()
-			fc := NewConn(coordEnd)
-			step := func(err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatal(err)
-				}
+			// Play the step until the node drops out; its result says
+			// how it ended.
+			welcome := c.welcome
+			if welcome == nil {
+				welcome = []byte{0, 0, 0, 8, 0, 0, 0, 0}
 			}
+			fc := NewConn(coordEnd)
+			zeros := make([]byte, (len(c.vertices)+7)/8)
 			_, err := fc.Expect(TypeHello)
-			step(err)
-			step(fc.Send(Frame{Type: TypeWelcome, Payload: u32Payload(1, 0, 0)}))
-			step(fc.Send(Frame{Type: TypeRound, Payload: u32Payload(1)}))
-			_, err = fc.Expect(TypeBeep)
-			step(err)
-			step(fc.Send(Frame{Type: TypeHeard, Payload: boolByte(false)}))
-			_, err = fc.Expect(TypeJoin)
-			step(err)
-			step(fc.Send(Frame{Type: TypeOutcome, Payload: c.outcome}))
-			if c.wantErr {
-				// A node that took the frame reads EOF next, not a hang.
-				_ = coordEnd.Close()
-			} else {
-				step(fc.Send(Frame{Type: TypeStop}))
+			if err == nil {
+				err = fc.Send(Frame{Type: TypeWelcome, Payload: welcome})
+			}
+			if err == nil {
+				_, err = fc.Expect(TypeBeep)
+			}
+			if err == nil {
+				err = fc.Send(Frame{Type: TypeHeard, Payload: zeros})
+			}
+			if err == nil {
+				_, err = fc.Expect(TypeJoin)
+			}
+			if err == nil {
+				_ = fc.Send(Frame{Type: TypeStop, Payload: c.outcome})
 			}
 			got := <-done
 			if c.wantErr {
@@ -554,22 +670,34 @@ func TestNodeRejectsInconsistentOutcome(t *testing.T) {
 			if got.err != nil {
 				t.Fatal(got.err)
 			}
-			if got.res.State != c.want {
-				t.Fatalf("state %v, want %v", got.res.State, c.want)
+			if !slices.Equal(got.res.States, c.want) || got.res.Rounds != 1 {
+				t.Fatalf("states %v after %d rounds, want %v after 1", got.res.States, got.res.Rounds, c.want)
 			}
 		})
 	}
 }
 
 // step is one round of a scripted vertex: the beep and join bits it
-// sends, whatever the protocol allows.
-type step struct{ beep, join bool }
+// sends, whatever the protocol allows, or a raw beep payload in place of
+// its beep bit.
+type step struct {
+	beep, join bool
+	raw        []byte
+}
+
+// bit is a one-vertex bit frame's payload.
+func bit(b bool) []byte {
+	if b {
+		return []byte{1}
+	}
+	return []byte{0}
+}
 
 // serveScripted serves a Coordinator for g over pipes whose other ends
-// are scripted vertices: vertex v hellos, then sends script[v][r]'s bits
-// in round r, reading every frame the coordinator sends, until its
-// script or the connection ends. It returns what Serve returns, once
-// every scripted vertex has stopped.
+// are scripted vertices, one connection each: vertex v claims itself,
+// then sends script[v][r]'s bits in round r, reading every frame the
+// coordinator sends, until its script or the connection ends. It returns
+// what Serve returns, once every scripted vertex has stopped.
 func serveScripted(g *graph.Graph, script [][]step) (*CoordinatorResult, error) {
 	ln := &pipeListener{conns: make([]net.Conn, g.N())}
 	var wg sync.WaitGroup
@@ -581,30 +709,30 @@ func serveScripted(g *graph.Graph, script [][]step) (*CoordinatorResult, error) 
 			defer wg.Done()
 			defer func() { _ = nodeEnd.Close() }()
 			fc := NewConn(nodeEnd)
-			if fc.Send(Frame{Type: TypeHello, Payload: u32Payload(uint32(v))}) != nil {
+			if fc.Send(Frame{Type: TypeHello, Payload: claimPayload([]int{v})}) != nil {
 				return
 			}
 			if _, err := fc.Expect(TypeWelcome); err != nil {
 				return
 			}
 			for _, st := range script[v] {
-				if _, err := fc.Expect(TypeRound); err != nil {
-					return
+				beepPayload := st.raw
+				if beepPayload == nil {
+					beepPayload = bit(st.beep)
 				}
-				if fc.Send(Frame{Type: TypeBeep, Payload: boolByte(st.beep)}) != nil {
+				if fc.Send(Frame{Type: TypeBeep, Payload: beepPayload}) != nil {
 					return
 				}
 				if _, err := fc.Expect(TypeHeard); err != nil {
 					return
 				}
-				if fc.Send(Frame{Type: TypeJoin, Payload: boolByte(st.join)}) != nil {
+				if fc.Send(Frame{Type: TypeJoin, Payload: bit(st.join)}) != nil {
 					return
 				}
-				if _, err := fc.Expect(TypeOutcome); err != nil {
+				if f, err := fc.Recv(); err != nil || f.Type == TypeStop {
 					return
 				}
 			}
-			_, _ = fc.Expect(TypeStop)
 		}()
 	}
 	res, err := (&Coordinator{g: g, ln: ln}).Serve(CoordinatorOptions{IOTimeout: 10 * time.Second})
@@ -619,9 +747,10 @@ func serveScripted(g *graph.Graph, script [][]step) (*CoordinatorResult, error) 
 // Coordinator over pipes. Only an active vertex may beep, and only an
 // active vertex that beeped and heard nothing may join: any other bit
 // fails the run with ErrBadFrame naming the round and the vertex,
-// instead of a result such as two adjacent members of the set.
+// instead of a result such as two adjacent members of the set. So does a
+// bit frame of the wrong length or with a padding bit set.
 func TestCoordinatorRejectsForbiddenBits(t *testing.T) {
-	silent, joins := step{false, false}, step{true, true}
+	silent, joins := step{}, step{beep: true, join: true}
 	cases := []struct {
 		name    string
 		g       *graph.Graph
@@ -630,12 +759,14 @@ func TestCoordinatorRejectsForbiddenBits(t *testing.T) {
 		inMIS   []bool
 	}{
 		{"allowed bits", graph.Path(2), [][]step{{joins}, {silent}}, "", []bool{true, false}},
-		{"join without a beep", graph.Path(2), [][]step{{joins}, {{false, true}}}, "round 1: vertex 1", nil},
-		{"join after hearing a beep", graph.Path(2), [][]step{{{true, false}}, {joins}}, "round 1: vertex 1", nil},
+		{"join without a beep", graph.Path(2), [][]step{{joins}, {{join: true}}}, "round 1: vertex 1", nil},
+		{"join after hearing a beep", graph.Path(2), [][]step{{{beep: true}}, {joins}}, "round 1: vertex 1", nil},
 		// Round 1 dominates vertex 1 and leaves vertex 2 active.
-		{"join while dominated", graph.Path(3), [][]step{{joins, silent}, {silent, {false, true}}, {silent, silent}}, "round 2: vertex 1", nil},
-		{"beep while dominated", graph.Path(3), [][]step{{joins, silent}, {silent, {true, false}}, {silent, silent}}, "round 2: vertex 1", nil},
-		{"beep while in the set", graph.Path(3), [][]step{{joins, {true, false}}, {silent, silent}, {silent, silent}}, "round 2: vertex 0", nil},
+		{"join while dominated", graph.Path(3), [][]step{{joins, silent}, {silent, {join: true}}, {silent, silent}}, "round 2: vertex 1", nil},
+		{"beep while dominated", graph.Path(3), [][]step{{joins, silent}, {silent, {beep: true}}, {silent, silent}}, "round 2: vertex 1", nil},
+		{"beep while in the set", graph.Path(3), [][]step{{joins, {beep: true}}, {silent, silent}, {silent, silent}}, "round 2: vertex 0", nil},
+		{"beep frame too long", graph.Path(2), [][]step{{silent}, {{raw: []byte{1, 0}}}}, "round 1 beeps: peer claiming 1 vertices from vertex 1", nil},
+		{"beep frame with a padding bit", graph.Path(2), [][]step{{silent}, {{raw: []byte{2}}}}, "round 1 beeps: peer claiming 1 vertices from vertex 1", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -651,6 +782,64 @@ func TestCoordinatorRejectsForbiddenBits(t *testing.T) {
 			}
 			if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("Serve = %v, %v; want an ErrBadFrame naming %q", res, err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestCoordinatorRejectsBadHello sends hellos over pipes to a Coordinator
+// for four vertices. A claim that is empty, not whole uint32s, over
+// MaxClaim, out of range or overlapping fails the run with the error
+// named, and the offending connection gets a reject frame that says
+// why; a claim that overlaps only another is welcomed first.
+func TestCoordinatorRejectsBadHello(t *testing.T) {
+	cases := []struct {
+		name    string
+		hellos  [][]byte
+		wantErr error
+		reason  string // in the reject frame the last hello gets
+	}{
+		{"empty claim", [][]byte{{}}, ErrBadFrame, "hello of 0 bytes"},
+		{"length not a multiple of 4", [][]byte{{0, 0, 0, 1, 0}}, ErrBadFrame, "hello of 5 bytes"},
+		{"claim over MaxClaim", [][]byte{make([]byte, 4*(MaxClaim+1))}, ErrBadFrame, fmt.Sprintf("1 to %d vertices", MaxClaim)},
+		{"out-of-range vertex", [][]byte{claimPayload([]int{0, 4})}, graph.ErrVertexRange, "vertex 4 with n=4"},
+		{"vertex listed twice in one hello", [][]byte{claimPayload([]int{1, 2, 1})}, ErrVertexClaimed, "vertex 1 (a node process already hosts it"},
+		{"vertex listed in two hellos", [][]byte{claimPayload([]int{0, 1}), claimPayload([]int{2, 1})}, ErrVertexClaimed, "vertex 1 (a node process already hosts it"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ln := &pipeListener{conns: make([]net.Conn, len(c.hellos))}
+			replies := make([]Frame, len(c.hellos))
+			var wg sync.WaitGroup
+			for i := range ln.conns {
+				coordEnd, nodeEnd := net.Pipe()
+				ln.conns[i] = coordEnd
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { _ = nodeEnd.Close() }()
+					fc := NewConn(nodeEnd)
+					if fc.Send(Frame{Type: TypeHello, Payload: c.hellos[i]}) == nil {
+						replies[i], _ = fc.Recv()
+					}
+				}()
+			}
+			_, err := (&Coordinator{g: graph.Empty(4), ln: ln}).Serve(CoordinatorOptions{IOTimeout: 10 * time.Second})
+			for _, conn := range ln.conns {
+				_ = conn.Close()
+			}
+			wg.Wait()
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("Serve err = %v, want %v", err, c.wantErr)
+			}
+			for i, f := range replies[:len(replies)-1] {
+				if f.Type != TypeWelcome {
+					t.Fatalf("hello %d got frame type %d, want a welcome", i, f.Type)
+				}
+			}
+			last := replies[len(replies)-1]
+			if last.Type != TypeReject || !strings.Contains(string(last.Payload), c.reason) {
+				t.Fatalf("last hello got type %d %q, want a reject naming %q", last.Type, last.Payload, c.reason)
 			}
 		})
 	}
@@ -680,7 +869,7 @@ func TestCoordinatorRejectsDuplicateClaim(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			_, _ = RunNode(coord.Addr(), 0, factory, rng.New(1), NodeOptions{})
+			_, _ = RunNode(coord.Addr(), []int{0}, factory, rng.New(1), NodeOptions{})
 		}()
 	}
 	if err := <-serveErr; !errors.Is(err, ErrVertexClaimed) {
@@ -707,7 +896,7 @@ func TestCoordinatorRejectsOutOfRangeVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		_, _ = RunNode(coord.Addr(), 5, factory, rng.New(1), NodeOptions{})
+		_, _ = RunNode(coord.Addr(), []int{5}, factory, rng.New(1), NodeOptions{})
 	}()
 	if err := <-serveErr; !errors.Is(err, graph.ErrVertexRange) {
 		t.Fatalf("Serve err = %v, want ErrVertexRange", err)
@@ -736,7 +925,7 @@ func TestNodeSeesClearRejection(t *testing.T) {
 	}
 	defer func() { _ = first.Close() }()
 	fc := NewConn(first)
-	if err := fc.Send(Frame{Type: TypeHello, Payload: u32Payload(0)}); err != nil {
+	if err := fc.Send(Frame{Type: TypeHello, Payload: claimPayload([]int{0})}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fc.Expect(TypeWelcome); err != nil {
@@ -747,7 +936,7 @@ func TestNodeSeesClearRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunNode(coord.Addr(), 0, factory, rng.New(1), NodeOptions{})
+	_, err = RunNode(coord.Addr(), []int{0}, factory, rng.New(1), NodeOptions{})
 	if err == nil || !strings.Contains(err.Error(), "already hosts it") {
 		t.Fatalf("duplicate claim error %v, want the overlap spelled out", err)
 	}
@@ -782,18 +971,14 @@ func TestCoordinatorAbortsOnMidRoundDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := NewConn(quitter)
-	if err := fc.Send(Frame{Type: TypeHello, Payload: u32Payload(1)}); err != nil {
+	if err := fc.Send(Frame{Type: TypeHello, Payload: claimPayload([]int{1})}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fc.Expect(TypeWelcome); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		if _, err := fc.Expect(TypeRound); err != nil {
-			_ = quitter.Close()
-			return
-		}
-		_ = fc.Send(Frame{Type: TypeBeep, Payload: boolByte(false)})
+		_ = fc.Send(Frame{Type: TypeBeep, Payload: bit(false)})
 		if _, err := fc.Expect(TypeHeard); err != nil {
 			_ = quitter.Close()
 			return
@@ -807,7 +992,7 @@ func TestCoordinatorAbortsOnMidRoundDisconnect(t *testing.T) {
 	}
 	nodeErr := make(chan error, 1)
 	go func() {
-		_, err := RunNode(coord.Addr(), 0, factory, rng.New(1), NodeOptions{IOTimeout: 2 * time.Second})
+		_, err := RunNode(coord.Addr(), []int{0}, factory, rng.New(1), NodeOptions{IOTimeout: 2 * time.Second})
 		nodeErr <- err
 	}()
 
@@ -871,7 +1056,7 @@ func TestCoordinatorToleratesProbeConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunNode(coord.Addr(), 0, factory, rng.New(1), NodeOptions{}); err != nil {
+	if _, err := RunNode(coord.Addr(), []int{0}, factory, rng.New(1), NodeOptions{}); err != nil {
 		t.Fatalf("real node failed after probes: %v", err)
 	}
 	if err := <-serveRes; err != nil {
@@ -900,7 +1085,7 @@ func TestCoordinatorTimesOutStalledNode(t *testing.T) {
 	}
 	defer func() { _ = stalled.Close() }()
 	fc := NewConn(stalled)
-	if err := fc.Send(Frame{Type: TypeHello, Payload: u32Payload(1)}); err != nil {
+	if err := fc.Send(Frame{Type: TypeHello, Payload: claimPayload([]int{1})}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fc.Expect(TypeWelcome); err != nil {
@@ -912,7 +1097,7 @@ func TestCoordinatorTimesOutStalledNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		_, _ = RunNode(coord.Addr(), 0, factory, rng.New(1), NodeOptions{IOTimeout: 2 * time.Second})
+		_, _ = RunNode(coord.Addr(), []int{0}, factory, rng.New(1), NodeOptions{IOTimeout: 2 * time.Second})
 	}()
 	select {
 	case err := <-serveRes:
