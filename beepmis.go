@@ -247,15 +247,14 @@ func (r *Result) MeanBeepsPerNode() float64 {
 
 // solveOptions collects Option settings.
 type solveOptions struct {
-	seed         uint64
-	maxRounds    int
-	feedback     FeedbackConfig
-	concurrent   bool
-	engine       Engine
-	shards       int
-	memoryBudget int64
-	faults       *FaultSpec
-	metrics      *EngineMetrics
+	seed       uint64
+	maxRounds  int
+	feedback   FeedbackConfig
+	concurrent bool
+	engine     Engine
+	shards     int
+	faults     *FaultSpec
+	metrics    *EngineMetrics
 }
 
 // Option customises Solve.
@@ -295,16 +294,6 @@ func WithEngine(e Engine) Option {
 // WithConcurrentEngine is an error.
 func WithShards(shards int) Option {
 	return func(o *solveOptions) { o.shards = shards }
-}
-
-// WithMemoryBudget caps the bytes the auto engine selection will spend
-// on the dense matrix of EngineColumnar (the CSR of EngineSparse is
-// taken when the matrix does not fit); 0 (the default) means
-// sim.DefaultMemoryBudget, 2 GiB. Purely a selection knob: results are
-// bit-identical whichever engine the budget admits. Explicit WithEngine
-// pins ignore it.
-func WithMemoryBudget(bytes int64) Option {
-	return func(o *solveOptions) { o.memoryBudget = bytes }
 }
 
 // WithFaults runs a beeping algorithm under the given fault model:
@@ -387,13 +376,12 @@ func Solve(g *Graph, algo Algorithm, opts ...Option) (*Result, error) {
 			return &Result{InMIS: cr.InMIS, Rounds: cr.Rounds, TotalBeeps: cr.TotalBeeps}, nil
 		}
 		simOpts := sim.Options{
-			MaxRounds:    o.maxRounds,
-			Engine:       o.engine,
-			Bulk:         bulk,
-			Shards:       o.shards,
-			MemoryBudget: o.memoryBudget,
-			Faults:       o.faults,
-			Metrics:      o.metrics,
+			MaxRounds: o.maxRounds,
+			Engine:    o.engine,
+			Bulk:      bulk,
+			Shards:    o.shards,
+			Faults:    o.faults,
+			Metrics:   o.metrics,
 		}
 		var verifier *fault.Verifier
 		if o.faults.Enabled() {

@@ -78,7 +78,7 @@ type benchRecord struct {
 // could really run it — at the requested shard bound; a pin measures
 // just the engine it runs. Results of all engines are seed-identical —
 // the benchmark varies only the wall clock, which is the point.
-func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, engine sim.Engine, shards int, memBudget int64, faults *fault.Spec) ([]benchRecord, error) {
+func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, engine sim.Engine, shards int, faults *fault.Spec) ([]benchRecord, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("bench needs positive -benchruns (got %d)", runs)
 	}
@@ -95,11 +95,7 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 	if err != nil {
 		return nil, err
 	}
-	budget := memBudget
-	if budget <= 0 {
-		budget = sim.DefaultMemoryBudget
-	}
-	matrixFits := graph.MatrixBytes(n) <= budget
+	matrixFits := graph.MatrixBytes(n) <= sim.DefaultMemoryBudget
 	var engines []sim.Engine
 	if matrixFits {
 		engines = append(engines, sim.EngineColumnar)
@@ -111,11 +107,11 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 			// Stderr, not the record stream: with -json, stdout carries the
 			// machine-readable records and must stay parseable.
 			fmt.Fprintf(os.Stderr, "misbench: warning: engine %v needs %d bytes of adjacency matrix (budget %d); proceeding because it was pinned\n",
-				engine, graph.MatrixBytes(n), budget)
+				engine, graph.MatrixBytes(n), sim.DefaultMemoryBudget)
 		}
 		engines = []sim.Engine{engine}
 	}
-	autoEngine := sim.ResolveEngine(g, sim.Options{MemoryBudget: memBudget}).String()
+	autoEngine := sim.ResolveEngine(g, sim.Options{}).String()
 	// Build (and cache) the columnar engine's packed matrix outside the
 	// timer; the sparse engine reads the graph's rows as built.
 	for _, e := range engines {
@@ -137,7 +133,7 @@ func collectEngineBench(wl *benchWorkload, p float64, runs int, seed uint64, eng
 		// recording path never allocates or touches rng — results and
 		// steady-state allocation behaviour are identical with it on.
 		metrics := &obs.EngineMetrics{}
-		opts := sim.Options{Engine: e, Bulk: bulk, Shards: shards, MemoryBudget: memBudget, Faults: faults, Metrics: metrics}
+		opts := sim.Options{Engine: e, Bulk: bulk, Shards: shards, Faults: faults, Metrics: metrics}
 		var rounds, beeps float64
 		start := time.Now()
 		for run := 0; run < runs; run++ {

@@ -83,8 +83,8 @@ func TestBenchJSONOutput(t *testing.T) {
 // the auto heuristic lands on the sparse engine.
 func TestBenchAutoFallbackObservable(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-bench", "-json", "-benchn", "20000", "-benchp", "0.001", "-benchruns", "1",
-		"-membudget", "10000000"} // 10 MB: matrix needs ~50 MB, CSR ~2 MB
+	args := []string{"-bench", "-json", "-benchn", "140000", "-benchp", "0.00005", "-benchruns", "1"}
+	// The matrix would need 2.45 GB, over the 2 GiB budget; the CSR ~4 MB.
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,6 @@ func TestBenchRejectsBadWorkload(t *testing.T) {
 func TestJSONRequiresBench(t *testing.T) {
 	if err := run([]string{"-exp", "fig5", "-trials", "1", "-maxn", "25", "-json"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-json without -bench accepted")
-	}
-}
-
-func TestMembudgetRequiresBench(t *testing.T) {
-	if err := run([]string{"-exp", "fig5", "-trials", "1", "-maxn", "25", "-membudget", "1048576"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-membudget without -bench accepted")
 	}
 }
 

@@ -264,7 +264,7 @@ func TestBenchRecordEffectiveShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := collectEngineBench(wl, 0.5, 1, 1, 0, 0, 0, nil)
+	records, err := collectEngineBench(wl, 0.5, 1, 1, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //	misbench -exp fig3 -shards 8            # bound columnar/sparse propagation goroutines
 //	misbench -bench -json                   # machine-readable engine benchmark
 //	misbench -bench -json -benchn 1000000 -benchp 0.00001 -benchruns 1
-//	                                        # million-node: sparse only (the matrix exceeds -membudget)
+//	                                        # million-node: sparse only (the matrix exceeds the 2 GiB budget)
 //	misbench -bench -json -faults '{"loss":0.05,"spurious":0.01}'
 //	                                        # noisy-channel overhead vs the clean baseline
 //	misbench -bench -cpuprofile cpu.pprof -memprofile heap.pprof -mutexprofile mutex.pprof
@@ -30,9 +30,9 @@
 // -json, emits one JSON record per engine — the across-PR benchmark
 // trajectory format (scripts/bench.sh wraps the records into the
 // committed top-level-array files). Only the engines whose adjacency
-// representation fits -membudget are enumerated, and every record's
-// auto_engine field names the engine the auto heuristic would pick, so
-// a silent fallback is visible in the data.
+// representation fits the 2 GiB sim.DefaultMemoryBudget are enumerated,
+// and every record's auto_engine field names the engine the auto
+// heuristic would pick, so a silent fallback is visible in the data.
 //
 // With -bench -compare BENCH_*.json the run becomes a regression gate:
 // each fresh record is matched to the committed baseline by its
@@ -81,7 +81,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		engine    = fs.String("engine", "auto", "simulation engine: auto, columnar, or sparse; the legacy scalar and bitset run sparse and columnar (results are seed-identical)")
 		workers   = fs.Int("workers", 0, "trial worker pool size (0 = all cores; results are identical for any value)")
 		shards    = fs.Int("shards", 0, "propagation goroutines per run (0 = all cores, 1 = serial; results are identical for any value)")
-		memBudget = fs.Int64("membudget", 0, "with -bench: auto-engine adjacency memory budget in bytes (0 = 2 GiB default; engine choice only, never results)")
 		bench     = fs.Bool("bench", false, "run the per-engine wall-clock benchmark instead of an experiment")
 		benchN    = fs.Int("benchn", 20000, "bench graph size n for G(n,p)")
 		benchP    = fs.Float64("benchp", 0.5, "bench edge probability p for G(n,p)")
@@ -117,15 +116,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			return err
 		}
 	}
-	if *memBudget < 0 {
-		return fmt.Errorf("-membudget %d negative (0 = default)", *memBudget)
-	}
 	cfg := experiment.Config{Seed: *seed, Trials: *trials, MaxN: *maxN, Workers: *workers, Engine: eng, Shards: *shards, Faults: faults}
 	if *asJSON && !*bench {
 		return fmt.Errorf("-json applies to -bench output (experiments have -format json)")
-	}
-	if *memBudget != 0 && !*bench {
-		return fmt.Errorf("-membudget applies to -bench workloads")
 	}
 	if !(*zScore >= 0) || *zScore != 0 && (*bench || *compare == "") {
 		return fmt.Errorf("-z takes a positive number of standard errors and applies to -compare on experiment results")
@@ -147,7 +140,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		if err != nil {
 			return err
 		}
-		records, err := collectEngineBench(wl, *benchP, *benchR, *seed, eng, *shards, *memBudget, faults)
+		records, err := collectEngineBench(wl, *benchP, *benchR, *seed, eng, *shards, faults)
 		if err != nil {
 			return err
 		}

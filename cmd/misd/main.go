@@ -69,7 +69,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 		addr         = fs.String("addr", ":8080", "listen address")
 		jobs         = fs.Int("jobs", 1, "concurrent scenario executions (the autoscaler's minimum when -autoscale-max is set)")
 		autoMax      = fs.Int("autoscale-max", 0, "autoscale the job pool between -jobs and this bound on queue-depth watermarks (0 = fixed pool)")
-		autoInterval = fs.Duration("autoscale-interval", 25*time.Millisecond, "autoscaler control-loop sampling period")
 		queue        = fs.Int("queue", 64, "queued-scenario bound (beyond it submissions get 429)")
 		trialWrk     = fs.Int("trial-workers", 0, "per-scenario trial pool override (0 = honour each spec)")
 		grace        = fs.Duration("grace", 30*time.Second, "graceful shutdown budget for in-flight HTTP")
@@ -93,16 +92,11 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	if *autoMax != 0 && *autoMax < *jobs {
 		return fmt.Errorf("-autoscale-max must be ≥ -jobs (got %d < %d)", *autoMax, *jobs)
 	}
-	var autoscale *service.AutoscaleConfig
-	if *autoMax > 0 {
-		autoscale = &service.AutoscaleConfig{Min: *jobs, Max: *autoMax, Interval: *autoInterval}
-	}
-
 	serviceMetrics := &obs.ServiceMetrics{}
 	engineMetrics := &obs.EngineMetrics{}
 	mgr := service.New(service.Options{
 		Workers:       *jobs,
-		Autoscale:     autoscale,
+		MaxWorkers:    *autoMax,
 		QueueCap:      *queue,
 		TrialWorkers:  *trialWrk,
 		Metrics:       serviceMetrics,
@@ -116,7 +110,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 		return fmt.Errorf("listen: %w", err)
 	}
 	pool := fmt.Sprintf("%d job workers", *jobs)
-	if autoscale != nil {
+	if *autoMax > *jobs {
 		pool = fmt.Sprintf("autoscaling %d..%d job workers", *jobs, *autoMax)
 	}
 	fmt.Fprintf(stdout, "misd: listening on %s (%s, queue %d)\n", ln.Addr(), pool, *queue)

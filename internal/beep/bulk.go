@@ -52,29 +52,20 @@ type BulkAutomaton interface {
 	// NeighborJoined field of the per-node Outcome is always false
 	// here.)
 	ObserveRange(observed, beeped, heard graph.Bitset, loWord, hiWord int)
-}
-
-// BulkProbabilityReporter is optionally implemented by bulk automata that
-// expose their current beep probabilities; the tracer uses it to populate
-// Snapshot.Probabilities exactly like the per-node ProbabilityReporter.
-type BulkProbabilityReporter interface {
 	// BeepProbabilities fills dst[v] with the probability that node v's
-	// next BeepRange draw returns true. dst has one entry per node.
+	// next BeepRange draw returns true (NaN where the algorithm does not
+	// report one). dst has one entry per node. The tracer uses it to
+	// populate Snapshot.Probabilities exactly like the per-node
+	// ProbabilityReporter.
 	BeepProbabilities(dst []float64)
-}
-
-// BulkResetter is optionally implemented by bulk automata whose nodes
-// can be returned to their freshly-constructed state. The fault layer's
-// transient-crash schedules with reset semantics require it: a reset
-// recovery rebuilds the per-node automaton in the per-node adapter, and
-// a kernel must mirror that by restoring the node's packed state to
-// exactly what the factory would have initialised — so a reset node
-// behaves bit-identically with or without the kernel from its first
-// post-recovery draw.
-type BulkResetter interface {
 	// ResetNodes restores each listed node's state to its initial
 	// value, as if the bulk factory had just constructed it. Other
-	// nodes must be untouched; no randomness may be drawn.
+	// nodes must be untouched; no randomness may be drawn. The fault
+	// layer's reset recoveries call it: the per-node adapter rebuilds
+	// the automaton, and a kernel restores the node's packed state to
+	// exactly what the factory would have initialised — so a reset node
+	// behaves bit-identically with or without the kernel from its first
+	// post-recovery draw.
 	ResetNodes(nodes []int)
 }
 

@@ -141,7 +141,7 @@ func runBits(cfg Config) (*Result, error) {
 	rep, err := cfg.run(cfg.spec(sweep(gnp(0.5), ns, mis.NameFeedback), 30), func(unit, trial int, g *graph.Graph, r *sim.Result, _ int) {
 		weighted := 0.0
 		for v, b := range r.Beeps {
-			weighted += float64(b) * float64(g.Degree(v))
+			weighted += float64(float64(b) * float64(g.Degree(v)))
 		}
 		if g.M() > 0 {
 			slots[unit][trial] = weighted / float64(g.M())

@@ -55,12 +55,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON parses a result previously written by WriteJSON, for tooling
-// that post-processes saved runs.
-func ReadJSON(r io.Reader) (*Result, error) {
-	return decodeResult(json.NewDecoder(r))
-}
-
 // ReadAllJSON parses every result in a stream of WriteJSON documents,
 // such as the output of misbench -exp all -format json.
 func ReadAllJSON(r io.Reader) ([]*Result, error) {

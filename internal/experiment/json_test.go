@@ -22,10 +22,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := sampleResult().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
+	all, err := ReadAllJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(all) != 1 {
+		t.Fatalf("read %d results, want 1", len(all))
+	}
+	back := all[0]
 	orig := sampleResult()
 	if back.ID != orig.ID || back.Title != orig.Title || len(back.Series) != 2 {
 		t.Fatalf("round trip lost data: %+v", back)
@@ -56,7 +60,7 @@ func TestJSONFieldNamesStable(t *testing.T) {
 }
 
 func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
+	if _, err := ReadAllJSON(strings.NewReader("{not json")); err == nil {
 		t.Fatal("invalid json accepted")
 	}
 }

@@ -132,21 +132,6 @@ func (s *Spec) Enabled() bool {
 // spurious beeps).
 func (s *Spec) Channelled() bool { return s != nil && (s.Loss > 0 || s.Spurious > 0) }
 
-// HasResets reports whether any outage recovers with reset semantics —
-// the one fault feature a columnar bulk kernel must explicitly support
-// (beep.BulkResetter).
-func (s *Spec) HasResets() bool {
-	if s == nil {
-		return false
-	}
-	for _, o := range s.Outages {
-		if o.Reset {
-			return true
-		}
-	}
-	return false
-}
-
 // validProb rejects probabilities outside [0, 1) — including NaN, which
 // fails every comparison and would otherwise slip through naive
 // range checks.

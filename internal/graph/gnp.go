@@ -88,8 +88,8 @@ func (s *Scratch) halfRows(n int, p float64, src *rng.Source) {
 	// Room for the expected edge count plus four standard deviations
 	// and a row, so a build almost never regrows the buffer.
 	q := min(p, 1)
-	mean := q * float64(n) * float64(n-1) / 2
-	half = slices.Grow(half, int(mean+4*math.Sqrt(mean))+n)
+	mean := float64(q * float64(n) * float64(n-1) / 2)
+	half = slices.Grow(half, int(mean+float64(4*math.Sqrt(mean)))+n)
 	if p < gnpPlanesFrom {
 		s.half = skipRows(half, s.hoff, n, p, src)
 	} else {

@@ -93,16 +93,3 @@ func SetToList(set []bool) []int {
 	}
 	return out
 }
-
-// ListToSet converts a vertex list to a membership vector of length n.
-// Out-of-range vertices yield an error.
-func ListToSet(n int, list []int) ([]bool, error) {
-	set := make([]bool, n)
-	for _, v := range list {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("%w: vertex %d with n=%d", ErrVertexRange, v, n)
-		}
-		set[v] = true
-	}
-	return set, nil
-}

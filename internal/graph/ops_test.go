@@ -171,18 +171,6 @@ func TestSetListRoundTrip(t *testing.T) {
 			t.Fatalf("list = %v", list)
 		}
 	}
-	back, err := ListToSet(5, list)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range set {
-		if back[i] != set[i] {
-			t.Fatalf("round trip differs at %d", i)
-		}
-	}
-	if _, err := ListToSet(2, []int{5}); !errors.Is(err, ErrVertexRange) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {

@@ -27,8 +27,6 @@ type feedbackBulk struct {
 }
 
 var _ beep.BulkAutomaton = (*feedbackBulk)(nil)
-var _ beep.BulkProbabilityReporter = (*feedbackBulk)(nil)
-var _ beep.BulkResetter = (*feedbackBulk)(nil)
 
 // NewFeedbackBulk returns the columnar kernel of the feedback algorithm
 // configured like NewFeedback(cfg). The two are interchangeable beyond
@@ -115,8 +113,6 @@ type sweepBulk struct {
 }
 
 var _ beep.BulkAutomaton = (*sweepBulk)(nil)
-var _ beep.BulkProbabilityReporter = (*sweepBulk)(nil)
-var _ beep.BulkResetter = (*sweepBulk)(nil)
 
 // NewGlobalSweepBulk returns the columnar kernel of the DISC'11 sweeping
 // schedule, interchangeable with NewGlobalSweep.
@@ -178,8 +174,6 @@ type afekBulk struct {
 }
 
 var _ beep.BulkAutomaton = (*afekBulk)(nil)
-var _ beep.BulkProbabilityReporter = (*afekBulk)(nil)
-var _ beep.BulkResetter = (*afekBulk)(nil)
 
 // NewAfekOriginalBulk returns the columnar kernel of the Science'11
 // schedule, interchangeable with NewAfekOriginal.

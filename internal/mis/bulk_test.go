@@ -97,11 +97,7 @@ func driveKernelAndAutomata(t testing.TB, spec Spec, n, rounds int, seed uint64,
 		}
 		kernel.ObserveRange(observed, beeped, heard, 0, len(observed))
 
-		reporter, ok := kernel.(beep.BulkProbabilityReporter)
-		if !ok {
-			t.Fatalf("kernel for %+v does not report probabilities", spec)
-		}
-		reporter.BeepProbabilities(gotProbs)
+		kernel.BeepProbabilities(gotProbs)
 		for v := 0; v < n; v++ {
 			wantProbs[v] = autos[v].(beep.ProbabilityReporter).BeepProbability()
 			if wantProbs[v] != gotProbs[v] && !(math.IsNaN(wantProbs[v]) && math.IsNaN(gotProbs[v])) {
@@ -201,9 +197,9 @@ func TestBulkKernelsOnGraphs(t *testing.T) {
 	}
 }
 
-// TestBulkKernelsResetMatchFreshAutomata pins the beep.BulkResetter
-// contract every kernel implements for the fault layer's reset
-// recoveries: after driving the kernel for a while and resetting a
+// TestBulkKernelsResetMatchFreshAutomata pins the ResetNodes contract
+// of beep.BulkAutomaton that the fault layer's reset recoveries rely
+// on: after driving the kernel for a while and resetting a
 // subset of nodes, those nodes must behave exactly like freshly
 // constructed per-node automata — same draws, same probabilities —
 // while untouched nodes keep their advanced state.
@@ -224,10 +220,6 @@ func TestBulkKernelsResetMatchFreshAutomata(t *testing.T) {
 			}
 		}
 		kernel := bulkFactory(beep.NetworkInfo{N: n, MaxDegree: maxDeg})
-		resetter, ok := kernel.(beep.BulkResetter)
-		if !ok {
-			t.Fatalf("%s kernel does not implement beep.BulkResetter", spec.Name)
-		}
 		streams := make([]rng.Source, n)
 		for v := range streams {
 			rng.New(5).StreamInto(&streams[v], uint64(v))
@@ -249,12 +241,12 @@ func TestBulkKernelsResetMatchFreshAutomata(t *testing.T) {
 			kernel.ObserveRange(active, beeped, heard, 0, len(active))
 		}
 		before := make([]float64, n)
-		kernel.(beep.BulkProbabilityReporter).BeepProbabilities(before)
+		kernel.BeepProbabilities(before)
 
 		resetNodes := []int{0, 63, 64, 100}
-		resetter.ResetNodes(resetNodes)
+		kernel.ResetNodes(resetNodes)
 		after := make([]float64, n)
-		kernel.(beep.BulkProbabilityReporter).BeepProbabilities(after)
+		kernel.BeepProbabilities(after)
 		isReset := make(map[int]bool, len(resetNodes))
 		for _, v := range resetNodes {
 			isReset[v] = true

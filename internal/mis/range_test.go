@@ -97,8 +97,8 @@ func driveRangedAgainstFull(t *testing.T, spec Spec, n, parts, rounds int, seed 
 			ranged.ObserveRange(observed, beepedRanged, heard, bounds[i][0], bounds[i][1])
 		}
 
-		full.(beep.BulkProbabilityReporter).BeepProbabilities(probsFull)
-		ranged.(beep.BulkProbabilityReporter).BeepProbabilities(probsRanged)
+		full.BeepProbabilities(probsFull)
+		ranged.BeepProbabilities(probsRanged)
 		for v := 0; v < n; v++ {
 			if probsFull[v] != probsRanged[v] && !(math.IsNaN(probsFull[v]) && math.IsNaN(probsRanged[v])) {
 				t.Fatalf("round %d node %d: ranged p=%v, full p=%v", round, v, probsRanged[v], probsFull[v])

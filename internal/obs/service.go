@@ -32,8 +32,8 @@ type ServiceMetrics struct {
 	// buffers (the publish overflow path).
 	Subscribers   Gauge
 	EventsDropped Counter
-	// PoolSize is the executor's commanded worker count: constant for
-	// the fixed pool, moving between the autoscaler's min/max bounds
+	// PoolSize is the job pool's commanded worker count: constant for
+	// a fixed pool, moving between the autoscaler's min/max bounds
 	// otherwise. (A scaled-down worker exits only after finishing its
 	// current job, so the briefly-running count can exceed the gauge.)
 	PoolSize Gauge

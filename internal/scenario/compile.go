@@ -629,7 +629,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 // vertex plus two int32 entries per edge. An instance needs this
 // whatever engine runs it.
 func adjacencyBytes(nodes int, expEdges float64) float64 {
-	return 24*float64(nodes) + 8*expEdges
+	return float64(24*float64(nodes)) + float64(8*expEdges)
 }
 
 // plannedEngine resolves the engine the compiled plan expects to run:
@@ -642,7 +642,7 @@ func plannedEngine(pin sim.Engine, nodes int, expEdges float64) sim.Engine {
 	if pin != sim.EngineAuto {
 		return pin.Canonical()
 	}
-	return sim.ResolveEngineFromCounts(nodes, int(math.Ceil(expEdges)), 0)
+	return sim.ResolveEngineFromCounts(nodes, int(math.Ceil(expEdges)))
 }
 
 // admitFootprint bounds a unit by the estimated memory footprint of
@@ -655,7 +655,7 @@ func plannedEngine(pin sim.Engine, nodes int, expEdges float64) sim.Engine {
 func admitFootprint(pin sim.Engine, family string, nodes int, expEdges float64) (sim.Engine, error) {
 	planned := plannedEngine(pin, nodes, expEdges)
 	adj := adjacencyBytes(nodes, expEdges)
-	rep := float64(graph.CSRBytes(nodes, 0)) + 8*expEdges
+	rep := float64(graph.CSRBytes(nodes, 0)) + float64(8*expEdges)
 	if planned == sim.EngineColumnar {
 		rep = float64(graph.MatrixBytes(nodes))
 	}

@@ -36,7 +36,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strings"
 
 	"beepmis/internal/fault"
 	"beepmis/internal/graph"
@@ -248,9 +247,6 @@ func Parse(r io.Reader) (*Spec, error) {
 	}
 	return c.Spec, nil
 }
-
-// ParseBytes is Parse over an in-memory document.
-func ParseBytes(b []byte) (*Spec, error) { return Parse(strings.NewReader(string(b))) }
 
 // Normalized returns a copy of the spec with every default applied:
 // seed 0 → 1, trials 0 → 1, engine "" → "auto", feedback/afek/fixed

@@ -114,17 +114,12 @@ type Options struct {
 	// results. An evicted scenario simply re-executes on resubmission;
 	// determinism guarantees the same bytes.
 	MaxJobs int
-	// Autoscale, when non-nil, replaces the fixed worker pool with the
-	// autoscaling executor: the pool grows towards Autoscale.Max on
-	// sustained queue-depth pressure and shrinks back to Autoscale.Min
-	// when the queue idles (Workers is ignored; set Autoscale.Min
-	// instead). Results are unaffected — worker count is a performance
-	// knob — but wall-clock capacity follows load.
-	Autoscale *AutoscaleConfig
-	// Executor overrides the pool strategy outright (the seam a
-	// cluster backend plugs into). When set, Workers and Autoscale are
-	// ignored.
-	Executor Executor
+	// MaxWorkers, when above Workers, lets the pool grow towards it on
+	// sustained queue-depth pressure and shrink back to Workers when the
+	// queue idles. 0 or ≤ Workers keeps the pool fixed at Workers.
+	// Results are unaffected — worker count is a performance knob — but
+	// wall-clock capacity follows load.
+	MaxWorkers int
 	// Metrics receives the manager's telemetry (queue depth, latency
 	// histograms, cache and subscriber counters). Nil gets a private
 	// bundle, so the instrumentation points never branch; pass one to
@@ -136,12 +131,12 @@ type Options struct {
 	EngineMetrics *obs.EngineMetrics
 }
 
-// Manager owns the job queue and the result cache; its Executor owns
-// the workers that drain the queue.
+// Manager owns the job queue and the result cache; its pool owns the
+// workers that drain the queue.
 type Manager struct {
 	opts    Options
 	metrics *obs.ServiceMetrics
-	exec    Executor
+	pool    *pool
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -159,9 +154,8 @@ type Manager struct {
 	testHookBeforeRun func(*Job)
 }
 
-// New starts a Manager's worker pool: Options.Executor if set, the
-// autoscaling pool if Options.Autoscale is set, the fixed pool of
-// Options.Workers otherwise.
+// New starts a Manager's worker pool of Options.Workers workers,
+// autoscaling up to Options.MaxWorkers.
 func New(opts Options) *Manager {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -184,15 +178,7 @@ func New(opts Options) *Manager {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	switch {
-	case opts.Executor != nil:
-		m.exec = opts.Executor
-	case opts.Autoscale != nil:
-		m.exec = NewAutoscalePool(*opts.Autoscale)
-	default:
-		m.exec = NewFixedPool(opts.Workers)
-	}
-	m.exec.Start(m.queue, m.execute, m.metrics)
+	m.pool = startPool(opts.Workers, opts.MaxWorkers, m.queue, m.execute, m.metrics)
 	return m
 }
 
@@ -245,7 +231,7 @@ func (m *Manager) Submit(compiled *scenario.Compiled) (*Job, bool, error) {
 // evictLocked drops the oldest finished jobs until the retention bound
 // holds. Queued/running jobs are skipped — they hold queue slots and
 // subscribers — so the map can transiently exceed MaxJobs by the
-// active-set size, which QueueCap and Workers already bound.
+// active-set size, which QueueCap and the pool size already bound.
 func (m *Manager) evictLocked() {
 	if len(m.jobs) <= m.opts.MaxJobs {
 		return
@@ -409,7 +395,7 @@ func (m *Manager) Close(ctx context.Context) error {
 
 	done := make(chan struct{})
 	go func() {
-		m.exec.Wait()
+		m.pool.wait()
 		close(done)
 	}()
 	select {
@@ -425,8 +411,7 @@ func (m *Manager) Close(ctx context.Context) error {
 	}
 }
 
-// execute is the function every executor's workers hand dequeued jobs
-// to. Once Close has begun, dequeued jobs fail fast instead of
+// execute is the function the pool's workers hand dequeued jobs to. Once Close has begun, dequeued jobs fail fast instead of
 // starting — Close's drain loop consumes the same channel, and
 // whichever side wins the race must apply the same policy. (Draining
 // alone does not fail jobs: Drain stops admissions, not execution.)
@@ -540,7 +525,7 @@ func (m *Manager) StatsNow() Stats {
 	defer m.mu.Unlock()
 	s := Stats{
 		Jobs:    len(m.jobs),
-		Workers: m.exec.Workers(),
+		Workers: int(m.metrics.PoolSize.Value()),
 		Queue:   map[string]int{"cap": m.opts.QueueCap, "len": len(m.queue)},
 	}
 	for _, job := range m.jobs {

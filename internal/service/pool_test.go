@@ -4,25 +4,62 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"beepmis/internal/obs"
 )
 
-// step is one sample fed to the scaler with the expected outcome.
+// TestFixedPoolStartsNoControlLoop pins the fixed pool's footprint: a
+// Manager whose MaxWorkers does not exceed Workers starts exactly
+// Workers goroutines — its workers — and no control goroutine or
+// ticker. The autoscaling row shows the count sees the control loop.
+func TestFixedPoolStartsNoControlLoop(t *testing.T) {
+	for _, tc := range []struct{ workers, maxWorkers, want int }{
+		{workers: 1, maxWorkers: 0, want: 1},
+		{workers: 1, maxWorkers: 1, want: 1},
+		{workers: 3, maxWorkers: 0, want: 3},
+		{workers: 3, maxWorkers: 2, want: 3},
+		{workers: 1, maxWorkers: 4, want: 2},
+	} {
+		before := runtime.NumGoroutine()
+		m := New(Options{Workers: tc.workers, MaxWorkers: tc.maxWorkers})
+		started := runtime.NumGoroutine() - before
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := m.Close(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if started != tc.want {
+			t.Errorf("Workers %d, MaxWorkers %d: started %d goroutines, want %d",
+				tc.workers, tc.maxWorkers, started, tc.want)
+		}
+		// Close has waited for the pool; let the exited goroutines
+		// leave the count before the next row measures.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines still running after Close", runtime.NumGoroutine()-before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// step is one sample fed to the scaler with the expected delta.
 type step struct {
-	depth      int
-	wantDelta  int
-	wantReason string
+	depth     int
+	wantDelta int
 }
 
 // TestScalerTransitions table-drives the watermark/hysteresis state
-// machine: sustained bursts scale up one worker per hold period,
-// sustained idleness scales down, and flapping input — samples that
-// alternate bands faster than the hold — never moves the pool.
+// machine on the pool's constants: sustained bursts scale up one
+// worker per up-hold, sustained idleness scales down one per
+// down-hold, and flapping input — samples that alternate bands faster
+// than the hold — never moves the pool.
 func TestScalerTransitions(t *testing.T) {
-	cfg := AutoscaleConfig{Min: 1, Max: 3, High: 2, Low: 0, UpHold: 2, DownHold: 2, Interval: time.Millisecond}.withDefaults()
 	cases := []struct {
 		name     string
 		steps    []step
@@ -31,16 +68,16 @@ func TestScalerTransitions(t *testing.T) {
 		{
 			name: "burst scales up one step per hold period",
 			steps: []step{
-				{depth: 5}, {depth: 5, wantDelta: +1, wantReason: ReasonQueueHigh},
-				{depth: 5}, {depth: 5, wantDelta: +1, wantReason: ReasonQueueHigh},
+				{depth: 5}, {depth: 5, wantDelta: +1},
+				{depth: 5}, {depth: 5, wantDelta: +1},
 			},
 			wantSize: 3,
 		},
 		{
 			name: "max bound holds under continued pressure",
 			steps: []step{
-				{depth: 9}, {depth: 9, wantDelta: +1, wantReason: ReasonQueueHigh},
-				{depth: 9}, {depth: 9, wantDelta: +1, wantReason: ReasonQueueHigh},
+				{depth: 9}, {depth: 9, wantDelta: +1},
+				{depth: 9}, {depth: 9, wantDelta: +1},
 				{depth: 9}, {depth: 9}, {depth: 9}, {depth: 9},
 			},
 			wantSize: 3,
@@ -48,9 +85,9 @@ func TestScalerTransitions(t *testing.T) {
 		{
 			name: "idle scales back down to min",
 			steps: []step{
-				{depth: 4}, {depth: 4, wantDelta: +1, wantReason: ReasonQueueHigh},
-				{depth: 0}, {depth: 0, wantDelta: -1, wantReason: ReasonQueueIdle},
-				{depth: 0}, {depth: 0}, {depth: 0}, // min bound: no further shrink
+				{depth: 4}, {depth: 4, wantDelta: +1},
+				{depth: 0}, {depth: 0}, {depth: 0}, {depth: 0, wantDelta: -1},
+				{depth: 0}, {depth: 0}, {depth: 0}, {depth: 0}, // min bound: no further shrink
 			},
 			wantSize: 1,
 		},
@@ -73,44 +110,25 @@ func TestScalerTransitions(t *testing.T) {
 		{
 			name: "down hysteresis survives a single idle dip",
 			steps: []step{
-				{depth: 5}, {depth: 5, wantDelta: +1, wantReason: ReasonQueueHigh},
+				{depth: 5}, {depth: 5, wantDelta: +1},
 				{depth: 0}, {depth: 5}, {depth: 0}, {depth: 5},
 			},
+
 			wantSize: 2,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newScaler(cfg)
+			s := &scaler{min: 1, max: 3, size: 1}
 			for i, st := range tc.steps {
-				delta, reason := s.observe(st.depth)
-				if delta != st.wantDelta || reason != st.wantReason {
-					t.Fatalf("step %d (depth %d): delta=%d reason=%q, want delta=%d reason=%q",
-						i, st.depth, delta, reason, st.wantDelta, st.wantReason)
+				if delta := s.observe(st.depth); delta != st.wantDelta {
+					t.Fatalf("step %d (depth %d): delta=%d, want %d", i, st.depth, delta, st.wantDelta)
 				}
 			}
 			if s.size != tc.wantSize {
 				t.Fatalf("final size %d, want %d", s.size, tc.wantSize)
 			}
 		})
-	}
-}
-
-// TestAutoscaleConfigDefaults pins the zero-value normalisation,
-// including the watermark-band repair that keeps High strictly above
-// Low.
-func TestAutoscaleConfigDefaults(t *testing.T) {
-	d := AutoscaleConfig{}.withDefaults()
-	if d.Min != 1 || d.Max != 4 || d.High != 2 || d.Low != 0 || d.UpHold != 2 || d.DownHold != 4 || d.Interval != 25*time.Millisecond {
-		t.Fatalf("zero-value defaults: %+v", d)
-	}
-	overlapped := AutoscaleConfig{Low: 5, High: 3}.withDefaults()
-	if overlapped.High <= overlapped.Low {
-		t.Fatalf("overlapping watermarks survived defaults: %+v", overlapped)
-	}
-	pinned := AutoscaleConfig{Min: 8}.withDefaults()
-	if pinned.Max != 8 {
-		t.Fatalf("Max below Min survived defaults: %+v", pinned)
 	}
 }
 
@@ -123,12 +141,9 @@ func TestAutoscalerScalesUpAndDown(t *testing.T) {
 	sm := &obs.ServiceMetrics{}
 	release := make(chan struct{})
 	m := newTestManager(t, Options{
-		QueueCap: 16,
-		Metrics:  sm,
-		Autoscale: &AutoscaleConfig{
-			Min: 1, Max: 3, High: 2, Low: 0,
-			UpHold: 1, DownHold: 2, Interval: 2 * time.Millisecond,
-		},
+		QueueCap:   16,
+		Metrics:    sm,
+		MaxWorkers: 3,
 	})
 	m.testHookBeforeRun = func(*Job) { <-release }
 
@@ -180,8 +195,10 @@ func TestAutoscalerScalesUpAndDown(t *testing.T) {
 // TestAutoscalerResultsByteIdentical is the determinism end-to-end:
 // the same scenario set run through the fixed pool and through an
 // actively-scaling pool must produce byte-identical result JSON — the
-// worker count is a performance knob, never a semantic one. Run with
-// -race in CI, where the scaling control loop races the workers.
+// worker count is a performance knob, never a semantic one. The scaled
+// run holds its first jobs until the pool has grown, so they execute
+// on workers the control loop added. Run with -race in CI, where the
+// scaling control loop races the workers.
 func TestAutoscalerResultsByteIdentical(t *testing.T) {
 	specs := make([]string, 5)
 	for i := range specs {
@@ -195,6 +212,10 @@ func TestAutoscalerResultsByteIdentical(t *testing.T) {
 
 	results := func(opts Options) map[string][]byte {
 		m := newTestManager(t, opts)
+		release := make(chan struct{})
+		if opts.Metrics != nil {
+			m.testHookBeforeRun = func(*Job) { <-release }
+		}
 		jobs := make([]*Job, 0, len(specs))
 		for _, s := range specs {
 			job, _, err := m.Submit(mustSpec(t, s))
@@ -203,6 +224,16 @@ func TestAutoscalerResultsByteIdentical(t *testing.T) {
 			}
 			jobs = append(jobs, job)
 		}
+		if opts.Metrics != nil {
+			deadline := time.Now().Add(10 * time.Second)
+			for opts.Metrics.ScaleUps.Value() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("pool never grew (size %d)", opts.Metrics.PoolSize.Value())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		close(release)
 		out := make(map[string][]byte, len(jobs))
 		for _, job := range jobs {
 			if v := waitDone(t, m, job); v.Status != StatusDone {
@@ -215,13 +246,7 @@ func TestAutoscalerResultsByteIdentical(t *testing.T) {
 	}
 
 	fixed := results(Options{Workers: 2, QueueCap: 16})
-	scaled := results(Options{
-		QueueCap: 16,
-		Autoscale: &AutoscaleConfig{
-			Min: 1, Max: 4, High: 1, Low: 0,
-			UpHold: 1, DownHold: 1, Interval: time.Millisecond,
-		},
-	})
+	scaled := results(Options{QueueCap: 16, MaxWorkers: 4, Metrics: &obs.ServiceMetrics{}})
 
 	if len(fixed) != len(scaled) {
 		t.Fatalf("job counts differ: fixed %d, autoscaled %d", len(fixed), len(scaled))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	mathbits "math/bits"
 	"slices"
 	"time"
@@ -450,17 +449,6 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 	defer loop.close()
 	bulk := r.bulk(beep.NetworkInfo{N: n, MaxDegree: loop.setup(master)})
 	loop.bulk = bulk
-	var resetter beep.BulkResetter
-	if plan != nil && plan.hasResets {
-		var ok bool
-		if resetter, ok = bulk.(beep.BulkResetter); !ok {
-			// Every in-tree kernel (and the per-node adapter) implements
-			// BulkResetter; a third-party kernel that does not cannot run
-			// reset recoveries bit-identically, so refuse rather than
-			// silently diverge from the per-node automata.
-			return nil, fmt.Errorf("sim: fault spec schedules reset outages but the bulk kernel (%T) does not implement beep.BulkResetter (leave Options.Bulk nil to run the per-node automata)", bulk)
-		}
-	}
 	active := n
 
 	// Lifecycle masks. A node is dominated iff it is in none of these
@@ -563,7 +551,7 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 				}
 			}
 			if len(resets) > 0 {
-				resetter.ResetNodes(resets)
+				bulk.ResetNodes(resets)
 			}
 			for _, v := range plan.startAt[round] {
 				downB.Set(v)
@@ -683,13 +671,7 @@ func runColumnar(r *preparedRun, prop bulkPropagator) (*Result, error) {
 			for v := range snapBeeped {
 				snapBeeped[v] = beeped.Test(v)
 			}
-			if pr, ok := bulk.(beep.BulkProbabilityReporter); ok {
-				pr.BeepProbabilities(probs)
-			} else {
-				for v := range probs {
-					probs[v] = math.NaN()
-				}
-			}
+			bulk.BeepProbabilities(probs)
 			for v := range probs {
 				if snapStates[v] != beep.StateActive {
 					probs[v] = 0

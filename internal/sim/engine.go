@@ -113,12 +113,12 @@ func (e Engine) Canonical() Engine {
 	}
 }
 
-// DefaultMemoryBudget caps the dense matrix EngineAuto will build when
-// Options.MemoryBudget is zero: 2 GiB covers a matrix up to n = 10⁵
-// (1.25 GiB) with headroom and refuses it in the n ≥ 10⁶ regime, where
-// the matrix alone would be 125 GiB — there the CSR representation
-// (O(n + m) bytes) runs instead. An explicit engine pin is honoured
-// regardless of the budget — the caller knows their machine.
+// DefaultMemoryBudget caps the dense matrix EngineAuto will build: 2 GiB
+// covers a matrix up to n = 10⁵ (1.25 GiB) with headroom and refuses it
+// in the n ≥ 10⁶ regime, where the matrix alone would be 125 GiB — there
+// the CSR representation (O(n + m) bytes) runs instead. An explicit
+// engine pin is honoured regardless of the budget — the caller knows
+// their machine.
 const DefaultMemoryBudget = int64(2) << 30
 
 // ResolveEngine reports the engine a run of g under opts will actually
@@ -126,32 +126,22 @@ const DefaultMemoryBudget = int64(2) << 30
 // auto heuristic's choice otherwise. Exported so callers (misbench
 // records, capacity planners) can observe the selection.
 func ResolveEngine(g *graph.Graph, opts Options) Engine {
-	return resolveEngine(opts.Engine, g.N(), g.M(), opts.MemoryBudget)
-}
-
-// resolveEngine is ResolveEngine over counts: the pin's canonical form,
-// or the auto heuristic's choice for an n-vertex, m-edge graph.
-func resolveEngine(pin Engine, n, m int, budget int64) Engine {
-	if pin != EngineAuto {
-		return pin.Canonical()
+	if opts.Engine != EngineAuto {
+		return opts.Engine.Canonical()
 	}
-	return ResolveEngineFromCounts(n, m, budget)
+	return ResolveEngineFromCounts(g.N(), g.M())
 }
 
 // ResolveEngineFromCounts is the auto heuristic over counts instead of
-// a built graph: n vertices, m edges, and the memory budget (<= 0 means
-// DefaultMemoryBudget). It picks EngineColumnar when the packed matrix
-// fits the budget and the graph is dense enough for word-parallel
-// delivery to win (bitsetWorthwhile), and EngineSparse otherwise. The
-// budget gates only the matrix: the CSR is the smallest representation
-// the loop has. ResolveEngine delegates here; the scenario compiler's
-// admission planning calls it directly with its *expected* edge
-// counts, so the two can never drift apart.
-func ResolveEngineFromCounts(n, m int, budget int64) Engine {
-	if budget <= 0 {
-		budget = DefaultMemoryBudget
-	}
-	if graph.MatrixBytes(n) <= budget && bitsetWorthwhile(n, m) {
+// a built graph: n vertices and m edges. It picks EngineColumnar when
+// the packed matrix fits DefaultMemoryBudget and the graph is dense
+// enough for word-parallel delivery to win (bitsetWorthwhile), and
+// EngineSparse otherwise. The budget gates only the matrix: the CSR is
+// the smallest representation the loop has. ResolveEngine delegates
+// here; the scenario compiler's admission planning calls it directly
+// with its *expected* edge counts, so the two can never drift apart.
+func ResolveEngineFromCounts(n, m int) Engine {
+	if graph.MatrixBytes(n) <= DefaultMemoryBudget && bitsetWorthwhile(n, m) {
 		return EngineColumnar
 	}
 	return EngineSparse

@@ -400,10 +400,6 @@ func TestResolveEngine(t *testing.T) {
 		{"dense kernel", dense, Options{Bulk: bulk}, EngineColumnar},
 		{"dense with loss", dense, Options{BeepLoss: 0.1}, EngineColumnar},
 		{"sparse under budget", sparse, Options{}, EngineSparse},
-		{"over matrix budget", dense, Options{MemoryBudget: 1 << 18}, EngineSparse},
-		// The budget gates only the matrix: the CSR is the smallest
-		// representation there is.
-		{"over csr budget", sparse, Options{MemoryBudget: 1 << 10}, EngineSparse},
 		{"empty", graph.Empty(0), Options{}, EngineSparse},
 		{"single node", graph.Empty(1), Options{}, EngineColumnar},
 	}
@@ -412,24 +408,55 @@ func TestResolveEngine(t *testing.T) {
 			t.Errorf("%s: ResolveEngine = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+	// The budget rows, by counts: the matrix of 2¹⁷ nodes is exactly
+	// DefaultMemoryBudget, and one more node puts it over.
+	for _, tc := range []struct {
+		name string
+		n, m int
+		want Engine
+	}{
+		{"matrix exactly at budget", budgetNodes, budgetEdges, EngineColumnar},
+		{"matrix one row over budget", budgetNodes + 1, budgetEdges, EngineSparse},
+		{"at budget but too sparse", budgetNodes, budgetNodes, EngineSparse},
+	} {
+		if got := ResolveEngineFromCounts(tc.n, tc.m); got != tc.want {
+			t.Errorf("%s: ResolveEngineFromCounts(%d, %d) = %v, want %v", tc.name, tc.n, tc.m, got, tc.want)
+		}
+	}
 }
 
-// TestEngineAutoRoutesSparseOverBudget runs the over-budget auto path
-// end to end: the run must succeed without ever building the dense
-// matrix and stay bit-identical to the reference loop.
+// budgetNodes is the largest node count whose packed matrix fits
+// DefaultMemoryBudget (2¹⁷ rows of 2¹¹ words), and budgetEdges is dense
+// enough for the matrix there and one node past it, so the budget
+// alone decides between them.
+const (
+	budgetNodes = 1 << 17
+	budgetEdges = 1 << 27
+)
+
+// TestEngineAutoRoutesSparseOverBudget: a graph dense enough for the
+// matrix but one node past the 2 GiB budget resolves to the sparse
+// engine, and the auto sparse path runs end to end bit-identical to
+// the reference loop. (An over-budget graph that dense has 2²⁷ edges,
+// so the run uses a graph that routes sparse by density instead; the
+// round loop is the same.)
 func TestEngineAutoRoutesSparseOverBudget(t *testing.T) {
+	if !bitsetWorthwhile(budgetNodes+1, budgetEdges) {
+		t.Fatal("the over-budget counts are too sparse to test the budget")
+	}
+	if got := ResolveEngineFromCounts(budgetNodes+1, budgetEdges); got != EngineSparse {
+		t.Fatalf("ResolveEngineFromCounts = %v, want sparse (matrix %d B over budget %d)",
+			got, graph.MatrixBytes(budgetNodes+1), DefaultMemoryBudget)
+	}
 	g := graph.GNP(3000, 0.004, rng.New(3))
-	opts := Options{MemoryBudget: 1 << 19} // matrix would need 1.1 MB
-	if got := ResolveEngine(g, opts); got != EngineSparse {
-		t.Fatalf("ResolveEngine = %v, want sparse (matrix %d B over budget %d)",
-			got, graph.MatrixBytes(g.N()), opts.MemoryBudget)
+	if got := ResolveEngine(g, Options{}); got != EngineSparse {
+		t.Fatalf("ResolveEngine = %v, want sparse", got)
 	}
 	factory, bulk, err := mis.NewFactories(mis.Spec{Name: mis.NameFeedback})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Bulk = bulk
-	auto, err := Run(g, factory, rng.New(11), opts)
+	auto, err := Run(g, factory, rng.New(11), Options{Bulk: bulk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +591,6 @@ func TestRunValidation(t *testing.T) {
 		{BeepLoss: -0.1},
 		{BeepLoss: 1},
 		{Shards: -1},
-		{MemoryBudget: -1},
 		{Engine: Engine(99)},
 		{WakeAt: []int{1, 1}}, // wrong length for n=4
 		{CrashAtRound: map[int][]int{1: {99}}},

@@ -23,9 +23,6 @@ type faultPlan struct {
 	// resumeAt / resetAt list the nodes recovering at each round with
 	// resume and reset semantics respectively.
 	resumeAt, resetAt map[int][]int
-	// hasResets reports whether resetAt is non-empty anywhere — the one
-	// feature a columnar bulk kernel must support (beep.BulkResetter).
-	hasResets bool
 	// lastReset is the latest round any reset recovery fires (0 when
 	// none). A reset revives its node whatever state it is in, so the
 	// round loop must not declare termination while one is pending —
@@ -64,7 +61,6 @@ func newFaultPlan(fs *fault.Spec) *faultPlan {
 		end := o.From + o.For
 		if o.Reset {
 			p.resetAt[end] = append(p.resetAt[end], o.Node)
-			p.hasResets = true
 			if end > p.lastReset {
 				p.lastReset = end
 			}

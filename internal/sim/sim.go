@@ -87,11 +87,6 @@ type Options struct {
 	// are bit-identical for every value — workers write disjoint words
 	// or buffers of their own, and OR is order-independent.
 	Shards int
-	// MemoryBudget caps the bytes EngineAuto will spend on the packed
-	// matrix: it is taken only when it fits, and the CSR otherwise. 0
-	// means DefaultMemoryBudget (2 GiB). Explicit engine pins ignore it
-	// — the caller knows their machine.
-	MemoryBudget int64
 	// BeepLoss is the probability that a given neighbour fails to hear a
 	// given beep in the first exchange (each beeper→listener pair lost
 	// independently, persistent MIS beeps included). A listener with k
@@ -210,7 +205,7 @@ type preparedRun struct {
 }
 
 // prepare is Run's prelude: it validates opts against g — beep loss,
-// shards, budget, the engine, WakeAt, crashes and the fault spec —
+// shards, the engine, WakeAt, crashes and the fault spec —
 // resolves the engine and any declarative wake schedule, and
 // substitutes the per-node adapter when the algorithm has no kernel.
 func prepare(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Options) (*preparedRun, error) {
@@ -222,10 +217,7 @@ func prepare(g *graph.Graph, factory beep.Factory, master *rng.Source, opts Opti
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("sim: Shards %d negative (0 = GOMAXPROCS, 1 = serial)", opts.Shards)
 	}
-	if opts.MemoryBudget < 0 {
-		return nil, fmt.Errorf("sim: MemoryBudget %d negative (0 = default %d bytes)", opts.MemoryBudget, DefaultMemoryBudget)
-	}
-	engine := resolveEngine(opts.Engine, n, g.M(), opts.MemoryBudget)
+	engine := ResolveEngine(g, opts)
 	if engine != EngineColumnar && engine != EngineSparse {
 		return nil, fmt.Errorf("sim: unknown engine %v", opts.Engine)
 	}

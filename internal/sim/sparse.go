@@ -64,7 +64,7 @@ func (b *perNodeBulk) build(v int) beep.Automaton {
 	return b.factory(beep.NodeInfo{ID: v, N: b.net.N, MaxDegree: b.net.MaxDegree})
 }
 
-// ResetNodes implements beep.BulkResetter by rebuilding each node's
+// ResetNodes implements beep.BulkAutomaton by rebuilding each node's
 // automaton, so a reset node restarts from the factory's initial state.
 func (b *perNodeBulk) ResetNodes(nodes []int) {
 	for _, v := range nodes {
@@ -93,9 +93,9 @@ func (b *perNodeBulk) ObserveRange(observed, beeped, heard graph.Bitset, loWord,
 	})
 }
 
-// BeepProbabilities implements beep.BulkProbabilityReporter by
-// delegating to each automaton's optional per-node reporter (NaN when
-// an automaton does not report).
+// BeepProbabilities implements beep.BulkAutomaton by delegating to each
+// automaton's optional per-node reporter (NaN when an automaton does
+// not report).
 func (b *perNodeBulk) BeepProbabilities(dst []float64) {
 	for v, a := range b.autos {
 		if pr, ok := a.(beep.ProbabilityReporter); ok {

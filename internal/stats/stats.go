@@ -37,21 +37,13 @@ func Variance(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs)-1)
 }
 
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
 
 // MinMax returns the extremes of xs; it errors on an empty slice.
 func MinMax(xs []float64) (min, max float64, err error) {
@@ -88,14 +80,14 @@ func Quantile(xs []float64, q float64) (float64, error) {
 // quantileSorted interpolates the q-quantile of an already-sorted,
 // non-empty sample — the shared core of Quantile and Tails.
 func quantileSorted(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Median returns the 0.5-quantile.
@@ -130,43 +122,6 @@ func Tails(xs []float64) (Tail, error) {
 	}, nil
 }
 
-// Summary bundles the descriptive statistics of one sample.
-type Summary struct {
-	// N is the sample size.
-	N int
-	// Mean is the sample mean.
-	Mean float64
-	// Std is the sample standard deviation.
-	Std float64
-	// Min and Max are the extremes.
-	Min, Max float64
-	// Median is the 0.5 quantile.
-	Median float64
-}
-
-// Summarize computes a Summary; it errors on an empty sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	min, max, _ := MinMax(xs)
-	med, _ := Median(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    StdDev(xs),
-		Min:    min,
-		Max:    max,
-		Median: med,
-	}, nil
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f med=%.3f max=%.3f",
-		s.N, s.Mean, s.Std, s.Min, s.Median, s.Max)
-}
-
 // Fit is a least-squares fit y ≈ A·f(x) + B.
 type Fit struct {
 	// A and B are the fitted coefficients.
@@ -197,22 +152,22 @@ func FitTransformed(xs, ys []float64, f func(float64) float64) (Fit, error) {
 		u := f(xs[i])
 		su += u
 		sy += ys[i]
-		suu += u * u
-		suy += u * ys[i]
+		suu += float64(u * u)
+		suy += float64(u * ys[i])
 	}
-	den := n*suu - su*su
+	den := float64(n*suu) - float64(su*su)
 	if den == 0 {
 		return Fit{}, errors.New("stats: degenerate fit (all transformed x equal)")
 	}
-	a := (n*suy - su*sy) / den
-	b := (sy - a*su) / n
+	a := (float64(n*suy) - float64(su*sy)) / den
+	b := (sy - float64(a*su)) / n
 	// R² against the mean model.
 	ymean := sy / n
 	var ssRes, ssTot float64
 	for i := range xs {
-		pred := a*f(xs[i]) + b
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - ymean) * (ys[i] - ymean)
+		pred := float64(a*f(xs[i])) + b
+		ssRes += float64((ys[i] - pred) * (ys[i] - pred))
+		ssTot += float64((ys[i] - ymean) * (ys[i] - ymean))
 	}
 	r2 := 1.0
 	if ssTot > 0 {

@@ -37,16 +37,6 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestStdErr(t *testing.T) {
-	if StdErr(nil) != 0 {
-		t.Fatal("stderr of empty should be 0")
-	}
-	xs := []float64{1, 3}
-	if got := StdErr(xs); !almost(got, math.Sqrt(2)/math.Sqrt(2), 1e-12) {
-		t.Fatalf("stderr = %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, _, err := MinMax(nil); !errors.Is(err, ErrEmpty) {
 		t.Fatal("empty MinMax must error")
@@ -88,22 +78,6 @@ func TestMedianOdd(t *testing.T) {
 	got, err := Median([]float64{5, 1, 9})
 	if err != nil || got != 5 {
 		t.Fatalf("median = %v err=%v", got, err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty summary must error")
-	}
-	s, err := Summarize([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 || s.Median != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("summary should stringify")
 	}
 }
 
@@ -208,11 +182,12 @@ func TestSummaryProperties(t *testing.T) {
 		for i := range xs {
 			xs[i] = src.Float64()*200 - 100
 		}
-		s, err := Summarize(xs)
+		lo, hi, err := MinMax(xs)
 		if err != nil {
 			return false
 		}
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 && Variance(xs) >= 0
+		mean := Mean(xs)
+		return mean >= lo-1e-9 && mean <= hi+1e-9 && Variance(xs) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

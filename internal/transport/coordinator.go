@@ -80,6 +80,9 @@ type peer struct {
 	conn  net.Conn
 	fc    *Conn
 	claim []int
+	// buf holds the peer's outgoing bit fields and outcomes, one byte
+	// per claimed vertex; each is sent before the next is built.
+	buf []byte
 }
 
 // Serve accepts connections until every vertex of g is claimed, runs the
@@ -129,7 +132,7 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 			_ = raw.Close()
 			return nil, fmt.Errorf("handshake: %w", err)
 		}
-		peers = append(peers, &peer{conn: raw, fc: fc, claim: claim})
+		peers = append(peers, &peer{conn: raw, fc: fc, claim: claim, buf: make([]byte, len(claim))})
 		left -= len(claim)
 	}
 
@@ -202,7 +205,7 @@ func (c *Coordinator) Serve(opts CoordinatorOptions) (*CoordinatorResult, error)
 			typ = TypeStop
 		}
 		for _, p := range peers {
-			outcome := make([]byte, len(p.claim))
+			outcome := p.buf
 			for i, v := range p.claim {
 				outcome[i] = byte(state(v))
 				if neighborJoined.Test(v) {
@@ -252,7 +255,7 @@ func gatherBits(peers []*peer, want uint8, set graph.Bitset) error {
 // bits of its claimed vertices.
 func broadcastBits(peers []*peer, typ uint8, set graph.Bitset) error {
 	for _, p := range peers {
-		payload := bitsPayload(len(p.claim), func(i int) bool { return set.Test(p.claim[i]) })
+		payload := bitsPayload(p.buf, len(p.claim), func(i int) bool { return set.Test(p.claim[i]) })
 		if err := p.send(Frame{Type: typ, Payload: payload}); err != nil {
 			return err
 		}

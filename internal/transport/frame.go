@@ -95,11 +95,13 @@ type Frame struct {
 
 // WriteFrame writes f to w as [uint32 length][uint8 type][payload], all
 // big-endian. Length counts the type byte plus payload.
-func WriteFrame(w io.Writer, f Frame) error {
+func WriteFrame(w io.Writer, f Frame) error { return writeFrame(w, new([5]byte), f) }
+
+// writeFrame is WriteFrame with the header assembled in hdr.
+func writeFrame(w io.Writer, hdr *[5]byte, f Frame) error {
 	if len(f.Payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
-	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(f.Payload)+1))
 	hdr[4] = f.Type
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -113,9 +115,14 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
-// ReadFrame reads one frame from r.
+// ReadFrame reads one frame from r into a fresh payload.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [5]byte
+	return readFrame(r, new([5]byte), nil)
+}
+
+// readFrame is ReadFrame with the header read into hdr and the payload
+// into buf, or into a fresh slice when buf is too small.
+func readFrame(r io.Reader, hdr *[5]byte, buf []byte) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, fmt.Errorf("read frame header: %w", err)
 	}
@@ -128,7 +135,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}
 	f := Frame{Type: hdr[4]}
 	if length > 1 {
-		f.Payload = make([]byte, length-1)
+		if cap(buf) < int(length-1) {
+			buf = make([]byte, length-1)
+		}
+		f.Payload = buf[:length-1]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, fmt.Errorf("read frame payload: %w", err)
 		}
@@ -137,10 +147,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // Conn wraps an io.ReadWriter with buffering and frame helpers. It is not
-// safe for concurrent use.
+// safe for concurrent use. A received payload lives in a buffer the
+// Conn reuses, so it is valid only until the Conn's next receive.
 type Conn struct {
-	r *bufio.Reader
-	w *bufio.Writer
+	r   *bufio.Reader
+	w   *bufio.Writer
+	hdr [5]byte
+	buf []byte
 }
 
 // NewConn wraps rw.
@@ -150,7 +163,7 @@ func NewConn(rw io.ReadWriter) *Conn {
 
 // Send writes a frame and flushes it.
 func (c *Conn) Send(f Frame) error {
-	if err := WriteFrame(c.w, f); err != nil {
+	if err := writeFrame(c.w, &c.hdr, f); err != nil {
 		return err
 	}
 	if err := c.w.Flush(); err != nil {
@@ -159,10 +172,18 @@ func (c *Conn) Send(f Frame) error {
 	return nil
 }
 
-// Recv reads the next frame.
-func (c *Conn) Recv() (Frame, error) { return ReadFrame(c.r) }
+// Recv reads the next frame. Its payload is valid until the next Recv
+// or Expect.
+func (c *Conn) Recv() (Frame, error) {
+	f, err := readFrame(c.r, &c.hdr, c.buf)
+	if cap(f.Payload) > cap(c.buf) {
+		c.buf = f.Payload
+	}
+	return f, err
+}
 
-// Expect reads the next frame and checks its type.
+// Expect reads the next frame and checks its type. Its payload is
+// valid until the next Recv or Expect.
 func (c *Conn) Expect(want uint8) (Frame, error) {
 	f, err := c.Recv()
 	if err != nil {
@@ -174,9 +195,11 @@ func (c *Conn) Expect(want uint8) (Frame, error) {
 	return f, nil
 }
 
-// bitsPayload packs one bit per claimed vertex: bit i is has(i).
-func bitsPayload(k int, has func(i int) bool) []byte {
-	buf := make([]byte, (k+7)/8)
+// bitsPayload packs one bit per claimed vertex into buf, whose capacity
+// must be at least (k+7)/8 bytes: bit i is has(i).
+func bitsPayload(buf []byte, k int, has func(i int) bool) []byte {
+	buf = buf[:(k+7)/8]
+	clear(buf)
 	for i := range k {
 		if has(i) {
 			buf[i/8] |= 1 << (i % 8)

@@ -81,6 +81,7 @@ func runNode(raw net.Conn, vertices []int, factory beep.Factory, master *rng.Sou
 	}
 	// Indexed by claim position, not vertex id.
 	beeped, heard, joined := graph.NewBitset(k), graph.NewBitset(k), graph.NewBitset(k)
+	bits := make([]byte, (k+7)/8) // the outgoing bit field, sent before it is rebuilt
 	for {
 		_ = raw.SetDeadline(time.Now().Add(timeout))
 		res.Rounds++
@@ -91,7 +92,7 @@ func runNode(raw net.Conn, vertices []int, factory beep.Factory, master *rng.Sou
 				res.Beeps[i]++
 			}
 		}
-		if err := fc.Send(Frame{Type: TypeBeep, Payload: bitsPayload(k, beeped.Test)}); err != nil {
+		if err := fc.Send(Frame{Type: TypeBeep, Payload: bitsPayload(bits, k, beeped.Test)}); err != nil {
 			return nil, fmt.Errorf("node beep: %w", err)
 		}
 		f, err := fc.Expect(TypeHeard)
@@ -106,7 +107,7 @@ func runNode(raw net.Conn, vertices []int, factory beep.Factory, master *rng.Sou
 		// A vertex that beeped was active; it joins if it heard nothing.
 		copy(joined, beeped)
 		joined.AndNot(heard)
-		if err := fc.Send(Frame{Type: TypeJoin, Payload: bitsPayload(k, joined.Test)}); err != nil {
+		if err := fc.Send(Frame{Type: TypeJoin, Payload: bitsPayload(bits, k, joined.Test)}); err != nil {
 			return nil, fmt.Errorf("node join: %w", err)
 		}
 		outcome, err := fc.Recv()

@@ -136,7 +136,7 @@ func TestPayloadHelpers(t *testing.T) {
 			want.Set(i)
 		}
 		want.Set(k - 1)
-		f := Frame{Type: TypeHeard, Payload: bitsPayload(k, want.Test)}
+		f := Frame{Type: TypeHeard, Payload: bitsPayload(make([]byte, (k+7)/8), k, want.Test)}
 		got := graph.NewBitset(k)
 		if err := payloadBits(f, k, got.Set); err != nil || !slices.Equal(got, want) {
 			t.Fatalf("k=%d: bits round trip gave %v, %v", k, got, err)
