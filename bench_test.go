@@ -218,7 +218,7 @@ func sparseGNPGraph(once *sync.Once, g **graph.Graph, n int) *graph.Graph {
 // Graph500 parameters: heavy-tailed degrees, with the hubs at low ids.
 func rmatGraph(b *testing.B) *graph.Graph {
 	rmatOnce.Do(func() {
-		g, err := graph.RMATCSR(1<<17, 1<<21, 0.57, 0.19, 0.19, 0.05, rng.New(13), 1)
+		g, err := graph.RMAT(1<<17, 1<<21, 0.57, 0.19, 0.19, 0.05, rng.New(13), 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,16 +30,16 @@ type benchRecord struct {
 	Shards     int     `json:"shards"`
 	N          int     `json:"n"`
 	P          float64 `json:"p"`
-	// Graph labels non-default workloads from -graph / -graphfile (e.g.
-	// "rmat:n=1048576,edges=8388608"); empty for the default G(n,p)
-	// bench, so records and regression-gate keys from baselines that
-	// predate the field still match exactly.
+	// Graph labels non-default workloads from -graph (e.g.
+	// "rmat:n=1048576,edges=8388608", or "file:<base name>" for a file);
+	// empty for the default G(n,p) bench, so records and regression-gate
+	// keys from baselines that predate the field still match exactly.
 	Graph string `json:"graph,omitempty"`
 	// M is the workload's final (deduplicated) edge count; BuildNs and
 	// EdgesPerSec time its construction — the graph builders' own
 	// trajectory, measured once per bench invocation and stamped on
-	// every engine's record. GraphDigest is the hex SHA-256 of a
-	// -graphfile workload's bytes.
+	// every engine's record. GraphDigest is the hex SHA-256 of a file
+	// workload's bytes.
 	M           int64   `json:"m,omitempty"`
 	BuildNs     int64   `json:"build_ns,omitempty"`
 	EdgesPerSec float64 `json:"edges_per_sec,omitempty"`

@@ -250,31 +250,25 @@ func TestShardsFlagInvariance(t *testing.T) {
 	}
 }
 
-// TestBuildGraphSpecWorkload pins the -graph grammar: malformed or
-// out-of-domain gnp parameters are usage errors naming the offending
-// value, raised before anything is built, and valid specs build the
-// graph they name.
+// TestBuildGraphSpecWorkload: a -graph workload is built through the
+// scenario registry and labelled by its spec, or by "file:<base name>"
+// for a file, whose digest it carries; a graph the registry rejects is
+// an error. The grammar and the checks themselves are pinned by
+// internal/scenario's TestParseGraphAndBuild.
 func TestBuildGraphSpecWorkload(t *testing.T) {
 	for _, tc := range []struct {
-		spec, wantErr string
-		wantN         int
+		spec, wantErr, wantLabel string
+		wantN                    int
 	}{
-		{spec: "gnp:n=200,p=0.05", wantN: 200},
-		{spec: "gnp:n=0,p=0.5", wantN: 0},
-		{spec: "rmat:n=64,edges=200", wantN: 64},
-		{spec: "configmodel:n=50,edges=100", wantN: 50},
-		{spec: "gnp:n=-1,p=0.5", wantErr: "n=-1"},
-		{spec: "gnp:n=10,p=NaN", wantErr: "p=NaN"},
-		{spec: "gnp:n=10,p=Inf", wantErr: "p=+Inf"},
-		{spec: "gnp:n=10,p=-Inf", wantErr: "p=-Inf"},
-		{spec: "gnp:n=10,p=-0.1", wantErr: "p=-0.1"},
-		{spec: "gnp:n=10,p=1.5", wantErr: "p=1.5"},
-		{spec: "gnp:n=10", wantErr: "needs p="},
-		{spec: "gnp:p=0.5", wantErr: "needs n="},
-		{spec: "gnp:n=10,p=0.5,q=1", wantErr: `parameter "q"`},
+		{spec: "gnp:n=200,p=0.05", wantLabel: "gnp:n=200,p=0.05", wantN: 200},
+		{spec: "rmat:n=64,edges=200", wantLabel: "rmat:n=64,edges=200", wantN: 64},
+		{spec: "configmodel:n=50,edges=100", wantLabel: "configmodel:n=50,edges=100", wantN: 50},
+		{spec: "file:path=../../scenarios/fixtures/gnp2000.el", wantLabel: "file:gnp2000.el", wantN: 2000},
+		{spec: "gnp:n=10,p=1.5", wantErr: "p 1.5"},
+		{spec: "gnp:n=10,p=0.5,q=1", wantErr: `unknown field "q"`},
 		{spec: "ring:n=10", wantErr: "unknown"},
 	} {
-		wl, err := buildGraphSpecWorkload(tc.spec, 1)
+		wl, err := buildBenchWorkload(tc.spec, 0, 0, 1)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: err = %v, want one naming %q", tc.spec, err, tc.wantErr)
@@ -285,8 +279,11 @@ func TestBuildGraphSpecWorkload(t *testing.T) {
 			t.Errorf("%s: %v", tc.spec, err)
 			continue
 		}
-		if wl.g.N() != tc.wantN || wl.label != tc.spec || wl.edges != int64(wl.g.M()) {
-			t.Errorf("%s: built n=%d label %q edges %d, want n=%d", tc.spec, wl.g.N(), wl.label, wl.edges, tc.wantN)
+		if wl.g.N() != tc.wantN || wl.label != tc.wantLabel || wl.edges != int64(wl.g.M()) {
+			t.Errorf("%s: built n=%d label %q edges %d, want n=%d label %q", tc.spec, wl.g.N(), wl.label, wl.edges, tc.wantN, tc.wantLabel)
+		}
+		if file := strings.HasPrefix(tc.spec, "file:"); file != (len(wl.digest) == 64) {
+			t.Errorf("%s: digest %q", tc.spec, wl.digest)
 		}
 	}
 }

@@ -22,7 +22,7 @@ type benchKey struct {
 	P      float64
 	Shards int
 	Faults string
-	// Graph is the -graph/-graphfile workload label; "" for the default
+	// Graph is the -graph workload label; "" for the default
 	// G(n,p) bench, so baselines recorded before the field existed still
 	// key identically.
 	Graph string

@@ -260,7 +260,7 @@ func TestBenchCompareBadBaseline(t *testing.T) {
 func TestBenchRecordEffectiveShards(t *testing.T) {
 	old := goruntime.GOMAXPROCS(3)
 	defer goruntime.GOMAXPROCS(old)
-	wl, err := buildBenchWorkload("", "", 300, 0.5, 1)
+	wl, err := buildBenchWorkload("", 300, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,8 +85,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		benchN    = fs.Int("benchn", 20000, "bench graph size n for G(n,p)")
 		benchP    = fs.Float64("benchp", 0.5, "bench edge probability p for G(n,p)")
 		benchR    = fs.Int("benchruns", 3, "bench simulation runs per engine")
-		graphSpec = fs.String("graph", "", `bench a generated workload instead of the default G(n,p): "rmat:n=65536,edges=1048576[,a=,b=,c=]", "configmodel:n=...,edges=...[,gamma=]", or "gnp:n=...,p=..." (graph.GNP)`)
-		graphFile = fs.String("graphfile", "", "bench a graph streamed from this file (edge-list, .bel binary, or METIS — format inferred from the extension)")
+		graphSpec = fs.String("graph", "", `bench this graph instead of the default G(n,p), as family:key=value,… over a scenario graph block's keys: e.g. "rmat:n=65536,edges=1048576", "configmodel:n=65536,edges=1048576,gamma=2.2", "gnp:n=100000,p=0.0001", or "file:path=net.el" (edge-list, .bel binary or METIS, by extension)`)
 		asJSON    = fs.Bool("json", false, "emit -bench results as JSON records (engine, auto_engine, shards, rounds, ns/round, beeps, heap)")
 		faultsDoc = fs.String("faults", "", `fault-model JSON (e.g. '{"loss":0.05,"spurious":0.01}'): per-listener channel noise, wake schedules, outages — applied to every trial on every engine`)
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
@@ -132,11 +131,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		defer func() { _ = f.Close() }()
 		w = f
 	}
-	if (*graphSpec != "" || *graphFile != "") && !*bench {
-		return fmt.Errorf("-graph and -graphfile apply to -bench workloads")
+	if *graphSpec != "" && !*bench {
+		return fmt.Errorf("-graph applies to -bench workloads")
 	}
 	if *bench {
-		wl, err := buildBenchWorkload(*graphSpec, *graphFile, *benchN, *benchP, *seed)
+		wl, err := buildBenchWorkload(*graphSpec, *benchN, *benchP, *seed)
 		if err != nil {
 			return err
 		}

@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	misgen -type gnp -n 500 -p 0.5 -seed 7 -out net.edges
-//	misgen -type grid -rows 12 -cols 12
-//	misgen -type ba -n 1000 -m 3
-//	misgen -type ws -n 500 -k 6 -beta 0.1
+//	misgen -graph gnp:n=500,p=0.5 -seed 7 -out net.edges
+//	misgen -graph grid:rows=12,cols=12
+//	misgen -graph barabasialbert:n=1000,m=3
+//	misgen -graph wattsstrogatz:n=500,k=6,beta=0.1
 package main
 
 import (
@@ -16,7 +16,7 @@ import (
 	"os"
 
 	"beepmis/internal/graph"
-	"beepmis/internal/rng"
+	"beepmis/internal/scenario"
 )
 
 func main() {
@@ -29,58 +29,18 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("misgen", flag.ContinueOnError)
 	var (
-		kind   = fs.String("type", "gnp", "family: gnp, grid, torus, complete, cliques, unitdisk, ba, ws, tree, path, cycle, star")
-		n      = fs.Int("n", 100, "node count")
-		p      = fs.Float64("p", 0.5, "edge probability (gnp)")
-		rows   = fs.Int("rows", 10, "grid/torus rows")
-		cols   = fs.Int("cols", 10, "grid/torus columns")
-		radius = fs.Float64("radius", 0.1, "connection radius (unitdisk)")
-		m      = fs.Int("m", 3, "attachment edges per node (ba)")
-		k      = fs.Int("k", 4, "ring neighbours (ws, even)")
-		beta   = fs.Float64("beta", 0.1, "rewiring probability (ws)")
-		seed   = fs.Uint64("seed", 1, "random seed")
-		out    = fs.String("out", "", "output file (default stdout)")
+		graphFlag = fs.String("graph", "gnp:n=100,p=0.5", "graph as family:key=value,… over a scenario graph block's keys (e.g. grid:rows=10,cols=10, barabasialbert:n=100,m=3); a random family draws from -seed unless seed= is given")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		out       = fs.String("out", "", "output file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !(*p >= 0 && *p <= 1) {
-		return fmt.Errorf("-p %v is not an edge probability in [0, 1]", *p)
+	spec, err := scenario.ParseGraph(*graphFlag)
+	if err != nil {
+		return err
 	}
-
-	src := rng.New(*seed)
-	var (
-		g   *graph.Graph
-		err error
-	)
-	switch *kind {
-	case "gnp":
-		g = graph.GNP(*n, *p, src)
-	case "grid":
-		g = graph.Grid(*rows, *cols)
-	case "torus":
-		g = graph.Torus(*rows, *cols)
-	case "complete":
-		g = graph.Complete(*n)
-	case "cliques":
-		g = graph.CliqueFamily(*n)
-	case "unitdisk":
-		g = graph.UnitDisk(*n, *radius, src)
-	case "ba":
-		g, err = graph.BarabasiAlbert(*n, *m, src)
-	case "ws":
-		g, err = graph.WattsStrogatz(*n, *k, *beta, src)
-	case "tree":
-		g = graph.RandomTree(*n, src)
-	case "path":
-		g = graph.Path(*n)
-	case "cycle":
-		g = graph.Cycle(*n)
-	case "star":
-		g = graph.Star(*n)
-	default:
-		return fmt.Errorf("unknown graph type %q", *kind)
-	}
+	g, err := spec.Build(*seed)
 	if err != nil {
 		return err
 	}
@@ -94,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 		defer func() { _ = f.Close() }()
 		w = f
 	}
-	if _, err := fmt.Fprintf(w, "# %s n=%d m=%d seed=%d\n", *kind, g.N(), g.M(), *seed); err != nil {
+	if _, err := fmt.Fprintf(w, "# %s n=%d m=%d seed=%d\n", *graphFlag, g.N(), g.M(), *seed); err != nil {
 		return fmt.Errorf("write header comment: %w", err)
 	}
 	return graph.WriteEdgeList(w, g)

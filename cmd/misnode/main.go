@@ -7,7 +7,7 @@
 // Usage:
 //
 //	# Terminal 1 — the coordinator, listening for 64 vertices:
-//	misnode -mode coord -addr 127.0.0.1:7788 -graph grid -rows 8 -cols 8
+//	misnode -mode coord -addr 127.0.0.1:7788 -graph grid:rows=8,cols=8
 //
 //	# Terminal 2..k — nodes, each hosting a range of vertices:
 //	misnode -mode node -addr 127.0.0.1:7788 -vertices 0-31  -seed 42
@@ -37,6 +37,7 @@ import (
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
 	"beepmis/internal/rng"
+	"beepmis/internal/scenario"
 	"beepmis/internal/transport"
 )
 
@@ -52,13 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		mode      = fs.String("mode", "", "coord or node")
 		addr      = fs.String("addr", "127.0.0.1:7788", "coordinator address")
-		graphKind = fs.String("graph", "grid", "coord: graph family (gnp, grid, complete, cliques, file)")
-		n         = fs.Int("n", 64, "coord: node count (gnp, complete, cliques)")
-		p         = fs.Float64("p", 0.5, "coord: edge probability (gnp)")
-		rows      = fs.Int("rows", 8, "coord: grid rows")
-		cols      = fs.Int("cols", 8, "coord: grid columns")
-		in        = fs.String("in", "", "coord: edge-list file (graph=file)")
-		gseed     = fs.Uint64("graph-seed", 1, "coord: graph generation seed")
+		graphFlag = fs.String("graph", "grid:rows=8,cols=8", "coord: graph as family:key=value,… over a scenario graph block's keys (e.g. gnp:n=64,p=0.5,seed=3, file:path=net.el); a random family draws from seed 1 unless seed= is given")
 		vertices  = fs.String("vertices", "", "node: vertex ids — a single id, an inclusive lo-hi range, or a comma-separated list of both (e.g. 0-15,32,40-47)")
 		seed      = fs.Uint64("seed", 1, "node: master seed shared by all node processes")
 		algo      = fs.String("algo", "feedback", "node: beeping algorithm (feedback, globalsweep, afek, fixed)")
@@ -66,12 +61,15 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !(*p >= 0 && *p <= 1) {
-		return fmt.Errorf("-p %v is not an edge probability in [0, 1]", *p)
-	}
 	switch *mode {
 	case "coord":
-		g, err := buildGraph(*graphKind, *n, *p, *rows, *cols, *in, *gseed)
+		spec, err := scenario.ParseGraph(*graphFlag)
+		if err != nil {
+			return err
+		}
+		// Node processes never see the graph, so a random family's
+		// seed is fixed at 1 unless the seed= key pins another.
+		g, err := spec.Build(1)
 		if err != nil {
 			return err
 		}
@@ -195,29 +193,4 @@ func parseSegment(seg string) (lo, hi int, err error) {
 		return 0, 0, fmt.Errorf("vertex %q is negative (vertex ids start at 0)", seg)
 	}
 	return v, v, nil
-}
-
-func buildGraph(kind string, n int, p float64, rows, cols int, in string, seed uint64) (*graph.Graph, error) {
-	switch kind {
-	case "gnp":
-		return graph.GNP(n, p, rng.New(seed)), nil
-	case "grid":
-		return graph.Grid(rows, cols), nil
-	case "complete":
-		return graph.Complete(n), nil
-	case "cliques":
-		return graph.CliqueFamily(n), nil
-	case "file":
-		if in == "" {
-			return nil, fmt.Errorf("graph=file requires -in")
-		}
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, fmt.Errorf("open graph file: %w", err)
-		}
-		defer func() { _ = f.Close() }()
-		return graph.ReadEdgeList(f)
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", kind)
-	}
 }

@@ -74,28 +74,26 @@ func seq(lo, hi int) []int {
 	return ids
 }
 
+// TestBuildGraph drives -graph through coord mode: each graph the
+// coordinator serves is the one the flag names.
 func TestBuildGraph(t *testing.T) {
-	g, err := buildGraph("grid", 0, 0, 3, 4, "", 1)
-	if err != nil || g.N() != 12 {
-		t.Fatalf("grid: %v %v", g, err)
-	}
-	g, err = buildGraph("gnp", 20, 0.5, 0, 0, "", 1)
-	if err != nil || g.N() != 20 {
-		t.Fatalf("gnp: %v %v", g, err)
-	}
-	if _, err := buildGraph("nope", 0, 0, 0, 0, "", 1); err == nil {
-		t.Fatal("unknown family accepted")
-	}
-	if _, err := buildGraph("file", 0, 0, 0, 0, "", 1); err == nil {
-		t.Fatal("file without -in accepted")
-	}
 	path := filepath.Join(t.TempDir(), "g.edges")
 	if err := os.WriteFile(path, []byte("n 2\n0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err = buildGraph("file", 0, 0, 0, 0, path, 1)
-	if err != nil || g.M() != 1 {
-		t.Fatalf("file: %v %v", g, err)
+	for _, c := range []struct{ graph, vertices, want string }{
+		{"grid:rows=3,cols=4", "0-11", "graph n=12 "},
+		{"gnp:n=20,p=0.5", "0-19", "graph n=20 "},
+		{"file:path=" + path, "0-1", "graph n=2 m=1,"},
+	} {
+		if out, _ := coordWithNodes(t, c.graph, c.vertices); !strings.Contains(out, c.want) {
+			t.Errorf("-graph %s: coordinator output lacks %q:\n%s", c.graph, c.want, out)
+		}
+	}
+	for _, bad := range []string{"nope", "file"} {
+		if err := run([]string{"-mode", "coord", "-addr", "127.0.0.1:0", "-graph", bad}, &bytes.Buffer{}); err == nil {
+			t.Errorf("-graph %s accepted", bad)
+		}
 	}
 }
 
@@ -173,14 +171,16 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// TestRunCoordAndNodeModes exercises the exact CLI paths (run with
-// -mode coord / -mode node) end to end.
-func TestRunCoordAndNodeModes(t *testing.T) {
+// coordWithNodes runs misnode -mode coord on graphFlag and one -mode
+// node process hosting vertices, both through run, and returns their
+// outputs.
+func coordWithNodes(t *testing.T, graphFlag, vertices string) (coord, node string) {
+	t.Helper()
 	addr := freePort(t)
 	coordOut := &bytes.Buffer{}
 	coordErr := make(chan error, 1)
 	go func() {
-		coordErr <- run([]string{"-mode", "coord", "-addr", addr, "-graph", "grid", "-rows", "3", "-cols", "3"}, coordOut)
+		coordErr <- run([]string{"-mode", "coord", "-addr", addr, "-graph", graphFlag}, coordOut)
 	}()
 	// Dial until the coordinator is listening (it may not be up yet).
 	deadline := time.Now().Add(5 * time.Second)
@@ -196,17 +196,24 @@ func TestRunCoordAndNodeModes(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	var nodeOut bytes.Buffer
-	if err := run([]string{"-mode", "node", "-addr", addr, "-vertices", "0-4,7,5-6,8", "-seed", "3"}, &nodeOut); err != nil {
+	if err := run([]string{"-mode", "node", "-addr", addr, "-vertices", vertices, "-seed", "3"}, &nodeOut); err != nil {
 		t.Fatalf("node mode: %v", err)
 	}
 	if err := <-coordErr; err != nil {
 		t.Fatalf("coord mode: %v\n%s", err, coordOut.String())
 	}
-	if !strings.Contains(coordOut.String(), "verified: maximal independent set") {
-		t.Fatalf("coordinator output:\n%s", coordOut.String())
+	return coordOut.String(), nodeOut.String()
+}
+
+// TestRunCoordAndNodeModes exercises the exact CLI paths (run with
+// -mode coord / -mode node) end to end.
+func TestRunCoordAndNodeModes(t *testing.T) {
+	coordOut, nodeOut := coordWithNodes(t, "grid:rows=3,cols=3", "0-4,7,5-6,8")
+	if !strings.Contains(coordOut, "verified: maximal independent set") {
+		t.Fatalf("coordinator output:\n%s", coordOut)
 	}
-	if !strings.Contains(nodeOut.String(), "vertex 8:") {
-		t.Fatalf("node output:\n%s", nodeOut.String())
+	if !strings.Contains(nodeOut, "vertex 8:") {
+		t.Fatalf("node output:\n%s", nodeOut)
 	}
 }
 
@@ -216,17 +223,31 @@ func TestRunCoordBadAddr(t *testing.T) {
 	}
 }
 
-// TestRejectsBadEdgeProbability: a -p that is NaN, infinite or outside
-// [0, 1] is a usage error, not a silently empty or garbage graph.
-func TestRejectsBadEdgeProbability(t *testing.T) {
-	for _, p := range []string{"NaN", "-0.1", "1.5", "Inf", "-Inf"} {
+// TestRejectsBadGraph: a -graph the scenario registry rejects fails
+// with an error naming the parameter, before the coordinator writes
+// anything or listens — the address is taken, so listening would fail
+// differently.
+func TestRejectsBadGraph(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	for _, c := range []struct{ graph, want string }{
+		{"gnp:n=-5", "n -5"},
+		{"grid:rows=0,cols=3", "rows and cols"},
+		{"unitdisk:n=50,radius=-1", "radius -1"},
+		{"cycle:n=2", "n ≥ 3"},
+		{"gnp:n=20,p=1.5", "p 1.5"},
+		{"gnp:n=20,p=NaN", "GraphSpec.p"},
+	} {
 		var out bytes.Buffer
-		err := run([]string{"-mode", "coord", "-graph", "gnp", "-n", "20", "-addr", "127.0.0.1:0", "-p", p}, &out)
-		if err == nil || !strings.Contains(err.Error(), "-p") {
-			t.Errorf("-p %s: err = %v, want a -p usage error", p, err)
+		err := run([]string{"-mode", "coord", "-addr", ln.Addr().String(), "-graph", c.graph}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-graph %s: err = %v, want one naming %q", c.graph, err, c.want)
 		}
 		if out.Len() != 0 {
-			t.Errorf("-p %s: wrote output %q", p, out.String())
+			t.Errorf("-graph %s: wrote output %q", c.graph, out.String())
 		}
 	}
 }

@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	misrun -graph gnp -n 500 -p 0.5 -algo feedback -seed 42
-//	misrun -graph grid -rows 20 -cols 20 -algo globalsweep
-//	misrun -graph file -in network.edges -algo luby-permutation -show-set
-//	misrun -graph gnp -n 100 -algo feedback -engine concurrent
-//	misrun -graph gnp -n 1000000 -p 0.00001 -algo feedback -engine sparse
-//	misrun -graph gnp -n 500 -algo feedback -faults '{"loss":0.05,"wake":{"kind":"uniform","window":12}}'
+//	misrun -graph gnp:n=500,p=0.5 -algo feedback -seed 42
+//	misrun -graph grid:rows=20,cols=20 -algo globalsweep
+//	misrun -graph file:path=network.edges -algo luby-permutation -show-set
+//	misrun -graph gnp:n=100,p=0.5 -algo feedback -engine concurrent
+//	misrun -graph gnp:n=1000000,p=0.00001 -algo feedback -engine sparse
+//	misrun -graph gnp:n=500,p=0.5 -algo feedback -faults '{"loss":0.05,"wake":{"kind":"uniform","window":12}}'
 //	misrun -scenario scenarios/quickstart.json
 //	misrun -scenario sweep.json -hash
 //	misrun -scenario scenarios/quickstart.json -metrics 2>telemetry.json
@@ -54,13 +54,7 @@ func run(args []string, stdout io.Writer) error {
 func runTo(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("misrun", flag.ContinueOnError)
 	var (
-		graphKind = fs.String("graph", "gnp", "graph family: gnp, grid, complete, cliques, unitdisk, or file")
-		n         = fs.Int("n", 200, "node count (gnp, complete, cliques, unitdisk)")
-		p         = fs.Float64("p", 0.5, "edge probability (gnp)")
-		rows      = fs.Int("rows", 10, "grid rows")
-		cols      = fs.Int("cols", 10, "grid columns")
-		radius    = fs.Float64("radius", 0.1, "connection radius (unitdisk)")
-		in        = fs.String("in", "", "edge-list file (graph=file)")
+		graphFlag = fs.String("graph", "gnp:n=200,p=0.5", "graph as family:key=value,… over a scenario graph block's keys (e.g. grid:rows=10,cols=10, file:path=net.el); a random family draws from -seed unless seed= is given")
 		algo      = fs.String("algo", "feedback", "algorithm (see -algos)")
 		algos     = fs.Bool("algos", false, "list algorithms and exit")
 		seed      = fs.Uint64("seed", 1, "random seed (graph generation and run)")
@@ -75,9 +69,6 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if !(*p >= 0 && *p <= 1) {
-		return fmt.Errorf("-p %v is not an edge probability in [0, 1]", *p)
 	}
 	var metrics *obs.EngineMetrics
 	if *metricsOn {
@@ -109,7 +100,11 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	g, err := buildGraph(*graphKind, *n, *p, *rows, *cols, *radius, *in, *seed)
+	spec, err := scenario.ParseGraph(*graphFlag)
+	if err != nil {
+		return err
+	}
+	g, err := spec.Build(*seed)
 	if err != nil {
 		return err
 	}
@@ -220,31 +215,4 @@ func dumpMetrics(metrics *obs.EngineMetrics, stderr io.Writer) error {
 	reg := obs.NewRegistry()
 	metrics.Register(reg)
 	return reg.WriteJSON(stderr)
-}
-
-func buildGraph(kind string, n int, p float64, rows, cols int, radius float64, in string, seed uint64) (*beepmis.Graph, error) {
-	switch kind {
-	case "gnp":
-		return beepmis.GNP(n, p, seed), nil
-	case "grid":
-		return beepmis.Grid(rows, cols), nil
-	case "complete":
-		return beepmis.Complete(n), nil
-	case "cliques":
-		return beepmis.CliqueFamily(n), nil
-	case "unitdisk":
-		return beepmis.UnitDisk(n, radius, seed), nil
-	case "file":
-		if in == "" {
-			return nil, fmt.Errorf("graph=file requires -in")
-		}
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, fmt.Errorf("open graph file: %w", err)
-		}
-		defer func() { _ = f.Close() }()
-		return beepmis.ReadEdgeList(f)
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", kind)
-	}
 }

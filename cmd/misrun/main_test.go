@@ -22,7 +22,7 @@ func TestAlgosList(t *testing.T) {
 
 func TestRunGNPFeedback(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-graph", "gnp", "-n", "80", "-algo", "feedback", "-seed", "3"}, &out); err != nil {
+	if err := run([]string{"-graph", "gnp:n=80,p=0.5", "-algo", "feedback", "-seed", "3"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"mis size:", "rounds:", "verified: maximal independent set"} {
@@ -34,11 +34,11 @@ func TestRunGNPFeedback(t *testing.T) {
 
 func TestRunAllGraphKinds(t *testing.T) {
 	kinds := [][]string{
-		{"-graph", "gnp", "-n", "40"},
-		{"-graph", "grid", "-rows", "5", "-cols", "5"},
-		{"-graph", "complete", "-n", "15"},
-		{"-graph", "cliques", "-n", "100"},
-		{"-graph", "unitdisk", "-n", "50", "-radius", "0.2"},
+		{"-graph", "gnp:n=40,p=0.5"},
+		{"-graph", "grid:rows=5,cols=5"},
+		{"-graph", "complete:n=15"},
+		{"-graph", "cliques:n=100"},
+		{"-graph", "unitdisk:n=50,radius=0.2"},
 	}
 	for _, args := range kinds {
 		var out bytes.Buffer
@@ -50,7 +50,7 @@ func TestRunAllGraphKinds(t *testing.T) {
 
 func TestRunConcurrentEngine(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-graph", "gnp", "-n", "30", "-engine", "concurrent", "-show-set"}, &out)
+	err := run([]string{"-graph", "gnp:n=30,p=0.5", "-engine", "concurrent", "-show-set"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunEnginePins(t *testing.T) {
 	outputs := map[string]string{}
 	for _, engine := range []string{"sim", "auto", "scalar", "bitset", "columnar", "sparse", "concurrent"} {
 		var out bytes.Buffer
-		if err := run([]string{"-graph", "gnp", "-n", "60", "-algo", "feedback", "-seed", "5", "-engine", engine}, &out); err != nil {
+		if err := run([]string{"-graph", "gnp:n=60,p=0.5", "-algo", "feedback", "-seed", "5", "-engine", engine}, &out); err != nil {
 			t.Fatalf("-engine %s: %v", engine, err)
 		}
 		if !strings.Contains(out.String(), "verified: maximal independent set") {
@@ -95,7 +95,7 @@ func TestRunFileGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-graph", "file", "-in", path, "-algo", "greedy"}, &out); err != nil {
+	if err := run([]string{"-graph", "file:path=" + path, "-algo", "greedy"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "n=3 m=2") {
@@ -106,8 +106,8 @@ func TestRunFileGraph(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-graph", "nope"},
-		{"-graph", "file"}, // missing -in
-		{"-graph", "file", "-in", "/definitely/missing/file"},
+		{"-graph", "file"}, // missing path=
+		{"-graph", "file:path=/definitely/missing/file"},
 		{"-engine", "nope"},
 		{"-algo", "nope"},
 		{"-bad-flag"},
@@ -121,7 +121,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunLubyShowsBits(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-graph", "gnp", "-n", "40", "-algo", "luby-permutation"}, &out); err != nil {
+	if err := run([]string{"-graph", "gnp:n=40,p=0.5", "-algo", "luby-permutation"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "message bits:") {
@@ -129,17 +129,24 @@ func TestRunLubyShowsBits(t *testing.T) {
 	}
 }
 
-// TestRejectsBadEdgeProbability: a -p that is NaN, infinite or outside
-// [0, 1] is a usage error, not a silently empty or garbage graph.
-func TestRejectsBadEdgeProbability(t *testing.T) {
-	for _, p := range []string{"NaN", "-0.1", "1.5", "Inf", "-Inf"} {
+// TestRejectsBadGraph: a -graph the scenario registry rejects fails
+// with an error naming the parameter, before any output.
+func TestRejectsBadGraph(t *testing.T) {
+	for _, c := range []struct{ graph, want string }{
+		{"gnp:n=-5", "n -5"},
+		{"grid:rows=0,cols=3", "rows and cols"},
+		{"unitdisk:n=50,radius=-1", "radius -1"},
+		{"cycle:n=2", "n ≥ 3"},
+		{"gnp:n=20,p=1.5", "p 1.5"},
+		{"gnp:n=20,p=NaN", "GraphSpec.p"},
+	} {
 		var out bytes.Buffer
-		err := run([]string{"-graph", "gnp", "-n", "20", "-p", p}, &out)
-		if err == nil || !strings.Contains(err.Error(), "-p") {
-			t.Errorf("-p %s: err = %v, want a -p usage error", p, err)
+		err := run([]string{"-graph", c.graph}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-graph %s: err = %v, want one naming %q", c.graph, err, c.want)
 		}
 		if out.Len() != 0 {
-			t.Errorf("-p %s: wrote output %q", p, out.String())
+			t.Errorf("-graph %s: wrote output %q", c.graph, out.String())
 		}
 	}
 }

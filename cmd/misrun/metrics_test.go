@@ -32,7 +32,7 @@ func decodeTelemetry(t *testing.T, data []byte) map[string]float64 {
 // TestMetricsFlagOneGraph: -metrics dumps engine telemetry to stderr
 // while the report on stdout stays byte-identical.
 func TestMetricsFlagOneGraph(t *testing.T) {
-	args := []string{"-graph", "gnp", "-n", "80", "-algo", "feedback", "-seed", "3"}
+	args := []string{"-graph", "gnp:n=80,p=0.5", "-algo", "feedback", "-seed", "3"}
 	var plain bytes.Buffer
 	if err := run(args, &plain); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestMetricsFlagScenario(t *testing.T) {
 // TestMetricsWithoutFlagSilent: no -metrics, no stderr noise.
 func TestMetricsWithoutFlagSilent(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := runTo([]string{"-graph", "gnp", "-n", "40", "-algo", "feedback"}, &stdout, &stderr); err != nil {
+	if err := runTo([]string{"-graph", "gnp:n=40,p=0.5", "-algo", "feedback"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	if stderr.Len() != 0 {

@@ -71,8 +71,8 @@ func TestScenarioHashFlag(t *testing.T) {
 func TestScenarioErrors(t *testing.T) {
 	cases := [][]string{
 		{"-scenario", "/definitely/missing.json"},
-		{"-scenario", "spec.json", "-n", "50"}, // workload flags conflict
-		{"-hash"},                              // -hash without -scenario
+		{"-scenario", "spec.json", "-graph", "gnp:n=50,p=0.5"}, // workload flags conflict
+		{"-hash"}, // -hash without -scenario
 	}
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

@@ -204,20 +204,6 @@ func (m *AdjacencyMatrix) OrRowInto(dst Bitset, v int) {
 	}
 }
 
-// OrRowRangeInto ORs words [lo, hi) of vertex v's adjacency row into the
-// same word range of dst. It is the building block of sharded
-// propagation: a worker that owns destination words [lo, hi) delivers
-// v's beep to just the listeners packed in that range.
-//
-//misvet:noalloc
-func (m *AdjacencyMatrix) OrRowRangeInto(dst Bitset, v, lo, hi int) {
-	row := m.rows[v*m.words+lo : v*m.words+hi]
-	d := dst[lo:hi]
-	for i, w := range row {
-		d[i] |= w
-	}
-}
-
 // orRowsRangeInto sets dst's words [lo, hi) to the union of the
 // corresponding row words of every vertex in emitters. Every 64 rows it
 // checks whether the range has saturated — every representable bit set —

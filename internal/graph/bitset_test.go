@@ -240,29 +240,6 @@ func TestBitsetAndAndCount(t *testing.T) {
 	}
 }
 
-func TestOrRowRangeInto(t *testing.T) {
-	g := GNP(200, 0.3, rng.New(9))
-	m := g.Matrix()
-	for _, v := range []int{0, 63, 64, 150, 199} {
-		whole := NewBitset(g.N())
-		m.OrRowInto(whole, v)
-		// Reassemble the row from word ranges; the pieces must tile it.
-		pieced := NewBitset(g.N())
-		for lo := 0; lo < m.Words(); lo += 2 {
-			hi := lo + 2
-			if hi > m.Words() {
-				hi = m.Words()
-			}
-			m.OrRowRangeInto(pieced, v, lo, hi)
-		}
-		for i := range whole {
-			if whole[i] != pieced[i] {
-				t.Fatalf("vertex %d word %d: range-assembled row differs", v, i)
-			}
-		}
-	}
-}
-
 // TestMatrixExchangeShardInvariance is the determinism-under-sharding
 // contract of the matrix push: for random graphs and emitter sets, the
 // planned exchange run by destination range over every shard count

@@ -145,7 +145,6 @@ func TestBuilderMatchesReference(t *testing.T) {
 		add(fmt.Sprintf("inducedsubgraph/%d", seed), func() *Graph {
 			return must(InducedSubgraph(base(), []int{0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}))
 		})
-		add(fmt.Sprintf("complement/%d", seed), func() *Graph { return Complement(base()) })
 		add(fmt.Sprintf("linegraph/%d", seed), func() *Graph { g, _ := LineGraph(base()); return g })
 		add(fmt.Sprintf("readedgelist/%d", seed), func() *Graph {
 			var sb strings.Builder

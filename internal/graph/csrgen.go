@@ -81,7 +81,7 @@ func buildChunkedCSR(n int, numChunks int64, src *rng.Source, workers int, gen f
 	return b.Finish(workers)
 }
 
-// RMATCSR generates a recursive-matrix (R-MAT/Kronecker) graph with n
+// RMAT generates a recursive-matrix (R-MAT/Kronecker) graph with n
 // vertices (n must be a power of two ≥ 2) by sampling `edges` edges:
 // each edge walks log2(n) levels of the recursive adjacency-matrix
 // quadrant split, choosing a quadrant with probabilities (a, b, c, d)
@@ -93,7 +93,7 @@ func buildChunkedCSR(n int, numChunks int64, src *rng.Source, workers int, gen f
 // final edge count is at most (and for skewed parameter sets
 // measurably below) the requested count — the standard R-MAT contract.
 // Output is bit-identical for any worker count.
-func RMATCSR(n int, edges int64, a, b, c, d float64, src *rng.Source, workers int) (*Graph, error) {
+func RMAT(n int, edges int64, a, b, c, d float64, src *rng.Source, workers int) (*Graph, error) {
 	scale := 0
 	for 1<<scale < n {
 		scale++
@@ -149,7 +149,7 @@ func ValidateRMATProbs(a, b, c, d float64) error {
 	return nil
 }
 
-// ConfigModelCSR generates a power-law random graph with n vertices and
+// ConfigModel generates a power-law random graph with n vertices and
 // (up to) `edges` edges in the Chung–Lu expected-degree flavour of the
 // configuration model: vertex i carries weight (i+1)^(-1/(gamma-1)) —
 // the weight sequence whose expected degrees follow a power law with
@@ -166,7 +166,7 @@ func ValidateRMATProbs(a, b, c, d float64) error {
 // comparisons) generate. gamma must exceed 2 (finite mean degree);
 // self-loops are dropped and duplicates deduplicated, so the final
 // edge count is at most the requested count.
-func ConfigModelCSR(n int, edges int64, gamma float64, src *rng.Source, workers int) (*Graph, error) {
+func ConfigModel(n int, edges int64, gamma float64, src *rng.Source, workers int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: configmodel vertex count %d < 1", n)
 	}

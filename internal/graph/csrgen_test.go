@@ -16,16 +16,16 @@ func TestGeneratorsDeterministicAcrossWorkers(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	gens := map[string]func(workers int) (*Graph, error){
 		"rmat": func(w int) (*Graph, error) {
-			return RMATCSR(256, 4000, 0.57, 0.19, 0.19, 0.05, rng.New(11), w)
+			return RMAT(256, 4000, 0.57, 0.19, 0.19, 0.05, rng.New(11), w)
 		},
 		"rmat-uniform": func(w int) (*Graph, error) {
-			return RMATCSR(128, 2000, 0.25, 0.25, 0.25, 0.25, rng.New(12), w)
+			return RMAT(128, 2000, 0.25, 0.25, 0.25, 0.25, rng.New(12), w)
 		},
 		"configmodel": func(w int) (*Graph, error) {
-			return ConfigModelCSR(300, 3000, 2.5, rng.New(13), w)
+			return ConfigModel(300, 3000, 2.5, rng.New(13), w)
 		},
 		"configmodel-steep": func(w int) (*Graph, error) {
-			return ConfigModelCSR(200, 1000, 3.5, rng.New(14), w)
+			return ConfigModel(200, 1000, 3.5, rng.New(14), w)
 		},
 	}
 	for name, gen := range gens {
@@ -57,7 +57,7 @@ func TestGeneratorsDeterministicAcrossWorkers(t *testing.T) {
 // dropped, duplicates collapsed) but a skew this mild should keep most
 // of it.
 func TestRMATEdgeBudget(t *testing.T) {
-	c, err := RMATCSR(1024, 8192, 0.57, 0.19, 0.19, 0.05, rng.New(21), 0)
+	c, err := RMAT(1024, 8192, 0.57, 0.19, 0.19, 0.05, rng.New(21), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRMATEdgeBudget(t *testing.T) {
 // the heaviest vertex (index 0) should out-degree the lightest by a
 // wide margin.
 func TestConfigModelDegreeSkew(t *testing.T) {
-	c, err := ConfigModelCSR(1000, 20000, 2.2, rng.New(22), 0)
+	c, err := ConfigModel(1000, 20000, 2.2, rng.New(22), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +85,16 @@ func TestConfigModelDegreeSkew(t *testing.T) {
 func TestGeneratorParamValidation(t *testing.T) {
 	src := rng.New(1)
 	cases := map[string]func() error{
-		"rmat-not-pow2":    func() error { _, err := RMATCSR(100, 10, 0.57, 0.19, 0.19, 0.05, src, 0); return err },
-		"rmat-n1":          func() error { _, err := RMATCSR(1, 10, 0.57, 0.19, 0.19, 0.05, src, 0); return err },
-		"rmat-neg-edges":   func() error { _, err := RMATCSR(64, -1, 0.57, 0.19, 0.19, 0.05, src, 0); return err },
-		"rmat-bad-sum":     func() error { _, err := RMATCSR(64, 10, 0.5, 0.5, 0.5, 0.5, src, 0); return err },
-		"rmat-neg-prob":    func() error { _, err := RMATCSR(64, 10, -0.1, 0.5, 0.3, 0.3, src, 0); return err },
-		"rmat-nan":         func() error { _, err := RMATCSR(64, 10, math.NaN(), 0.5, 0.3, 0.2, src, 0); return err },
-		"config-gamma2":    func() error { _, err := ConfigModelCSR(10, 10, 2, src, 0); return err },
-		"config-nan":       func() error { _, err := ConfigModelCSR(10, 10, math.NaN(), src, 0); return err },
-		"config-neg-edges": func() error { _, err := ConfigModelCSR(10, -1, 2.5, src, 0); return err },
-		"config-n0":        func() error { _, err := ConfigModelCSR(0, 10, 2.5, src, 0); return err },
+		"rmat-not-pow2":    func() error { _, err := RMAT(100, 10, 0.57, 0.19, 0.19, 0.05, src, 0); return err },
+		"rmat-n1":          func() error { _, err := RMAT(1, 10, 0.57, 0.19, 0.19, 0.05, src, 0); return err },
+		"rmat-neg-edges":   func() error { _, err := RMAT(64, -1, 0.57, 0.19, 0.19, 0.05, src, 0); return err },
+		"rmat-bad-sum":     func() error { _, err := RMAT(64, 10, 0.5, 0.5, 0.5, 0.5, src, 0); return err },
+		"rmat-neg-prob":    func() error { _, err := RMAT(64, 10, -0.1, 0.5, 0.3, 0.3, src, 0); return err },
+		"rmat-nan":         func() error { _, err := RMAT(64, 10, math.NaN(), 0.5, 0.3, 0.2, src, 0); return err },
+		"config-gamma2":    func() error { _, err := ConfigModel(10, 10, 2, src, 0); return err },
+		"config-nan":       func() error { _, err := ConfigModel(10, 10, math.NaN(), src, 0); return err },
+		"config-neg-edges": func() error { _, err := ConfigModel(10, -1, 2.5, src, 0); return err },
+		"config-n0":        func() error { _, err := ConfigModel(0, 10, 2.5, src, 0); return err },
 	}
 	for name, call := range cases {
 		if err := call(); err == nil {

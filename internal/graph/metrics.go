@@ -1,83 +1,5 @@
 package graph
 
-// BFS runs a breadth-first search from src and returns the distance (in
-// edges) to every vertex, with -1 for unreachable vertices.
-func BFS(g *Graph, src int) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || src >= g.N() {
-		return dist
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(int(v)) {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// Eccentricity returns the largest finite BFS distance from v (0 for an
-// isolated vertex).
-func Eccentricity(g *Graph, v int) int {
-	ecc := 0
-	for _, d := range BFS(g, v) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// Diameter returns the largest eccentricity over all vertices, ignoring
-// unreachable pairs (so a disconnected graph reports the largest
-// intra-component diameter). O(n·m); intended for analysis, not hot
-// paths.
-func Diameter(g *Graph) int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		if e := Eccentricity(g, v); e > diam {
-			diam = e
-		}
-	}
-	return diam
-}
-
-// ClusteringCoefficient returns the global clustering coefficient:
-// 3 × triangles / open-and-closed wedges. Returns 0 for graphs with no
-// wedges.
-func ClusteringCoefficient(g *Graph) float64 {
-	triangles := 0
-	wedges := 0
-	for v := 0; v < g.N(); v++ {
-		d := g.Degree(v)
-		wedges += d * (d - 1) / 2
-		nbrs := g.Neighbors(v)
-		for i := 0; i < len(nbrs); i++ {
-			for j := i + 1; j < len(nbrs); j++ {
-				if g.HasEdge(int(nbrs[i]), int(nbrs[j])) {
-					triangles++
-				}
-			}
-		}
-	}
-	if wedges == 0 {
-		return 0
-	}
-	// Each triangle is counted once per corner, i.e. 3 times total;
-	// the standard definition wants 3·T/wedges with T the number of
-	// distinct triangles, which equals (corner count)/wedges.
-	return float64(triangles) / float64(wedges)
-}
-
 // LineGraph returns the line graph L(g): one vertex per edge of g, two
 // vertices adjacent iff the corresponding edges share an endpoint. The
 // returned edge list maps each line-graph vertex back to its source edge

@@ -91,31 +91,3 @@ func IsConnected(g *Graph) bool {
 	_, c := ConnectedComponents(g)
 	return c == 1
 }
-
-// DegreeHistogram returns hist where hist[d] is the number of vertices of
-// degree d; its length is MaxDegree()+1 (or 0 for an empty graph).
-func DegreeHistogram(g *Graph) []int {
-	if g.N() == 0 {
-		return nil
-	}
-	hist := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		hist[g.Degree(v)]++
-	}
-	return hist
-}
-
-// Complement returns the complement graph. Quadratic; intended for tests
-// and small inputs.
-func Complement(g *Graph) *Graph {
-	n := g.N()
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) {
-				_ = b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build()
-}

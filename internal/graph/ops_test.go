@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"beepmis/internal/rng"
 )
@@ -65,54 +64,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if !IsConnected(Empty(0)) {
 		t.Fatal("empty graph should count as connected")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	hist := DegreeHistogram(Star(5))
-	// Star(5): one vertex of degree 4, four of degree 1.
-	want := []int{0, 4, 0, 0, 1}
-	if len(hist) != len(want) {
-		t.Fatalf("hist = %v", hist)
-	}
-	for i := range want {
-		if hist[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", hist, want)
-		}
-	}
-	if DegreeHistogram(Empty(0)) != nil {
-		t.Fatal("empty graph histogram should be nil")
-	}
-}
-
-func TestComplement(t *testing.T) {
-	g := Path(4) // edges 01,12,23; complement: 02,03,13
-	c := Complement(g)
-	if c.M() != 3 {
-		t.Fatalf("complement M = %d", c.M())
-	}
-	for _, e := range [][2]int{{0, 2}, {0, 3}, {1, 3}} {
-		if !c.HasEdge(e[0], e[1]) {
-			t.Fatalf("complement missing %v", e)
-		}
-	}
-	// Property: complement of complement is the original.
-	src := rng.New(3)
-	f := func(seed uint8) bool {
-		g := GNP(20, 0.4, src)
-		cc := Complement(Complement(g))
-		if cc.M() != g.M() {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if !cc.HasEdge(e[0], e[1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

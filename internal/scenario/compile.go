@@ -267,7 +267,7 @@ var families = map[string]familyInfo{
 			return nil
 		},
 		build: func(g GraphSpec, n int, _ float64, src *rng.Source) (*graph.Graph, error) {
-			return graph.RMATCSR(n, g.Edges, g.A, g.B, g.C, 1-g.A-g.B-g.C, src, 0)
+			return graph.RMAT(n, g.Edges, g.A, g.B, g.C, 1-g.A-g.B-g.C, src, 0)
 		},
 	},
 	"configmodel": {
@@ -284,7 +284,7 @@ var families = map[string]familyInfo{
 			return nil
 		},
 		build: func(g GraphSpec, n int, _ float64, src *rng.Source) (*graph.Graph, error) {
-			return graph.ConfigModelCSR(n, g.Edges, g.Gamma, src, 0)
+			return graph.ConfigModel(n, g.Edges, g.Gamma, src, 0)
 		},
 	},
 	// file loads a graph from disk through the streaming loaders. It is
@@ -339,6 +339,126 @@ func Families() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Build builds the one graph g names, under the graph checks Compile
+// makes on a spec's graph, for the command-line tools. It resolves g in
+// place first: the family's defaults are applied and a file's digest is
+// filled in, so the caller sees what was built. A random family draws
+// from rng.New(g.Seed), or from rng.New(seed) when g pins no seed.
+// Compile's admission bounds (MaxNodes, MaxUnitMemory) do not apply: a
+// local run may be as large as the machine allows.
+func (g *GraphSpec) Build(seed uint64) (*graph.Graph, error) {
+	*g = g.withDefaults()
+	info, err := g.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := info.check(g, g.N, g.P); err != nil {
+		return nil, err
+	}
+	var src *rng.Source
+	if info.random {
+		if g.Seed != 0 {
+			seed = g.Seed
+		}
+		src = rng.New(seed)
+	}
+	return info.build(*g, g.N, g.P, src)
+}
+
+// resolve looks up g's family and checks the fields every instance of
+// it shares: no field the family ignores, and a seed only on a random
+// family. For the file family it hashes the file into g.Digest, after
+// checking any digest g already pins.
+func (g *GraphSpec) resolve() (familyInfo, error) {
+	info, ok := families[g.Family]
+	if !ok {
+		return familyInfo{}, fmt.Errorf("scenario: unknown graph family %q (have %v)", g.Family, Families())
+	}
+
+	// Reject graph fields the family does not read: a stray "radius"
+	// on a gnp spec would be ignored by the builder but serialised
+	// into the hash, making identical workloads miss each other's
+	// cache entries.
+	allowed := map[string]bool{}
+	for _, f := range info.extra {
+		allowed[f] = true
+	}
+	// Visit the fields in sorted order so a spec with two stray fields
+	// always reports the same one first.
+	checks := graphFieldChecks(*g)
+	fields := make([]string, 0, len(checks))
+	for field := range checks {
+		fields = append(fields, field)
+	}
+	sort.Strings(fields)
+	for _, field := range fields {
+		if checks[field] && !allowed[field] {
+			return info, fmt.Errorf("scenario: graph field %q is not used by family %q", field, g.Family)
+		}
+	}
+	if g.N != 0 && !info.usesN {
+		return info, fmt.Errorf("scenario: graph field \"n\" is not used by family %q", g.Family)
+	}
+	if g.P != 0 && !info.usesP {
+		return info, fmt.Errorf("scenario: graph field \"p\" is not used by family %q", g.Family)
+	}
+	if g.Seed != 0 && !info.random {
+		return info, fmt.Errorf("scenario: graph field \"seed\" is not used by deterministic family %q", g.Family)
+	}
+
+	// A file-family scenario's results are a function of the file's
+	// bytes, so its content hash must be too: resolve the SHA-256 digest
+	// before the units capture the GraphSpec and before the canonical
+	// form is serialised. A spec that pre-sets the digest is pinning the
+	// content it was written against — a mismatch means the file on disk
+	// is not that graph.
+	if g.Family == "file" {
+		if g.Path == "" {
+			return info, fmt.Errorf("scenario: file family needs a graph path")
+		}
+		digest, err := graph.HashGraphFile(g.Path)
+		if err != nil {
+			return info, fmt.Errorf("scenario: hashing graph file: %w", err)
+		}
+		if g.Digest != "" && g.Digest != digest {
+			return info, fmt.Errorf("scenario: graph file %s has digest %s, but the spec pins %s (file changed since the spec was written?)", g.Path, digest, g.Digest)
+		}
+		g.Digest = digest
+	}
+	return info, nil
+}
+
+// check validates one instance's parameters: n ≥ 1 and p in [0, 1]
+// where the family reads them, then the family's own rules, then that
+// the instance has a node. It returns the instance's node count.
+func (info *familyInfo) check(g *GraphSpec, n int, p float64) (int, error) {
+	if info.usesN && n < 1 {
+		return 0, nRangeError(n)
+	}
+	if info.usesP && !(p >= 0 && p <= 1) {
+		return 0, fmt.Errorf("scenario: p %v outside [0, 1]", p)
+	}
+	if err := info.validate(*g, n, p); err != nil {
+		return 0, err
+	}
+	nodes := info.nodes(*g, n)
+	if nodes < 1 {
+		return 0, nodesRangeError(g.Family, nodes)
+	}
+	return nodes, nil
+}
+
+// nRangeError and nodesRangeError are the one message each for an n,
+// or an instance's node count, outside [1, MaxNodes]: check rejects
+// the low side, and Compile's admission bound the high side.
+func nRangeError(n int) error {
+	return fmt.Errorf("scenario: n %d outside [1, %d]", n, MaxNodes)
+}
+
+func nodesRangeError(family string, nodes int) error {
+	return fmt.Errorf("scenario: family %q instance has %d nodes (max %d)", family, nodes, MaxNodes)
 }
 
 // Unit is one compiled workload of a scenario: a single (graph,
@@ -452,60 +572,10 @@ func (s *Spec) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	info, ok := families[n.Graph.Family]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown graph family %q (have %v)", n.Graph.Family, Families())
-	}
-
-	// Reject graph fields the family does not read: a stray "radius"
-	// on a gnp spec would be ignored by the builder but serialised
-	// into the hash, making identical workloads miss each other's
-	// cache entries.
-	allowed := map[string]bool{}
-	for _, f := range info.extra {
-		allowed[f] = true
-	}
-	// Visit the fields in sorted order so a spec with two stray fields
-	// always reports the same one first.
-	checks := graphFieldChecks(n.Graph)
-	fields := make([]string, 0, len(checks))
-	for field := range checks {
-		fields = append(fields, field)
-	}
-	sort.Strings(fields)
-	for _, field := range fields {
-		if checks[field] && !allowed[field] {
-			return nil, fmt.Errorf("scenario: graph field %q is not used by family %q", field, n.Graph.Family)
-		}
-	}
-	if n.Graph.N != 0 && !info.usesN {
-		return nil, fmt.Errorf("scenario: graph field \"n\" is not used by family %q", n.Graph.Family)
-	}
-	if n.Graph.P != 0 && !info.usesP {
-		return nil, fmt.Errorf("scenario: graph field \"p\" is not used by family %q", n.Graph.Family)
-	}
-	if n.Graph.Seed != 0 && !info.random {
-		return nil, fmt.Errorf("scenario: graph field \"seed\" is not used by deterministic family %q", n.Graph.Family)
-	}
-
-	// A file-family scenario's results are a function of the file's
-	// bytes, so its content hash must be too: resolve the SHA-256 digest
-	// now, before the units capture the GraphSpec and before the
-	// canonical form below is serialised. A spec that pre-sets the
-	// digest is pinning the content it was written against — a mismatch
-	// means the file on disk is not that graph.
-	if n.Graph.Family == "file" {
-		if n.Graph.Path == "" {
-			return nil, fmt.Errorf("scenario: file family needs a graph path")
-		}
-		digest, err := graph.HashGraphFile(n.Graph.Path)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: hashing graph file: %w", err)
-		}
-		if n.Graph.Digest != "" && n.Graph.Digest != digest {
-			return nil, fmt.Errorf("scenario: graph file %s has digest %s, but the spec pins %s (file changed since the spec was written?)", n.Graph.Path, digest, n.Graph.Digest)
-		}
-		n.Graph.Digest = digest
+	// n carries the file digest from here on: it is part of the hash.
+	info, err := n.Graph.resolve()
+	if err != nil {
+		return nil, err
 	}
 
 	// The base algorithm is validated even when a sweep's list replaces
@@ -565,18 +635,15 @@ func (s *Spec) Compile() (*Compiled, error) {
 		}
 		for _, un := range ns {
 			for _, up := range ps {
-				if info.usesN && (un <= 0 || un > MaxNodes) {
-					return nil, fmt.Errorf("scenario: n %d outside [1, %d]", un, MaxNodes)
+				if info.usesN && un > MaxNodes {
+					return nil, nRangeError(un)
 				}
-				if info.usesP && (up < 0 || up > 1) {
-					return nil, fmt.Errorf("scenario: p %v outside [0, 1]", up)
-				}
-				if err := info.validate(n.Graph, un, up); err != nil {
+				nodes, err := info.check(&n.Graph, un, up)
+				if err != nil {
 					return nil, err
 				}
-				nodes := info.nodes(n.Graph, un)
-				if nodes <= 0 || nodes > MaxNodes {
-					return nil, fmt.Errorf("scenario: family %q instance has %d nodes (max %d)", n.Graph.Family, nodes, MaxNodes)
+				if nodes > MaxNodes {
+					return nil, nodesRangeError(n.Graph.Family, nodes)
 				}
 				planned, err := admitFootprint(engine, n.Graph.Family, nodes, info.expectedEdges(n.Graph, un, up))
 				if err != nil {

@@ -36,6 +36,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strings"
 
 	"beepmis/internal/fault"
 	"beepmis/internal/graph"
@@ -70,7 +71,7 @@ type GraphSpec struct {
 	// Family is one of Families(): "gnp", "grid", "torus", "complete",
 	// "cliques", "path", "cycle", "star", "tree", "unitdisk",
 	// "barabasialbert", "wattsstrogatz", "hypercube", "randomregular",
-	// "completebinarytree".
+	// "completebinarytree", "rmat", "configmodel" or "file".
 	Family string `json:"family"`
 	// N is the node count (families parameterised by n).
 	N int `json:"n,omitempty"`
@@ -237,6 +238,54 @@ func ParseCompiledBytes(b []byte) (*Compiled, error) {
 	return ParseCompiled(bytes.NewReader(b))
 }
 
+// ParseGraph decodes the command-line graph grammar
+// "family:key=value,…", whose keys are GraphSpec's JSON names (e.g.
+// "gnp:n=200,p=0.5" or "file:path=net.el"). The pairs decode through
+// encoding/json as a spec file's graph block does, so an unknown key or
+// a value of the wrong type is an error; a value that is not a JSON
+// literal is read as a string. ParseGraph checks only the grammar:
+// GraphSpec.Build checks the parameters against the family.
+func ParseGraph(s string) (GraphSpec, error) {
+	family, pairs, _ := strings.Cut(s, ":")
+	if family == "" {
+		return GraphSpec{}, fmt.Errorf("scenario: graph %q names no family (want family:key=value,…)", s)
+	}
+	doc := map[string]json.RawMessage{"family": quoteJSON(family)}
+	if pairs != "" {
+		for _, pair := range strings.Split(pairs, ",") {
+			key, value, ok := strings.Cut(pair, "=")
+			if !ok {
+				return GraphSpec{}, fmt.Errorf("scenario: graph %q: %q is not key=value", s, pair)
+			}
+			// encoding/json matches keys to fields case-insensitively, so
+			// "N" and "n" are one key.
+			key = strings.ToLower(key)
+			if _, dup := doc[key]; dup {
+				return GraphSpec{}, fmt.Errorf("scenario: graph %q gives %q twice", s, key)
+			}
+			raw := json.RawMessage(value)
+			if !json.Valid(raw) {
+				raw = quoteJSON(value)
+			}
+			doc[key] = raw
+		}
+	}
+	b, _ := json.Marshal(doc) // every value is valid JSON by construction
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var g GraphSpec
+	if err := dec.Decode(&g); err != nil {
+		return GraphSpec{}, fmt.Errorf("scenario: graph %q: %w", s, err)
+	}
+	return g, nil
+}
+
+// quoteJSON encodes s as a JSON string.
+func quoteJSON(s string) json.RawMessage {
+	b, _ := json.Marshal(s) // a string always encodes
+	return b
+}
+
 // Parse decodes and validates a scenario spec, returning its
 // normalised form. Callers that go on to execute should prefer
 // ParseCompiled and keep the Compiled.
@@ -264,24 +313,7 @@ func (s *Spec) Normalized() *Spec {
 	if n.Engine == "" {
 		n.Engine = "auto"
 	}
-	// Graph-family defaults are materialised for the same reason the
-	// algorithm defaults below are: "rmat with no probabilities" and
-	// "rmat with the Graph500 probabilities spelled out" are the same
-	// workload and must hash identically.
-	switch n.Graph.Family {
-	case "rmat":
-		if n.Graph.A == 0 && n.Graph.B == 0 && n.Graph.C == 0 {
-			n.Graph.A, n.Graph.B, n.Graph.C = 0.57, 0.19, 0.19
-		}
-	case "configmodel":
-		if n.Graph.Gamma == 0 {
-			n.Graph.Gamma = 2.5
-		}
-	case "file":
-		if n.Graph.Format == "" && n.Graph.Path != "" {
-			n.Graph.Format = graph.DetectGraphFormat(n.Graph.Path)
-		}
-	}
+	n.Graph = n.Graph.withDefaults()
 	// Fold the sweep: a one-point axis is the same scenario as the
 	// plain base field (the compiled units and rng streams are
 	// identical), so collapse single-value axes into the base and drop
@@ -376,6 +408,28 @@ func (s *Spec) Normalized() *Spec {
 	// spelled either way hashes identically.
 	n.Faults = s.Faults.Normalized()
 	return &n
+}
+
+// withDefaults returns g with its family's defaults materialised, for
+// the same reason Normalized materialises the algorithm defaults: "rmat
+// with no probabilities" and "rmat with the Graph500 probabilities
+// spelled out" are the same workload and must hash identically.
+func (g GraphSpec) withDefaults() GraphSpec {
+	switch g.Family {
+	case "rmat":
+		if g.A == 0 && g.B == 0 && g.C == 0 {
+			g.A, g.B, g.C = 0.57, 0.19, 0.19
+		}
+	case "configmodel":
+		if g.Gamma == 0 {
+			g.Gamma = 2.5
+		}
+	case "file":
+		if g.Format == "" && g.Path != "" {
+			g.Format = graph.DetectGraphFormat(g.Path)
+		}
+	}
+	return g
 }
 
 // canonicalSpec is the hash surface: a Spec minus the fields that

@@ -4,10 +4,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"beepmis/internal/graph"
+	"beepmis/internal/rng"
 	"beepmis/internal/sim"
 )
 
@@ -639,5 +641,110 @@ func TestGNPTinyPSpec(t *testing.T) {
 	}
 	if u := rep.Units[0]; edges != 0 || u.N != 100000 || !u.Verified {
 		t.Fatalf("G(100000, 1e-300): m=%d, unit n=%d verified=%v; want m=0 on a verified 100000-node unit", edges, u.N, u.Verified)
+	}
+}
+
+// TestParseGraphAndBuild pins the command-line graph grammar and the
+// checks GraphSpec.Build shares with Compile: each malformed or
+// out-of-range graph fails with an error naming the problem, and a
+// valid one builds the registry's instance.
+func TestParseGraphAndBuild(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.el")
+	if err := os.WriteFile(empty, []byte("n 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec string
+		want string // substring of the error; "" means the graph builds
+		n, m int
+	}{
+		{spec: "", want: "names no family"},
+		{spec: ":n=5", want: "names no family"},
+		{spec: "gnp:n=5,p", want: `"p" is not key=value`},
+		{spec: "gnp:n=5,n=6", want: `gives "n" twice`},
+		{spec: "gnp:n=5,N=6", want: `gives "n" twice`},
+		{spec: "gnp:family=grid", want: `gives "family" twice`},
+		{spec: "gnp:n=10,p=0.5,q=1", want: `unknown field "q"`},
+		{spec: "gnp:n=ten,p=0.5", want: "GraphSpec.n"},
+		{spec: "gnp:n=10,p=NaN", want: "GraphSpec.p"},
+		{spec: "gnp:n=10,p=Inf", want: "GraphSpec.p"},
+		{spec: "gnp:n=10,p=-Inf", want: "GraphSpec.p"},
+		{spec: "gnp:n=10,p=-0.1", want: "p -0.1 outside [0, 1]"},
+		{spec: "gnp:n=10,p=1.5", want: "p 1.5 outside [0, 1]"},
+		{spec: "ring:n=10", want: "unknown graph family"},
+		{spec: "gnp:p=0.5", want: "n 0 outside"},
+		{spec: "gnp:n=-5", want: "n -5 outside"},
+		{spec: "grid:rows=0,cols=3", want: "positive rows and cols"},
+		{spec: "unitdisk:n=50,radius=-1", want: "radius -1"},
+		{spec: "cycle:n=2", want: "n ≥ 3"},
+		{spec: "grid:rows=3,cols=3,seed=2", want: `"seed" is not used`},
+		{spec: "gnp:n=10,p=0.5,radius=0.1", want: `"radius" is not used`},
+		{spec: "file:path=testdata/missing.el", want: "hashing graph file"},
+		{spec: "file:path=testdata/tiny.el,digest=abc", want: "pins abc"},
+		{spec: "file:path=" + empty, want: "instance has 0 nodes"},
+		{spec: "gnp:n=200,p=0.05", n: 200, m: -1},
+		{spec: "grid:rows=3,cols=4", n: 12, m: 17},
+		{spec: "rmat:n=64,edges=200", n: 64, m: -1},
+		{spec: "configmodel:n=50,edges=100", n: 50, m: -1},
+		{spec: "file:path=testdata/tiny.el", n: 6, m: 7},
+	} {
+		g, err := ParseGraph(tc.spec)
+		var built *graph.Graph
+		if err == nil {
+			built, err = g.Build(1)
+		}
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%q: err = %v, want one naming %q", tc.spec, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.spec, err)
+			continue
+		}
+		if built.N() != tc.n || tc.m >= 0 && built.M() != tc.m {
+			t.Errorf("%q: built n=%d m=%d, want n=%d m=%d", tc.spec, built.N(), built.M(), tc.n, tc.m)
+		}
+	}
+}
+
+// TestBuildSeedsAndDefaults: a random family draws from the seed= key
+// when given and from Build's seed otherwise, and Build resolves the
+// spec in place as Compile does.
+func TestBuildSeedsAndDefaults(t *testing.T) {
+	want := graph.GNP(30, 0.3, rng.New(9))
+	for _, tc := range []struct {
+		spec string
+		seed uint64
+	}{
+		{"gnp:n=30,p=0.3", 9},
+		{"gnp:n=30,p=0.3,seed=9", 1},
+	} {
+		g, err := ParseGraph(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.Build(tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Edges(), want.Edges()) {
+			t.Errorf("%q with seed %d: not G(30, 0.3) from rng.New(9)", tc.spec, tc.seed)
+		}
+	}
+	g, err := ParseGraph("rmat:n=64,edges=200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Build(1); err != nil || g.A != 0.57 || g.B != 0.19 || g.C != 0.19 {
+		t.Errorf("rmat resolved to a=%v b=%v c=%v (err %v), want the Graph500 defaults", g.A, g.B, g.C, err)
+	}
+	g, err = ParseGraph("file:path=testdata/tiny.el")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Build(1); err != nil || g.Format != graph.FormatEdgeList || g.Digest != "c53738a48d073c2bd6f56c8c22e3b9f686bb8fbbf63a1224e0ae11313861e2db" {
+		t.Errorf("file resolved to format %q digest %q (err %v)", g.Format, g.Digest, err)
 	}
 }

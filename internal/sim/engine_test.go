@@ -121,7 +121,7 @@ func assertIdenticalNamed(t *testing.T, a, b *Result, aName, bName string) {
 }
 
 func TestEngineEquivalencePureModel(t *testing.T) {
-	rmat, err := graph.RMATCSR(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
+	rmat, err := graph.RMAT(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestEnginesUnderTraceHook(t *testing.T) {
 // several shard counts — and requires every run to equal the per-node
 // reference loop and to return a maximal independent set.
 func TestRunCSREquivalence(t *testing.T) {
-	g, err := graph.RMATCSR(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
+	g, err := graph.RMAT(128, 1200, 0.57, 0.19, 0.19, 0.05, rng.New(31), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func faultSpecs() []struct {
 // that makes the fault layer a semantic knob rather than an engine
 // feature.
 func TestEngineEquivalenceFaults(t *testing.T) {
-	configModel, err := graph.ConfigModelCSR(150, 900, 2.5, rng.New(33), 0)
+	configModel, err := graph.ConfigModel(150, 900, 2.5, rng.New(33), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
