@@ -54,7 +54,13 @@ func run(args []string, stdout io.Writer) error {
 		defer func() { _ = f.Close() }()
 		w = f
 	}
-	if _, err := fmt.Fprintf(w, "# %s n=%d m=%d seed=%d\n", *graphFlag, g.N(), g.M(), *seed); err != nil {
+	// Build recorded the seed a random family drew from; a
+	// deterministic family has none to stamp.
+	header := fmt.Sprintf("# %s n=%d m=%d", *graphFlag, g.N(), g.M())
+	if spec.Seed != 0 {
+		header += fmt.Sprintf(" seed=%d", spec.Seed)
+	}
+	if _, err := fmt.Fprintln(w, header); err != nil {
 		return fmt.Errorf("write header comment: %w", err)
 	}
 	return graph.WriteEdgeList(w, g)

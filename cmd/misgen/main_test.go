@@ -134,6 +134,28 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestHeaderStampsBuildSeed: the header comment names the seed the
+// graph was drawn from — the seed= key over -seed — and no seed for a
+// deterministic family.
+func TestHeaderStampsBuildSeed(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", "gnp:n=10,p=0.5", "-seed", "4"}, "# gnp:n=10,p=0.5 n=10 m=24 seed=4"},
+		{[]string{"-graph", "gnp:n=10,p=0.5,seed=9"}, "# gnp:n=10,p=0.5,seed=9 n=10 m=24 seed=9"},
+		{[]string{"-graph", "path:n=3", "-seed", "4"}, "# path:n=3 n=3 m=2"},
+	} {
+		var out bytes.Buffer
+		if err := run(c.args, &out); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if header, _, _ := strings.Cut(out.String(), "\n"); header != c.want {
+			t.Errorf("%v: header %q, want %q", c.args, header, c.want)
+		}
+	}
+}
+
 func TestGenerateErrors(t *testing.T) {
 	cases := [][]string{
 		{"-graph", "nope"},
@@ -154,7 +176,8 @@ func TestGenerateErrors(t *testing.T) {
 func TestRejectsBadGraph(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.edges")
 	for _, c := range []struct{ graph, want string }{
-		{"gnp:n=-5", "n -5"},
+		{"gnp:n=50", "needs p="},
+		{"gnp:n=-5,p=0.5", "n -5 < 1"},
 		{"grid:rows=0,cols=3", "rows and cols"},
 		{"unitdisk:n=50,radius=-1", "radius -1"},
 		{"cycle:n=2", "n ≥ 3"},

@@ -53,9 +53,9 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		mode      = fs.String("mode", "", "coord or node")
 		addr      = fs.String("addr", "127.0.0.1:7788", "coordinator address")
-		graphFlag = fs.String("graph", "grid:rows=8,cols=8", "coord: graph as family:key=value,… over a scenario graph block's keys (e.g. gnp:n=64,p=0.5,seed=3, file:path=net.el); a random family draws from seed 1 unless seed= is given")
+		graphFlag = fs.String("graph", "grid:rows=8,cols=8", "coord: graph as family:key=value,… over a scenario graph block's keys (e.g. gnp:n=64,p=0.5, file:path=net.el); a random family draws from -seed unless seed= is given")
 		vertices  = fs.String("vertices", "", "node: vertex ids — a single id, an inclusive lo-hi range, or a comma-separated list of both (e.g. 0-15,32,40-47)")
-		seed      = fs.Uint64("seed", 1, "node: master seed shared by all node processes")
+		seed      = fs.Uint64("seed", 1, "node: master seed shared by all node processes; coord: seed of a random graph family")
 		algo      = fs.String("algo", "feedback", "node: beeping algorithm (feedback, globalsweep, afek, fixed)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -67,9 +67,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Node processes never see the graph, so a random family's
-		// seed is fixed at 1 unless the seed= key pins another.
-		g, err := spec.Build(1)
+		g, err := spec.Build(*seed)
 		if err != nil {
 			return err
 		}

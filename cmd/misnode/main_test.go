@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"beepmis/internal/graph"
+	"beepmis/internal/rng"
 	"beepmis/internal/transport"
 )
 
@@ -75,19 +77,27 @@ func seq(lo, hi int) []int {
 }
 
 // TestBuildGraph drives -graph through coord mode: each graph the
-// coordinator serves is the one the flag names.
+// coordinator serves is the one the flag names, a random family drawn
+// from -seed.
 func TestBuildGraph(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.edges")
 	if err := os.WriteFile(path, []byte("n 2\n0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ graph, vertices, want string }{
-		{"grid:rows=3,cols=4", "0-11", "graph n=12 "},
-		{"gnp:n=20,p=0.5", "0-19", "graph n=20 "},
-		{"file:path=" + path, "0-1", "graph n=2 m=1,"},
+	gnpServed := func(seed uint64) string {
+		return fmt.Sprintf("graph n=60 m=%d,", graph.GNP(60, 0.5, rng.New(seed)).M())
+	}
+	if gnpServed(1) == gnpServed(5) {
+		t.Fatal("G(60, 1/2) has the same edge count at seeds 1 and 5; pick seeds that tell the graphs apart")
+	}
+	for _, c := range []struct{ graph, seed, vertices, want string }{
+		{"grid:rows=3,cols=4", "1", "0-11", "graph n=12 "},
+		{"gnp:n=60,p=0.5", "1", "0-59", gnpServed(1)},
+		{"gnp:n=60,p=0.5", "5", "0-59", gnpServed(5)},
+		{"file:path=" + path, "1", "0-1", "graph n=2 m=1,"},
 	} {
-		if out, _ := coordWithNodes(t, c.graph, c.vertices); !strings.Contains(out, c.want) {
-			t.Errorf("-graph %s: coordinator output lacks %q:\n%s", c.graph, c.want, out)
+		if out, _ := coordWithNodes(t, c.graph, c.vertices, "-seed", c.seed); !strings.Contains(out, c.want) {
+			t.Errorf("-graph %s -seed %s: coordinator output lacks %q:\n%s", c.graph, c.seed, c.want, out)
 		}
 	}
 	for _, bad := range []string{"nope", "file"} {
@@ -171,16 +181,17 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// coordWithNodes runs misnode -mode coord on graphFlag and one -mode
-// node process hosting vertices, both through run, and returns their
-// outputs.
-func coordWithNodes(t *testing.T, graphFlag, vertices string) (coord, node string) {
+// coordWithNodes runs misnode -mode coord on graphFlag, with any
+// further coordArgs, and one -mode node process hosting vertices, both
+// through run, and returns their outputs.
+func coordWithNodes(t *testing.T, graphFlag, vertices string, coordArgs ...string) (coord, node string) {
 	t.Helper()
 	addr := freePort(t)
 	coordOut := &bytes.Buffer{}
 	coordErr := make(chan error, 1)
+	args := append([]string{"-mode", "coord", "-addr", addr, "-graph", graphFlag}, coordArgs...)
 	go func() {
-		coordErr <- run([]string{"-mode", "coord", "-addr", addr, "-graph", graphFlag}, coordOut)
+		coordErr <- run(args, coordOut)
 	}()
 	// Dial until the coordinator is listening (it may not be up yet).
 	deadline := time.Now().Add(5 * time.Second)
@@ -234,7 +245,8 @@ func TestRejectsBadGraph(t *testing.T) {
 	}
 	defer func() { _ = ln.Close() }()
 	for _, c := range []struct{ graph, want string }{
-		{"gnp:n=-5", "n -5"},
+		{"gnp:n=50", "needs p="},
+		{"gnp:n=-5,p=0.5", "n -5 < 1"},
 		{"grid:rows=0,cols=3", "rows and cols"},
 		{"unitdisk:n=50,radius=-1", "radius -1"},
 		{"cycle:n=2", "n ≥ 3"},

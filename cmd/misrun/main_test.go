@@ -133,7 +133,8 @@ func TestRunLubyShowsBits(t *testing.T) {
 // with an error naming the parameter, before any output.
 func TestRejectsBadGraph(t *testing.T) {
 	for _, c := range []struct{ graph, want string }{
-		{"gnp:n=-5", "n -5"},
+		{"gnp:n=50", "needs p="},
+		{"gnp:n=-5,p=0.5", "n -5 < 1"},
 		{"grid:rows=0,cols=3", "rows and cols"},
 		{"unitdisk:n=50,radius=-1", "radius -1"},
 		{"cycle:n=2", "n ≥ 3"},

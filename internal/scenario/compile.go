@@ -308,9 +308,6 @@ var families = map[string]familyInfo{
 			return info.N
 		},
 		validate: func(g GraphSpec, _ int, _ float64) error {
-			if g.Path == "" {
-				return fmt.Errorf("scenario: file family needs a graph path")
-			}
 			if _, err := graph.PeekGraphFile(g.Path, g.Format); err != nil {
 				return fmt.Errorf("scenario: %w", err)
 			}
@@ -343,34 +340,57 @@ func Families() []string {
 
 // Build builds the one graph g names, under the graph checks Compile
 // makes on a spec's graph, for the command-line tools. It resolves g in
-// place first: the family's defaults are applied and a file's digest is
-// filled in, so the caller sees what was built. A random family draws
-// from rng.New(g.Seed), or from rng.New(seed) when g pins no seed.
-// Compile's admission bounds (MaxNodes, MaxUnitMemory) do not apply: a
-// local run may be as large as the machine allows.
+// place first: the family's defaults are applied, a random family's
+// seed and a file's digest are filled in, so the caller sees what was
+// built. A random family draws from rng.New(g.Seed), and g.Seed is set
+// to seed when g pins none. Compile's admission bounds (MaxNodes,
+// MaxUnitMemory) do not apply: a local run may be as large as the
+// machine allows.
 func (g *GraphSpec) Build(seed uint64) (*graph.Graph, error) {
 	*g = g.withDefaults()
 	info, err := g.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := info.check(g, g.N, g.P); err != nil {
+	if g.Family == "file" {
+		return g.load()
+	}
+	if err := info.check(g, g.N, g.P); err != nil {
 		return nil, err
+	}
+	if nodes := info.nodes(*g, g.N); nodes < 1 {
+		return nil, fmt.Errorf("scenario: family %q instance has %d nodes", g.Family, nodes)
 	}
 	var src *rng.Source
 	if info.random {
-		if g.Seed != 0 {
-			seed = g.Seed
+		if g.Seed == 0 {
+			g.Seed = seed
 		}
-		src = rng.New(seed)
+		src = rng.New(g.Seed)
 	}
 	return info.build(*g, g.N, g.P, src)
 }
 
+// load reads the file family's graph for Build. The loader's two
+// passes digest the file's bytes as they parse them, so Build checks a
+// pinned digest after the load rather than hashing the file first.
+func (g *GraphSpec) load() (*graph.Graph, error) {
+	gr, digest, err := graph.LoadCSRFile(g.Path, g.Format, 0)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if err := g.pinDigest(digest); err != nil {
+		return nil, err
+	}
+	if gr.N() < 1 {
+		return nil, fmt.Errorf("scenario: graph file %s has no nodes", g.Path)
+	}
+	return gr, nil
+}
+
 // resolve looks up g's family and checks the fields every instance of
-// it shares: no field the family ignores, and a seed only on a random
-// family. For the file family it hashes the file into g.Digest, after
-// checking any digest g already pins.
+// it shares: no field the family ignores, a seed only on a random
+// family, and a path on a file.
 func (g *GraphSpec) resolve() (familyInfo, error) {
 	info, ok := families[g.Family]
 	if !ok {
@@ -407,58 +427,35 @@ func (g *GraphSpec) resolve() (familyInfo, error) {
 	if g.Seed != 0 && !info.random {
 		return info, fmt.Errorf("scenario: graph field \"seed\" is not used by deterministic family %q", g.Family)
 	}
-
-	// A file-family scenario's results are a function of the file's
-	// bytes, so its content hash must be too: resolve the SHA-256 digest
-	// before the units capture the GraphSpec and before the canonical
-	// form is serialised. A spec that pre-sets the digest is pinning the
-	// content it was written against — a mismatch means the file on disk
-	// is not that graph.
-	if g.Family == "file" {
-		if g.Path == "" {
-			return info, fmt.Errorf("scenario: file family needs a graph path")
-		}
-		digest, err := graph.HashGraphFile(g.Path)
-		if err != nil {
-			return info, fmt.Errorf("scenario: hashing graph file: %w", err)
-		}
-		if g.Digest != "" && g.Digest != digest {
-			return info, fmt.Errorf("scenario: graph file %s has digest %s, but the spec pins %s (file changed since the spec was written?)", g.Path, digest, g.Digest)
-		}
-		g.Digest = digest
+	if g.Family == "file" && g.Path == "" {
+		return info, fmt.Errorf("scenario: file family needs a graph path")
 	}
 	return info, nil
 }
 
+// pinDigest records a graph file's digest in g. A spec that pre-sets
+// the digest is pinning the content it was written against, so a
+// mismatch means the file on disk is not that graph.
+func (g *GraphSpec) pinDigest(digest string) error {
+	if g.Digest != "" && g.Digest != digest {
+		return fmt.Errorf("scenario: graph file %s has digest %s, but the spec pins %s (file changed since the spec was written?)", g.Path, digest, g.Digest)
+	}
+	g.Digest = digest
+	return nil
+}
+
 // check validates one instance's parameters: n ≥ 1 and p in [0, 1]
-// where the family reads them, then the family's own rules, then that
-// the instance has a node. It returns the instance's node count.
-func (info *familyInfo) check(g *GraphSpec, n int, p float64) (int, error) {
+// where the family reads them, then the family's own rules. Compile
+// bounds n on both sides before it calls check, so the low-side
+// message here is Build's alone.
+func (info *familyInfo) check(g *GraphSpec, n int, p float64) error {
 	if info.usesN && n < 1 {
-		return 0, nRangeError(n)
+		return fmt.Errorf("scenario: n %d < 1", n)
 	}
 	if info.usesP && !(p >= 0 && p <= 1) {
-		return 0, fmt.Errorf("scenario: p %v outside [0, 1]", p)
+		return fmt.Errorf("scenario: p %v outside [0, 1]", p)
 	}
-	if err := info.validate(*g, n, p); err != nil {
-		return 0, err
-	}
-	nodes := info.nodes(*g, n)
-	if nodes < 1 {
-		return 0, nodesRangeError(g.Family, nodes)
-	}
-	return nodes, nil
-}
-
-// nRangeError and nodesRangeError are the one message each for an n,
-// or an instance's node count, outside [1, MaxNodes]: check rejects
-// the low side, and Compile's admission bound the high side.
-func nRangeError(n int) error {
-	return fmt.Errorf("scenario: n %d outside [1, %d]", n, MaxNodes)
-}
-
-func nodesRangeError(family string, nodes int) error {
-	return fmt.Errorf("scenario: family %q instance has %d nodes (max %d)", family, nodes, MaxNodes)
+	return info.validate(*g, n, p)
 }
 
 // Unit is one compiled workload of a scenario: a single (graph,
@@ -572,10 +569,22 @@ func (s *Spec) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	// n carries the file digest from here on: it is part of the hash.
 	info, err := n.Graph.resolve()
 	if err != nil {
 		return nil, err
+	}
+	// A file-family scenario's results are a function of the file's
+	// bytes, so its content hash must be too: resolve the SHA-256 digest
+	// now, before the units capture the GraphSpec and before the
+	// canonical form below is serialised.
+	if n.Graph.Family == "file" {
+		digest, err := graph.HashGraphFile(n.Graph.Path)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: hashing graph file: %w", err)
+		}
+		if err := n.Graph.pinDigest(digest); err != nil {
+			return nil, err
+		}
 	}
 
 	// The base algorithm is validated even when a sweep's list replaces
@@ -635,15 +644,15 @@ func (s *Spec) Compile() (*Compiled, error) {
 		}
 		for _, un := range ns {
 			for _, up := range ps {
-				if info.usesN && un > MaxNodes {
-					return nil, nRangeError(un)
+				if info.usesN && (un <= 0 || un > MaxNodes) {
+					return nil, fmt.Errorf("scenario: n %d outside [1, %d]", un, MaxNodes)
 				}
-				nodes, err := info.check(&n.Graph, un, up)
-				if err != nil {
+				if err := info.check(&n.Graph, un, up); err != nil {
 					return nil, err
 				}
-				if nodes > MaxNodes {
-					return nil, nodesRangeError(n.Graph.Family, nodes)
+				nodes := info.nodes(n.Graph, un)
+				if nodes <= 0 || nodes > MaxNodes {
+					return nil, fmt.Errorf("scenario: family %q instance has %d nodes (max %d)", n.Graph.Family, nodes, MaxNodes)
 				}
 				planned, err := admitFootprint(engine, n.Graph.Family, nodes, info.expectedEdges(n.Graph, un, up))
 				if err != nil {

@@ -243,8 +243,9 @@ func ParseCompiledBytes(b []byte) (*Compiled, error) {
 // "gnp:n=200,p=0.5" or "file:path=net.el"). The pairs decode through
 // encoding/json as a spec file's graph block does, so an unknown key or
 // a value of the wrong type is an error; a value that is not a JSON
-// literal is read as a string. ParseGraph checks only the grammar:
-// GraphSpec.Build checks the parameters against the family.
+// literal is read as a string. ParseGraph checks the grammar, and that
+// p= and beta= are given where the family reads them; GraphSpec.Build
+// checks the parameters against the family.
 func ParseGraph(s string) (GraphSpec, error) {
 	family, pairs, _ := strings.Cut(s, ":")
 	if family == "" {
@@ -276,6 +277,17 @@ func ParseGraph(s string) (GraphSpec, error) {
 	var g GraphSpec
 	if err := dec.Decode(&g); err != nil {
 		return GraphSpec{}, fmt.Errorf("scenario: graph %q: %w", s, err)
+	}
+	// A family that reads p or beta needs the key spelled out: p=0 is
+	// the edgeless G(n, 0) and beta=0 the unrewired ring lattice, graphs
+	// a command line should not build unasked. (A spec file's graph
+	// block keeps JSON's zero values.)
+	info := families[g.Family] // an unknown family is Build's error
+	reads := map[string]bool{"p": info.usesP, "beta": slices.Contains(info.extra, "beta")}
+	for _, key := range []string{"p", "beta"} {
+		if _, given := doc[key]; reads[key] && !given {
+			return GraphSpec{}, fmt.Errorf("scenario: graph %q needs %s= (family %q reads it)", s, key, g.Family)
+		}
 	}
 	return g, nil
 }

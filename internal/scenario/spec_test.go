@@ -672,17 +672,23 @@ func TestParseGraphAndBuild(t *testing.T) {
 		{spec: "gnp:n=10,p=-0.1", want: "p -0.1 outside [0, 1]"},
 		{spec: "gnp:n=10,p=1.5", want: "p 1.5 outside [0, 1]"},
 		{spec: "ring:n=10", want: "unknown graph family"},
-		{spec: "gnp:p=0.5", want: "n 0 outside"},
-		{spec: "gnp:n=-5", want: "n -5 outside"},
+		{spec: "gnp:n=10", want: "needs p="},
+		{spec: "gnp:n=-5", want: "needs p="},
+		{spec: "wattsstrogatz:n=100,k=4", want: "needs beta="},
+		{spec: "gnp:p=0.5", want: "n 0 < 1"},
+		{spec: "gnp:n=-5,p=0.5", want: "n -5 < 1"},
 		{spec: "grid:rows=0,cols=3", want: "positive rows and cols"},
 		{spec: "unitdisk:n=50,radius=-1", want: "radius -1"},
 		{spec: "cycle:n=2", want: "n ≥ 3"},
 		{spec: "grid:rows=3,cols=3,seed=2", want: `"seed" is not used`},
 		{spec: "gnp:n=10,p=0.5,radius=0.1", want: `"radius" is not used`},
-		{spec: "file:path=testdata/missing.el", want: "hashing graph file"},
+		{spec: "file", want: "needs a graph path"},
+		{spec: "file:path=testdata/missing.el", want: "missing.el"},
 		{spec: "file:path=testdata/tiny.el,digest=abc", want: "pins abc"},
-		{spec: "file:path=" + empty, want: "instance has 0 nodes"},
+		{spec: "file:path=" + empty, want: "has no nodes"},
 		{spec: "gnp:n=200,p=0.05", n: 200, m: -1},
+		{spec: "gnp:n=10,p=0", n: 10, m: 0},
+		{spec: "wattsstrogatz:n=100,k=4,beta=0", n: 100, m: 200},
 		{spec: "grid:rows=3,cols=4", n: 12, m: 17},
 		{spec: "rmat:n=64,edges=200", n: 64, m: -1},
 		{spec: "configmodel:n=50,edges=100", n: 50, m: -1},
@@ -711,7 +717,7 @@ func TestParseGraphAndBuild(t *testing.T) {
 
 // TestBuildSeedsAndDefaults: a random family draws from the seed= key
 // when given and from Build's seed otherwise, and Build resolves the
-// spec in place as Compile does.
+// spec in place as Compile does, recording the seed it drew from.
 func TestBuildSeedsAndDefaults(t *testing.T) {
 	want := graph.GNP(30, 0.3, rng.New(9))
 	for _, tc := range []struct {
@@ -729,8 +735,8 @@ func TestBuildSeedsAndDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Edges(), want.Edges()) {
-			t.Errorf("%q with seed %d: not G(30, 0.3) from rng.New(9)", tc.spec, tc.seed)
+		if !slices.Equal(got.Edges(), want.Edges()) || g.Seed != 9 {
+			t.Errorf("%q with seed %d: not G(30, 0.3) from rng.New(9), or resolved to seed %d", tc.spec, tc.seed, g.Seed)
 		}
 	}
 	g, err := ParseGraph("rmat:n=64,edges=200")
