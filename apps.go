@@ -7,30 +7,14 @@ import (
 
 // ColoringResult reports a distributed (Δ+1)-coloring built from
 // iterated MIS (see ColorGraph).
-type ColoringResult struct {
-	// Colors assigns each vertex a color in [0, NumColors).
-	Colors []int
-	// NumColors is the number of colors used (at most MaxDegree+1).
-	NumColors int
-	// TotalRounds is the end-to-end distributed round count across all
-	// MIS iterations.
-	TotalRounds int
-}
+type ColoringResult = apps.ColoringResult
 
 // ColorGraph colors g with at most MaxDegree+1 colors by iterating the
 // feedback MIS algorithm on the still-uncolored residual graph: the k-th
 // independent set becomes color k. It demonstrates the paper's closing
 // claim that MIS is a building block for other distributed problems.
 func ColorGraph(g *Graph, seed uint64) (*ColoringResult, error) {
-	res, err := apps.ColorGraph(g, seed, apps.ColoringOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &ColoringResult{
-		Colors:      res.Colors,
-		NumColors:   res.NumColors,
-		TotalRounds: res.TotalRounds,
-	}, nil
+	return apps.ColorGraph(g, seed)
 }
 
 // VerifyColoring checks that colors is a proper coloring of g with every
@@ -41,34 +25,12 @@ func VerifyColoring(g *Graph, colors []int) error {
 
 // MatchingResult reports a maximal matching computed by running the
 // feedback MIS on the line graph.
-type MatchingResult struct {
-	// Edges lists g's edges as {u, v} pairs with u < v.
-	Edges [][2]int
-	// Matched selects the matching over Edges.
-	Matched []bool
-	// Rounds is the round count of the underlying MIS run.
-	Rounds int
-}
-
-// Size returns the number of matched edges.
-func (m *MatchingResult) Size() int {
-	count := 0
-	for _, in := range m.Matched {
-		if in {
-			count++
-		}
-	}
-	return count
-}
+type MatchingResult = apps.MatchingResult
 
 // MaximalMatching computes a maximal matching of g: no two selected
 // edges share an endpoint and no further edge can be added.
 func MaximalMatching(g *Graph, seed uint64) (*MatchingResult, error) {
-	res, err := apps.MaximalMatching(g, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &MatchingResult{Edges: res.Edges, Matched: res.Matched, Rounds: res.Rounds}, nil
+	return apps.MaximalMatching(g, seed)
 }
 
 // VerifyMatching checks that matched is a maximal matching of g over

@@ -20,25 +20,11 @@
 //
 // Unjustified, unknown-analyzer, and stale (matching nothing)
 // directives are themselves findings.
-//
-// Vet tool:
-//
-//	go vet -vettool=$(which misvet) ./...
-//
-// speaks the go vet unit-checker protocol (-V=full / -flags / a JSON
-// .cfg argument, types imported from the build cache's export data).
-// In this mode packages are checked one unit at a time, so the
-// atomicfield check degrades to per-package and stale suppressions
-// are not reported (a unit sees only its own findings).
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"beepmis/internal/analysis"
 	"beepmis/internal/analysis/atomicfield"
@@ -61,41 +47,11 @@ func analyzers() []*analysis.Analyzer {
 }
 
 func main() {
-	args := os.Args[1:]
-	// go vet protocol handshakes, then the unit-checker config call.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			// cmd/go derives the vet tool's build ID from this line and
-			// requires the trailing buildID= field; hashing our own
-			// executable (what x/tools' unitchecker does) makes cached vet
-			// results invalidate when misvet itself changes.
-			printVersion()
-			return
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(vetUnit(args[0]))
-		}
-	}
-	if len(args) == 0 {
+	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: misvet packages...")
 		os.Exit(2)
 	}
-	os.Exit(standalone(args))
-}
-
-// printVersion emits the -V=full handshake line in the format cmd/go
-// parses: "<name> version <vers> buildID=<hex>".
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if f, err := os.Open(os.Args[0]); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel buildID=%02x\n", name, h.Sum(nil))
+	os.Exit(standalone(os.Args[1:]))
 }
 
 // standalone loads patterns with one shared type-checker and runs the
@@ -136,7 +92,7 @@ func standalone(patterns []string) int {
 		}
 		diags = append(diags, d)
 	}
-	diags = append(diags, sup.Problems(known, true)...)
+	diags = append(diags, sup.Problems(known)...)
 	analysis.SortDiagnostics(fset, diags)
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)

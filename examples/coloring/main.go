@@ -40,7 +40,7 @@ func run() error {
 		g.N(), g.M(), g.MaxDegree())
 
 	// Channel assignment by iterated beeping MIS.
-	coloring, err := apps.ColorGraph(g, seed, apps.ColoringOptions{})
+	coloring, err := apps.ColorGraph(g, seed)
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,7 @@ func run() error {
 	// Iterated MIS on a complete graph needs exactly n colors — show the
 	// worst case honestly.
 	k := graph.Complete(8)
-	worst, err := apps.ColorGraph(k, seed, apps.ColoringOptions{})
+	worst, err := apps.ColorGraph(k, seed)
 	if err != nil {
 		return err
 	}

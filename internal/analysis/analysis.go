@@ -175,8 +175,8 @@ func (s *Suppressions) Match(fset *token.FileSet, analyzer string, pos token.Pos
 
 // Problems returns the diagnostics the suppression index itself
 // raises: allows without a justification, allows naming an unknown
-// analyzer, and (when checkUnused) allows that no finding matched.
-func (s *Suppressions) Problems(known map[string]bool, checkUnused bool) []Diagnostic {
+// analyzer, and allows that no finding matched.
+func (s *Suppressions) Problems(known map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range s.all {
 		switch {
@@ -186,7 +186,7 @@ func (s *Suppressions) Problems(known map[string]bool, checkUnused bool) []Diagn
 		case a.Reason == "":
 			out = append(out, Diagnostic{Pos: a.Pos, Analyzer: "misvet",
 				Message: fmt.Sprintf("misvet:allow(%s) carries no justification; write the reason after the closing parenthesis", a.Analyzer)})
-		case checkUnused && !a.Used:
+		case !a.Used:
 			out = append(out, Diagnostic{Pos: a.Pos, Analyzer: "misvet",
 				Message: fmt.Sprintf("misvet:allow(%s) suppresses nothing; delete the stale directive", a.Analyzer)})
 		}

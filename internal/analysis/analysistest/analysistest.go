@@ -74,7 +74,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 		}
 		kept = append(kept, d)
 	}
-	kept = append(kept, sup.Problems(map[string]bool{a.Name: true}, true)...)
+	kept = append(kept, sup.Problems(map[string]bool{a.Name: true})...)
 	analysis.SortDiagnostics(ld.fset, kept)
 
 	exps := collectWants(t, ld.fset, targets)

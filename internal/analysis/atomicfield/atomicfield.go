@@ -11,9 +11,7 @@
 //
 // The check is whole-program: Run collects atomic and plain access
 // sites per package, End reports conflicts once every package has
-// been seen. Under a per-package driver (go vet -vettool) it
-// degrades to per-unit checking, which still covers the common case
-// of a field and its accessors living in one package.
+// been seen.
 package atomicfield
 
 import (

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"beepmis/internal/beep"
 	"beepmis/internal/graph"
 	"beepmis/internal/mis"
 	"beepmis/internal/rng"
@@ -32,26 +31,18 @@ var ErrImproperColoring = errors.New("apps: adjacent vertices share a color")
 type ColoringResult struct {
 	// Colors assigns each vertex a color in [0, NumColors).
 	Colors []int
-	// NumColors is the number of distinct colors used.
+	// NumColors is the number of colors used (at most MaxDegree+1).
 	NumColors int
 	// TotalRounds sums the beeping rounds across all MIS iterations —
 	// the end-to-end distributed time.
 	TotalRounds int
 }
 
-// ColoringOptions configures ColorGraph. The zero value uses the paper's
-// feedback algorithm with default parameters.
-type ColoringOptions struct {
-	// Feedback overrides the MIS core's parameters.
-	Feedback mis.FeedbackConfig
-	// MaxRounds caps each MIS iteration; 0 means the simulator default.
-	MaxRounds int
-}
-
-// ColorGraph colors g with iterated beeping MIS. The result uses at most
-// MaxDegree+1 colors. Deterministic given seed.
-func ColorGraph(g *graph.Graph, seed uint64, opts ColoringOptions) (*ColoringResult, error) {
-	factory, err := mis.NewFeedback(opts.Feedback)
+// ColorGraph colors g with iterated beeping MIS: the published feedback
+// algorithm, each iteration under the simulator's default round cap.
+// The result uses at most MaxDegree+1 colors. Deterministic given seed.
+func ColorGraph(g *graph.Graph, seed uint64) (*ColoringResult, error) {
+	factory, err := mis.NewFeedback(mis.FeedbackConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +63,7 @@ func ColorGraph(g *graph.Graph, seed uint64, opts ColoringOptions) (*ColoringRes
 		if err != nil {
 			return nil, fmt.Errorf("residual graph at color %d: %w", color, err)
 		}
-		run, err := sim.Run(sub, factory, master.Stream(uint64(color)), sim.Options{MaxRounds: opts.MaxRounds})
+		run, err := sim.Run(sub, factory, master.Stream(uint64(color)), sim.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("MIS iteration %d: %w", color, err)
 		}
@@ -113,7 +104,8 @@ func VerifyColoring(g *graph.Graph, colors []int) error {
 
 // MatchingResult reports a maximal matching computed via line-graph MIS.
 type MatchingResult struct {
-	// Edges lists g's edges; Matched[i] selects Edges[i].
+	// Edges lists g's edges as {u, v} pairs with u < v; Matched[i]
+	// selects Edges[i].
 	Edges [][2]int
 	// Matched is the matching's membership vector over Edges.
 	Matched []bool
@@ -148,40 +140,4 @@ func MaximalMatching(g *graph.Graph, seed uint64) (*MatchingResult, error) {
 		return nil, fmt.Errorf("line-graph MIS: %w", err)
 	}
 	return &MatchingResult{Edges: edges, Matched: run.InMIS, Rounds: run.Rounds}, nil
-}
-
-// DominatingSet returns the MIS itself interpreted as a dominating set:
-// by maximality every vertex is in the set or adjacent to it, so any MIS
-// is a dominating set — the "local leaders" reading from the paper's
-// introduction. Returned for symmetry with the other applications.
-func DominatingSet(g *graph.Graph, factory beep.Factory, seed uint64) ([]bool, int, error) {
-	run, err := sim.Run(g, factory, rng.New(seed), sim.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
-	return run.InMIS, run.Rounds, nil
-}
-
-// VerifyDominatingSet checks that every vertex is in the set or has a
-// neighbour in it.
-func VerifyDominatingSet(g *graph.Graph, set []bool) error {
-	if len(set) != g.N() {
-		return fmt.Errorf("apps: %d set entries for %d vertices", len(set), g.N())
-	}
-	for v := 0; v < g.N(); v++ {
-		if set[v] {
-			continue
-		}
-		dominated := false
-		for _, w := range g.Neighbors(v) {
-			if set[w] {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			return fmt.Errorf("apps: vertex %d not dominated", v)
-		}
-	}
-	return nil
 }

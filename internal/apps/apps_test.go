@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"beepmis/internal/graph"
-	"beepmis/internal/mis"
 	"beepmis/internal/rng"
 )
 
@@ -22,7 +21,7 @@ func TestColorGraphProper(t *testing.T) {
 		"zero":     graph.Empty(0),
 	}
 	for name, g := range graphs {
-		res, err := ColorGraph(g, 5, ColoringOptions{})
+		res, err := ColorGraph(g, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -37,7 +36,7 @@ func TestColorGraphProper(t *testing.T) {
 
 func TestColorCompleteGraphUsesNColors(t *testing.T) {
 	g := graph.Complete(12)
-	res, err := ColorGraph(g, 2, ColoringOptions{})
+	res, err := ColorGraph(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestColorBipartiteFewColors(t *testing.T) {
 	// optimal but must stay well under Δ+1 here because each side is one
 	// big independent set.
 	g := graph.Bipartite(20, 20, 1, rng.New(3))
-	res, err := ColorGraph(g, 4, ColoringOptions{})
+	res, err := ColorGraph(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +64,11 @@ func TestColorBipartiteFewColors(t *testing.T) {
 
 func TestColorGraphDeterminism(t *testing.T) {
 	g := graph.GNP(60, 0.4, rng.New(5))
-	a, err := ColorGraph(g, 9, ColoringOptions{})
+	a, err := ColorGraph(g, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ColorGraph(g, 9, ColoringOptions{})
+	b, err := ColorGraph(g, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +76,6 @@ func TestColorGraphDeterminism(t *testing.T) {
 		if a.Colors[v] != b.Colors[v] {
 			t.Fatal("coloring not deterministic for fixed seed")
 		}
-	}
-}
-
-func TestColorGraphInvalidConfig(t *testing.T) {
-	if _, err := ColorGraph(graph.Empty(1), 1, ColoringOptions{
-		Feedback: mis.FeedbackConfig{Factor: 0.5},
-	}); err == nil {
-		t.Fatal("invalid feedback config accepted")
 	}
 }
 
@@ -111,7 +102,7 @@ func TestColoringProperty(t *testing.T) {
 		n := int(nSeed%40) + 1
 		p := float64(pSeed%10) / 10
 		g := graph.GNP(n, p, src)
-		res, err := ColorGraph(g, uint64(seed), ColoringOptions{})
+		res, err := ColorGraph(g, uint64(seed))
 		if err != nil {
 			return false
 		}
@@ -163,36 +154,5 @@ func TestMaximalMatchingPerfectOnEvenPath(t *testing.T) {
 	}
 	if res.Size() < 1 || res.Size() > 2 {
 		t.Fatalf("P4 matching size %d", res.Size())
-	}
-}
-
-func TestDominatingSet(t *testing.T) {
-	g := graph.GNP(80, 0.1, rng.New(8))
-	factory, err := mis.NewFeedback(mis.FeedbackConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, rounds, err := DominatingSet(g, factory, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds < 1 {
-		t.Fatal("no rounds")
-	}
-	if err := VerifyDominatingSet(g, set); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVerifyDominatingSetErrors(t *testing.T) {
-	g := graph.Path(3)
-	if err := VerifyDominatingSet(g, []bool{true}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if err := VerifyDominatingSet(g, []bool{true, false, false}); err == nil {
-		t.Fatal("non-dominating set accepted")
-	}
-	if err := VerifyDominatingSet(g, []bool{false, true, false}); err != nil {
-		t.Fatalf("valid dominating set rejected: %v", err)
 	}
 }

@@ -261,7 +261,7 @@ func runAblateFloor(cfg Config) (*Result, error) {
 		ID:     "ablate-floor",
 		Title:  "probability floor on the union-of-cliques family",
 		XLabel: "n",
-		YLabel: fmt.Sprintf("time steps (censored at %d)", roundCap),
+		YLabel: fmt.Sprintf("time steps (%d-round cap)", roundCap),
 	}
 	ns := cfg.cliqueSizes([]int{4, 8, 12})
 	for _, fl := range []struct {

@@ -19,7 +19,7 @@ import (
 // them may change a byte of a table.
 var goldenExperimentDigests = map[string]string{
 	"ablate-factor": "ec89cd369f040c3870cbff40833f7db5f5fcdfb0a7d8dbb6f17daec68727fdf3",
-	"ablate-floor":  "c38b4040213093b0ce7e3cc1b07c803238f63d27a358f394e9a0517b93d3a5db",
+	"ablate-floor":  "52d86053e369f8e4ba5c1750e1bcca51f9958ea43f32d90936d693c6657cef70",
 	"ablate-init":   "25e8ffd1bbf05fe2557a2dcd2a8262e4c60e0bfd4a848528eb3d8c5eca7afc6d",
 	"ablate-jitter": "eca8222cc40b520c6327b4f2e46838cb0f9af3c485ae90252653668bdd4babc1",
 	"ablate-loss":   "d7d33a6cee0f323d11a87619b36441261cb180e8f43c59beaf7eb461a8b67c38",
@@ -36,7 +36,7 @@ var goldenExperimentDigests = map[string]string{
 
 // goldenAllExperimentsDigest is the SHA-256 of the whole misbench
 // output: the documents above joined by blank lines.
-const goldenAllExperimentsDigest = "6c255a4ee941454e615c275f7fcdece555382c3624cf6682c9cec3e3e3332df4"
+const goldenAllExperimentsDigest = "91c293aff25d298dd467e37ca4b5af1baae8ab1451f5129447c6d1da2ac6b6c6"
 
 func TestGoldenExperimentDigests(t *testing.T) {
 	var all bytes.Buffer

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"beepmis/internal/rng"
@@ -146,13 +145,6 @@ func TestBuilderMatchesReference(t *testing.T) {
 			return must(InducedSubgraph(base(), []int{0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}))
 		})
 		add(fmt.Sprintf("linegraph/%d", seed), func() *Graph { g, _ := LineGraph(base()); return g })
-		add(fmt.Sprintf("readedgelist/%d", seed), func() *Graph {
-			var sb strings.Builder
-			if err := WriteEdgeList(&sb, base()); err != nil {
-				t.Fatal(err)
-			}
-			return must(ReadEdgeList(strings.NewReader(sb.String())))
-		})
 	}
 	for _, c := range ctors {
 		want := withReferenceBuilder(c.build)

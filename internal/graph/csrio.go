@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,18 +16,19 @@ import (
 	"strings"
 )
 
-// This file holds the streamed file loaders: edge-list (text and
-// binary) and METIS readers that construct a Graph directly through
-// CSRBuilder. The file IS the edge buffer — each loader reads it twice
-// (count pass, place pass) and never buffers the edge list, so peak
-// memory during ingestion is the CSRBuilder bound (~1.2× the final
-// rows) plus O(n) parse metadata, regardless of file size. Pass one
-// also folds every byte through SHA-256; the returned digest is what
-// the scenario layer mixes into the content hash so the misd result
-// cache stays sound for file-referenced graphs (same spec + different
-// file bytes ⇒ different hash).
+// This file holds the streamed graph-file loader: one table of formats
+// (text edge list, binary edge list, METIS) and one loader that
+// constructs a Graph directly through CSRBuilder. The source IS the
+// edge buffer — the loader reads it twice (count pass, place pass) and
+// never buffers the edge list, so peak memory during ingestion is the
+// CSRBuilder bound (~1.2× the final rows) plus O(n) parse metadata,
+// regardless of file size. Pass one also folds every byte through
+// SHA-256; the returned digest is what the scenario layer mixes into
+// the content hash so the misd result cache stays sound for
+// file-referenced graphs (same spec + different file bytes ⇒ different
+// hash).
 //
-// All loaders validate as they parse and return errors naming the
+// The loader validates as it parses and returns errors naming the
 // offending line (or entry index, for the binary format): malformed
 // headers, out-of-range endpoints, self-loops, and duplicate edges are
 // errors, never panics and never silent fixes — a file is a claim about
@@ -120,16 +123,186 @@ func LoadCSRFile(path, format string, workers int) (*Graph, string, error) {
 	if format == "" {
 		format = DetectGraphFormat(path)
 	}
-	switch format {
-	case FormatEdgeList:
-		return loadEdgeListCSR(path, workers)
-	case FormatBinaryEdgeList:
-		return loadBinaryEdgeListCSR(path, workers)
-	case FormatMETIS:
-		return loadMETISCSR(path, workers)
-	default:
+	f, ok := graphFormats[format]
+	if !ok {
 		return nil, "", fmt.Errorf("graph: unknown graph file format %q", format)
 	}
+	g, digest, err := f.load(func() (io.ReadCloser, error) { return os.Open(path) }, workers)
+	// Opening or reading the file fails with an *fs.PathError, which
+	// already names the path.
+	var pathErr *fs.PathError
+	if err != nil && !errors.As(err, &pathErr) {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return g, digest, err
+}
+
+// visitFunc receives one edge record of a graph file and its position:
+// a line number, or a binary entry index.
+type visitFunc func(u, v int32, pos int) error
+
+// A graphFormat is one row of the loader's format table.
+type graphFormat struct {
+	// scan parses a whole file from r with the format's header and body
+	// scanners: it passes the header's vertex count and declared edge
+	// count (-1 when the header declares none) to header, then calls
+	// visit with every edge record.
+	scan func(r io.Reader, header func(n int, m int64), visit visitFunc) error
+	// at names a position in an error.
+	at string
+	// mirrored marks a format that lists every edge from both ends
+	// (METIS): only its u < v records build the graph, and each row's
+	// record count must equal the built degree.
+	mirrored bool
+}
+
+var graphFormats = map[string]graphFormat{
+	FormatEdgeList: {at: "line", scan: func(r io.Reader, header func(int, int64), visit visitFunc) error {
+		sc := newGraphScanner(r)
+		n, m, exact, lineNo, err := readEdgeListHeader(sc, 0)
+		if err != nil {
+			return err
+		}
+		if !exact {
+			m = -1
+		}
+		header(n, m)
+		_, err = scanEdgeListBody(sc, n, lineNo, visit)
+		return err
+	}},
+	FormatBinaryEdgeList: {at: "binary edge list: entry", scan: func(r io.Reader, header func(int, int64), visit visitFunc) error {
+		n, m, err := readBinaryHeader(r)
+		if err != nil {
+			return err
+		}
+		header(n, m)
+		return scanBinaryBody(r, n, m, func(u, v int32, entry int64) error { return visit(u, v, int(entry)) })
+	}},
+	FormatMETIS: {at: "line", mirrored: true, scan: func(r io.Reader, header func(int, int64), visit visitFunc) error {
+		sc := newGraphScanner(r)
+		n, m, lineNo, err := readMETISHeader(sc)
+		if err != nil {
+			return err
+		}
+		header(n, m)
+		return scanMETISBody(sc, n, lineNo, visit)
+	}},
+}
+
+// builds reports whether the record u→v feeds the builder: every
+// record does, except the v < u half of a mirrored format.
+func (f graphFormat) builds(u, v int32) bool { return !f.mirrored || u < v }
+
+// pass opens src and scans it once, through tee when tee is not nil.
+func (f graphFormat) pass(src func() (io.ReadCloser, error), tee io.Writer, header func(n int, m int64), visit visitFunc) error {
+	rc, err := src()
+	if err != nil {
+		return err
+	}
+	defer rc.Close()
+	var r io.Reader = rc
+	if tee != nil {
+		r = io.TeeReader(rc, tee)
+	}
+	return f.scan(r, header, visit)
+}
+
+// load builds the graph that the bytes src opens describe in format f,
+// and returns it with the hex SHA-256 digest of those bytes. Pass one
+// hashes the bytes and counts degrees; pass two places the arcs; and
+// only when Finish's dedupe dropped an edge does one more scan name
+// the first record that repeats one.
+func (f graphFormat) load(src func() (io.ReadCloser, error), workers int) (*Graph, string, error) {
+	h := sha256.New()
+	var (
+		b              *CSRBuilder
+		declared, fed  int64
+		rowArcs, rowAt []int32 // mirrored: each row's record count and position
+	)
+	err := f.pass(src, h, func(n int, m int64) {
+		b, declared = NewCSRBuilder(n), m
+		if f.mirrored {
+			rowArcs, rowAt = make([]int32, n), make([]int32, n)
+		}
+	}, func(u, v int32, pos int) error {
+		if f.mirrored {
+			rowArcs[u]++
+			rowAt[u] = int32(pos)
+		}
+		if f.builds(u, v) {
+			b.Count(u, v)
+			fed++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	// A mirrored format's declared count is checked against the built
+	// graph, after the row check below has named any bad row.
+	if !f.mirrored && declared >= 0 && declared != fed {
+		return nil, "", fmt.Errorf("header declares m=%d but the file contains %d edges", declared, fed)
+	}
+	if err := b.FinishCounts(); err != nil {
+		return nil, "", err
+	}
+	// Pass two relies on pass one's checks: if the bytes changed between
+	// the passes, the builder's pass-mismatch check refuses the result
+	// rather than mis-building.
+	err = f.pass(src, nil, func(int, int64) {}, func(u, v int32, _ int) error {
+		if f.builds(u, v) {
+			b.Place(u, v)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	g, err := b.Finish(workers)
+	if err != nil {
+		return nil, "", err
+	}
+	if f.mirrored {
+		for v, arcs := range rowArcs {
+			if int(arcs) != g.Degree(v) {
+				return nil, "", fmt.Errorf("%s %d: vertex %d lists %d neighbours but the file's edge set gives it degree %d (asymmetric or duplicate entry)",
+					f.at, rowAt[v], v, arcs, g.Degree(v))
+			}
+		}
+		if declared != int64(g.M()) {
+			return nil, "", fmt.Errorf("header declares m=%d but the file contains %d edges", declared, g.M())
+		}
+	}
+	if int64(g.M()) != fed {
+		return nil, "", f.duplicate(src, g)
+	}
+	return g, hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// duplicate rescans src, whose records name some edge of g twice, and
+// returns an error naming the position of the first repeat. Error path
+// only: it costs one more pass plus a bit per arc of g. Each edge has
+// one arc position in g's deduplicated rows, so a seen-bitmap over arc
+// positions detects repeats exactly.
+func (f graphFormat) duplicate(src func() (io.ReadCloser, error), g *Graph) error {
+	seen := make([]uint64, (len(g.cols)+63)/64)
+	err := f.pass(src, nil, func(int, int64) {}, func(u, v int32, pos int) error {
+		if !f.builds(u, v) {
+			return nil
+		}
+		// Canonical orientation: "0 1" and "1 0" are the same edge and
+		// must mark the same bit.
+		idx := g.arcIndex(min(u, v), max(u, v))
+		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
+			return fmt.Errorf("%s %d: duplicate edge {%d,%d}", f.at, pos, u, v)
+		}
+		seen[idx>>6] |= 1 << (uint(idx) & 63)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("duplicate edges present but not relocated on re-scan (file changed mid-load?)")
 }
 
 // newGraphScanner returns a line scanner sized for adjacency rows:
@@ -222,116 +395,6 @@ func scanEdgeListBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, l
 		return 0, fmt.Errorf("scan edge list: %w", err)
 	}
 	return edges, nil
-}
-
-func loadEdgeListCSR(path string, workers int) (*Graph, string, error) {
-	// Pass 1: count degrees, hash every byte.
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	h := sha256.New()
-	sc := newGraphScanner(io.TeeReader(f, h))
-	n, declaredM, haveM, lineNo, err := readEdgeListHeader(sc, 0)
-	if err != nil {
-		f.Close()
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	b := NewCSRBuilder(n)
-	edges, err := scanEdgeListBody(sc, n, lineNo, func(u, v int32, _ int) error {
-		b.Count(u, v)
-		return nil
-	})
-	f.Close()
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	if haveM && edges != declaredM {
-		return nil, "", fmt.Errorf("%s: header declares m=%d but file contains %d edge lines", path, declaredM, edges)
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
-	if err := b.FinishCounts(); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	// Pass 2: re-read and place. The file has not been re-validated —
-	// it also hasn't changed, and if it has, the builder's pass-mismatch
-	// check refuses the result rather than mis-building.
-	g, err := edgeListSecondPass(path, b, n, workers)
-	if err != nil {
-		return nil, "", err
-	}
-	// Dedupe loss means the file listed some edge twice (in either
-	// orientation) — find and name the first offending line.
-	if int64(g.M()) != edges {
-		return nil, "", fmt.Errorf("%s: %w", path, findDuplicateEdgeLine(path, g))
-	}
-	return g, digest, nil
-}
-
-func edgeListSecondPass(path string, b *CSRBuilder, n, workers int) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := newGraphScanner(f)
-	_, _, _, lineNo, err := readEdgeListHeader(sc, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := scanEdgeListBody(sc, n, lineNo, func(u, v int32, _ int) error {
-		b.Place(u, v)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	g, err := b.Finish(workers)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return g, nil
-}
-
-// findDuplicateEdgeLine re-scans a file already known to contain a
-// duplicate edge and names the first line whose edge was seen before.
-// Error path only: costs one extra file pass plus a bit per final arc.
-func findDuplicateEdgeLine(path string, g *Graph) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := newGraphScanner(f)
-	n, _, _, lineNo, err := readEdgeListHeader(sc, 0)
-	if err != nil {
-		return err
-	}
-	return duplicateEdge(g, func(visit func(u, v int32, lineNo int) error) error {
-		_, err := scanEdgeListBody(sc, n, lineNo, visit)
-		return err
-	})
-}
-
-// duplicateEdge replays an edge list that names some edge of g twice
-// and returns an error naming the line of the first repeat. Each edge
-// has a unique arc position in g's deduplicated rows, so a seen-bitmap
-// over arc positions detects revisits exactly.
-func duplicateEdge(g *Graph, replay func(visit func(u, v int32, lineNo int) error) error) error {
-	seen := make([]uint64, (len(g.cols)+63)/64)
-	err := replay(func(u, v int32, lineNo int) error {
-		// Canonical orientation: "0 1" and "1 0" are the same edge and
-		// must mark the same bit.
-		idx := g.arcIndex(min(u, v), max(u, v))
-		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
-			return fmt.Errorf("line %d: duplicate edge {%d,%d}", lineNo, u, v)
-		}
-		seen[idx>>6] |= 1 << (uint(idx) & 63)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return fmt.Errorf("duplicate edges present but not relocated on re-scan (file changed mid-load?)")
 }
 
 // arcIndex returns the position of arc u→v in the flat column array.
@@ -427,82 +490,6 @@ func scanBinaryBody(r io.Reader, n int, m int64, visit func(u, v int32, entry in
 		return fmt.Errorf("binary edge list: trailing data after %d declared edges", m)
 	}
 	return nil
-}
-
-func loadBinaryEdgeListCSR(path string, workers int) (*Graph, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	h := sha256.New()
-	tee := io.TeeReader(f, h)
-	n, m, err := readBinaryHeader(tee)
-	if err != nil {
-		f.Close()
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	b := NewCSRBuilder(n)
-	err = scanBinaryBody(tee, n, m, func(u, v int32, _ int64) error {
-		b.Count(u, v)
-		return nil
-	})
-	f.Close()
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
-	if err := b.FinishCounts(); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	if _, _, err := readBinaryHeader(f); err == nil {
-		err = scanBinaryBody(f, n, m, func(u, v int32, _ int64) error {
-			b.Place(u, v)
-			return nil
-		})
-	}
-	f.Close()
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	g, err := b.Finish(workers)
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	if int64(g.M()) != m {
-		return nil, "", fmt.Errorf("%s: %w", path, findDuplicateBinaryEntry(path, g))
-	}
-	return g, digest, nil
-}
-
-// findDuplicateBinaryEntry is findDuplicateEdgeLine for the binary
-// format, naming the first duplicate record's entry index.
-func findDuplicateBinaryEntry(path string, g *Graph) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, m, err := readBinaryHeader(f)
-	if err != nil {
-		return err
-	}
-	seen := make([]uint64, (len(g.cols)+63)/64)
-	err = scanBinaryBody(f, n, m, func(u, v int32, entry int64) error {
-		idx := g.arcIndex(min(u, v), max(u, v))
-		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
-			return fmt.Errorf("binary edge list: entry %d: duplicate edge {%d,%d}", entry, u, v)
-		}
-		seen[idx>>6] |= 1 << (uint(idx) & 63)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return fmt.Errorf("duplicate edges present but not relocated on re-scan (file changed mid-load?)")
 }
 
 // --- METIS ------------------------------------------------------------
@@ -606,77 +593,6 @@ func scanMETISBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, line
 		return fmt.Errorf("METIS file: %d adjacency rows, header declares %d vertices", row, n)
 	}
 	return nil
-}
-
-func loadMETISCSR(path string, workers int) (*Graph, string, error) {
-	// Pass 1: count, hash, and record each row's file line + arc count
-	// for the symmetry/duplicate cross-check after finalisation. METIS
-	// lists every undirected edge once per endpoint row, so only the
-	// u < v orientation feeds the builder; the v < u mirrors are
-	// vouched for by the degree cross-check below.
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	h := sha256.New()
-	sc := newGraphScanner(io.TeeReader(f, h))
-	n, declaredM, lineNo, err := readMETISHeader(sc)
-	if err != nil {
-		f.Close()
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	b := NewCSRBuilder(n)
-	rowArcs := make([]int32, n)
-	rowLine := make([]int32, n)
-	err = scanMETISBody(sc, n, lineNo, func(u, v int32, lineNo int) error {
-		rowArcs[u]++
-		rowLine[u] = int32(lineNo)
-		if v > u {
-			b.Count(u, v)
-		}
-		return nil
-	})
-	f.Close()
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
-	if err := b.FinishCounts(); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	sc = newGraphScanner(f)
-	if _, _, lineNo, err = readMETISHeader(sc); err == nil {
-		err = scanMETISBody(sc, n, lineNo, func(u, v int32, _ int) error {
-			if v > u {
-				b.Place(u, v)
-			}
-			return nil
-		})
-	}
-	f.Close()
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	g, err := b.Finish(workers)
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	// A symmetric, duplicate-free file has every row's arc count equal
-	// to the built degree; the first row violating that names the line.
-	for v := 0; v < n; v++ {
-		if int(rowArcs[v]) != g.Degree(v) {
-			return nil, "", fmt.Errorf("%s: line %d: vertex %d lists %d neighbours but the file's edge set gives it degree %d (asymmetric or duplicate entry)",
-				path, rowLine[v], v, rowArcs[v], g.Degree(v))
-		}
-	}
-	if int64(g.M()) != declaredM {
-		return nil, "", fmt.Errorf("%s: header declares m=%d but the file contains %d edges", path, declaredM, g.M())
-	}
-	return g, digest, nil
 }
 
 // HashGraphFile returns the hex SHA-256 digest of the file's bytes —

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -222,6 +225,58 @@ func TestMETISMalformed(t *testing.T) {
 	}
 }
 
+// TestMETISDuplicateBalancedRows: a METIS file can repeat a u < v
+// entry and drop a mirror so that every row's count still equals the
+// built degree; the duplicate rescan names the repeat's line.
+func TestMETISDuplicateBalancedRows(t *testing.T) {
+	path := writeTemp(t, "dup.graph", []byte("3 3\n2 3\n3 3\n1 2\n"))
+	if _, _, err := LoadCSRFile(path, FormatMETIS, 1); err == nil || !strings.Contains(err.Error(), "line 3: duplicate edge {1,2}") {
+		t.Fatalf("err = %v, want line 3's duplicate edge {1,2}", err)
+	}
+}
+
+// TestLoadCSRFileNamesPathOnce: every load error names the file's path
+// exactly once, whether the parser or the file system raised it.
+func TestLoadCSRFileNamesPathOnce(t *testing.T) {
+	dir := t.TempDir()
+	for name, path := range map[string]string{
+		"malformed": writeTemp(t, "bad.el", []byte("n 4\n0 9\n")),
+		"missing":   filepath.Join(dir, "missing.el"),
+		"directory": dir,
+	} {
+		for _, format := range []string{FormatEdgeList, FormatBinaryEdgeList, FormatMETIS} {
+			_, _, err := LoadCSRFile(path, format, 1)
+			if err == nil || strings.Count(err.Error(), path) != 1 {
+				t.Errorf("%s as %s: error %v does not name %s once", name, format, err, path)
+			}
+		}
+	}
+}
+
+// TestVertexLimitBeforeAllocation: a header over MaxEdgeListVertices is
+// refused, naming its line, before any per-vertex allocation, from a
+// file and from a reader alike.
+func TestVertexLimitBeforeAllocation(t *testing.T) {
+	in := fmt.Sprintf("n %d\n", MaxEdgeListVertices+1)
+	path := writeTemp(t, "huge.el", []byte(in))
+	for name, load := range map[string]func() error{
+		"file":   func() error { _, _, err := LoadCSRFile(path, FormatEdgeList, 1); return err },
+		"reader": func() error { _, err := ReadEdgeList(strings.NewReader(in)); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "line 1: vertex count") {
+			t.Fatalf("%s: err = %v, want line 1's vertex count refused", name, err)
+		}
+		// One row offset per vertex alone would be 8·2²² bytes.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("%s: refusing the header allocated %d bytes", name, alloc)
+		}
+	}
+}
+
 // TestLoadCSRFileUnknownFormat: unknown format names are errors for
 // both loading and peeking.
 func TestLoadCSRFileUnknownFormat(t *testing.T) {
@@ -246,24 +301,28 @@ func FuzzEdgeList(f *testing.F) {
 	f.Add([]byte("n 4\n0 1\n1 0\n"))
 	f.Add([]byte("n -1\n"))
 	f.Add([]byte("n 4\n0 9\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "fuzz.el")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
-		}
-		c, digest, err := LoadCSRFile(path, FormatEdgeList, 1)
-		if err != nil {
-			return
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
-		}
-		want, err := HashGraphFile(path)
-		if err != nil || digest != want {
-			t.Fatalf("digest %s != file hash %s (err=%v)", digest, want, err)
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzLoad(t, "fuzz.el", FormatEdgeList, data) })
+}
+
+// fuzzLoad is the loader fuzzers' contract: LoadCSRFile never panics on
+// data, and a graph it accepts passes Validate and carries the digest
+// HashGraphFile gives the same bytes.
+func fuzzLoad(t *testing.T, name, format string, data []byte) {
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Skip()
+	}
+	c, digest, err := LoadCSRFile(path, format, 1)
+	if err != nil {
+		return
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("accepted graph fails validation: %v", err)
+	}
+	want, err := HashGraphFile(path)
+	if err != nil || digest != want {
+		t.Fatalf("digest %s != file hash %s (err=%v)", digest, want, err)
+	}
 }
 
 // FuzzMETIS: the METIS loader under arbitrary bytes — same contract.
@@ -274,24 +333,30 @@ func FuzzMETIS(f *testing.F) {
 	f.Add([]byte("3 2 0\n2\n1 3\n2\n"))
 	f.Add([]byte("2 1\n2\n\n"))
 	f.Add([]byte("1 0\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "fuzz.graph")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzLoad(t, "fuzz.graph", FormatMETIS, data) })
+}
+
+// FuzzBinaryEdgeList: the binary loader under arbitrary bytes — same
+// contract, seeded with TestBinaryEdgeListMalformed's inputs.
+func FuzzBinaryEdgeList(f *testing.F) {
+	bel := func(n, m uint64, ends ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte(binaryEdgeListMagic), n)
+		b = binary.LittleEndian.AppendUint64(b, m)
+		for _, e := range ends {
+			b = binary.LittleEndian.AppendUint32(b, e)
 		}
-		c, digest, err := LoadCSRFile(path, FormatMETIS, 1)
-		if err != nil {
-			return
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
-		}
-		want, err := HashGraphFile(path)
-		if err != nil || digest != want {
-			t.Fatalf("digest %s != file hash %s (err=%v)", digest, want, err)
-		}
-	})
+		return b
+	}
+	valid := bel(4, 1, 0, 1)
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(append([]byte("NOPE"), valid[4:]...))
+	f.Add(valid[:len(valid)-4])
+	f.Add(append(bel(4, 1, 0, 1), 1, 2, 3))
+	f.Add(bel(4, 1, 0, 9))
+	f.Add(bel(4, 1, 2, 2))
+	f.Add(bel(4, 2, 0, 1, 1, 0))
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzLoad(t, "fuzz.bel", FormatBinaryEdgeList, data) })
 }
 
 // TestEdgeListReadersAgree runs each input through both text edge-list

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -41,41 +42,22 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 const MaxEdgeListVertices = 1 << 22
 
 // ReadEdgeList parses a text edge list: the format WriteEdgeList emits,
-// in the grammar LoadCSRFile reads as FormatEdgeList. Lines starting
-// with '#' and blank lines are ignored. The header is "n <count>" or
-// "n <count> m <edges>"; a declared m must equal the number of edge
-// lines. Each edge line is two vertex ids separated by spaces or tabs.
-// Out-of-range endpoints, self-loops and an edge listed twice (in
-// either orientation) are errors naming their line, as are headers
-// declaring more than MaxEdgeListVertices vertices.
+// in the grammar LoadCSRFile reads as FormatEdgeList, through the same
+// loader. Lines starting with '#' and blank lines are ignored. The
+// header is "n <count>" or "n <count> m <edges>"; a declared m must
+// equal the number of edge lines. Each edge line is two vertex ids
+// separated by spaces or tabs. Out-of-range endpoints, self-loops and
+// an edge listed twice (in either orientation) are errors naming their
+// line, as are headers declaring more than MaxEdgeListVertices
+// vertices. It reads all of r first, since the loader reads its input
+// twice.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := newGraphScanner(r)
-	n, declaredM, haveM, lineNo, err := readEdgeListHeader(sc, 0)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scan edge list: %w", err)
 	}
-	var edges, lines []int32 // edge i is {edges[2i], edges[2i+1]}, read on line lines[i]
-	count, err := scanEdgeListBody(sc, n, lineNo, func(u, v int32, lineNo int) error {
-		edges = append(edges, u, v)
-		lines = append(lines, int32(lineNo))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if haveM && count != declaredM {
-		return nil, fmt.Errorf("edge list: header declares m=%d but the list contains %d edge lines", declaredM, count)
-	}
-	g := finishBuild(n, edges)
-	if int64(g.M()) != count {
-		return nil, duplicateEdge(g, func(visit func(u, v int32, lineNo int) error) error {
-			for i, line := range lines {
-				if err := visit(edges[2*i], edges[2*i+1], int(line)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	return g, nil
+	g, _, err := graphFormats[FormatEdgeList].load(func() (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(data)), nil
+	}, 1)
+	return g, err
 }

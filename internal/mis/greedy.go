@@ -1,9 +1,6 @@
 package mis
 
-import (
-	"beepmis/internal/graph"
-	"beepmis/internal/rng"
-)
+import "beepmis/internal/graph"
 
 // Greedy computes an MIS with the trivial centralised sequential scan the
 // paper's introduction describes: visit vertices in order, adding each
@@ -12,36 +9,16 @@ import (
 // "centralised" baseline (Θ(n + m) sequential work, versus the
 // distributed algorithms' O(log n) parallel rounds).
 func Greedy(g *graph.Graph) []bool {
-	return greedyOrder(g, nil)
-}
-
-// GreedyRandomOrder is Greedy over a uniformly random vertex order, which
-// yields the same output distribution as one full run of Luby's
-// permutation variant collapsed to a sequential process.
-func GreedyRandomOrder(g *graph.Graph, src *rng.Source) []bool {
-	return greedyOrder(g, src.Perm(g.N()))
-}
-
-func greedyOrder(g *graph.Graph, order []int) []bool {
 	n := g.N()
 	set := make([]bool, n)
 	blocked := make([]bool, n)
-	visit := func(v int) {
+	for v := 0; v < n; v++ {
 		if blocked[v] {
-			return
+			continue
 		}
 		set[v] = true
 		for _, w := range g.Neighbors(v) {
 			blocked[w] = true
-		}
-	}
-	if order == nil {
-		for v := 0; v < n; v++ {
-			visit(v)
-		}
-	} else {
-		for _, v := range order {
-			visit(v)
 		}
 	}
 	return set

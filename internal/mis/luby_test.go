@@ -201,20 +201,3 @@ func TestGreedyFirstVertexAlwaysIn(t *testing.T) {
 		}
 	}
 }
-
-func TestGreedyRandomOrder(t *testing.T) {
-	g := graph.GNP(80, 0.2, rng.New(12))
-	seen := make(map[int]bool)
-	for seed := uint64(0); seed < 10; seed++ {
-		set := GreedyRandomOrder(g, rng.New(seed))
-		if err := graph.VerifyMIS(g, set); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		seen[len(graph.SetToList(set))] = true
-	}
-	// Different orders should explore at least two different MIS sizes
-	// on a graph this size (sanity that the order actually varies).
-	if len(seen) < 2 {
-		t.Log("warning: all random orders produced the same MIS size; not failing but suspicious")
-	}
-}

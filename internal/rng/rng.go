@@ -145,27 +145,6 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// BernoulliExp2 returns true with probability 2^-k for k >= 0. It draws k
-// bits at a time and is exact (no floating point), matching the paper's
-// beeping probabilities p = 2^-n(t,v).
-func (s *Source) BernoulliExp2(k uint) bool {
-	for k > 0 {
-		take := k
-		if take > 64 {
-			take = 64
-		}
-		mask := ^uint64(0)
-		if take < 64 {
-			mask = (uint64(1) << take) - 1
-		}
-		if s.Uint64()&mask != 0 {
-			return false
-		}
-		k -= take
-	}
-	return true
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -160,48 +160,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestBernoulliExp2(t *testing.T) {
-	s := New(8)
-	// k=1 should fire about half the time.
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if s.BernoulliExp2(1) {
-			hits++
-		}
-	}
-	rate := float64(hits) / n
-	if math.Abs(rate-0.5) > 0.01 {
-		t.Fatalf("BernoulliExp2(1) rate = %v, want ~0.5", rate)
-	}
-	// k=3 -> 1/8.
-	hits = 0
-	for i := 0; i < n; i++ {
-		if s.BernoulliExp2(3) {
-			hits++
-		}
-	}
-	rate = float64(hits) / n
-	if math.Abs(rate-0.125) > 0.01 {
-		t.Fatalf("BernoulliExp2(3) rate = %v, want ~0.125", rate)
-	}
-	// k=0 is probability 1.
-	if !s.BernoulliExp2(0) {
-		t.Fatal("BernoulliExp2(0) must always be true")
-	}
-}
-
-func TestBernoulliExp2LargeK(t *testing.T) {
-	s := New(9)
-	// 2^-100 should essentially never fire; mostly this exercises the
-	// multi-word path for k > 64.
-	for i := 0; i < 1000; i++ {
-		if s.BernoulliExp2(100) {
-			t.Fatal("BernoulliExp2(100) fired, astronomically unlikely — bug")
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(10)
 	for _, n := range []int{0, 1, 2, 5, 100} {
@@ -299,15 +257,6 @@ func BenchmarkUint64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink ^= s.Uint64()
-	}
-	_ = sink
-}
-
-func BenchmarkBernoulliExp2(b *testing.B) {
-	s := New(1)
-	var sink bool
-	for i := 0; i < b.N; i++ {
-		sink = s.BernoulliExp2(3)
 	}
 	_ = sink
 }

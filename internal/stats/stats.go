@@ -45,23 +45,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the extremes of xs; it errors on an empty slice.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs with linear
 // interpolation between order statistics. It errors on empty input or
 // out-of-range q.
@@ -89,9 +72,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
 // Tail bundles the convergence percentiles the robustness experiments
 // report: under faults the mean hides the straggler trials, and the
@@ -189,9 +169,4 @@ func FitLog2N(xs, ys []float64) (Fit, error) {
 		l := math.Log2(x)
 		return l * l
 	})
-}
-
-// FitLinear fits y ≈ A·x + B.
-func FitLinear(xs, ys []float64) (Fit, error) {
-	return FitTransformed(xs, ys, func(x float64) float64 { return x })
 }
