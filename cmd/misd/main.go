@@ -8,7 +8,6 @@
 // Usage:
 //
 //	misd -addr :8080 -jobs 2 -queue 64
-//	misd -addr :8080 -jobs 1 -autoscale-max 8   # queue-depth autoscaling pool
 //
 //	curl -X POST --data-binary @scenarios/quickstart.json localhost:8080/v1/scenarios
 //	curl -X POST --data-binary @scenarios/noisy-async.json localhost:8080/v1/scenarios
@@ -20,8 +19,11 @@
 //
 //	GET /metrics    Prometheus text exposition: engine phase timings,
 //	                service queue/cache/latency telemetry, Go runtime
+//	GET /metrics.json
+//	                the same metric families as JSON
 //	GET /buildinfo  go version, VCS revision, dirty flag
-//	GET /debug/vars expvar (JSON mirror of the exposition, plus cmdline)
+//	GET /debug/vars expvar: Go's cmdline and memstats only (the metric
+//	                families are not published to expvar)
 //	/debug/pprof/*  profiling endpoints, only with -pprof
 //
 // Specs may carry a "faults" block (channel noise, adversarial wake-up,
@@ -67,8 +69,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	fs := flag.NewFlagSet("misd", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
-		jobs         = fs.Int("jobs", 1, "concurrent scenario executions (the autoscaler's minimum when -autoscale-max is set)")
-		autoMax      = fs.Int("autoscale-max", 0, "autoscale the job pool between -jobs and this bound on queue-depth watermarks (0 = fixed pool)")
+		jobs         = fs.Int("jobs", 1, "concurrent scenario executions (the fixed job pool's size)")
 		queue        = fs.Int("queue", 64, "queued-scenario bound (beyond it submissions get 429)")
 		trialWrk     = fs.Int("trial-workers", 0, "per-scenario trial pool override (0 = honour each spec)")
 		grace        = fs.Duration("grace", 30*time.Second, "graceful shutdown budget for in-flight HTTP")
@@ -89,14 +90,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	if *trialWrk < 0 {
 		return fmt.Errorf("-trial-workers must be ≥ 0 (got %d)", *trialWrk)
 	}
-	if *autoMax != 0 && *autoMax < *jobs {
-		return fmt.Errorf("-autoscale-max must be ≥ -jobs (got %d < %d)", *autoMax, *jobs)
-	}
 	serviceMetrics := &obs.ServiceMetrics{}
 	engineMetrics := &obs.EngineMetrics{}
 	mgr := service.New(service.Options{
 		Workers:       *jobs,
-		MaxWorkers:    *autoMax,
 		QueueCap:      *queue,
 		TrialWorkers:  *trialWrk,
 		Metrics:       serviceMetrics,
@@ -109,11 +106,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	pool := fmt.Sprintf("%d job workers", *jobs)
-	if *autoMax > *jobs {
-		pool = fmt.Sprintf("autoscaling %d..%d job workers", *jobs, *autoMax)
-	}
-	fmt.Fprintf(stdout, "misd: listening on %s (%s, queue %d)\n", ln.Addr(), pool, *queue)
+	fmt.Fprintf(stdout, "misd: listening on %s (%d job workers, queue %d)\n", ln.Addr(), *jobs, *queue)
 	if ready != nil {
 		ready(ln.Addr())
 	}

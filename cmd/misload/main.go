@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	misd -addr :8080 -jobs 1 -autoscale-max 8 &
+//	misd -addr :8080 -jobs 4 &
 //	misload -url http://127.0.0.1:8080 -wait-ready 10s \
 //	        -mode closed -c 8 -n 200 -hit 0.5 -spec scenarios/quickstart.json
 //	misload -url http://127.0.0.1:8080 -mode open -rate 120 -arrival poisson \

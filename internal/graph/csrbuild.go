@@ -142,6 +142,14 @@ func (b *CSRBuilder) Place(u, v int32) {
 	}
 }
 
+// placed returns the arcs the placement pass has put into row u so
+// far. A pass that overflowed the row (an error Finish reports) is cut
+// at the row's end.
+func (b *CSRBuilder) placed(u int32) []int32 {
+	lo := b.offsets[u]
+	return b.cols[lo:min(lo+int64(b.cur[u]), b.offsets[u+1])]
+}
+
 // countPairs is Count for one goroutine over a list of endpoint pairs
 // (edge i is {edges[2i], edges[2i+1]}) already known to be in range
 // and loop-free, as Builder's are: plain adds instead of atomic ones,

@@ -141,23 +141,29 @@ func LoadCSRFile(path, format string, workers int) (*Graph, string, error) {
 // a line number, or a binary entry index.
 type visitFunc func(u, v int32, pos int) error
 
+// rowFunc receives the start of a mirrored format's adjacency row u and
+// its position.
+type rowFunc func(u int32, pos int)
+
 // A graphFormat is one row of the loader's format table.
 type graphFormat struct {
 	// scan parses a whole file from r with the format's header and body
 	// scanners: it passes the header's vertex count and declared edge
 	// count (-1 when the header declares none) to header, then calls
-	// visit with every edge record.
-	scan func(r io.Reader, header func(n int, m int64), visit visitFunc) error
+	// visit with every edge record. A mirrored format calls row at the
+	// start of each adjacency row, in vertex order, before the row's
+	// records.
+	scan func(r io.Reader, header func(n int, m int64), row rowFunc, visit visitFunc) error
 	// at names a position in an error.
 	at string
 	// mirrored marks a format that lists every edge from both ends
-	// (METIS): only its u < v records build the graph, and each row's
-	// record count must equal the built degree.
+	// (METIS): only its u < v records build the graph, and each row
+	// must list exactly its vertex's built neighbours, each once.
 	mirrored bool
 }
 
 var graphFormats = map[string]graphFormat{
-	FormatEdgeList: {at: "line", scan: func(r io.Reader, header func(int, int64), visit visitFunc) error {
+	FormatEdgeList: {at: "line", scan: func(r io.Reader, header func(int, int64), _ rowFunc, visit visitFunc) error {
 		sc := newGraphScanner(r)
 		n, m, exact, lineNo, err := readEdgeListHeader(sc, 0)
 		if err != nil {
@@ -170,7 +176,7 @@ var graphFormats = map[string]graphFormat{
 		_, err = scanEdgeListBody(sc, n, lineNo, visit)
 		return err
 	}},
-	FormatBinaryEdgeList: {at: "binary edge list: entry", scan: func(r io.Reader, header func(int, int64), visit visitFunc) error {
+	FormatBinaryEdgeList: {at: "binary edge list: entry", scan: func(r io.Reader, header func(int, int64), _ rowFunc, visit visitFunc) error {
 		n, m, err := readBinaryHeader(r)
 		if err != nil {
 			return err
@@ -178,14 +184,14 @@ var graphFormats = map[string]graphFormat{
 		header(n, m)
 		return scanBinaryBody(r, n, m, func(u, v int32, entry int64) error { return visit(u, v, int(entry)) })
 	}},
-	FormatMETIS: {at: "line", mirrored: true, scan: func(r io.Reader, header func(int, int64), visit visitFunc) error {
+	FormatMETIS: {at: "line", mirrored: true, scan: func(r io.Reader, header func(int, int64), row rowFunc, visit visitFunc) error {
 		sc := newGraphScanner(r)
 		n, m, lineNo, err := readMETISHeader(sc)
 		if err != nil {
 			return err
 		}
 		header(n, m)
-		return scanMETISBody(sc, n, lineNo, visit)
+		return scanMETISBody(sc, n, lineNo, row, visit)
 	}},
 }
 
@@ -194,7 +200,7 @@ var graphFormats = map[string]graphFormat{
 func (f graphFormat) builds(u, v int32) bool { return !f.mirrored || u < v }
 
 // pass opens src and scans it once, through tee when tee is not nil.
-func (f graphFormat) pass(src func() (io.ReadCloser, error), tee io.Writer, header func(n int, m int64), visit visitFunc) error {
+func (f graphFormat) pass(src func() (io.ReadCloser, error), tee io.Writer, header func(n int, m int64), row rowFunc, visit visitFunc) error {
 	rc, err := src()
 	if err != nil {
 		return err
@@ -204,14 +210,15 @@ func (f graphFormat) pass(src func() (io.ReadCloser, error), tee io.Writer, head
 	if tee != nil {
 		r = io.TeeReader(rc, tee)
 	}
-	return f.scan(r, header, visit)
+	return f.scan(r, header, row, visit)
 }
 
 // load builds the graph that the bytes src opens describe in format f,
 // and returns it with the hex SHA-256 digest of those bytes. Pass one
-// hashes the bytes and counts degrees; pass two places the arcs; and
-// only when Finish's dedupe dropped an edge does one more scan name
-// the first record that repeats one.
+// hashes the bytes and counts degrees; pass two places the arcs and
+// checks a mirrored format's v < u records; and only when Finish's
+// dedupe dropped an edge does one more scan name the first record that
+// repeats one.
 func (f graphFormat) load(src func() (io.ReadCloser, error), workers int) (*Graph, string, error) {
 	h := sha256.New()
 	var (
@@ -224,10 +231,11 @@ func (f graphFormat) load(src func() (io.ReadCloser, error), workers int) (*Grap
 		if f.mirrored {
 			rowArcs, rowAt = make([]int32, n), make([]int32, n)
 		}
+	}, func(u int32, pos int) {
+		rowAt[u] = int32(pos)
 	}, func(u, v int32, pos int) error {
 		if f.mirrored {
 			rowArcs[u]++
-			rowAt[u] = int32(pos)
 		}
 		if f.builds(u, v) {
 			b.Count(u, v)
@@ -249,9 +257,37 @@ func (f graphFormat) load(src func() (io.ReadCloser, error), workers int) (*Grap
 	// Pass two relies on pass one's checks: if the bytes changed between
 	// the passes, the builder's pass-mismatch check refuses the result
 	// rather than mis-building.
-	err = f.pass(src, nil, func(int, int64) {}, func(u, v int32, _ int) error {
-		if f.builds(u, v) {
+	//
+	// A mirrored row's v < u records build nothing; each must name one
+	// of u's lower neighbours, and none twice. Rows arrive in vertex
+	// order, so when row u starts every lower neighbour has placed its
+	// arc into u's builder row, and no other arc has: mark holds u+1 at
+	// each of them, negated once the row has listed it. The row-count
+	// check after Finish then finds any lower neighbour a row leaves
+	// out.
+	var mark []int32
+	if f.mirrored {
+		mark = make([]int32, b.N())
+	}
+	err = f.pass(src, nil, func(int, int64) {}, func(u int32, _ int) {
+		if int(u) < len(mark) {
+			for _, v := range b.placed(u) {
+				mark[v] = u + 1
+			}
+		}
+	}, func(u, v int32, pos int) error {
+		switch {
+		case f.builds(u, v) || int(u) >= len(mark):
+			// A row past pass one's vertices means the file grew
+			// between the passes: Place records the error Finish
+			// returns.
 			b.Place(u, v)
+		case mark[v] == u+1:
+			mark[v] = -(u + 1)
+		case mark[v] == -(u + 1):
+			return fmt.Errorf("%s %d: vertex %d lists vertex %d twice (asymmetric or duplicate entry)", f.at, pos, u, v)
+		default:
+			return fmt.Errorf("%s %d: vertex %d lists vertex %d, but vertex %d does not list vertex %d (asymmetric or duplicate entry)", f.at, pos, u, v, v, u)
 		}
 		return nil
 	})
@@ -286,7 +322,7 @@ func (f graphFormat) load(src func() (io.ReadCloser, error), workers int) (*Grap
 // positions detects repeats exactly.
 func (f graphFormat) duplicate(src func() (io.ReadCloser, error), g *Graph) error {
 	seen := make([]uint64, (len(g.cols)+63)/64)
-	err := f.pass(src, nil, func(int, int64) {}, func(u, v int32, pos int) error {
+	err := f.pass(src, nil, func(int, int64) {}, func(int32, int) {}, func(u, v int32, pos int) error {
 		if !f.builds(u, v) {
 			return nil
 		}
@@ -554,24 +590,26 @@ func readMETISHeader(sc *bufio.Scanner) (int, int64, int, error) {
 }
 
 // scanMETISBody parses the n adjacency rows after the header, calling
-// visit(u, v, lineNo) for every 0-based arc u→v the file lists. Range
-// and self-loop violations are rejected here with their line number.
-func scanMETISBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, lineNo int) error) error {
-	row := 0
+// row(u, lineNo) as row u starts and visit(u, v, lineNo) for every
+// 0-based arc u→v the file lists. Range and self-loop violations are
+// rejected here with their line number.
+func scanMETISBody(sc *bufio.Scanner, n, lineNo int, row rowFunc, visit visitFunc) error {
+	rows := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if strings.HasPrefix(line, "%") {
 			continue
 		}
-		if row >= n {
+		if rows >= n {
 			if line == "" {
 				continue
 			}
 			return fmt.Errorf("line %d: more than %d adjacency rows", lineNo, n)
 		}
-		u := row
-		row++
+		u := rows
+		rows++
+		row(int32(u), lineNo)
 		for _, fld := range strings.Fields(line) {
 			w, err := strconv.Atoi(fld)
 			if err != nil || w < 1 || w > n {
@@ -589,8 +627,8 @@ func scanMETISBody(sc *bufio.Scanner, n, lineNo int, visit func(u, v int32, line
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("scan METIS file: %w", err)
 	}
-	if row < n {
-		return fmt.Errorf("METIS file: %d adjacency rows, header declares %d vertices", row, n)
+	if rows < n {
+		return fmt.Errorf("METIS file: %d adjacency rows, header declares %d vertices", rows, n)
 	}
 	return nil
 }

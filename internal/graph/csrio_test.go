@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -210,6 +212,11 @@ func TestMETISMalformed(t *testing.T) {
 		"asymmetric":      {"3 2\n2\n1 3\n\n", "asymmetric or duplicate"},
 		"duplicate-entry": {"2 1\n2 2\n1 1\n", "asymmetric or duplicate"},
 		"wrong-m":         {"2 5\n2\n1\n", "declares m=5"},
+		// Rows whose counts balance but whose entries do not mirror the
+		// edges the other rows build.
+		"repeated-mirror": {"3 2\n3\n3\n1 1\n", "line 4: vertex 2 lists vertex 0 twice"},
+		"wrong-mirror":    {"3 2\n2\n1 3\n1\n", "line 4: vertex 2 lists vertex 0, but vertex 0 does not list vertex 2"},
+		"empty-row":       {"2 1\n2\n\n", "line 3: vertex 1 lists 0 neighbours"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -232,6 +239,25 @@ func TestMETISDuplicateBalancedRows(t *testing.T) {
 	path := writeTemp(t, "dup.graph", []byte("3 3\n2 3\n3 3\n1 2\n"))
 	if _, _, err := LoadCSRFile(path, FormatMETIS, 1); err == nil || !strings.Contains(err.Error(), "line 3: duplicate edge {1,2}") {
 		t.Fatalf("err = %v, want line 3's duplicate edge {1,2}", err)
+	}
+}
+
+// TestLoadRefusesBytesChangedBetweenPasses: a source whose second read
+// returns other bytes is refused with an error, never a panic or a
+// mis-built graph, including a METIS file that grew a row.
+func TestLoadRefusesBytesChangedBetweenPasses(t *testing.T) {
+	for format, reads := range map[string][2]string{
+		FormatEdgeList: {"n 3\n0 1\n", "n 4\n0 1\n2 3\n"},
+		FormatMETIS:    {"2 1\n2\n1\n", "3 1\n2\n1\n1\n"},
+	} {
+		n := 0
+		src := func() (io.ReadCloser, error) {
+			n++
+			return io.NopCloser(strings.NewReader(reads[min(n, 2)-1])), nil
+		}
+		if g, _, err := graphFormats[format].load(src, 1); err == nil {
+			t.Errorf("%s: bytes changed between the passes, yet loaded %v", format, g)
+		}
 	}
 }
 
@@ -306,15 +332,16 @@ func FuzzEdgeList(f *testing.F) {
 
 // fuzzLoad is the loader fuzzers' contract: LoadCSRFile never panics on
 // data, and a graph it accepts passes Validate and carries the digest
-// HashGraphFile gives the same bytes.
-func fuzzLoad(t *testing.T, name, format string, data []byte) {
+// HashGraphFile gives the same bytes. It returns that graph, or nil
+// when the loader refused data.
+func fuzzLoad(t *testing.T, name, format string, data []byte) *Graph {
 	path := filepath.Join(t.TempDir(), name)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Skip()
 	}
 	c, digest, err := LoadCSRFile(path, format, 1)
 	if err != nil {
-		return
+		return nil
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("accepted graph fails validation: %v", err)
@@ -323,9 +350,12 @@ func fuzzLoad(t *testing.T, name, format string, data []byte) {
 	if err != nil || digest != want {
 		t.Fatalf("digest %s != file hash %s (err=%v)", digest, want, err)
 	}
+	return c
 }
 
-// FuzzMETIS: the METIS loader under arbitrary bytes — same contract.
+// FuzzMETIS: the METIS loader under arbitrary bytes — the same
+// contract, and every row of an accepted file lists exactly its
+// vertex's neighbours, each once.
 func FuzzMETIS(f *testing.F) {
 	f.Add([]byte("2 1\n2\n1\n"))
 	f.Add([]byte("% comment\n3 2\n2\n1 3\n2\n"))
@@ -333,7 +363,45 @@ func FuzzMETIS(f *testing.F) {
 	f.Add([]byte("3 2 0\n2\n1 3\n2\n"))
 	f.Add([]byte("2 1\n2\n\n"))
 	f.Add([]byte("1 0\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzLoad(t, "fuzz.graph", FormatMETIS, data) })
+	f.Add([]byte("3 2\n3\n3\n1 1\n"))
+	f.Add([]byte("3 2\n2\n1 3\n1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if g := fuzzLoad(t, "fuzz.graph", FormatMETIS, data); g != nil {
+			requireMETISRows(t, data, g)
+		}
+	})
+}
+
+// requireMETISRows reads the adjacency rows of a METIS file the loader
+// accepted as g — the lines after the header, '%' comments skipped —
+// and fails unless row v's 1-based ids are exactly g.Neighbors(v),
+// with no repeats.
+func requireMETISRows(t *testing.T, data []byte, g *Graph) {
+	t.Helper()
+	header, v := true, 0
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "%") || (header && line == "") {
+			continue
+		}
+		if header {
+			header = false
+			continue
+		}
+		if v == g.N() {
+			return
+		}
+		var row []int32
+		for _, f := range strings.Fields(line) {
+			id, _ := strconv.Atoi(f)
+			row = append(row, int32(id-1))
+		}
+		slices.Sort(row)
+		if !slices.Equal(row, g.Neighbors(v)) {
+			t.Fatalf("row of vertex %d lists %v, its neighbours are %v", v, row, g.Neighbors(v))
+		}
+		v++
+	}
 }
 
 // FuzzBinaryEdgeList: the binary loader under arbitrary bytes — same

@@ -245,9 +245,6 @@ func TestClosedLoopRun(t *testing.T) {
 	if s.JobsDone != s.CacheMisses || s.JobsFailed != 0 {
 		t.Fatalf("server jobs done %d / failed %d, want %d / 0", s.JobsDone, s.JobsFailed, s.CacheMisses)
 	}
-	if s.PoolSize != 2 {
-		t.Fatalf("pool-size gauge %d, want the fixed pool's 2", s.PoolSize)
-	}
 	if s.RunMeanNs <= 0 {
 		t.Fatalf("run-scoped server run mean %v", s.RunMeanNs)
 	}

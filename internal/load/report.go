@@ -184,8 +184,7 @@ func (r *Report) WriteText(w io.Writer) {
 	if s := r.Server; s != nil {
 		fmt.Fprintf(w, "  server: %d done / %d failed, %d hits / %d misses / %d coalesced, %d rejected; queue mean %.2fms, run mean %.2fms\n",
 			s.JobsDone, s.JobsFailed, s.CacheHits, s.CacheMisses, s.Coalesced, s.Rejected, ms(s.QueueMeanNs), ms(s.RunMeanNs))
-		fmt.Fprintf(w, "  server: pool size %d, queue high-water %d, %d scale-ups, %d scale-downs, %d events dropped\n",
-			s.PoolSize, s.QueueHighWater, s.ScaleUps, s.ScaleDowns, s.EventsDropped)
+		fmt.Fprintf(w, "  server: queue high-water %d, %d events dropped\n", s.QueueHighWater, s.EventsDropped)
 	}
 	for _, f := range r.Findings {
 		fmt.Fprintf(w, "  finding: %s\n", f)

@@ -72,12 +72,9 @@ type ServerView struct {
 	Coalesced     uint64 `json:"coalesced"`
 	Rejected      uint64 `json:"rejected"`
 	EventsDropped uint64 `json:"events_dropped"`
-	// ScaleUps / ScaleDowns are the autoscaler decisions during the
-	// run; PoolSize and QueueHighWater are the after-scrape gauges.
-	ScaleUps       uint64 `json:"scale_ups"`
-	ScaleDowns     uint64 `json:"scale_downs"`
-	PoolSize       int64  `json:"pool_size"`
-	QueueHighWater int64  `json:"queue_high_water"`
+	// QueueHighWater is the server's highest queue depth since it
+	// started, read from the after-scrape.
+	QueueHighWater int64 `json:"queue_high_water"`
 	// QueueMeanNs / RunMeanNs are run-scoped submit→start and
 	// start→finish means per executed job.
 	QueueMeanNs float64 `json:"queue_mean_ns"`
@@ -112,9 +109,6 @@ func foldServerView(before, after metricsSnapshot) *ServerView {
 		Coalesced:      delta("beepmis_service_coalesced_total", ""),
 		Rejected:       delta("beepmis_service_rejected_total", ""),
 		EventsDropped:  delta("beepmis_service_events_dropped_total", ""),
-		ScaleUps:       delta("beepmis_service_scale_events_total", `direction="up",reason="queue_high"`),
-		ScaleDowns:     delta("beepmis_service_scale_events_total", `direction="down",reason="queue_idle"`),
-		PoolSize:       int64(after.value("beepmis_service_pool_size", "")),
 		QueueHighWater: int64(after.value("beepmis_service_queue_high_water", "")),
 		QueueMeanNs:    histMean("beepmis_service_queue_latency_ns"),
 		RunMeanNs:      histMean("beepmis_service_run_latency_ns"),

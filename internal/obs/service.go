@@ -32,19 +32,9 @@ type ServiceMetrics struct {
 	// buffers (the publish overflow path).
 	Subscribers   Gauge
 	EventsDropped Counter
-	// PoolSize is the job pool's commanded worker count: constant for
-	// a fixed pool, moving between the autoscaler's min/max bounds
-	// otherwise. (A scaled-down worker exits only after finishing its
-	// current job, so the briefly-running count can exceed the gauge.)
-	PoolSize Gauge
 	// QueueHighWater is the highest queue depth observed since process
 	// start — the saturation witness misload folds into its reports.
 	QueueHighWater Gauge
-	// ScaleUps / ScaleDowns count autoscaler pool-size decisions; they
-	// are exposed as one family labelled by direction and decision
-	// reason, so every scaling decision is visible in the scrape.
-	ScaleUps   Counter
-	ScaleDowns Counter
 }
 
 // Register exposes the bundle under the beepmis_service_* families.
@@ -61,8 +51,5 @@ func (m *ServiceMetrics) Register(r *Registry) {
 	r.RegisterCounter("beepmis_service_jobs_failed_total", "", "Jobs finished in failure.", &m.JobsFailed)
 	r.RegisterGauge("beepmis_service_sse_subscribers", "", "Current progress-stream subscriber count.", &m.Subscribers)
 	r.RegisterCounter("beepmis_service_events_dropped_total", "", "Progress events dropped on slow subscribers' full buffers.", &m.EventsDropped)
-	r.RegisterGauge("beepmis_service_pool_size", "", "Commanded job-worker pool size (constant for fixed pools, min..max for the autoscaler).", &m.PoolSize)
 	r.RegisterGauge("beepmis_service_queue_high_water", "", "Highest queue depth observed since process start.", &m.QueueHighWater)
-	r.RegisterCounter("beepmis_service_scale_events_total", `direction="up",reason="queue_high"`, "Autoscaler pool-size decisions by direction and reason.", &m.ScaleUps)
-	r.RegisterCounter("beepmis_service_scale_events_total", `direction="down",reason="queue_idle"`, "Autoscaler pool-size decisions by direction and reason.", &m.ScaleDowns)
 }

@@ -58,7 +58,6 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	runs      int // executions (tests assert coalescing keeps this at 1)
 
 	events []scenario.Event // bounded progress history for late subscribers
 	subs   map[chan scenario.Event]struct{}
@@ -71,8 +70,8 @@ type Job struct {
 const maxEventHistory = 1024
 
 // JobView is an immutable snapshot of a job for JSON responses. The
-// original fields are byte-compatible across versions; Runs/QueueMs/
-// RunMs are additive (omitted at their zero values, so pre-existing
+// original fields are byte-compatible across versions; QueueMs/RunMs
+// are additive (omitted at their zero values, so pre-existing
 // responses serialise identically).
 type JobView struct {
 	ID        string    `json:"id"`
@@ -84,9 +83,6 @@ type JobView struct {
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started,omitzero"`
 	Finished  time.Time `json:"finished,omitzero"`
-	// Runs counts executions of this job (coalescing keeps it at 1; a
-	// larger value means eviction and resubmission re-executed it).
-	Runs int `json:"runs,omitempty"`
 	// QueueMs is the submit→start wall time in milliseconds, present
 	// once the job has started; RunMs is start→finish, present once it
 	// has finished.
@@ -114,12 +110,6 @@ type Options struct {
 	// results. An evicted scenario simply re-executes on resubmission;
 	// determinism guarantees the same bytes.
 	MaxJobs int
-	// MaxWorkers, when above Workers, lets the pool grow towards it on
-	// sustained queue-depth pressure and shrink back to Workers when the
-	// queue idles. 0 or ≤ Workers keeps the pool fixed at Workers.
-	// Results are unaffected — worker count is a performance knob — but
-	// wall-clock capacity follows load.
-	MaxWorkers int
 	// Metrics receives the manager's telemetry (queue depth, latency
 	// histograms, cache and subscriber counters). Nil gets a private
 	// bundle, so the instrumentation points never branch; pass one to
@@ -131,12 +121,12 @@ type Options struct {
 	EngineMetrics *obs.EngineMetrics
 }
 
-// Manager owns the job queue and the result cache; its pool owns the
-// workers that drain the queue.
+// Manager owns the job queue, the result cache, and the fixed pool of
+// Options.Workers goroutines that drain the queue.
 type Manager struct {
 	opts    Options
 	metrics *obs.ServiceMetrics
-	pool    *pool
+	workers sync.WaitGroup // the pool; each worker exits when the queue closes
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -154,8 +144,9 @@ type Manager struct {
 	testHookBeforeRun func(*Job)
 }
 
-// New starts a Manager's worker pool of Options.Workers workers,
-// autoscaling up to Options.MaxWorkers.
+// New starts a Manager and its pool of Options.Workers workers. A
+// worker waiting on an empty queue costs no CPU, and results do not
+// depend on the worker count, so the pool never resizes.
 func New(opts Options) *Manager {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -178,7 +169,15 @@ func New(opts Options) *Manager {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	m.pool = startPool(opts.Workers, opts.MaxWorkers, m.queue, m.execute, m.metrics)
+	m.workers.Add(opts.Workers)
+	for range opts.Workers {
+		go func() {
+			defer m.workers.Done()
+			for job := range m.queue {
+				m.execute(job)
+			}
+		}()
+	}
 	return m
 }
 
@@ -288,7 +287,6 @@ func (m *Manager) viewLocked(job *Job) JobView {
 		Submitted: job.submitted,
 		Started:   job.started,
 		Finished:  job.finished,
-		Runs:      job.runs,
 	}
 	if !job.started.IsZero() {
 		view.QueueMs = float64(job.started.Sub(job.submitted).Nanoseconds()) / 1e6
@@ -395,7 +393,7 @@ func (m *Manager) Close(ctx context.Context) error {
 
 	done := make(chan struct{})
 	go func() {
-		m.pool.wait()
+		m.workers.Wait()
 		close(done)
 	}()
 	select {
@@ -411,10 +409,11 @@ func (m *Manager) Close(ctx context.Context) error {
 	}
 }
 
-// execute is the function the pool's workers hand dequeued jobs to. Once Close has begun, dequeued jobs fail fast instead of
-// starting — Close's drain loop consumes the same channel, and
-// whichever side wins the race must apply the same policy. (Draining
-// alone does not fail jobs: Drain stops admissions, not execution.)
+// execute runs one job a pool worker dequeued. Once Close has begun,
+// dequeued jobs fail fast instead of starting — Close's drain loop
+// consumes the same channel, and whichever side wins the race must
+// apply the same policy. (Draining alone does not fail jobs: Drain
+// stops admissions, not execution.)
 func (m *Manager) execute(job *Job) {
 	m.mu.Lock()
 	closed := m.closed
@@ -431,7 +430,6 @@ func (m *Manager) run(job *Job) {
 	m.mu.Lock()
 	job.status = StatusRunning
 	job.started = time.Now()
-	job.runs++
 	m.metrics.QueueDepth.Add(-1)
 	m.metrics.QueueLatencyNs.Observe(job.started.Sub(job.submitted).Nanoseconds())
 	hook := m.testHookBeforeRun
@@ -525,7 +523,7 @@ func (m *Manager) StatsNow() Stats {
 	defer m.mu.Unlock()
 	s := Stats{
 		Jobs:    len(m.jobs),
-		Workers: int(m.metrics.PoolSize.Value()),
+		Workers: m.opts.Workers,
 		Queue:   map[string]int{"cap": m.opts.QueueCap, "len": len(m.queue)},
 	}
 	for _, job := range m.jobs {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,7 +173,9 @@ func TestCacheCoalescing(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
+	var runs atomic.Int32
 	m.testHookBeforeRun = func(*Job) {
+		runs.Add(1)
 		once.Do(func() { close(started) })
 		<-release
 	}
@@ -208,11 +211,8 @@ func TestCacheCoalescing(t *testing.T) {
 	if err != nil || !cached || again != first {
 		t.Fatalf("resubmit: job=%p cached=%v err=%v", again, cached, err)
 	}
-	m.mu.Lock()
-	runs := first.runs
-	m.mu.Unlock()
-	if runs != 1 {
-		t.Fatalf("spec executed %d times, want 1", runs)
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("spec executed %d times, want 1", got)
 	}
 }
 

@@ -9,18 +9,14 @@
 #      shards, faults) keys are machine-independent.
 #   2. The noisy-channel overhead pair (PR 5) under per-listener
 #      loss=0.05 / spurious=0.01.
-#   3. The shards × GOMAXPROCS sweep (PR 6): the columnar and sparse
-#      engines on G(100000, 0.05) across the {1,2,4}×{1,2,4} grid, and
-#      the sparse engine on G(10^6, 10/n) at its corners — the
-#      multi-core scaling record EXPERIMENTS.md reads its table from.
-#   4. The perf-gate grid: small pinned workloads CI re-runs with
+#   3. The perf-gate grid: small pinned workloads CI re-runs with
 #      `misbench -bench -compare <this file>` (see ci.yml perf-gate).
-#   5. Construction throughput: the streamed builder on RMAT and
+#   4. Construction throughput: the streamed builder on RMAT and
 #      configmodel, and graph.GNP on G(n,p) — the records' build_ns /
 #      edges_per_sec fields are construction's own trajectory,
 #      alongside a sparse-engine run over each built graph.
-#   6. Service-level load (PR 10): misload against a live misd with an
-#      autoscaling job pool — a closed-loop burst and an open-loop
+#   5. Service-level load (PR 10): misload against a live misd with a
+#      four-worker job pool — a closed-loop burst and an open-loop
 #      Poisson run over the load-tiny scenario. These records carry
 #      tool:"misload" with client p50/p95/p99, achieved throughput and
 #      the folded server scrape, in the same array as the engine rows.
@@ -73,26 +69,7 @@ noisy='{"loss":0.05,"spurious":0.01}'
 "$bin" -bench -json -shards 1 -benchn 20000 -benchp 0.5 -benchruns "$runs" -faults "$noisy" >>"$tmp"
 "$bin" -bench -json -shards 1 -benchn 1000000 -benchp 0.00001 -benchruns 1 -faults "$noisy" >>"$tmp"
 
-# --- Stage 3: shards × GOMAXPROCS sweep ------------------------------
-# Engine pins keep the sweep to the two engines that shard. GOMAXPROCS
-# is set explicitly per run, so the sweep means the same thing on any
-# machine (a record's gomaxprocs field stamps what applied). Oversharding
-# (shards > GOMAXPROCS) is part of the grid on purpose: it must cost
-# little and never change results.
-for gmp in 1 2 4; do
-  for shards in 1 2 4; do
-    GOMAXPROCS="$gmp" "$bin" -bench -json -engine columnar -shards "$shards" \
-      -benchn 100000 -benchp 0.05 -benchruns "$runs" >>"$tmp"
-    GOMAXPROCS="$gmp" "$bin" -bench -json -engine sparse -shards "$shards" \
-      -benchn 100000 -benchp 0.05 -benchruns "$runs" >>"$tmp"
-  done
-done
-# Large-sparse corners only: graph generation dominates repeated runs.
-GOMAXPROCS=1 "$bin" -bench -json -engine sparse -shards 1 -benchn 1000000 -benchp 0.00001 -benchruns 1 >>"$tmp"
-GOMAXPROCS=4 "$bin" -bench -json -engine sparse -shards 1 -benchn 1000000 -benchp 0.00001 -benchruns 1 >>"$tmp"
-GOMAXPROCS=4 "$bin" -bench -json -engine sparse -shards 4 -benchn 1000000 -benchp 0.00001 -benchruns 1 >>"$tmp"
-
-# --- Stage 4: perf-gate grid -----------------------------------------
+# --- Stage 3: perf-gate grid -----------------------------------------
 # Small, fast, fully pinned workloads whose keys CI re-measures and
 # compares against this committed file (generous tolerance — the gate
 # exists to catch order-of-magnitude regressions, not machine drift).
@@ -103,7 +80,7 @@ for shards in 1 2; do
   GOMAXPROCS=2 "$bin" -bench -json -shards "$shards" -benchn 5000 -benchp 0.004 -benchruns "$runs" >>"$tmp"
 done
 
-# --- Stage 5: construction throughput --------------------------------
+# --- Stage 4: construction throughput --------------------------------
 # Graph construction at the scale the streamed builder exists for:
 # ~10^7-edge RMAT and configmodel graphs (two CSRBuilder passes each)
 # plus graph.GNP's G(n,p), generated once per record and timed
@@ -117,16 +94,16 @@ GOMAXPROCS=1 "$bin" -bench -json -engine sparse -shards 1 -benchruns 1 \
 GOMAXPROCS=1 "$bin" -bench -json -engine sparse -shards 1 -benchruns 1 \
   -graph gnp:n=1048576,p=0.000016 >>"$tmp"
 
-# --- Stage 6: service-level load -------------------------------------
-# misload against a live misd: 1→4 autoscaling workers, the ~100ms
-# load-tiny scenario. The closed-loop burst saturates the pool (its
-# record's server fold shows the scale-ups); the open-loop run offers a
+# --- Stage 5: service-level load -------------------------------------
+# misload against a live misd: four job workers, the ~100ms load-tiny
+# scenario. The closed-loop burst saturates the pool (its record's
+# server fold shows the queue high-water); the open-loop run offers a
 # fixed Poisson rate so achieved-vs-offered throughput is on record.
 # The misload schedule is seeded, so the request streams are identical
 # across machines; only the latencies differ.
 go build -o "$misd_bin" ./cmd/misd
 go build -o "$misload_bin" ./cmd/misload
-"$misd_bin" -addr 127.0.0.1:18080 -jobs 1 -autoscale-max 4 -queue 64 >/dev/null 2>&1 &
+"$misd_bin" -addr 127.0.0.1:18080 -jobs 4 -queue 64 >/dev/null 2>&1 &
 misd_pid=$!
 "$misload_bin" -url http://127.0.0.1:18080 -wait-ready 15s -json \
   -mode closed -c 8 -n 120 -hit 0.4 -subs 100 -seed 1 \
